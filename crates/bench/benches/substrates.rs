@@ -50,7 +50,7 @@ fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
     group.bench_function("l2_lookup_hit", |b| {
         let mut cache = Cache::new(CacheConfig::date2006_l2());
-        cache.install(LineAddr(1), false, 0, Some(vec![0; 8].into()));
+        cache.install(LineAddr(1), false, 0, Some(&[0; 8]));
         let mut now = 0;
         b.iter(|| {
             now += 1;
@@ -65,7 +65,7 @@ fn bench_cache(c: &mut Criterion) {
             line += 4096; // same set every time: constant eviction pressure
             now += 1;
             cache.lookup(LineAddr(line), AccessKind::Read, now);
-            black_box(cache.install(LineAddr(line), false, now, Some(vec![0; 8].into())))
+            black_box(cache.install(LineAddr(line), false, now, Some(&[0; 8])))
         });
     });
     group.bench_function("write_buffer_push_pop", |b| {

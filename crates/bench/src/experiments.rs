@@ -1090,7 +1090,7 @@ pub fn campaign(strikes: u64, p_double: f64) -> FigureData {
                 } else {
                     mem.read_line(line)
                 };
-                l2.install(line, dirty, 0, Some(data));
+                l2.install(line, dirty, 0, Some(&data));
                 let mut dirs = Vec::new();
                 for ev in l2.take_events() {
                     scheme.on_event(&ev, &l2, &mut dirs);

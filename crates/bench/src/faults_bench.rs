@@ -16,7 +16,7 @@ use std::time::Instant;
 use aep_faultsim::{run_campaign_report, StrikeModel};
 use aep_sim::{Runner, Table};
 
-use crate::engine_bench::{extract_json_number, git_commit};
+use crate::engine_bench::{extract_json_number, git_commit, host};
 use crate::experiments::{proposed, Scale};
 use crate::faults::{campaign_config, FaultsOptions};
 
@@ -50,8 +50,11 @@ pub struct FaultsBenchReport {
     pub baseline_mcycles_per_sec: f64,
     /// Per-model samples, in ladder order.
     pub samples: Vec<FaultsSample>,
-    /// `git rev-parse --short HEAD` at measurement time.
+    /// `git rev-parse --short HEAD` at measurement time (`-dirty` when
+    /// the working tree differed from it).
     pub git_commit: String,
+    /// The measuring host's name and core count.
+    pub host: String,
 }
 
 /// The model ladder the harness times: the paper's independent
@@ -141,6 +144,7 @@ pub fn run_faults_bench(scale: Scale, trials: u32, jobs: usize) -> FaultsBenchRe
         baseline_mcycles_per_sec: baseline,
         samples,
         git_commit: git_commit(),
+        host: host(),
     }
 }
 
@@ -184,12 +188,13 @@ impl FaultsBenchReport {
             );
         }
         format!(
-            "Campaign throughput: {} @ {} scale, {} jobs (commit {})\n{}\
+            "Campaign throughput: {} @ {} scale, {} jobs (commit {}, host {})\n{}\
              serial baseline {:.1} Mcycles/s; min {:.2} trials/Mcycle\n",
             self.benchmark,
             self.scale.name(),
             self.jobs,
             self.git_commit,
+            self.host,
             t.to_text(),
             self.baseline_mcycles_per_sec,
             self.min_trials_per_mcycle(),
@@ -207,6 +212,7 @@ impl FaultsBenchReport {
         let _ = writeln!(s, "  \"trials\": {},", self.trials);
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(s, "  \"git_commit\": \"{}\",", self.git_commit);
+        let _ = writeln!(s, "  \"host\": \"{}\",", self.host);
         let _ = writeln!(
             s,
             "  \"baseline_mcycles_per_sec\": {:.3},",

@@ -9,8 +9,8 @@ use aep_mem::cache::AccessKind;
 use aep_mem::{Cache, CacheConfig, LineAddr};
 use aep_rng::SmallRng;
 
-fn data(words: usize, seed: u64) -> Option<Box<[u64]>> {
-    Some((0..words as u64).map(|i| seed ^ i).collect())
+fn data(words: usize, seed: u64) -> Vec<u64> {
+    (0..words as u64).map(|i| seed ^ i).collect()
 }
 
 /// The paper's cleaning intervals (64K–4M) on its 4096-set L2: exactly
@@ -83,7 +83,7 @@ fn clean_probe_cleans_exactly_the_quiescent_lines() {
         for way in 0..ways {
             let line = LineAddr(set as u64 + (way as u64) * sets);
             let write = rng.gen_bool(0.6);
-            c.install(line, write, trial, data(words, trial));
+            c.install(line, write, trial, Some(&data(words, trial)));
             if write && rng.gen_bool(0.5) {
                 // A second write sets the written bit.
                 c.lookup(line, AccessKind::Write, trial);
@@ -126,7 +126,7 @@ fn clean_probe_cleans_exactly_the_quiescent_lines() {
 fn written_bit_spares_then_cleans_across_generations() {
     let mut c = Cache::new(CacheConfig::tiny_l2());
     let line = LineAddr(5);
-    c.install(line, true, 0, data(8, 1)); // first write: dirty
+    c.install(line, true, 0, Some(&data(8, 1))); // first write: dirty
     c.lookup(line, AccessKind::Write, 1); // second write: written
     let v = c.line_view(5, 0);
     assert!(v.dirty && v.written);

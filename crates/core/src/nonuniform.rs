@@ -440,7 +440,8 @@ mod tests {
                 for d in dirs {
                     let Directive::ForceClean { set, way } = d;
                     if let Some(ev) = self.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                        self.mem.write_line(ev.line, ev.data.unwrap());
+                        self.mem
+                            .write_line(ev.line, self.l2.line_data(set, way).unwrap());
                         self.ecc_wb += 1;
                     }
                 }
@@ -457,7 +458,7 @@ mod tests {
                 None => {
                     self.l2.lookup(line, AccessKind::Write, 0); // miss (counted)
                     let data: Box<[u64]> = (0..8).map(|i| seed ^ i).collect();
-                    let out = self.l2.install(line, true, 0, Some(data));
+                    let out = self.l2.install(line, true, 0, Some(&data));
                     (out.set, out.way)
                 }
             };
@@ -468,7 +469,7 @@ mod tests {
 
         fn read_fill(&mut self, line: LineAddr) -> (usize, usize) {
             let data = self.mem.read_line(line);
-            let out = self.l2.install(line, false, 0, Some(data));
+            let out = self.l2.install(line, false, 0, Some(&data));
             self.drain();
             (out.set, out.way)
         }
@@ -535,7 +536,7 @@ mod tests {
         let mut h = Harness::new();
         let (set, way) = h.write_line(LineAddr(7), 9);
         let ev = h.l2.force_clean(set, way, 0, WbClass::Cleaning).unwrap();
-        h.mem.write_line(ev.line, ev.data.unwrap());
+        h.mem.write_line(ev.line, h.l2.line_data(set, way).unwrap());
         h.drain();
         assert_eq!(h.scheme.entry_owner(set), None);
         assert_eq!(h.scheme.protected_dirty_lines(), 0);
@@ -616,7 +617,7 @@ mod tests {
         // Displace A's entry by hand, holding the directive un-executed.
         h.l2.lookup(LineAddr(16), AccessKind::Write, 0);
         let data: Box<[u64]> = (0..8).map(|i| 2 ^ i).collect();
-        let out = h.l2.install(LineAddr(16), true, 0, Some(data));
+        let out = h.l2.install(LineAddr(16), true, 0, Some(&data));
         assert_ne!(out.way, way_a);
         let events = h.l2.take_events();
         let mut dirs = Vec::new();
@@ -638,7 +639,7 @@ mod tests {
         // Completing the clean-back retires the in-flight checks.
         for Directive::ForceClean { set, way } in dirs {
             if let Some(ev) = h.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                h.mem.write_line(ev.line, ev.data.unwrap());
+                h.mem.write_line(ev.line, h.l2.line_data(set, way).unwrap());
             }
         }
         h.drain();

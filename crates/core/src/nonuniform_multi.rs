@@ -382,7 +382,7 @@ mod tests {
             if self.l2.peek(line).is_none() {
                 self.l2.lookup(line, AccessKind::Write, 0);
                 let data: Box<[u64]> = (0..8).map(|i| seed ^ i).collect();
-                self.l2.install(line, true, 0, Some(data));
+                self.l2.install(line, true, 0, Some(&data));
             } else {
                 self.l2.lookup(line, AccessKind::Write, 0);
             }
@@ -397,7 +397,8 @@ mod tests {
                 }
                 for Directive::ForceClean { set, way } in dirs {
                     if let Some(ev) = self.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                        self.mem.write_line(ev.line, ev.data.unwrap());
+                        self.mem
+                            .write_line(ev.line, self.l2.line_data(set, way).unwrap());
                         self.ecc_wb += 1;
                     }
                 }
@@ -453,7 +454,7 @@ mod tests {
             if single_l2.peek(line).is_none() {
                 single_l2.lookup(line, AccessKind::Write, 0);
                 let data: Box<[u64]> = (0..8).map(|w| (i as u64) ^ w).collect();
-                single_l2.install(line, true, 0, Some(data));
+                single_l2.install(line, true, 0, Some(&data));
             } else {
                 single_l2.lookup(line, AccessKind::Write, 0);
             }
@@ -489,7 +490,7 @@ mod tests {
         let (set, way_a) = h.l2.peek(LineAddr(0)).unwrap();
         h.l2.lookup(LineAddr(16), AccessKind::Write, 0);
         let data: Box<[u64]> = (0..8).map(|i| 2 ^ i).collect();
-        let out = h.l2.install(LineAddr(16), true, 0, Some(data));
+        let out = h.l2.install(LineAddr(16), true, 0, Some(&data));
         assert_ne!(out.way, way_a);
         let events = h.l2.take_events();
         let mut dirs = Vec::new();
@@ -507,7 +508,7 @@ mod tests {
 
         for Directive::ForceClean { set, way } in dirs {
             if let Some(ev) = h.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                h.mem.write_line(ev.line, ev.data.unwrap());
+                h.mem.write_line(ev.line, h.l2.line_data(set, way).unwrap());
                 h.ecc_wb += 1;
             }
         }

@@ -150,7 +150,7 @@ mod tests {
         let (mut l2, mut scheme, mut mem) = setup();
         let line = LineAddr(11);
         let pristine = mem.read_line(line);
-        let out = l2.install(line, false, 0, Some(pristine.clone()));
+        let out = l2.install(line, false, 0, Some(&pristine));
         drain(&mut l2, &mut scheme);
         l2.strike(out.set, out.way, 4, 44);
         assert_eq!(
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn struck_dirty_line_is_lost() {
         let (mut l2, mut scheme, mut mem) = setup();
-        let out = l2.install(LineAddr(12), true, 0, Some(vec![5; 8].into_boxed_slice()));
+        let out = l2.install(LineAddr(12), true, 0, Some(&[5; 8]));
         drain(&mut l2, &mut scheme);
         l2.strike(out.set, out.way, 0, 0);
         assert_eq!(
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn unstruck_lines_verify_clean() {
         let (mut l2, mut scheme, mut mem) = setup();
-        let out = l2.install(LineAddr(13), true, 0, Some(vec![5; 8].into_boxed_slice()));
+        let out = l2.install(LineAddr(13), true, 0, Some(&[5; 8]));
         drain(&mut l2, &mut scheme);
         assert_eq!(
             scheme.verify_line(&mut l2, out.set, out.way, &mut mem),
@@ -190,13 +190,13 @@ mod tests {
         let (mut l2, mut scheme, mut mem) = setup();
         let line = LineAddr(14);
         let data = vec![0xAB; 8];
-        let out = l2.install(line, true, 0, Some(data.clone().into_boxed_slice()));
+        let out = l2.install(line, true, 0, Some(&data));
         drain(&mut l2, &mut scheme);
         // Simulate the cleaning write-back (data reaches memory).
         let ev = l2
             .force_clean(out.set, out.way, 1, WbClass::Cleaning)
             .expect("line was dirty");
-        mem.write_line(ev.line, ev.data.unwrap());
+        mem.write_line(ev.line, l2.line_data(out.set, ev.way).unwrap());
         drain(&mut l2, &mut scheme);
         l2.strike(out.set, out.way, 1, 9);
         assert_eq!(

@@ -148,7 +148,7 @@ mod tests {
             }
             for Directive::ForceClean { set, way } in dirs {
                 if let Some(ev) = l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                    mem.write_line(ev.line, ev.data.unwrap());
+                    mem.write_line(ev.line, l2.line_data(set, way).unwrap());
                 }
             }
         }
@@ -160,7 +160,7 @@ mod tests {
         let line = LineAddr(3);
         l2.lookup(line, AccessKind::Write, 0);
         let data: Box<[u64]> = (0..8).map(|i| 9 ^ i).collect();
-        let out = l2.install(line, true, 0, Some(data));
+        let out = l2.install(line, true, 0, Some(&data));
         l2.write_word(out.set, out.way, 0, 9);
         drain(&mut l2, &mut scheme, &mut mem);
         assert_eq!(scheme.inner().entry_owner(out.set), Some(out.way));
@@ -169,7 +169,7 @@ mod tests {
         // the second (line long idle, gap fallback 10) copies back.
         for now in [1000u64, 2000] {
             for ev in l2.reuse_probe(out.set, now, scheme.multiplier(), 10) {
-                mem.write_line(ev.line, ev.data.unwrap());
+                mem.write_line(ev.line, l2.line_data(out.set, ev.way).unwrap());
             }
             drain(&mut l2, &mut scheme, &mut mem);
         }
@@ -184,7 +184,7 @@ mod tests {
         let line = LineAddr(5);
         l2.lookup(line, AccessKind::Write, 0);
         let data: Box<[u64]> = (0..8).map(|i| 3 ^ i).collect();
-        let out = l2.install(line, true, 0, Some(data));
+        let out = l2.install(line, true, 0, Some(&data));
         l2.write_word(out.set, out.way, 0, 3);
         drain(&mut l2, &mut scheme, &mut mem);
         let before = l2.line_data(out.set, out.way).unwrap().to_vec();

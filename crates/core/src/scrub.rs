@@ -189,7 +189,7 @@ mod tests {
         // Install one clean line at (0, 0) and sync the scheme.
         let line = LineAddr(0);
         let data = mem.read_line(line);
-        l2.install(line, false, 0, Some(data.clone()));
+        l2.install(line, false, 0, Some(&data));
         let mut dirs = Vec::new();
         for ev in l2.take_events() {
             scheme.on_event(&ev, &l2, &mut dirs);

@@ -184,7 +184,8 @@ mod tests {
                 for d in dirs {
                     let Directive::ForceClean { set, way } = d;
                     if let Some(ev) = self.l2.force_clean(set, way, 0, WbClass::EccEviction) {
-                        self.mem.write_line(ev.line, ev.data.unwrap());
+                        self.mem
+                            .write_line(ev.line, self.l2.line_data(set, way).unwrap());
                         self.ecc_wb += 1;
                     }
                 }
@@ -200,7 +201,7 @@ mod tests {
                 None => {
                     self.l2.lookup(line, AccessKind::Write, 0);
                     let data: Box<[u64]> = (0..8).map(|i| seed ^ i).collect();
-                    let out = self.l2.install(line, true, 0, Some(data));
+                    let out = self.l2.install(line, true, 0, Some(&data));
                     (out.set, out.way)
                 }
             };
@@ -211,7 +212,7 @@ mod tests {
 
         fn read_fill(&mut self, line: LineAddr) -> (usize, usize) {
             let data = self.mem.read_line(line);
-            let out = self.l2.install(line, false, 0, Some(data));
+            let out = self.l2.install(line, false, 0, Some(&data));
             self.drain();
             (out.set, out.way)
         }

@@ -169,7 +169,7 @@ mod tests {
         data: Vec<u64>,
     ) -> (usize, usize) {
         l2.set_event_emission(true);
-        let out = l2.install(line, false, 0, Some(data.into_boxed_slice()));
+        let out = l2.install(line, false, 0, Some(&data));
         let mut dirs = Vec::new();
         for ev in l2.take_events() {
             scheme.on_event(&ev, l2, &mut dirs);

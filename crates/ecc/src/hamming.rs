@@ -23,11 +23,72 @@ pub const CHECK_BITS: u32 = 8;
 pub const DATA_BITS: u32 = 64;
 /// Highest occupied codeword position (data + 7 Hamming checks).
 const TOP_POSITION: u32 = 71;
+/// Marks a codeword position that holds no data bit.
+const NO_DATA: u8 = u8::MAX;
+
+/// `DATA_POSITION[i]` = codeword position (1-based) of data bit `i`: the
+/// non-power-of-two positions in ascending order.
+const DATA_POSITION: [u8; DATA_BITS as usize] = {
+    let mut out = [0u8; DATA_BITS as usize];
+    let mut next = 0;
+    let mut pos = 1u32;
+    while pos <= TOP_POSITION {
+        if !pos.is_power_of_two() {
+            out[next] = pos as u8;
+            next += 1;
+        }
+        pos += 1;
+    }
+    assert!(next == DATA_BITS as usize);
+    out
+};
+
+/// `POSITION_TO_DATA[p]` = the data bit at codeword position `p`, or
+/// [`NO_DATA`] for check-bit slots and positions past the codeword.
+const POSITION_TO_DATA: [u8; 128] = {
+    let mut out = [NO_DATA; 128];
+    let mut bit = 0;
+    while bit < DATA_BITS as usize {
+        out[DATA_POSITION[bit] as usize] = bit as u8;
+        bit += 1;
+    }
+    out
+};
+
+/// The check byte of the single-bit word `1 << bit`: Hamming checks
+/// `c0..c6` are the bits of the data bit's position, and the overall
+/// parity covers the data bit plus every Hamming check it toggles.
+const fn single_bit_check(bit: usize) -> u8 {
+    let hamming = DATA_POSITION[bit];
+    let overall = (1 + hamming.count_ones() as u8) & 1;
+    hamming | (overall << 7)
+}
+
+/// Byte-sliced encoder: `ENCODE[k][b]` is the check byte of the word whose
+/// only set bits are byte `b` at byte lane `k`. Every check bit is a GF(2)
+/// linear function of the data, so a word's check byte is the XOR of its
+/// eight lanes' entries.
+static ENCODE: [[u8; 256]; 8] = {
+    let mut table = [[0u8; 256]; 8];
+    let mut lane = 0;
+    while lane < 8 {
+        let mut byte = 1usize;
+        while byte < 256 {
+            // Extend from the entry without the lowest set bit.
+            let low = byte.trailing_zeros() as usize;
+            table[lane][byte] = table[lane][byte & (byte - 1)] ^ single_bit_check(lane * 8 + low);
+            byte += 1;
+        }
+        lane += 1;
+    }
+    table
+};
 
 /// A SECDED Hamming(72,64) encoder/decoder.
 ///
-/// The struct is a zero-sized strategy object: position tables are computed
-/// once in [`Secded64::new`] and shared by encode/decode.
+/// A zero-sized strategy object: the position layout and the byte-sliced
+/// encode table are compile-time constants shared by every instance, so
+/// encoding is eight table lookups XORed together.
 ///
 /// ```
 /// use aep_ecc::hamming::Secded64;
@@ -36,53 +97,16 @@ const TOP_POSITION: u32 = 71;
 /// let check = code.encode(42);
 /// assert!(code.decode(42, check).is_clean());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Secded64 {
-    /// `data_position[i]` = codeword position (1-based) of data bit `i`.
-    data_position: [u32; DATA_BITS as usize],
-    /// `position_to_data[p]` = `Some(i)` when codeword position `p` holds
-    /// data bit `i`.
-    position_to_data: [Option<u8>; (TOP_POSITION + 1) as usize],
-    /// `check_mask[c]` selects the data bits covered by Hamming check `c`,
-    /// so each check bit is a single masked popcount at encode time.
-    check_mask: [u64; 7],
-}
-
-impl Default for Secded64 {
-    fn default() -> Self {
-        Self::new()
-    }
+    _private: (),
 }
 
 impl Secded64 {
-    /// Builds the position tables for the (72,64) layout.
+    /// The (72,64) code.
     #[must_use]
-    pub fn new() -> Self {
-        let mut data_position = [0u32; DATA_BITS as usize];
-        let mut position_to_data = [None; (TOP_POSITION + 1) as usize];
-        let mut next_data = 0usize;
-        for pos in 1..=TOP_POSITION {
-            if pos.is_power_of_two() {
-                continue; // Hamming check-bit slot.
-            }
-            data_position[next_data] = pos;
-            position_to_data[pos as usize] = Some(next_data as u8);
-            next_data += 1;
-        }
-        debug_assert_eq!(next_data, DATA_BITS as usize);
-        let mut check_mask = [0u64; 7];
-        for (bit, &pos) in data_position.iter().enumerate() {
-            for (c, mask) in check_mask.iter_mut().enumerate() {
-                if pos & (1 << c) != 0 {
-                    *mask |= 1u64 << bit;
-                }
-            }
-        }
-        Secded64 {
-            data_position,
-            position_to_data,
-            check_mask,
-        }
+    pub const fn new() -> Self {
+        Secded64 { _private: () }
     }
 
     /// Encodes `data`, returning the 8 check bits.
@@ -91,17 +115,17 @@ impl Secded64 {
     /// `c0..c6` (covering positions with index bit `i` set); bit 7 is the
     /// overall SECDED parity over the 71-bit Hamming word.
     #[must_use]
+    #[inline]
     pub fn encode(&self, data: u64) -> u8 {
-        let mut check = 0u8;
-        for c in 0..7u32 {
-            if self.check_bit(data, c) {
-                check |= 1 << c;
-            }
-        }
-        if self.overall_parity(data, check) {
-            check |= 1 << 7;
-        }
-        check
+        let b = data.to_le_bytes();
+        ENCODE[0][b[0] as usize]
+            ^ ENCODE[1][b[1] as usize]
+            ^ ENCODE[2][b[2] as usize]
+            ^ ENCODE[3][b[3] as usize]
+            ^ ENCODE[4][b[4] as usize]
+            ^ ENCODE[5][b[5] as usize]
+            ^ ENCODE[6][b[6] as usize]
+            ^ ENCODE[7][b[7] as usize]
     }
 
     /// Decodes a `(data, check)` pair, correcting a single flipped bit.
@@ -112,16 +136,12 @@ impl Secded64 {
     /// errors.
     #[must_use]
     pub fn decode(&self, data: u64, check: u8) -> Decoded {
-        // Recompute Hamming checks; syndrome = stored XOR recomputed.
-        let mut syndrome = 0u32;
-        for c in 0..7u32 {
-            let recomputed = self.check_bit(data, c);
-            let stored = check & (1 << c) != 0;
-            if recomputed != stored {
-                syndrome |= 1 << c;
-            }
-        }
-        let overall_mismatch = self.overall_parity(data, check & 0x7F) != (check & (1 << 7) != 0);
+        // Recomputed XOR stored: the low seven bits are the Hamming
+        // syndrome, and the parity of the whole byte is the overall-parity
+        // mismatch over the stored 72-bit codeword.
+        let diff = self.encode(data) ^ check;
+        let syndrome = u32::from(diff & 0x7F);
+        let overall_mismatch = diff.count_ones() % 2 == 1;
 
         match (syndrome, overall_mismatch) {
             (0, false) => Decoded::Clean { data },
@@ -146,12 +166,10 @@ impl Secded64 {
                         flipped: FlippedBit::Check(idx),
                     }
                 } else {
-                    match self.position_to_data[s as usize] {
-                        Some(bit) => Decoded::Corrected {
-                            data: data ^ (1u64 << bit),
-                            flipped: FlippedBit::Data(bit),
-                        },
-                        None => Decoded::Uncorrectable,
+                    let bit = POSITION_TO_DATA[s as usize];
+                    Decoded::Corrected {
+                        data: data ^ (1u64 << bit),
+                        flipped: FlippedBit::Data(bit),
                     }
                 }
             }
@@ -160,17 +178,6 @@ impl Secded64 {
                 Decoded::Uncorrectable
             }
         }
-    }
-
-    /// Hamming check bit `c`: parity of all data bits whose codeword
-    /// position has index bit `c` set.
-    fn check_bit(&self, data: u64, c: u32) -> bool {
-        (data & self.check_mask[c as usize]).count_ones() % 2 == 1
-    }
-
-    /// Parity over the 71-bit Hamming word (data bits + 7 check bits).
-    fn overall_parity(&self, data: u64, hamming_check: u8) -> bool {
-        (data.count_ones() + u32::from(hamming_check & 0x7F).count_ones()) % 2 == 1
     }
 }
 
@@ -375,5 +382,158 @@ mod tests {
     #[test]
     fn default_equals_new() {
         assert_eq!(Secded64::default(), Secded64::new());
+    }
+}
+
+/// The table encoder checked against the textbook construction it
+/// replaced: one masked popcount per Hamming check bit, plus an explicit
+/// overall-parity pass, decoded by recomputing every check separately.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use aep_rng::SmallRng;
+
+    /// The masked-popcount reference code.
+    struct Reference {
+        /// `check_mask[c]` selects the data bits covered by Hamming check `c`.
+        check_mask: [u64; 7],
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            let mut check_mask = [0u64; 7];
+            for (bit, &pos) in DATA_POSITION.iter().enumerate() {
+                for (c, mask) in check_mask.iter_mut().enumerate() {
+                    if pos & (1 << c) != 0 {
+                        *mask |= 1u64 << bit;
+                    }
+                }
+            }
+            Reference { check_mask }
+        }
+
+        fn check_bit(&self, data: u64, c: u32) -> bool {
+            (data & self.check_mask[c as usize]).count_ones() % 2 == 1
+        }
+
+        fn overall_parity(data: u64, hamming_check: u8) -> bool {
+            (data.count_ones() + u32::from(hamming_check & 0x7F).count_ones()) % 2 == 1
+        }
+
+        fn encode(&self, data: u64) -> u8 {
+            let mut check = 0u8;
+            for c in 0..7u32 {
+                if self.check_bit(data, c) {
+                    check |= 1 << c;
+                }
+            }
+            if Self::overall_parity(data, check) {
+                check |= 1 << 7;
+            }
+            check
+        }
+
+        fn decode(&self, data: u64, check: u8) -> Decoded {
+            let mut syndrome = 0u32;
+            for c in 0..7u32 {
+                if self.check_bit(data, c) != (check & (1 << c) != 0) {
+                    syndrome |= 1 << c;
+                }
+            }
+            let overall_mismatch =
+                Self::overall_parity(data, check & 0x7F) != (check & (1 << 7) != 0);
+            match (syndrome, overall_mismatch) {
+                (0, false) => Decoded::Clean { data },
+                (0, true) => Decoded::Corrected {
+                    data,
+                    flipped: FlippedBit::Check(7),
+                },
+                (s, true) if s > TOP_POSITION => Decoded::Uncorrectable,
+                (s, true) if s.is_power_of_two() => Decoded::Corrected {
+                    data,
+                    flipped: FlippedBit::Check(s.trailing_zeros() as u8),
+                },
+                (s, true) => match DATA_POSITION.iter().position(|&p| u32::from(p) == s) {
+                    Some(bit) => Decoded::Corrected {
+                        data: data ^ (1u64 << bit),
+                        flipped: FlippedBit::Data(bit as u8),
+                    },
+                    None => Decoded::Uncorrectable,
+                },
+                (_, false) => Decoded::Uncorrectable,
+            }
+        }
+    }
+
+    /// Flips codeword bit `k` of `(data, check)`: `0..64` are data bits,
+    /// `64..72` are check bits.
+    fn flip(data: u64, check: u8, k: u32) -> (u64, u8) {
+        if k < 64 {
+            (data ^ (1u64 << k), check)
+        } else {
+            (data, check ^ (1 << (k - 64)))
+        }
+    }
+
+    fn assert_decodes_alike(reference: &Reference, data: u64, check: u8) {
+        assert_eq!(
+            Secded64::new().decode(data, check),
+            reference.decode(data, check),
+            "decode({data:#018x}, {check:#04x})"
+        );
+    }
+
+    #[test]
+    fn table_encoder_matches_masked_popcounts() {
+        let reference = Reference::new();
+        let code = Secded64::new();
+        let mut words = vec![0u64, u64::MAX];
+        words.extend((0..64).map(|bit| 1u64 << bit));
+        let mut rng = SmallRng::seed_from_u64(0x5EC_DED);
+        words.extend((0..100_000).map(|_| rng.next_u64()));
+        for data in words {
+            assert_eq!(code.encode(data), reference.encode(data), "{data:#018x}");
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_every_single_and_double_flip() {
+        let reference = Reference::new();
+        let mut rng = SmallRng::seed_from_u64(0xD0_0B1E);
+        for data in [0u64, u64::MAX, rng.next_u64(), rng.next_u64()] {
+            let check = reference.encode(data);
+            assert_decodes_alike(&reference, data, check);
+            for i in 0..72 {
+                let (d1, c1) = flip(data, check, i);
+                assert_decodes_alike(&reference, d1, c1);
+                for j in (i + 1)..72 {
+                    let (d2, c2) = flip(d1, c1, j);
+                    assert_decodes_alike(&reference, d2, c2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_sampled_triple_flips() {
+        let reference = Reference::new();
+        let mut rng = SmallRng::seed_from_u64(0x7_1217_F11B);
+        for _ in 0..20_000 {
+            let data = rng.next_u64();
+            let check = reference.encode(data);
+            let i = rng.gen_range(0..72u32);
+            let mut j = rng.gen_range(0..71u32);
+            if j >= i {
+                j += 1;
+            }
+            let mut k = rng.gen_range(0..72u32);
+            while k == i || k == j {
+                k = rng.gen_range(0..72u32);
+            }
+            let (d, c) = flip(data, check, i);
+            let (d, c) = flip(d, c, j);
+            let (d, c) = flip(d, c, k);
+            assert_decodes_alike(&reference, d, c);
+        }
     }
 }

@@ -11,6 +11,18 @@
 //! array, and the system keeps executing until the upset is consumed by
 //! the scheme's detect/correct path or the per-trial horizon expires.
 //!
+//! # The trial loop is event-driven
+//!
+//! Both the inter-strike gap and the resolution window run through the
+//! system's fast-forward loop, which steps only cycles at which some
+//! component can act. The resolution window uses
+//! [`System::run_until`], polling the probe after each stepped cycle:
+//! the probe is purely event-driven ([`StrikeProbe`] keeps the default
+//! `next_event_after = Cycle::MAX`) and skipped cycles emit no L2
+//! events, so the window stops at exactly the cycle — and in exactly the
+//! machine state — a cycle-by-cycle walk would. A test keeps that walk
+//! as an oracle and checks every strike model against it.
+//!
 //! # Determinism
 //!
 //! Trials are grouped into fixed-size chunks. Each chunk runs on a
@@ -234,6 +246,40 @@ fn warmed_prototype(cfg: &CampaignConfig) -> System<WorkloadStream> {
 
 /// Runs one chunk of trials on a fork of the worker's warmed prototype.
 fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) -> OutcomeTable {
+    run_chunk_with(cfg, warm, chunk, resolve_strike)
+}
+
+/// Runs the machine from `now` until the armed strike resolves or
+/// `horizon` cycles pass, returning the next cycle and the outcome (if
+/// the probe produced one). Exact despite fast-forwarding; see the
+/// module docs.
+fn resolve_strike(
+    sys: &mut System<WorkloadStream>,
+    cell: &StrikeCell,
+    now: u64,
+    horizon: u64,
+) -> (u64, Option<TrialOutcome>) {
+    let mut outcome = None;
+    let next = sys.run_until(now, horizon, || {
+        outcome = cell.borrow_mut().take_outcome();
+        outcome.is_some()
+    });
+    (next, outcome)
+}
+
+/// [`run_chunk`] with the strike-resolution loop supplied by the caller
+/// (tests substitute a per-cycle oracle).
+fn run_chunk_with(
+    cfg: &CampaignConfig,
+    warm: &System<WorkloadStream>,
+    chunk: usize,
+    mut resolve: impl FnMut(
+        &mut System<WorkloadStream>,
+        &StrikeCell,
+        u64,
+        u64,
+    ) -> (u64, Option<TrialOutcome>),
+) -> OutcomeTable {
     let done = chunk as u64 * u64::from(cfg.trials_per_chunk);
     let trials_here = u64::from(cfg.trials_per_chunk).min(u64::from(cfg.trials) - done);
 
@@ -290,16 +336,8 @@ fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) 
             snapshot,
         });
 
-        let deadline = now + cfg.horizon_cycles;
-        let mut outcome = None;
-        while now < deadline {
-            sys.step(now);
-            now += 1;
-            if let Some(o) = cell.borrow_mut().take_outcome() {
-                outcome = Some(o);
-                break;
-            }
-        }
+        let (next, outcome) = resolve(&mut sys, &cell, now, cfg.horizon_cycles);
+        now = next;
         let outcome = outcome.unwrap_or_else(|| finalize_at_horizon(&mut sys, &cell));
         table.record(outcome, true, dirty);
     }
@@ -368,6 +406,84 @@ mod tests {
 
     fn cfg(scheme: SchemeKind) -> CampaignConfig {
         CampaignConfig::fast_test(Benchmark::Swim, scheme)
+    }
+
+    /// The strike-resolution loop before fast-forwarding: one `step` per
+    /// cycle, polling the probe after each.
+    fn resolve_per_cycle(
+        sys: &mut System<WorkloadStream>,
+        cell: &StrikeCell,
+        mut now: u64,
+        horizon: u64,
+    ) -> (u64, Option<TrialOutcome>) {
+        let deadline = now + horizon;
+        while now < deadline {
+            sys.step(now);
+            now += 1;
+            if let Some(o) = cell.borrow_mut().take_outcome() {
+                return (now, Some(o));
+            }
+        }
+        (now, None)
+    }
+
+    /// Every trial's `(start, next, outcome)` resolution record and the
+    /// merged table, with strikes resolved by `resolve`.
+    fn trace_campaign(
+        c: &CampaignConfig,
+        mut resolve: impl FnMut(
+            &mut System<WorkloadStream>,
+            &StrikeCell,
+            u64,
+            u64,
+        ) -> (u64, Option<TrialOutcome>),
+    ) -> (OutcomeTable, Vec<(u64, u64, Option<TrialOutcome>)>) {
+        let warm = warmed_prototype(c);
+        let mut table = OutcomeTable::default();
+        let mut log = Vec::new();
+        for chunk in 0..c.chunks() {
+            let chunk_table = run_chunk_with(c, &warm, chunk, |sys, cell, now, horizon| {
+                let (next, outcome) = resolve(sys, cell, now, horizon);
+                log.push((now, next, outcome));
+                (next, outcome)
+            });
+            table.merge(&chunk_table);
+        }
+        (table, log)
+    }
+
+    #[test]
+    fn fast_forward_resolution_matches_per_cycle_stepping() {
+        let models = [
+            StrikeModel::Single,
+            StrikeModel::Burst { width: 2 },
+            StrikeModel::Col { span: 4 },
+            StrikeModel::Row { span: 8 },
+            StrikeModel::Accum {
+                scrub_cycles: crate::models::DEFAULT_SCRUB_CYCLES,
+            },
+        ];
+        let schemes = [
+            SchemeKind::ParityOnly,
+            SchemeKind::Proposed {
+                cleaning_interval: CHOSEN_INTERVAL,
+            },
+        ];
+        for model in models {
+            for scheme in schemes {
+                let mut c = cfg(scheme);
+                c.model = model;
+                let label = format!("{} on {scheme:?}", model.slug());
+                let (oracle, oracle_log) = trace_campaign(&c, resolve_per_cycle);
+                let (fast, fast_log) = trace_campaign(&c, resolve_strike);
+                // Same resolution cycle and verdict for every strike, not
+                // just the same tallies.
+                assert_eq!(fast_log, oracle_log, "{label}");
+                assert_eq!(fast, oracle, "{label}");
+                assert_eq!(run_campaign(&c, 1), oracle, "{label}");
+                assert!(oracle.struck_valid > 0, "{label}: no valid strike");
+            }
+        }
     }
 
     #[test]

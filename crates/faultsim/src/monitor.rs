@@ -117,54 +117,40 @@ impl SystemObserver for StrikeProbe {
         memory: &mut MainMemory,
         _now: Cycle,
     ) {
-        let mut state = self.cell.borrow_mut();
-        let Some(strike) = state.pending.take() else {
+        let (L2Event::ReadHit { set, way, line, .. }
+        | L2Event::WriteHit { set, way, line, .. }
+        | L2Event::Evict { set, way, line, .. }
+        | L2Event::Cleaned { set, way, line, .. }) = *event
+        else {
             return;
         };
-        let resolved = match *event {
-            L2Event::ReadHit {
-                set,
-                way,
-                line,
-                dirty,
-            } if hits(&strike, set, way, line) => {
-                Some(resolve_read(&strike, l2, scheme, memory, dirty))
-            }
-            L2Event::WriteHit {
-                set,
-                way,
-                line,
-                first_write,
-                silent,
-            } if hits(&strike, set, way, line) => Some(resolve_write(
-                &strike,
-                l2,
-                scheme,
-                memory,
-                first_write,
-                silent,
-            )),
-            L2Event::Evict {
-                set,
-                way,
-                line,
-                dirty,
-            } if hits(&strike, set, way, line) => {
-                Some(resolve_evict(&strike, scheme, memory, dirty))
-            }
-            L2Event::Cleaned { set, way, line, .. } if hits(&strike, set, way, line) => {
-                Some(resolve_cleaned(&strike, l2, scheme, memory))
-            }
-            _ => None,
-        };
-        match resolved {
-            Some(outcome) => {
-                self.resolutions
-                    .push((strike.set, strike.way, outcome.label()));
-                state.outcome = Some(outcome);
-            }
-            None => state.pending = Some(strike),
+        let mut state = self.cell.borrow_mut();
+        // Most events touch other frames: match on the borrowed strike and
+        // only move it out once it is known to resolve here.
+        if !state
+            .pending
+            .as_ref()
+            .is_some_and(|strike| hits(strike, set, way, line))
+        {
+            return;
         }
+        let strike = state.pending.take().expect("checked above");
+        let outcome = match *event {
+            L2Event::ReadHit { dirty, .. } => resolve_read(&strike, l2, scheme, memory, dirty),
+            L2Event::WriteHit {
+                first_write,
+                silent,
+                ..
+            } => resolve_write(&strike, l2, scheme, memory, first_write, silent),
+            L2Event::Evict { dirty, .. } => resolve_evict(&strike, scheme, memory, dirty),
+            L2Event::Cleaned { .. } => resolve_cleaned(&strike, l2, scheme, memory),
+            L2Event::Fill { .. } | L2Event::WordWritten { .. } => {
+                unreachable!("only line accesses resolve strikes")
+            }
+        };
+        self.resolutions
+            .push((strike.set, strike.way, outcome.label()));
+        state.outcome = Some(outcome);
     }
 
     fn drain_resolutions(&mut self, out: &mut Vec<(usize, usize, &'static str)>) {
@@ -307,32 +293,7 @@ fn resolve_evict(
     if !dirty {
         return TrialOutcome::Masked;
     }
-    let mut buf = memory.read_line(strike.line);
-    match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
-        RecoveryOutcome::Clean => {
-            if memory.line_matches(strike.line, &strike.snapshot) {
-                TrialOutcome::Masked
-            } else {
-                memory.write_line(strike.line, strike.snapshot.clone());
-                TrialOutcome::Sdc
-            }
-        }
-        RecoveryOutcome::CorrectedByEcc { .. } => {
-            if buf == strike.snapshot {
-                memory.write_line(strike.line, buf);
-                TrialOutcome::Corrected
-            } else {
-                // Miscorrected write-back: wrong data reached memory.
-                memory.write_line(strike.line, strike.snapshot.clone());
-                TrialOutcome::Sdc
-            }
-        }
-        RecoveryOutcome::RecoveredByRefetch => TrialOutcome::RefetchRecovered,
-        RecoveryOutcome::Unrecoverable => {
-            memory.write_line(strike.line, strike.snapshot.clone());
-            TrialOutcome::Due
-        }
-    }
+    check_written_back(strike, scheme, memory)
 }
 
 /// The struck dirty line was cleaned (written back but kept resident).
@@ -344,33 +305,32 @@ fn resolve_cleaned(
     scheme: &mut dyn ProtectionScheme,
     memory: &mut MainMemory,
 ) -> TrialOutcome {
-    let mut buf = memory.read_line(strike.line);
-    let outcome = match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
-        RecoveryOutcome::Clean => {
-            if memory.line_matches(strike.line, &strike.snapshot) {
-                TrialOutcome::Masked
-            } else {
-                memory.write_line(strike.line, strike.snapshot.clone());
-                TrialOutcome::Sdc
-            }
-        }
-        RecoveryOutcome::CorrectedByEcc { .. } => {
-            if buf == strike.snapshot {
-                memory.write_line(strike.line, buf);
-                TrialOutcome::Corrected
-            } else {
-                memory.write_line(strike.line, strike.snapshot.clone());
-                TrialOutcome::Sdc
-            }
-        }
-        RecoveryOutcome::RecoveredByRefetch => TrialOutcome::RefetchRecovered,
-        RecoveryOutcome::Unrecoverable => {
-            memory.write_line(strike.line, strike.snapshot.clone());
-            TrialOutcome::Due
-        }
-    };
+    let outcome = check_written_back(strike, scheme, memory);
     // The resident copy is now clean and must equal memory's repaired
     // image (the clean-line refetch invariant).
     restore_struck_words(strike, l2);
+    outcome
+}
+
+/// Runs the scheme's outbound check on the struck line's image in memory
+/// and repairs memory to the pre-strike snapshot.
+fn check_written_back(
+    strike: &PendingStrike,
+    scheme: &mut dyn ProtectionScheme,
+    memory: &mut MainMemory,
+) -> TrialOutcome {
+    let mut buf = memory.read_line(strike.line);
+    let outcome = match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
+        RecoveryOutcome::Clean if memory.line_matches(strike.line, &strike.snapshot) => {
+            return TrialOutcome::Masked;
+        }
+        RecoveryOutcome::Clean => TrialOutcome::Sdc,
+        RecoveryOutcome::CorrectedByEcc { .. } if buf == strike.snapshot => TrialOutcome::Corrected,
+        // Miscorrected write-back: wrong data reached memory.
+        RecoveryOutcome::CorrectedByEcc { .. } => TrialOutcome::Sdc,
+        RecoveryOutcome::RecoveredByRefetch => return TrialOutcome::RefetchRecovered,
+        RecoveryOutcome::Unrecoverable => TrialOutcome::Due,
+    };
+    memory.write_line(strike.line, &strike.snapshot);
     outcome
 }

@@ -63,17 +63,21 @@ impl WbClass {
     }
 }
 
-/// A line displaced by a fill.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A line displaced by a fill, or written back by a cleaning action.
+///
+/// Carries no data. A cleaned line stays resident, so its words are
+/// [`Cache::line_data`] at `way`; a displaced line's words are
+/// [`Cache::evicted_data`] until the next install.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
-    /// The displaced line's address.
+    /// The line's address.
     pub line: LineAddr,
+    /// The way the line occupied.
+    pub way: usize,
     /// Whether it was dirty (and therefore needs a write-back).
     pub dirty: bool,
     /// Its written bit at eviction time.
     pub written: bool,
-    /// The line's data words, when the cache stores data.
-    pub data: Option<Box<[u64]>>,
 }
 
 /// Result of a [`Cache::lookup`].
@@ -106,7 +110,7 @@ impl Lookup {
 }
 
 /// Outcome of [`Cache::install`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Set the line was installed into.
     pub set: usize,
@@ -220,8 +224,8 @@ pub enum L2Event {
 /// let mut c = Cache::new(CacheConfig::tiny_l2());
 /// let line = LineAddr(0x40);
 /// assert!(!c.lookup(line, AccessKind::Read, 0).is_hit());
-/// let data = vec![0u64; c.config().words_per_line()].into_boxed_slice();
-/// c.install(line, false, 0, Some(data));
+/// let data = vec![0u64; c.config().words_per_line()];
+/// c.install(line, false, 0, Some(&data));
 /// assert!(c.lookup(line, AccessKind::Read, 1).is_hit());
 /// ```
 #[derive(Debug, Clone)]
@@ -246,7 +250,12 @@ pub struct Cache {
     // between its last two writes (0 = at most one write since fill).
     last_write: Vec<Cycle>,
     write_gap: Vec<u64>,
-    data: Vec<Option<Box<[u64]>>>,
+    // Line words, `words_per_line` per slot starting at
+    // `slot * words_per_line`; empty unless the cache stores data.
+    data: Vec<u64>,
+    // The words of the line most recently displaced by `install`.
+    evicted: Vec<u64>,
+    words_per_line: usize,
     tick: u64,
     dirty_lines: u64,
     silent_write_hits: u64,
@@ -271,6 +280,8 @@ impl Cache {
         let sets = config.sets();
         let ways = config.ways as usize;
         let slots = (sets as usize) * ways;
+        let words_per_line = config.words_per_line();
+        let stored = if config.store_data { words_per_line } else { 0 };
         Cache {
             tags: vec![0; slots],
             valid: vec![false; slots],
@@ -280,7 +291,9 @@ impl Cache {
             last_access: vec![0; slots],
             last_write: vec![0; slots],
             write_gap: vec![0; slots],
-            data: (0..slots).map(|_| None).collect(),
+            data: vec![0; slots * stored],
+            evicted: vec![0; stored],
+            words_per_line,
             sets,
             ways,
             config,
@@ -413,6 +426,11 @@ impl Cache {
         }
     }
 
+    /// The range of `data` holding `slot`'s words.
+    fn words(&self, slot: usize) -> std::ops::Range<usize> {
+        slot * self.words_per_line..(slot + 1) * self.words_per_line
+    }
+
     fn slot(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
@@ -506,7 +524,8 @@ impl Cache {
     ///
     /// `write` marks a write-allocate fill: the line is installed dirty
     /// (modified once; written bit stays clear). `data` supplies the line's
-    /// payload when the cache stores data.
+    /// payload when the cache stores data; it is copied into the slot. A
+    /// displaced line's words move to [`Cache::evicted_data`].
     ///
     /// # Panics
     ///
@@ -519,17 +538,17 @@ impl Cache {
         line: LineAddr,
         write: bool,
         now: Cycle,
-        data: Option<Box<[u64]>>,
+        data: Option<&[u64]>,
     ) -> AccessOutcome {
         assert_eq!(
             data.is_some(),
             self.config.store_data,
             "fill data must match the store_data configuration"
         );
-        if let Some(d) = &data {
+        if let Some(d) = data {
             assert_eq!(
                 d.len(),
-                self.config.words_per_line(),
+                self.words_per_line,
                 "fill data must be one full line"
             );
         }
@@ -565,10 +584,14 @@ impl Cache {
         let evicted = if !found_invalid {
             let ev = EvictedLine {
                 line: LineAddr::from_tag_set(self.tags[slot], set, self.sets),
+                way: victim,
                 dirty: self.dirty[slot],
                 written: self.written[slot],
-                data: self.data[slot].take(),
             };
+            if self.config.store_data {
+                let words = self.words(slot);
+                self.evicted.copy_from_slice(&self.data[words]);
+            }
             if ev.dirty {
                 self.dirty_lines -= 1;
                 self.stats.writebacks_replacement += 1;
@@ -597,7 +620,10 @@ impl Cache {
         self.last_access[slot] = now;
         self.last_write[slot] = now;
         self.write_gap[slot] = 0;
-        self.data[slot] = data;
+        if let Some(d) = data {
+            let words = self.words(slot);
+            self.data[words].copy_from_slice(d);
+        }
         if dirty {
             self.dirty_lines += 1;
             self.lifetime_dirty(slot, now);
@@ -646,7 +672,6 @@ impl Cache {
             if self.dirty[slot] && (!self.written[slot] || !respect_written) {
                 self.dirty[slot] = false;
                 let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-                let data = self.data[slot].clone();
                 let written = self.written[slot];
                 self.dirty_lines -= 1;
                 self.lifetime_clean(slot, now);
@@ -659,9 +684,9 @@ impl Cache {
                 });
                 cleaned.push(EvictedLine {
                     line,
+                    way,
                     dirty: true,
                     written,
-                    data,
                 });
             } else {
                 self.written[slot] = false;
@@ -740,7 +765,6 @@ impl Cache {
             }
             self.dirty[slot] = false;
             let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-            let data = self.data[slot].clone();
             self.dirty_lines -= 1;
             self.lifetime_clean(slot, now);
             self.stats.writebacks_cleaning += 1;
@@ -752,9 +776,9 @@ impl Cache {
             });
             cleaned.push(EvictedLine {
                 line,
+                way,
                 dirty: true,
                 written: false,
-                data,
             });
         }
         cleaned
@@ -776,7 +800,6 @@ impl Cache {
                 self.dirty[slot] = false;
                 self.written[slot] = false;
                 let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-                let data = self.data[slot].clone();
                 self.dirty_lines -= 1;
                 self.lifetime_clean(slot, now);
                 self.stats.writebacks_cleaning += 1;
@@ -788,9 +811,9 @@ impl Cache {
                 });
                 cleaned.push(EvictedLine {
                     line,
+                    way,
                     dirty: true,
                     written: false,
-                    data,
                 });
             }
         }
@@ -820,7 +843,6 @@ impl Cache {
         self.dirty[slot] = false;
         self.written[slot] = false;
         let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-        let data = self.data[slot].clone();
         self.dirty_lines -= 1;
         self.lifetime_clean(slot, now);
         self.stats.writebacks_cleaning += 1;
@@ -832,9 +854,9 @@ impl Cache {
         });
         Some(EvictedLine {
             line,
+            way,
             dirty: true,
             written: false,
-            data,
         })
     }
 
@@ -855,7 +877,6 @@ impl Cache {
         self.dirty[slot] = false;
         self.written[slot] = false;
         let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-        let data = self.data[slot].clone();
         self.dirty_lines -= 1;
         self.lifetime_clean(slot, now);
         self.stats.count_writeback(class);
@@ -867,9 +888,9 @@ impl Cache {
         });
         Some(EvictedLine {
             line,
+            way,
             dirty: true,
             written: false,
-            data,
         })
     }
 
@@ -910,10 +931,12 @@ impl Cache {
     pub fn write_word(&mut self, set: usize, way: usize, word: usize, value: u64) {
         let slot = self.slot(set, way);
         debug_assert!(self.valid[slot], "write_word on an invalid line");
-        let data = self.data[slot]
-            .as_mut()
-            .expect("write_word requires a data-storing cache");
-        data[word] = value;
+        assert!(
+            self.config.store_data,
+            "write_word requires a data-storing cache"
+        );
+        let words = self.words(slot);
+        self.data[words][word] = value;
         if self.emit_word_events {
             self.emit(L2Event::WordWritten {
                 set,
@@ -927,7 +950,16 @@ impl Cache {
     /// Read-only view of a resident line's data words, if stored.
     #[must_use]
     pub fn line_data(&self, set: usize, way: usize) -> Option<&[u64]> {
-        self.data[self.slot(set, way)].as_deref()
+        let slot = self.slot(set, way);
+        (self.config.store_data && self.valid[slot]).then(|| &self.data[self.words(slot)])
+    }
+
+    /// The words of the line most recently displaced by
+    /// [`Cache::install`], if the cache stores data (zeros before the
+    /// first displacement).
+    #[must_use]
+    pub fn evicted_data(&self) -> Option<&[u64]> {
+        self.config.store_data.then_some(self.evicted.as_slice())
     }
 
     /// Flips one bit of a resident line's stored data — a soft-error strike.
@@ -940,10 +972,12 @@ impl Cache {
         assert!(bit < 64, "bit index out of range");
         let slot = self.slot(set, way);
         assert!(self.valid[slot], "strike on an invalid line");
-        let data = self.data[slot]
-            .as_mut()
-            .expect("strike requires a data-storing cache");
-        data[word] ^= 1u64 << bit;
+        assert!(
+            self.config.store_data,
+            "strike requires a data-storing cache"
+        );
+        let words = self.words(slot);
+        self.data[words][word] ^= 1u64 << bit;
     }
 
     /// Recomputes the dirty count from scratch (test/diagnostic cross-check
@@ -985,8 +1019,8 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn data(words: usize, seed: u64) -> Option<Box<[u64]>> {
-        Some((0..words as u64).map(|i| seed ^ i).collect())
+    fn data(words: usize, seed: u64) -> Vec<u64> {
+        (0..words as u64).map(|i| seed ^ i).collect()
     }
 
     fn tiny() -> Cache {
@@ -1006,7 +1040,7 @@ mod tests {
         let mut c = tiny();
         let line = LineAddr(5);
         assert_eq!(c.lookup(line, AccessKind::Read, 0), Lookup::Miss { set: 5 });
-        c.install(line, false, 0, data(8, 1));
+        c.install(line, false, 0, Some(&data(8, 1)));
         assert!(c.lookup(line, AccessKind::Read, 1).is_hit());
         assert_eq!(c.stats().read_hits, 1);
         assert_eq!(c.stats().read_misses, 1);
@@ -1017,7 +1051,7 @@ mod tests {
         let mut c = tiny();
         let line = LineAddr(3);
         c.lookup(line, AccessKind::Write, 0);
-        c.install(line, false, 0, data(8, 2)); // fill from a read-style install
+        c.install(line, false, 0, Some(&data(8, 2))); // fill from a read-style install
         match c.lookup(line, AccessKind::Write, 1) {
             Lookup::Hit {
                 first_write,
@@ -1048,7 +1082,7 @@ mod tests {
     #[test]
     fn write_allocate_fill_is_dirty_but_not_written() {
         let mut c = tiny();
-        let out = c.install(LineAddr(7), true, 0, data(8, 3));
+        let out = c.install(LineAddr(7), true, 0, Some(&data(8, 3)));
         let v = c.line_view(out.set, out.way);
         assert!(v.dirty && !v.written);
         assert_eq!(c.dirty_line_count(), 1);
@@ -1061,7 +1095,7 @@ mod tests {
         for i in 0..4u64 {
             let line = LineAddr(i * 16);
             c.lookup(line, AccessKind::Read, i);
-            c.install(line, false, i, data(8, i));
+            c.install(line, false, i, Some(&data(8, i)));
         }
         // Touch lines 0,1,3 — line 2*16 becomes LRU.
         for i in [0u64, 1, 3] {
@@ -1069,7 +1103,7 @@ mod tests {
                 .lookup(LineAddr(i * 16), AccessKind::Read, 10 + i)
                 .is_hit());
         }
-        let out = c.install(LineAddr(4 * 16), false, 20, data(8, 9));
+        let out = c.install(LineAddr(4 * 16), false, 20, Some(&data(8, 9)));
         let ev = out.evicted.expect("a line must be displaced");
         assert_eq!(ev.line, LineAddr(2 * 16));
     }
@@ -1080,7 +1114,7 @@ mod tests {
         for i in 0..5u64 {
             let line = LineAddr(i * 16);
             c.lookup(line, AccessKind::Write, i);
-            c.install(line, true, i, data(8, i));
+            c.install(line, true, i, Some(&data(8, i)));
         }
         assert_eq!(c.stats().writebacks_replacement, 1);
         assert_eq!(c.stats().evictions, 1);
@@ -1097,7 +1131,7 @@ mod tests {
         let mut c = tiny();
         let line = LineAddr(9);
         c.lookup(line, AccessKind::Write, 0);
-        let out = c.install(line, true, 0, data(8, 0xDEAD));
+        let out = c.install(line, true, 0, Some(&data(8, 0xDEAD)));
         // Overwrite individual words after the fill, as store retirement does.
         c.write_word(out.set, out.way, 0, 0x1111);
         c.write_word(out.set, out.way, 7, 0x7777);
@@ -1109,12 +1143,12 @@ mod tests {
         for k in 1..=4u64 {
             let filler = LineAddr(9 + 16 * k);
             c.lookup(filler, AccessKind::Read, k);
-            let fill_out = c.install(filler, false, k, data(8, k));
+            let fill_out = c.install(filler, false, k, Some(&data(8, k)));
             if let Some(ev) = fill_out.evicted {
                 assert_eq!(ev.line, line, "LRU victim is the dirty line");
                 assert!(ev.dirty);
                 assert_eq!(
-                    &*ev.data.expect("store_data caches hand data back"),
+                    c.evicted_data().expect("store_data caches hand data back"),
                     expected.as_slice()
                 );
                 return;
@@ -1128,14 +1162,14 @@ mod tests {
         let mut c = tiny();
         // Way A: dirty, not written (written-once, now idle) -> cleaned.
         let a = LineAddr(0);
-        c.install(a, true, 0, data(8, 1));
+        c.install(a, true, 0, Some(&data(8, 1)));
         // Way B: dirty and written (recently re-written) -> written reset only.
         let b = LineAddr(16);
-        c.install(b, true, 0, data(8, 2));
+        c.install(b, true, 0, Some(&data(8, 2)));
         c.lookup(b, AccessKind::Write, 1); // sets written
                                            // Way C: clean -> untouched.
         let cc = LineAddr(32);
-        c.install(cc, false, 0, data(8, 3));
+        c.install(cc, false, 0, Some(&data(8, 3)));
 
         assert_eq!(c.dirty_line_count(), 2);
         let cleaned = c.clean_probe(0, 100);
@@ -1157,7 +1191,7 @@ mod tests {
         cfg.track_written = false;
         let mut c = Cache::new(cfg);
         let line = LineAddr(1);
-        c.install(line, true, 0, data(8, 1));
+        c.install(line, true, 0, Some(&data(8, 1)));
         c.lookup(line, AccessKind::Write, 1);
         let (set, way) = c.peek(line).unwrap();
         assert!(!c.line_view(set, way).written);
@@ -1167,7 +1201,7 @@ mod tests {
     fn force_clean_cleans_exactly_one_line() {
         let mut c = tiny();
         let line = LineAddr(2);
-        c.install(line, true, 0, data(8, 5));
+        c.install(line, true, 0, Some(&data(8, 5)));
         let (set, way) = c.peek(line).unwrap();
         let ev = c.force_clean(set, way, 1, WbClass::EccEviction).unwrap();
         assert_eq!(ev.line, line);
@@ -1183,7 +1217,7 @@ mod tests {
         c.set_event_emission(true);
         let line = LineAddr(4);
         c.lookup(line, AccessKind::Write, 0);
-        c.install(line, true, 0, data(8, 1));
+        c.install(line, true, 0, Some(&data(8, 1)));
         c.lookup(line, AccessKind::Read, 1);
         c.lookup(line, AccessKind::Write, 2);
         let events = c.take_events();
@@ -1204,7 +1238,7 @@ mod tests {
     fn write_word_and_strike_mutate_data() {
         let mut c = tiny();
         let line = LineAddr(6);
-        c.install(line, false, 0, data(8, 0));
+        c.install(line, false, 0, Some(&data(8, 0)));
         let (set, way) = c.peek(line).unwrap();
         c.write_word(set, way, 3, 0xFFFF);
         assert_eq!(c.line_data(set, way).unwrap()[3], 0xFFFF);
@@ -1219,8 +1253,8 @@ mod tests {
     #[should_panic(expected = "already-resident")]
     fn double_install_panics() {
         let mut c = tiny();
-        c.install(LineAddr(1), false, 0, data(8, 0));
-        c.install(LineAddr(1), false, 1, data(8, 0));
+        c.install(LineAddr(1), false, 0, Some(&data(8, 0)));
+        c.install(LineAddr(1), false, 1, Some(&data(8, 0)));
     }
 
     #[test]
@@ -1228,7 +1262,7 @@ mod tests {
         let mut c = tiny();
         c.set_event_emission(true);
         let line = LineAddr(11);
-        let out = c.install(line, true, 0, data(8, 0));
+        let out = c.install(line, true, 0, Some(&data(8, 0)));
         c.write_word(out.set, out.way, 2, 0xAB);
         assert!(
             !c.take_events()
@@ -1254,13 +1288,13 @@ mod tests {
     fn evicted_line_carries_its_data() {
         let mut c = tiny();
         for i in 0..4u64 {
-            c.install(LineAddr(i * 16), i == 0, i, data(8, 100 + i));
+            c.install(LineAddr(i * 16), i == 0, i, Some(&data(8, 100 + i)));
         }
-        let out = c.install(LineAddr(4 * 16), false, 10, data(8, 999));
+        let out = c.install(LineAddr(4 * 16), false, 10, Some(&data(8, 999)));
         let ev = out.evicted.unwrap();
         assert_eq!(ev.line, LineAddr(0));
         assert!(ev.dirty);
-        assert_eq!(ev.data.as_deref().unwrap()[0], 100);
+        assert_eq!(c.evicted_data().unwrap()[0], 100);
     }
 }
 
@@ -1272,10 +1306,10 @@ mod ablation_tests {
     #[test]
     fn aggressive_probe_ignores_the_written_bit() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        let data: Box<[u64]> = vec![1; 8].into();
+        let data = vec![1u64; 8];
         // A dirty line that was just re-written (written = 1).
         let line = LineAddr(0);
-        c.install(line, true, 0, Some(data));
+        c.install(line, true, 0, Some(&data));
         c.lookup(line, AccessKind::Write, 1);
         let (set, way) = c.peek(line).unwrap();
         assert!(c.line_view(set, way).written);
@@ -1296,7 +1330,7 @@ mod ablation_tests {
         let mut a = Cache::new(CacheConfig::tiny_l2());
         let mut b = Cache::new(CacheConfig::tiny_l2());
         for c in [&mut a, &mut b] {
-            c.install(LineAddr(1), true, 0, Some(vec![2; 8].into()));
+            c.install(LineAddr(1), true, 0, Some(&[2; 8]));
         }
         let set = LineAddr(1).set_index(16);
         assert_eq!(
@@ -1311,8 +1345,8 @@ mod silent_and_reuse_tests {
     use super::*;
     use crate::config::CacheConfig;
 
-    fn data(seed: u64) -> Option<Box<[u64]>> {
-        Some((0..8u64).map(|i| seed ^ i).collect())
+    fn data(seed: u64) -> Vec<u64> {
+        (0..8u64).map(|i| seed ^ i).collect()
     }
 
     #[test]
@@ -1320,7 +1354,7 @@ mod silent_and_reuse_tests {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         c.set_event_emission(true);
         let line = LineAddr(4);
-        c.install(line, false, 0, data(7)); // clean read fill
+        c.install(line, false, 0, Some(&data(7))); // clean read fill
         let (set, way) = c.peek(line).unwrap();
         let _ = c.take_events();
 
@@ -1346,7 +1380,7 @@ mod silent_and_reuse_tests {
 
         // On an already-dirty line, dirty stays set and written stays clear.
         let dirty_line = LineAddr(5);
-        c.install(dirty_line, true, 20, data(9));
+        c.install(dirty_line, true, 20, Some(&data(9)));
         let (ds, dw) = c.peek(dirty_line).unwrap();
         c.silent_write_hit(ds, dw, 30);
         let v = c.line_view(ds, dw);
@@ -1358,12 +1392,12 @@ mod silent_and_reuse_tests {
     fn silent_write_hit_refreshes_replacement_state() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         for i in 0..4u64 {
-            c.install(LineAddr(i * 16), false, i, data(i));
+            c.install(LineAddr(i * 16), false, i, Some(&data(i)));
         }
         // Silently re-store line 0 — it becomes MRU; line 16 becomes LRU.
         let (set, way) = c.peek(LineAddr(0)).unwrap();
         c.silent_write_hit(set, way, 10);
-        let out = c.install(LineAddr(4 * 16), false, 20, data(99));
+        let out = c.install(LineAddr(4 * 16), false, 20, Some(&data(99)));
         assert_eq!(out.evicted.unwrap().line, LineAddr(16));
     }
 
@@ -1374,16 +1408,16 @@ mod silent_and_reuse_tests {
         // t=1000 with multiplier 4 its threshold is 400 < 900 idle, but
         // the second write set `written` — first probe only resets it.
         let a = LineAddr(0);
-        c.install(a, true, 0, data(1));
+        c.install(a, true, 0, Some(&data(1)));
         c.lookup(a, AccessKind::Write, 100);
         // Way B: single write at t=0 (no gap on record): fallback gap 200
         // × 4 = 800 ≤ 1000 idle — predicted dead, cleaned.
         let b = LineAddr(16);
-        c.install(b, true, 0, data(2));
+        c.install(b, true, 0, Some(&data(2)));
         // Way C: written at t=0 and t=950 (gap 950): threshold 3800,
         // idle 50 — alive, spared (written reset only).
         let cc = LineAddr(32);
-        c.install(cc, true, 0, data(3));
+        c.install(cc, true, 0, Some(&data(3)));
         c.lookup(cc, AccessKind::Write, 950);
 
         let cleaned = c.reuse_probe(0, 1_000, 4, 200);
@@ -1406,7 +1440,7 @@ mod silent_and_reuse_tests {
     fn reuse_probe_spares_recently_written_lines() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         let line = LineAddr(2);
-        c.install(line, true, 0, data(4));
+        c.install(line, true, 0, Some(&data(4)));
         // Idle 100 < fallback 200 × 4: nothing happens.
         assert!(c.reuse_probe(2, 100, 4, 200).is_empty());
         assert_eq!(c.dirty_line_count(), 1);
@@ -1418,17 +1452,17 @@ mod alt_cleaning_tests {
     use super::*;
     use crate::config::CacheConfig;
 
-    fn data() -> Option<Box<[u64]>> {
-        Some(vec![3u64; 8].into())
+    fn data() -> [u64; 8] {
+        [3; 8]
     }
 
     #[test]
     fn decay_probe_cleans_only_idle_dirty_lines() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         // Dirty at t=0, touched again at t=900.
-        c.install(LineAddr(0), true, 0, data());
+        c.install(LineAddr(0), true, 0, Some(&data()));
         // Dirty at t=0, never touched again.
-        c.install(LineAddr(16), true, 0, data());
+        c.install(LineAddr(16), true, 0, Some(&data()));
         c.lookup(LineAddr(0), AccessKind::Read, 900);
 
         let cleaned = c.decay_probe(0, 1_000, 500);
@@ -1444,8 +1478,8 @@ mod alt_cleaning_tests {
     #[test]
     fn decay_probe_with_zero_window_cleans_everything_dirty() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        c.install(LineAddr(1), true, 0, data());
-        c.install(LineAddr(17), true, 0, data());
+        c.install(LineAddr(1), true, 0, Some(&data()));
+        c.install(LineAddr(17), true, 0, Some(&data()));
         let cleaned = c.decay_probe(1, 0, 0);
         assert_eq!(cleaned.len(), 2);
         assert_eq!(c.dirty_line_count(), 0);
@@ -1454,8 +1488,8 @@ mod alt_cleaning_tests {
     #[test]
     fn eager_probe_cleans_the_lru_dirty_way() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        c.install(LineAddr(2), true, 0, data()); // oldest
-        c.install(LineAddr(18), true, 1, data());
+        c.install(LineAddr(2), true, 0, Some(&data())); // oldest
+        c.install(LineAddr(18), true, 1, Some(&data()));
         let ev = c.eager_probe(2, 10).expect("LRU way is dirty");
         assert_eq!(ev.line, LineAddr(2));
         // The LRU way is now clean; a second probe finds it clean.
@@ -1466,8 +1500,8 @@ mod alt_cleaning_tests {
     #[test]
     fn eager_probe_skips_clean_lru() {
         let mut c = Cache::new(CacheConfig::tiny_l2());
-        c.install(LineAddr(3), false, 0, data()); // clean LRU
-        c.install(LineAddr(19), true, 1, data()); // dirty MRU
+        c.install(LineAddr(3), false, 0, Some(&data())); // clean LRU
+        c.install(LineAddr(19), true, 1, Some(&data())); // dirty MRU
         assert!(c.eager_probe(3, 10).is_none());
         assert_eq!(c.dirty_line_count(), 1);
     }

@@ -80,6 +80,12 @@ pub struct MemoryHierarchy {
     store_values: StoreValueModel,
     silent_elision: bool,
     silent_fills: u64,
+    /// One L2 line of scratch for fill images on their way from memory
+    /// into the L2.
+    fill_buf: Vec<u64>,
+    /// One L2 line of scratch for the payload of a retiring write-buffer
+    /// entry.
+    store_buf: Vec<u64>,
 }
 
 impl MemoryHierarchy {
@@ -107,6 +113,8 @@ impl MemoryHierarchy {
             store_values: StoreValueModel::default(),
             silent_elision: false,
             silent_fills: 0,
+            fill_buf: vec![0; l2_words],
+            store_buf: vec![0; l2_words],
             cfg,
         }
     }
@@ -236,18 +244,21 @@ impl MemoryHierarchy {
     /// Retires the oldest write-buffer entry into the L2. Returns the
     /// completion cycle (equals `now` when the buffer was empty).
     fn retire_one(&mut self, now: Cycle) -> Cycle {
-        match self.wb.pop() {
+        let mut words = std::mem::take(&mut self.store_buf);
+        let done = match self.wb.pop_into(&mut words) {
             Some(entry) => {
                 let base = entry.line.base(self.cfg.l2.line_bytes);
                 self.l2_access(
                     base,
                     AccessKind::Write,
                     now,
-                    Some((entry.word_mask, entry.words)),
+                    Some((entry.word_mask, &words)),
                 )
             }
             None => now,
-        }
+        };
+        self.store_buf = words;
+        done
     }
 
     /// One access at the L2 level (from an L1 miss, a write-buffer
@@ -257,7 +268,7 @@ impl MemoryHierarchy {
         addr: Addr,
         kind: AccessKind,
         now: Cycle,
-        store: Option<(u64, Box<[u64]>)>,
+        store: Option<(u64, &[u64])>,
     ) -> Cycle {
         let line = addr.line(self.cfg.l2.line_bytes);
         // Port arbitration: one new access per cycle, FIFO.
@@ -269,10 +280,10 @@ impl MemoryHierarchy {
         // per-word compare of the store payload against the resident data
         // is the compare the silent-write-aware scheme pays for in area.
         if self.silent_elision {
-            if let (AccessKind::Write, Some((mask, words))) = (kind, &store) {
+            if let (AccessKind::Write, Some((mask, words))) = (kind, store) {
                 if let Some((set, way)) = self.l2.peek(line) {
                     if let Some(resident) = self.l2.line_data(set, way) {
-                        if masked_words_match(*mask, words, resident) {
+                        if masked_words_match(mask, words, resident) {
                             self.l2.silent_write_hit(set, way, start);
                             return start + self.cfg.l2.hit_latency;
                         }
@@ -284,7 +295,7 @@ impl MemoryHierarchy {
         match self.l2.lookup(line, kind, start) {
             Lookup::Hit { set, way, .. } => {
                 if let Some((mask, words)) = store {
-                    self.apply_store_words(set, way, mask, &words);
+                    self.apply_store_words(set, way, mask, words);
                 }
                 start + self.cfg.l2.hit_latency
             }
@@ -295,14 +306,15 @@ impl MemoryHierarchy {
                 let data_ready = addr_done + self.mem.latency();
                 let done = self.bus.occupy(data_ready, self.cfg.l2.line_bytes);
 
-                let mut data = self.mem.read_line(line);
+                let data = &mut self.fill_buf;
+                self.mem.read_line_into(line, data);
                 let mut is_write = store.is_some();
-                if let Some((mask, words)) = &store {
+                if let Some((mask, words)) = store {
                     // The write-allocate seam: when the stored bytes match
                     // the freshly fetched memory image, the allocation is
                     // silent — install the line *clean* and skip the merge
                     // (nothing changed; memory already holds the truth).
-                    if self.silent_elision && masked_words_match(*mask, words, &data) {
+                    if self.silent_elision && masked_words_match(mask, words, data) {
                         is_write = false;
                         self.silent_fills += 1;
                     } else {
@@ -313,20 +325,21 @@ impl MemoryHierarchy {
                         }
                     }
                 }
-                let outcome = self.l2.install(line, is_write, done, Some(data));
+                let outcome = self.l2.install(line, is_write, done, Some(&self.fill_buf));
                 if let Some(victim) = outcome.evicted {
-                    self.writeback_to_memory(victim, done);
+                    self.write_back_evicted(&victim, done);
                 }
                 // Tagged next-line prefetch on demand read misses: bring
                 // the successor line in clean, paying its bus beats.
                 if self.cfg.l2_next_line_prefetch && kind.is_read() {
                     let next = crate::addr::LineAddr(line.0 + 1);
                     if self.l2.peek(next).is_none() {
-                        let pf_data = self.mem.read_line(next);
+                        self.mem.read_line_into(next, &mut self.fill_buf);
                         let pf_done = self.bus.occupy(done, self.cfg.l2.line_bytes);
-                        let pf_outcome = self.l2.install(next, false, pf_done, Some(pf_data));
+                        let pf_outcome =
+                            self.l2.install(next, false, pf_done, Some(&self.fill_buf));
                         if let Some(victim) = pf_outcome.evicted {
-                            self.writeback_to_memory(victim, pf_done);
+                            self.write_back_evicted(&victim, pf_done);
                         }
                         self.prefetches_issued += 1;
                     }
@@ -357,11 +370,8 @@ impl MemoryHierarchy {
         }
         self.l2_port_free_at = now + 1;
         let cleaned = self.l2.reuse_probe(set, now, multiplier, fallback_gap);
-        let count = cleaned.len();
-        for line in cleaned {
-            self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
-        }
-        Some(count)
+        self.write_back_cleaned(set, &cleaned, now + self.cfg.l2.hit_latency);
+        Some(cleaned.len())
     }
 
     fn apply_store_words(&mut self, set: usize, way: usize, mask: u64, words: &[u64]) {
@@ -372,14 +382,26 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Puts a displaced/cleaned dirty line on the bus and into memory.
-    fn writeback_to_memory(&mut self, line: EvictedLine, now: Cycle) {
-        if !line.dirty {
+    /// Puts a line displaced by the last L2 install on the bus and into
+    /// memory, if it was dirty.
+    fn write_back_evicted(&mut self, victim: &EvictedLine, now: Cycle) {
+        if !victim.dirty {
             return;
         }
         self.bus.occupy(now, self.cfg.l2.line_bytes);
-        if let Some(data) = line.data {
-            self.mem.write_line(line.line, data);
+        if let Some(data) = self.l2.evicted_data() {
+            self.mem.write_line(victim.line, data);
+        }
+    }
+
+    /// Puts lines a cleaning action wrote back (still resident in `set`)
+    /// on the bus and into memory.
+    fn write_back_cleaned(&mut self, set: usize, cleaned: &[EvictedLine], now: Cycle) {
+        for line in cleaned {
+            self.bus.occupy(now, self.cfg.l2.line_bytes);
+            if let Some(data) = self.l2.line_data(set, line.way) {
+                self.mem.write_line(line.line, data);
+            }
         }
     }
 
@@ -405,11 +427,8 @@ impl MemoryHierarchy {
         }
         self.l2_port_free_at = now + 1;
         let cleaned = self.l2.clean_probe_mode(set, now, respect_written);
-        let count = cleaned.len();
-        for line in cleaned {
-            self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
-        }
-        Some(count)
+        self.write_back_cleaned(set, &cleaned, now + self.cfg.l2.hit_latency);
+        Some(cleaned.len())
     }
 
     /// Decay-based cleaning probe of one L2 set (ablation alternative to
@@ -420,11 +439,8 @@ impl MemoryHierarchy {
         }
         self.l2_port_free_at = now + 1;
         let cleaned = self.l2.decay_probe(set, now, window);
-        let count = cleaned.len();
-        for line in cleaned {
-            self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
-        }
-        Some(count)
+        self.write_back_cleaned(set, &cleaned, now + self.cfg.l2.hit_latency);
+        Some(cleaned.len())
     }
 
     /// Eager-writeback probe (Lee et al.): only proceeds when both the L2
@@ -438,7 +454,7 @@ impl MemoryHierarchy {
         self.l2_port_free_at = now + 1;
         match self.l2.eager_probe(set, now) {
             Some(line) => {
-                self.writeback_to_memory(line, now + self.cfg.l2.hit_latency);
+                self.write_back_cleaned(set, &[line], now + self.cfg.l2.hit_latency);
                 Some(true)
             }
             None => Some(false),
@@ -451,7 +467,7 @@ impl MemoryHierarchy {
     pub fn force_clean_l2(&mut self, set: usize, way: usize, class: WbClass, now: Cycle) -> bool {
         match self.l2.force_clean(set, way, now, class) {
             Some(line) => {
-                self.writeback_to_memory(line, now);
+                self.write_back_cleaned(set, &[line], now);
                 true
             }
             None => false,

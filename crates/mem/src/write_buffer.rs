@@ -10,15 +10,15 @@
 use crate::addr::LineAddr;
 use crate::Cycle;
 
-/// One buffered line: which 64-bit words have been written, and the data.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One buffered line: its address, which 64-bit words have been written,
+/// and when. The payloads live in the buffer's fixed storage; see
+/// [`WriteBuffer::pop_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteEntry {
     /// The L2-line address the entry will be written to.
     pub line: LineAddr,
     /// Bit *i* set ⇒ word *i* of the line carries store data.
     pub word_mask: u64,
-    /// Store payloads (valid where `word_mask` is set).
-    pub words: Box<[u64]>,
     /// Cycle of the first store merged into this entry.
     pub allocated_at: Cycle,
 }
@@ -59,6 +59,10 @@ impl WriteBufferStats {
 
 /// A fully associative, FIFO-retired, coalescing write buffer.
 ///
+/// Entries live in a fixed ring of `capacity` slots, and their payloads in
+/// one flat array of `capacity × words_per_line` words: pushing and
+/// retiring never allocate.
+///
 /// ```
 /// use aep_mem::write_buffer::{PushOutcome, WriteBuffer};
 /// use aep_mem::addr::LineAddr;
@@ -68,12 +72,20 @@ impl WriteBufferStats {
 /// assert_eq!(wb.push(LineAddr(1), 3, 0xBB, 1), PushOutcome::Coalesced);
 /// assert_eq!(wb.push(LineAddr(2), 0, 0xCC, 2), PushOutcome::Inserted);
 /// assert_eq!(wb.push(LineAddr(3), 0, 0xDD, 3), PushOutcome::Full);
-/// assert_eq!(wb.pop().unwrap().line, LineAddr(1)); // FIFO
+/// let mut words = [0u64; 8];
+/// let oldest = wb.pop_into(&mut words).unwrap(); // FIFO
+/// assert_eq!(oldest.line, LineAddr(1));
+/// assert_eq!((words[0], words[3]), (0xAA, 0xBB));
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    entries: std::collections::VecDeque<WriteEntry>,
-    capacity: usize,
+    /// Ring of entry slots; the live ones are `head..head + len` (mod
+    /// capacity), oldest first.
+    entries: Vec<WriteEntry>,
+    /// Slot `i`'s payload is `words[i * words_per_line..][..words_per_line]`.
+    words: Vec<u64>,
+    head: usize,
+    len: usize,
     words_per_line: usize,
     stats: WriteBufferStats,
 }
@@ -91,9 +103,16 @@ impl WriteBuffer {
             (1..=64).contains(&words_per_line),
             "words per line must be in 1..=64"
         );
+        let empty = WriteEntry {
+            line: LineAddr(0),
+            word_mask: 0,
+            allocated_at: 0,
+        };
         WriteBuffer {
-            entries: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
+            entries: vec![empty; capacity],
+            words: vec![0; capacity * words_per_line],
+            head: 0,
+            len: 0,
             words_per_line,
             stats: WriteBufferStats::default(),
         }
@@ -102,25 +121,38 @@ impl WriteBuffer {
     /// Number of buffered entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when no entries are buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// `true` when no further entry can be allocated.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+        self.len == self.entries.len()
     }
 
     /// Cumulative statistics.
     #[must_use]
     pub fn stats(&self) -> WriteBufferStats {
         self.stats
+    }
+
+    /// The ring slot of the live entry for `line`, if any.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        (0..self.len)
+            .map(|i| (self.head + i) % self.entries.len())
+            .find(|&slot| self.entries[slot].line == line)
+    }
+
+    /// Slot `slot`'s payload words.
+    fn slot_words(&mut self, slot: usize) -> &mut [u64] {
+        let base = slot * self.words_per_line;
+        &mut self.words[base..base + self.words_per_line]
     }
 
     /// Pushes one store (line, word index, payload) into the buffer.
@@ -130,9 +162,9 @@ impl WriteBuffer {
     /// Panics if `word` is out of range for the configured line.
     pub fn push(&mut self, line: LineAddr, word: usize, value: u64, now: Cycle) -> PushOutcome {
         assert!(word < self.words_per_line, "word index out of range");
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.line == line) {
-            entry.word_mask |= 1 << word;
-            entry.words[word] = value;
+        if let Some(slot) = self.find(line) {
+            self.entries[slot].word_mask |= 1 << word;
+            self.slot_words(slot)[word] = value;
             self.stats.coalesced += 1;
             return PushOutcome::Coalesced;
         }
@@ -140,32 +172,50 @@ impl WriteBuffer {
             self.stats.full_stalls += 1;
             return PushOutcome::Full;
         }
-        let mut words = vec![0u64; self.words_per_line].into_boxed_slice();
-        words[word] = value;
-        self.entries.push_back(WriteEntry {
+        let slot = (self.head + self.len) % self.entries.len();
+        self.len += 1;
+        self.entries[slot] = WriteEntry {
             line,
             word_mask: 1 << word,
-            words,
             allocated_at: now,
-        });
+        };
+        let words = self.slot_words(slot);
+        words.fill(0);
+        words[word] = value;
         self.stats.inserted += 1;
         PushOutcome::Inserted
     }
 
-    /// Retires the oldest entry (FIFO), if any.
+    /// Retires the oldest entry (FIFO), if any, discarding its payload.
     pub fn pop(&mut self) -> Option<WriteEntry> {
-        let e = self.entries.pop_front();
-        if e.is_some() {
-            self.stats.retired += 1;
+        if self.is_empty() {
+            return None;
         }
-        e
+        let entry = self.entries[self.head];
+        self.head = (self.head + 1) % self.entries.len();
+        self.len -= 1;
+        self.stats.retired += 1;
+        Some(entry)
+    }
+
+    /// Retires the oldest entry (FIFO), if any, copying its payload into
+    /// `words` (valid where the entry's `word_mask` is set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not exactly one line.
+    pub fn pop_into(&mut self, words: &mut [u64]) -> Option<WriteEntry> {
+        let slot = self.head;
+        let entry = self.pop()?;
+        words.copy_from_slice(self.slot_words(slot));
+        Some(entry)
     }
 
     /// `true` when a load to `line` would hit buffered store data
     /// (store-to-load forwarding from the buffer).
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
+        self.find(line).is_some()
     }
 }
 
@@ -180,10 +230,11 @@ mod tests {
         assert_eq!(wb.push(LineAddr(9), 5, 20, 1), PushOutcome::Coalesced);
         assert_eq!(wb.push(LineAddr(9), 1, 30, 2), PushOutcome::Coalesced);
         assert_eq!(wb.len(), 1);
-        let e = wb.pop().unwrap();
+        let mut words = [0u64; 8];
+        let e = wb.pop_into(&mut words).unwrap();
         assert_eq!(e.word_mask, (1 << 1) | (1 << 5));
-        assert_eq!(e.words[1], 30, "later store wins");
-        assert_eq!(e.words[5], 20);
+        assert_eq!(words[1], 30, "later store wins");
+        assert_eq!(words[5], 20);
         assert_eq!(e.allocated_at, 0);
     }
 
@@ -233,6 +284,26 @@ mod tests {
         assert_eq!(s.coalesced, 1);
         assert_eq!(s.full_stalls, 1);
         assert_eq!(s.retired, 1);
+    }
+
+    #[test]
+    fn ring_slots_are_reused_with_fresh_payloads() {
+        let mut wb = WriteBuffer::new(3, 8);
+        let mut words = [0u64; 8];
+        wb.push(LineAddr(100), 7, 1, 0);
+        let mut oldest = (LineAddr(100), 7, 1);
+        for round in 0..10u64 {
+            let word = (round % 8) as usize;
+            wb.push(LineAddr(round), word, 100 + round, round);
+            // The oldest entry retires, so the ring head walks every slot
+            // and each slot is reused for a different word.
+            let entry = wb.pop_into(&mut words).unwrap();
+            let mut expected = [0u64; 8];
+            expected[oldest.1] = oldest.2;
+            assert_eq!(entry.line, oldest.0);
+            assert_eq!(words, expected, "a reused slot starts zeroed");
+            oldest = (LineAddr(round), word, 100 + round);
+        }
     }
 
     #[test]

@@ -392,10 +392,31 @@ impl<S: InstrStream> System<S> {
     /// [`SystemObserver::next_event_after`], which forces the loop back
     /// to single stepping.
     pub fn run(&mut self, start: Cycle, cycles: u64) -> Cycle {
+        self.run_until(start, cycles, || false)
+    }
+
+    /// [`System::run`] with an early exit: stops right after the first
+    /// stepped cycle at which `stop()` returns `true` and returns the
+    /// cycle after it, or runs all `cycles` and returns `start + cycles`.
+    ///
+    /// `stop` is polled once per *stepped* cycle only. That is exact for
+    /// any condition that can only change while a cycle is stepped — an
+    /// event-driven observer's verdict, say: skipped cycles emit no L2
+    /// events, so a per-cycle loop polling the same condition stops at
+    /// the same cycle with the same machine state.
+    pub fn run_until(
+        &mut self,
+        start: Cycle,
+        cycles: u64,
+        mut stop: impl FnMut() -> bool,
+    ) -> Cycle {
         let end = start + cycles;
         let mut now = start;
         while now < end {
             self.step(now);
+            if stop() {
+                return now + 1;
+            }
             let next = self.next_event_after(now).min(end);
             if next > now + 1 {
                 self.cpu.account_idle_cycles(now + 1, next - now - 1);
@@ -505,22 +526,77 @@ mod tests {
         ] {
             let mut fast = tiny_system(kind);
             fast.enable_scrubbing(64);
+            let mut until = tiny_system(kind);
+            until.enable_scrubbing(64);
             let mut slow = tiny_system(kind);
             slow.enable_scrubbing(64);
 
-            fast.run(0, 40_000);
+            assert_eq!(fast.run(0, 40_000), 40_000);
+            // Split at an arbitrary cycle: a never-true predicate must
+            // run both legs out exactly as `run` does.
+            let mid = until.run_until(0, 17_321, || false);
+            assert_eq!(mid, 17_321);
+            assert_eq!(until.run_until(mid, 40_000 - mid, || false), 40_000);
             for now in 0..40_000 {
                 slow.step(now);
             }
-            assert_eq!(fast.cpu.stats(), slow.cpu.stats());
-            assert_eq!(fast.hier.l2().stats(), slow.hier.l2().stats());
-            assert_eq!(fast.hier.ops(), slow.hier.ops());
-            assert_eq!(
-                fast.hier.l2().dirty_line_count(),
-                slow.hier.l2().dirty_line_count()
-            );
-            assert_eq!(fast.scrub_stats(), slow.scrub_stats());
+            for other in [&until, &slow] {
+                assert_eq!(fast.cpu.stats(), other.cpu.stats());
+                assert_eq!(fast.hier.l2().stats(), other.hier.l2().stats());
+                assert_eq!(fast.hier.ops(), other.hier.ops());
+                assert_eq!(
+                    fast.hier.l2().dirty_line_count(),
+                    other.hier.l2().dirty_line_count()
+                );
+                assert_eq!(fast.scrub_stats(), other.scrub_stats());
+            }
         }
+    }
+
+    /// Publishes the L2 write-hit count at the end of every stepped cycle.
+    struct WriteHitWatch(std::rc::Rc<std::cell::Cell<u64>>);
+
+    impl SystemObserver for WriteHitWatch {
+        fn cycle_end(
+            &mut self,
+            hier: &mut aep_mem::MemoryHierarchy,
+            _scheme: &dyn ProtectionScheme,
+            _now: Cycle,
+        ) {
+            self.0.set(hier.l2().stats().write_hits);
+        }
+    }
+
+    #[test]
+    fn run_until_returns_the_cycle_after_the_stop_step() {
+        let kind = SchemeKind::Proposed {
+            cleaning_interval: 4096,
+        };
+        // Per-cycle oracle: the first cycle after which the L2 has taken
+        // its 100th write hit.
+        let mut slow = tiny_system(kind);
+        let mut stop_step = None;
+        for now in 0..40_000 {
+            slow.step(now);
+            if slow.hier.l2().stats().write_hits >= 100 {
+                stop_step = Some(now);
+                break;
+            }
+        }
+        let stop_step = stop_step.expect("the stream writes the L2 within the window");
+
+        let mut fast = tiny_system(kind);
+        let write_hits = std::rc::Rc::new(std::cell::Cell::new(0));
+        fast.add_observer(Box::new(WriteHitWatch(std::rc::Rc::clone(&write_hits))));
+        let next = fast.run_until(0, 40_000, || write_hits.get() >= 100);
+        assert_eq!(next, stop_step + 1);
+        assert_eq!(fast.cpu.stats(), slow.cpu.stats());
+        assert_eq!(fast.hier.l2().stats(), slow.hier.l2().stats());
+        assert_eq!(fast.hier.ops(), slow.hier.ops());
+
+        // A predicate that never fires runs the whole window.
+        let mut idle = tiny_system(kind);
+        assert_eq!(idle.run_until(100, 5_000, || false), 5_100);
     }
 
     #[test]

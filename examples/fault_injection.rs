@@ -36,7 +36,7 @@ fn populate(scheme: &mut dyn ProtectionScheme) -> (Cache, MainMemory) {
         } else {
             mem.read_line(line)
         };
-        l2.install(line, dirty, 0, Some(data));
+        l2.install(line, dirty, 0, Some(&data));
         let mut directives = Vec::new();
         for event in l2.take_events() {
             scheme.on_event(&event, &l2, &mut directives);

@@ -182,12 +182,12 @@ fn dirty_counter_matches_recount() {
             match rng.gen_range(0..3u8) {
                 0 => {
                     if !cache.lookup(line, AccessKind::Read, now).is_hit() {
-                        cache.install(line, false, now, Some(vec![0; 8].into()));
+                        cache.install(line, false, now, Some(&[0; 8]));
                     }
                 }
                 1 => {
                     if !cache.lookup(line, AccessKind::Write, now).is_hit() {
-                        cache.install(line, true, now, Some(vec![1; 8].into()));
+                        cache.install(line, true, now, Some(&[1; 8]));
                     }
                 }
                 _ => {
@@ -268,20 +268,20 @@ fn nonuniform_invariant_under_random_traffic() {
                     // Read (fill from memory on miss).
                     if !l2.lookup(line, AccessKind::Read, now).is_hit() {
                         let data = mem.read_line(line);
-                        l2.install(line, false, now, Some(data));
+                        l2.install(line, false, now, Some(&data));
                     }
                 }
                 1 | 2 => {
                     // Write (write-allocate on miss).
                     if !l2.lookup(line, AccessKind::Write, now).is_hit() {
                         let data = mem.read_line(line);
-                        l2.install(line, true, now, Some(data));
+                        l2.install(line, true, now, Some(&data));
                     }
                 }
                 _ => {
                     let set = line.set_index(l2.sets() as u64);
                     for cleaned in l2.clean_probe(set, now) {
-                        if let Some(data) = cleaned.data {
+                        if let Some(data) = l2.line_data(set, cleaned.way) {
                             mem.write_line(cleaned.line, data);
                         }
                     }
@@ -299,7 +299,7 @@ fn nonuniform_invariant_under_random_traffic() {
                 }
                 for Directive::ForceClean { set, way } in directives {
                     if let Some(ev) = l2.force_clean(set, way, now, WbClass::EccEviction) {
-                        if let Some(data) = ev.data {
+                        if let Some(data) = l2.line_data(set, ev.way) {
                             mem.write_line(ev.line, data);
                         }
                     }
