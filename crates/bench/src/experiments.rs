@@ -1072,7 +1072,7 @@ pub fn campaign(strikes: u64, p_double: f64) -> FigureData {
     let cfg = CacheConfig::date2006_l2();
     let mut schemes: Vec<Box<dyn ProtectionScheme>> = vec![
         Box::new(UniformEccScheme::new(&cfg)),
-        Box::new(NonUniformScheme::new(&cfg)),
+        Box::new(NonUniformScheme::new(&cfg, proposed())),
         Box::new(ParityOnlyScheme::new(&cfg)),
     ];
     let rows = schemes

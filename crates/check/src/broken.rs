@@ -19,6 +19,7 @@
 
 use aep_core::{
     AreaReport, Directive, EnergyCounters, NonUniformScheme, ProtectionScheme, RecoveryOutcome,
+    SchemeKind,
 };
 use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
@@ -38,7 +39,12 @@ impl BrokenRetiringScheme {
     #[must_use]
     pub fn new(l2: &CacheConfig) -> Self {
         BrokenRetiringScheme {
-            inner: NonUniformScheme::new(l2),
+            inner: NonUniformScheme::new(
+                l2,
+                SchemeKind::Proposed {
+                    cleaning_interval: 1 << 20,
+                },
+            ),
             owner: vec![None; l2.sets() as usize],
         }
     }

@@ -170,6 +170,9 @@ impl AreaModel {
             } => self.proposed_with_entries(entries_per_set as u64),
             SchemeKind::SilentWriteEcc { .. } => {
                 let mut report = self.proposed();
+                report.scheme = "silent-write ECC (non-uniform + elision)";
+                // One 64-bit word comparator on the store path
+                // (combinational; charged as one word of storage).
                 report
                     .components
                     .push(("silent-store comparator (64b)", CodeArea::from_bits(64)));
@@ -177,6 +180,9 @@ impl AreaModel {
             }
             SchemeKind::ReuseCopyback { .. } => {
                 let mut report = self.proposed();
+                report.scheme = "reuse copy-back (non-uniform + predictor)";
+                // A truncated last-write timestamp and a write gap per
+                // line (16 bits each) on top of the written bit.
                 report.components.push((
                     "reuse predictor (2x16b/line)",
                     CodeArea::from_bits(self.lines * 32),

@@ -18,6 +18,14 @@
 //!    line per set* is maintained by force-cleaning (ECC-WB) the previous
 //!    dirty line whenever a different way of the same set is written.
 //!
+//! [`NonUniformScheme`] is built from the [`SchemeKind`] it serves and
+//! covers the paper's design and every variant of it: the `k`-entry-per-set
+//! ECC array of the design-space ablation ([`SchemeKind::ProposedMulti`]),
+//! silent-store elision (Kishani et al., [`SchemeKind::SilentWriteEcc`]),
+//! and reuse-predicted early copy-back (Wang et al.,
+//! [`SchemeKind::ReuseCopyback`], whose predictor is a
+//! [`cleaning::CleaningPolicy`]).
+//!
 //! The conventional uniform-SECDED baseline lives in [`uniform`], a
 //! parity-only strawman in [`parity_only`], the paper's area accounting in
 //! [`area`], and the end-to-end soft-error recovery paths (inject → detect
@@ -46,13 +54,10 @@ pub mod area;
 pub mod cleaning;
 pub mod energy;
 pub mod nonuniform;
-pub mod nonuniform_multi;
 pub mod parity_only;
 pub mod reliability;
-pub mod reuse;
 pub mod scheme;
 pub mod scrub;
-pub mod silent;
 pub mod uniform;
 pub mod verify;
 
@@ -60,14 +65,11 @@ pub use area::{AreaModel, AreaReport};
 pub use cleaning::CleaningLogic;
 pub use energy::EnergyModel;
 pub use nonuniform::NonUniformScheme;
-pub use nonuniform_multi::MultiEntryScheme;
 pub use parity_only::ParityOnlyScheme;
 pub use reliability::{FitReport, SoftErrorModel};
-pub use reuse::ReuseCopybackScheme;
 pub use scheme::{
     parse_scheme_slug, scheme_slug, Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome,
     SchemeKind,
 };
 pub use scrub::Scrubber;
-pub use silent::SilentWriteEccScheme;
 pub use uniform::UniformEccScheme;

@@ -147,12 +147,16 @@ impl Scrubber {
 mod tests {
     use super::*;
     use crate::nonuniform::NonUniformScheme;
+    use crate::scheme::SchemeKind;
     use aep_mem::addr::LineAddr;
     use aep_mem::CacheConfig;
 
     fn setup() -> (Cache, NonUniformScheme, MainMemory) {
         let cfg = CacheConfig::tiny_l2();
-        let scheme = NonUniformScheme::new(&cfg);
+        let kind = SchemeKind::Proposed {
+            cleaning_interval: 1 << 20,
+        };
+        let scheme = NonUniformScheme::new(&cfg, kind);
         let mut l2 = Cache::new(cfg);
         l2.set_event_emission(true);
         (l2, scheme, MainMemory::new(10, 8))

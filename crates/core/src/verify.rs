@@ -119,9 +119,14 @@ mod tests {
     use super::*;
     use crate::nonuniform::NonUniformScheme;
     use crate::parity_only::ParityOnlyScheme;
+    use crate::scheme::SchemeKind;
     use crate::uniform::UniformEccScheme;
     use aep_mem::addr::LineAddr;
     use aep_mem::CacheConfig;
+
+    const PROPOSED: SchemeKind = SchemeKind::Proposed {
+        cleaning_interval: 1 << 20,
+    };
 
     fn populated(scheme: &mut dyn ProtectionScheme) -> (Cache, MainMemory) {
         let cfg = CacheConfig::tiny_l2();
@@ -161,7 +166,7 @@ mod tests {
 
     #[test]
     fn nonuniform_recovers_all_single_bit_faults() {
-        let mut scheme = NonUniformScheme::new(&CacheConfig::tiny_l2());
+        let mut scheme = NonUniformScheme::new(&CacheConfig::tiny_l2(), PROPOSED);
         let (mut l2, mut mem) = populated(&mut scheme);
         let r = run_campaign(&mut l2, &mut scheme, &mut mem, 2, 500, 0.0);
         assert_eq!(r.injected, 500);
@@ -183,7 +188,7 @@ mod tests {
 
     #[test]
     fn double_bit_faults_are_detected_not_corrected() {
-        let mut scheme = NonUniformScheme::new(&CacheConfig::tiny_l2());
+        let mut scheme = NonUniformScheme::new(&CacheConfig::tiny_l2(), PROPOSED);
         let (mut l2, mut mem) = populated(&mut scheme);
         let r = run_campaign(&mut l2, &mut scheme, &mut mem, 4, 300, 1.0);
         assert_eq!(r.doubles, 300);
@@ -198,7 +203,7 @@ mod tests {
     #[test]
     fn campaigns_are_deterministic() {
         let run = || {
-            let mut scheme = NonUniformScheme::new(&CacheConfig::tiny_l2());
+            let mut scheme = NonUniformScheme::new(&CacheConfig::tiny_l2(), PROPOSED);
             let (mut l2, mut mem) = populated(&mut scheme);
             run_campaign(&mut l2, &mut scheme, &mut mem, 9, 200, 0.3)
         };

@@ -42,26 +42,6 @@ impl OpCounts {
     }
 }
 
-/// How store payload values are synthesized from the instruction stream.
-///
-/// The default makes every store value unique, which deliberately rules
-/// out silent stores: no run's behaviour can accidentally depend on value
-/// coincidences. The address-stable model is the complement — a store to
-/// an address always carries the same value, so *re*-stores are silent by
-/// construction. It exists for the silent-write-aware ECC scheme
-/// (Kishani et al., arXiv:2112.12667), whose whole mechanism is detecting
-/// and eliding such stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreValueModel {
-    /// Every store carries a globally unique value (the default; silent
-    /// stores never occur).
-    #[default]
-    Unique,
-    /// A store's value is a pure function of its address: any re-store of
-    /// an address is byte-identical to the first.
-    AddressStable,
-}
-
 /// The full memory system of Table 1.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
@@ -77,7 +57,6 @@ pub struct MemoryHierarchy {
     ops: OpCounts,
     store_seq: u64,
     prefetches_issued: u64,
-    store_values: StoreValueModel,
     silent_elision: bool,
     silent_fills: u64,
     /// One L2 line of scratch for fill images on their way from memory
@@ -110,7 +89,6 @@ impl MemoryHierarchy {
             ops: OpCounts::default(),
             store_seq: 0,
             prefetches_issued: 0,
-            store_values: StoreValueModel::default(),
             silent_elision: false,
             silent_fills: 0,
             fill_buf: vec![0; l2_words],
@@ -119,16 +97,18 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Selects the store-value synthesis model (see [`StoreValueModel`]).
-    pub fn set_store_value_model(&mut self, model: StoreValueModel) {
-        self.store_values = model;
-    }
-
     /// Turns silent-store classification on: a store whose bytes match
     /// the L2-resident line (or, on a write-allocate miss, the freshly
     /// fetched memory image) is elided — the line's dirty/written state
     /// is left untouched and no payload is applied. Off by default; only
-    /// the silent-write-aware ECC scheme enables it.
+    /// the silent-write-aware ECC scheme (Kishani et al.,
+    /// arXiv:2112.12667) enables it.
+    ///
+    /// Store values are synthesized from the instruction stream. With
+    /// elision off every store carries a globally unique value, so silent
+    /// stores never occur and no run can depend on value coincidences.
+    /// With it on a store's value is a pure function of its address, so
+    /// any re-store of an address is byte-identical to the first.
     pub fn set_silent_store_elision(&mut self, enabled: bool) {
         self.silent_elision = enabled;
     }
@@ -204,9 +184,10 @@ impl MemoryHierarchy {
         let l2_line = addr.line(self.cfg.l2.line_bytes);
         let word = (addr.offset(self.cfg.l2.line_bytes) / 8) as usize;
         self.store_seq += 1;
-        let value = match self.store_values {
-            StoreValueModel::Unique => mix64(addr.0 ^ self.store_seq.rotate_left(32)),
-            StoreValueModel::AddressStable => mix64(addr.0 ^ 0x51E7_57A8_1E5A_11E7),
+        let value = if self.silent_elision {
+            mix64(addr.0 ^ 0x51E7_57A8_1E5A_11E7)
+        } else {
+            mix64(addr.0 ^ self.store_seq.rotate_left(32))
         };
 
         let mut done = now + 1;
@@ -850,7 +831,6 @@ mod silent_store_tests {
 
     fn silent_hier() -> MemoryHierarchy {
         let mut h = MemoryHierarchy::new(HierarchyConfig::tiny());
-        h.set_store_value_model(StoreValueModel::AddressStable);
         h.set_silent_store_elision(true);
         h
     }
@@ -895,9 +875,11 @@ mod silent_store_tests {
     }
 
     #[test]
-    fn unique_values_never_classify_silent_even_with_elision_on() {
+    fn elision_off_re_stores_always_dirty() {
+        // The default hierarchy: every store value is unique, so a
+        // re-store of the same address is a real store that dirties the
+        // line and nothing is ever classified silent.
         let mut h = MemoryHierarchy::new(HierarchyConfig::tiny());
-        h.set_silent_store_elision(true); // default Unique value model
         let addr = Addr::new(0x300);
         h.store(addr, 0);
         drain(&mut h, 1, 200);
@@ -941,25 +923,6 @@ mod silent_store_tests {
             "silent write-allocate must install clean"
         );
         assert_eq!(h.l2().dirty_line_count(), 0);
-    }
-
-    #[test]
-    fn elision_off_keeps_default_semantics_bit_identical() {
-        // Same access pattern through a default hierarchy and one with
-        // only the address-stable model (no elision): dirty accounting
-        // and stats must agree with the elision-off contract — a re-store
-        // always dirties the line.
-        let mut h = MemoryHierarchy::new(HierarchyConfig::tiny());
-        h.set_store_value_model(StoreValueModel::AddressStable);
-        let addr = Addr::new(0x240);
-        h.store(addr, 0);
-        drain(&mut h, 1, 200);
-        let set = addr.line(64).set_index(h.l2().sets() as u64);
-        h.clean_probe_l2(set, 1_000).unwrap();
-        h.store(addr, 2_000);
-        drain(&mut h, 2_001, 2_200);
-        assert_eq!(h.l2().silent_write_hit_count(), 0);
-        assert_eq!(h.l2().dirty_line_count(), 1);
     }
 }
 

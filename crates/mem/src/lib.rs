@@ -45,7 +45,7 @@ pub use addr::{Addr, LineAddr};
 pub use bus::Bus;
 pub use cache::{AccessKind, AccessOutcome, Cache, L2Event, WbClass};
 pub use config::{AllocPolicy, CacheConfig, HierarchyConfig, WritePolicy};
-pub use hierarchy::{MemoryHierarchy, OpCounts, StoreValueModel};
+pub use hierarchy::{MemoryHierarchy, OpCounts};
 pub use layout::ArrayLayout;
 pub use memory::MainMemory;
 pub use stats::CacheStats;

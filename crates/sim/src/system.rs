@@ -3,10 +3,7 @@
 use aep_core::cleaning::CleaningPolicy;
 use aep_core::scrub::Scrubber;
 use aep_core::{CleaningLogic, Directive, ProtectionScheme, SchemeKind};
-use aep_core::{
-    MultiEntryScheme, NonUniformScheme, ParityOnlyScheme, ReuseCopybackScheme,
-    SilentWriteEccScheme, UniformEccScheme,
-};
+use aep_core::{NonUniformScheme, ParityOnlyScheme, UniformEccScheme};
 use aep_cpu::{CoreConfig, InstrStream, Pipeline};
 use aep_mem::cache::WbClass;
 use aep_mem::{Cycle, HierarchyConfig, L2Event, MemoryHierarchy};
@@ -22,14 +19,10 @@ pub fn build_scheme(kind: SchemeKind, hier: &HierarchyConfig) -> Box<dyn Protect
             Box::new(UniformEccScheme::new(&hier.l2))
         }
         SchemeKind::ParityOnly => Box::new(ParityOnlyScheme::new(&hier.l2)),
-        SchemeKind::Proposed { .. } => Box::new(NonUniformScheme::new(&hier.l2)),
-        SchemeKind::ProposedMulti {
-            entries_per_set, ..
-        } => Box::new(MultiEntryScheme::new(&hier.l2, entries_per_set)),
-        SchemeKind::SilentWriteEcc { .. } => Box::new(SilentWriteEccScheme::new(&hier.l2)),
-        SchemeKind::ReuseCopyback { multiplier, .. } => {
-            Box::new(ReuseCopybackScheme::new(&hier.l2, multiplier))
-        }
+        SchemeKind::Proposed { .. }
+        | SchemeKind::ProposedMulti { .. }
+        | SchemeKind::SilentWriteEcc { .. }
+        | SchemeKind::ReuseCopyback { .. } => Box::new(NonUniformScheme::new(&hier.l2, kind)),
     }
 }
 
@@ -111,9 +104,7 @@ impl<S: InstrStream> System<S> {
         let mut hier = MemoryHierarchy::new(hier_cfg);
         hier.enable_l2_events();
         if matches!(kind, SchemeKind::SilentWriteEcc { .. }) {
-            // Silent stores only exist under address-stable store values;
-            // the hierarchy then classifies them on the store path.
-            hier.set_store_value_model(aep_mem::StoreValueModel::AddressStable);
+            // The hierarchy classifies silent stores on the store path.
             hier.set_silent_store_elision(true);
         }
         System {

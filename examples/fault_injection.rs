@@ -11,7 +11,9 @@
 //! ```
 
 use aep::core::verify::run_campaign;
-use aep::core::{NonUniformScheme, ParityOnlyScheme, ProtectionScheme, UniformEccScheme};
+use aep::core::{
+    NonUniformScheme, ParityOnlyScheme, ProtectionScheme, SchemeKind, UniformEccScheme,
+};
 use aep::ecc::CodeArea;
 use aep::mem::cache::Cache;
 use aep::mem::memory::mix64;
@@ -65,7 +67,12 @@ fn main() {
     let l2_cfg = CacheConfig::date2006_l2();
     let mut schemes: Vec<Box<dyn ProtectionScheme>> = vec![
         Box::new(UniformEccScheme::new(&l2_cfg)),
-        Box::new(NonUniformScheme::new(&l2_cfg)),
+        Box::new(NonUniformScheme::new(
+            &l2_cfg,
+            SchemeKind::Proposed {
+                cleaning_interval: 1 << 20,
+            },
+        )),
         Box::new(ParityOnlyScheme::new(&l2_cfg)),
     ];
 

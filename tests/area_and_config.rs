@@ -1,10 +1,11 @@
 //! The paper's exact numeric claims: Table 1 and the §5.2 area accounting.
 
 use aep::core::{
-    AreaModel, NonUniformScheme, ParityOnlyScheme, ProtectionScheme, UniformEccScheme,
+    AreaModel, NonUniformScheme, ParityOnlyScheme, ProtectionScheme, SchemeKind, UniformEccScheme,
 };
 use aep::cpu::CoreConfig;
 use aep::mem::{CacheConfig, HierarchyConfig, WritePolicy};
+use aep::sim::build_scheme;
 use aep::workloads::calibration::PAPER_AREA_REDUCTION_PERCENT;
 
 #[test]
@@ -79,14 +80,48 @@ fn scheme_objects_report_the_same_areas_as_the_model() {
         UniformEccScheme::new(&cfg).area().total(),
         model.conventional().total()
     );
+    let proposed = SchemeKind::Proposed {
+        cleaning_interval: 1 << 20,
+    };
     assert_eq!(
-        NonUniformScheme::new(&cfg).area().total(),
+        NonUniformScheme::new(&cfg, proposed).area().total(),
         model.proposed().total()
     );
     assert_eq!(
         ParityOnlyScheme::new(&cfg).area().total(),
         model.parity_only().total()
     );
+}
+
+#[test]
+fn built_non_uniform_schemes_report_the_models_area() {
+    // The simulator's schemes and the explorer's area objective share one
+    // accounting for every kind of the non-uniform family.
+    let hier = HierarchyConfig::date2006();
+    let model = AreaModel::new(&hier.l2);
+    for kind in [
+        SchemeKind::Proposed {
+            cleaning_interval: 1 << 20,
+        },
+        SchemeKind::ProposedMulti {
+            cleaning_interval: 1 << 20,
+            entries_per_set: 2,
+        },
+        SchemeKind::SilentWriteEcc {
+            cleaning_interval: 1 << 20,
+        },
+        SchemeKind::ReuseCopyback {
+            cleaning_interval: 1 << 20,
+            multiplier: 4,
+        },
+    ] {
+        assert_eq!(
+            build_scheme(kind, &hier).area().total(),
+            model.for_scheme(kind).total(),
+            "{}",
+            kind.label()
+        );
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! [`aep_rng::SmallRng`] driving hand-rolled input generators. Every test
 //! is deterministic: a failure reproduces from the fixed seeds below.
 
-use aep::core::{Directive, NonUniformScheme, ProtectionScheme};
+use aep::core::{Directive, NonUniformScheme, ProtectionScheme, SchemeKind};
 use aep::ecc::parity::{InterleavedParity, ParityBit, ParityError};
 use aep::ecc::{Decoded, Secded64};
 use aep::mem::cache::{AccessKind, Cache, WbClass};
@@ -254,7 +254,10 @@ fn nonuniform_invariant_under_random_traffic() {
     let mut rng = SmallRng::seed_from_u64(0x10_4a7);
     for round in 0..8 {
         let cfg = CacheConfig::tiny_l2();
-        let mut scheme = NonUniformScheme::new(&cfg);
+        let kind = SchemeKind::Proposed {
+            cleaning_interval: 1 << 20,
+        };
+        let mut scheme = NonUniformScheme::new(&cfg, kind);
         let mut l2 = Cache::new(cfg);
         l2.set_event_emission(true);
         let mut mem = MainMemory::new(10, 8);

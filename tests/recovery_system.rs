@@ -102,13 +102,11 @@ fn dirty_line_strike_roundtrip_on_live_state() {
 fn standalone_scheme_matches_system_behaviour() {
     // The NonUniformScheme used standalone (unit-level) and inside the
     // system must agree on area and naming — a seam check.
-    let sys = warm_system(
-        SchemeKind::Proposed {
-            cleaning_interval: 64 * 1024,
-        },
-        10_000,
-    );
-    let standalone = NonUniformScheme::new(&HierarchyConfig::date2006().l2);
+    let kind = SchemeKind::Proposed {
+        cleaning_interval: 64 * 1024,
+    };
+    let sys = warm_system(kind, 10_000);
+    let standalone = NonUniformScheme::new(&HierarchyConfig::date2006().l2, kind);
     assert_eq!(sys.scheme.name(), "proposed-nonuniform");
     assert_eq!(sys.scheme.area().total(), standalone.area().total());
 }
