@@ -256,7 +256,6 @@ fn main() {
         "calibrate" => emit(experiments::calibrate(&mut lab)),
         "ablation" => emit(experiments::ablation_schemes(&mut lab)),
         "reliability" => emit(experiments::reliability(&mut lab)),
-        "campaign" => emit(experiments::campaign(50_000, 0.02)),
         "faults" => {
             // Reject interleave degrees the physical layout cannot map
             // before any campaign starts (a usage error, not a panic).

@@ -1058,75 +1058,6 @@ pub fn reliability(lab: &mut Lab) -> FigureData {
     }
 }
 
-/// Fault-injection campaign table: recovery outcomes per scheme on a
-/// populated Table 1 L2 (the executable form of the paper's coverage
-/// argument).
-#[must_use]
-pub fn campaign(strikes: u64, p_double: f64) -> FigureData {
-    use aep_core::verify::run_campaign;
-    use aep_core::{NonUniformScheme, ParityOnlyScheme, ProtectionScheme, UniformEccScheme};
-    use aep_mem::cache::Cache;
-    use aep_mem::memory::mix64;
-    use aep_mem::{CacheConfig, LineAddr, MainMemory};
-
-    let cfg = CacheConfig::date2006_l2();
-    let mut schemes: Vec<Box<dyn ProtectionScheme>> = vec![
-        Box::new(UniformEccScheme::new(&cfg)),
-        Box::new(NonUniformScheme::new(&cfg, proposed())),
-        Box::new(ParityOnlyScheme::new(&cfg)),
-    ];
-    let rows = schemes
-        .iter_mut()
-        .map(|scheme| {
-            let mut l2 = Cache::new(cfg.clone());
-            l2.set_event_emission(true);
-            let mut mem = MainMemory::new(100, cfg.words_per_line());
-            let sets = l2.sets() as u64;
-            for i in 0..l2.total_lines() {
-                let line = LineAddr(i);
-                let dirty = i < sets; // one dirty line per set
-                let data = if dirty {
-                    (0..8).map(|w| mix64(i * 8 + w)).collect()
-                } else {
-                    mem.read_line(line)
-                };
-                l2.install(line, dirty, 0, Some(&data));
-                let mut dirs = Vec::new();
-                for ev in l2.take_events() {
-                    scheme.on_event(&ev, &l2, &mut dirs);
-                }
-            }
-            let r = run_campaign(&mut l2, scheme.as_mut(), &mut mem, 2006, strikes, p_double);
-            (
-                scheme.name().to_owned(),
-                vec![
-                    r.corrected as f64,
-                    r.refetched as f64,
-                    r.unrecoverable as f64,
-                    r.undetected as f64,
-                    r.recovery_rate() * 100.0,
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: format!(
-            "Fault-injection campaign: {strikes} strikes, {:.0}% double-bit",
-            p_double * 100.0
-        ),
-        row_header: "scheme".into(),
-        columns: vec![
-            "corrected".into(),
-            "refetched".into(),
-            "lost".into(),
-            "undetected".into(),
-            "recovery%".into(),
-        ],
-        rows,
-        decimals: 0,
-    }
-}
-
 /// Dirty-lifetime census: the generational-behaviour evidence behind the
 /// paper's cleaning technique. For each benchmark (org configuration),
 /// reports the mean dirty lifetime and the fraction of lifetimes at least

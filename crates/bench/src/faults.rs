@@ -2,12 +2,11 @@
 //! campaign per protection scheme, with an empirical-vs-analytical FIT
 //! cross-check.
 //!
-//! This is the dynamic counterpart of `exp campaign` (which strikes a
-//! *statically* populated cache): here every trial flips real bits in the
-//! running system's L2 via [`aep_faultsim`] and follows the upset to its
-//! architectural end. Finished campaigns persist as raw [`RunCache`]
-//! entries keyed on (scale, benchmark, scheme, seed, trials, config
-//! hash), so a repeated invocation renders from disk instantly.
+//! Every trial flips real bits in the running system's L2 via
+//! [`aep_faultsim`] and follows the upset to its architectural end.
+//! Finished campaigns persist as raw [`RunCache`] entries keyed on
+//! (scale, benchmark, scheme, seed, trials, config hash), so a repeated
+//! invocation renders from disk instantly.
 //!
 //! The FIT columns translate rates into failure units: the empirical FIT
 //! is `raw_fit(data array) × (DUE+SDC)/trials` (strikes sample all frames

@@ -572,3 +572,72 @@ fn submit_against_no_daemon_exits_1() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot connect"), "stderr: {stderr}");
 }
+
+/// Every command line in the CI workflows and scripts, with `\`
+/// continuations joined, as `(source file, command)` pairs.
+fn ci_command_lines(root: &std::path::Path) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for (dir, ext) in [(".github/workflows", "yml"), ("scripts", "sh")] {
+        let entries = std::fs::read_dir(root.join(dir)).expect("CI directory exists");
+        for entry in entries {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_some_and(|e| e == ext) {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    let mut commands = Vec::new();
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable CI file");
+        let source = path.strip_prefix(root).unwrap().display().to_string();
+        let mut command = String::new();
+        for line in text.lines() {
+            match line.trim_end().strip_suffix('\\') {
+                Some(head) => {
+                    command.push_str(head);
+                    command.push(' ');
+                }
+                None => {
+                    command.push_str(line);
+                    commands.push((source.clone(), std::mem::take(&mut command)));
+                }
+            }
+        }
+    }
+    commands
+}
+
+#[test]
+fn every_ci_floor_file_is_committed_with_its_floor_key() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut checked = 0;
+    for (source, command) in ci_command_lines(&root) {
+        let tokens: Vec<&str> = command.split_whitespace().collect();
+        let Some(at) = tokens.iter().position(|&t| t == "--check-floor") else {
+            continue;
+        };
+        let file = tokens
+            .get(at + 1)
+            .unwrap_or_else(|| panic!("{source}: --check-floor without a file"))
+            .trim_matches(|c| c == '"' || c == '\'');
+        // `faults-bench` gates the campaign floor; `bench` the lane engine.
+        let key = if tokens.contains(&"faults-bench") {
+            "min_trials_per_mcycle"
+        } else {
+            assert!(tokens.contains(&"bench"), "{source}: unknown harness");
+            "aggregate_speedup"
+        };
+        let json = std::fs::read_to_string(root.join(file))
+            .unwrap_or_else(|e| panic!("{source} checks a floor in {file}, which is missing: {e}"));
+        assert!(
+            json.contains(&format!("\"{key}\"")),
+            "{source}: {file} has no \"{key}\" floor"
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 2,
+        "expected the engine and campaign floor checks"
+    );
+}

@@ -27,9 +27,10 @@
 //! [`cleaning::CleaningPolicy`]).
 //!
 //! The conventional uniform-SECDED baseline lives in [`uniform`], a
-//! parity-only strawman in [`parity_only`], the paper's area accounting in
-//! [`area`], and the end-to-end soft-error recovery paths (inject → detect
-//! → correct/refetch) in [`verify`].
+//! parity-only strawman in [`parity_only`], and the paper's area accounting
+//! in [`area`]. Each scheme's soft-error recovery path (detect →
+//! correct/refetch) is its [`ProtectionScheme::verify_line`]; the
+//! `aep-faultsim` crate exercises it with live fault-injection campaigns.
 //!
 //! # Quick example
 //!
@@ -59,7 +60,6 @@ pub mod reliability;
 pub mod scheme;
 pub mod scrub;
 pub mod uniform;
-pub mod verify;
 
 pub use area::{AreaModel, AreaReport};
 pub use cleaning::CleaningLogic;

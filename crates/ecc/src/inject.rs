@@ -5,7 +5,8 @@
 //! *inject* bit flips into protected storage with a seeded RNG: every
 //! experiment is exactly reproducible from its seed. The injector produces
 //! [`FaultSpec`]s — (word, bit) coordinates plus single/double multiplicity —
-//! which `aep-core`'s recovery logic then applies and must survive.
+//! which the live fault-injection campaigns (`aep-faultsim`) flip in the
+//! simulated L2 and route through the attached scheme's recovery path.
 
 use aep_rng::SmallRng;
 
@@ -21,12 +22,6 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// `true` when this is a multi-bit (uncorrectable-by-SECDED) fault.
-    #[must_use]
-    pub fn is_double(&self) -> bool {
-        self.second_bit.is_some()
-    }
-
     /// The XOR mask this fault applies to its target word: one set bit for
     /// a single, two for a double.
     #[must_use]
@@ -37,17 +32,6 @@ impl FaultSpec {
         }
         m
     }
-
-    /// Applies the fault to a codeword line in place, flipping the struck
-    /// bit(s) of `words[self.word]` — the raw upset, before any check-bit
-    /// logic sees it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.word` is out of range for `words`.
-    pub fn apply_to(&self, words: &mut [u64]) {
-        words[self.word] ^= self.mask();
-    }
 }
 
 /// A seeded generator of [`FaultSpec`]s.
@@ -56,18 +40,16 @@ impl FaultSpec {
 /// use aep_ecc::inject::FaultInjector;
 ///
 /// let mut inj = FaultInjector::with_seed(42);
-/// let a = inj.single(8); // line of 8 words
+/// let a = inj.weighted(8, 0.0); // line of 8 words, never a double
 /// assert!(a.word < 8 && a.bit < 64 && a.second_bit.is_none());
 ///
 /// // Identical seeds replay identical fault streams:
 /// let mut replay = FaultInjector::with_seed(42);
-/// assert_eq!(replay.single(8), a);
+/// assert_eq!(replay.weighted(8, 0.0), a);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: SmallRng,
-    singles: u64,
-    doubles: u64,
 }
 
 impl FaultInjector {
@@ -76,19 +58,11 @@ impl FaultInjector {
     pub fn with_seed(seed: u64) -> Self {
         FaultInjector {
             rng: SmallRng::seed_from_u64(seed),
-            singles: 0,
-            doubles: 0,
         }
     }
 
     /// Draws a single-bit fault uniformly over a line of `words` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words == 0`.
-    pub fn single(&mut self, words: usize) -> FaultSpec {
-        assert!(words > 0, "cannot inject into an empty line");
-        self.singles += 1;
+    fn single(&mut self, words: usize) -> FaultSpec {
         FaultSpec {
             word: self.rng.gen_range(0..words),
             bit: self.rng.gen_range(0..64),
@@ -97,13 +71,7 @@ impl FaultInjector {
     }
 
     /// Draws a double-bit fault (two distinct bits in the same word).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words == 0`.
-    pub fn double(&mut self, words: usize) -> FaultSpec {
-        assert!(words > 0, "cannot inject into an empty line");
-        self.doubles += 1;
+    fn double(&mut self, words: usize) -> FaultSpec {
         let word = self.rng.gen_range(0..words);
         let first = self.rng.gen_range(0..64u8);
         let mut second = self.rng.gen_range(0..64u8);
@@ -127,23 +95,12 @@ impl FaultInjector {
             (0.0..=1.0).contains(&p_double),
             "p_double must be a probability"
         );
+        assert!(words > 0, "cannot inject into an empty line");
         if self.rng.gen_bool(p_double) {
             self.double(words)
         } else {
             self.single(words)
         }
-    }
-
-    /// Number of single-bit faults generated so far.
-    #[must_use]
-    pub fn singles_generated(&self) -> u64 {
-        self.singles
-    }
-
-    /// Number of double-bit faults generated so far.
-    #[must_use]
-    pub fn doubles_generated(&self) -> u64 {
-        self.doubles
     }
 }
 
@@ -156,8 +113,7 @@ mod tests {
         let mut a = FaultInjector::with_seed(7);
         let mut b = FaultInjector::with_seed(7);
         for _ in 0..100 {
-            assert_eq!(a.single(8), b.single(8));
-            assert_eq!(a.double(8), b.double(8));
+            assert_eq!(a.weighted(8, 0.5), b.weighted(8, 0.5));
         }
     }
 
@@ -165,8 +121,8 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = FaultInjector::with_seed(1);
         let mut b = FaultInjector::with_seed(2);
-        let sa: Vec<_> = (0..32).map(|_| a.single(8)).collect();
-        let sb: Vec<_> = (0..32).map(|_| b.single(8)).collect();
+        let sa: Vec<_> = (0..32).map(|_| a.weighted(8, 0.0)).collect();
+        let sb: Vec<_> = (0..32).map(|_| b.weighted(8, 0.0)).collect();
         assert_ne!(sa, sb);
     }
 
@@ -177,10 +133,8 @@ mod tests {
             let f = inj.single(8);
             assert!(f.word < 8);
             assert!(f.bit < 64);
-            assert!(!f.is_double());
+            assert_eq!(f.second_bit, None);
         }
-        assert_eq!(inj.singles_generated(), 1000);
-        assert_eq!(inj.doubles_generated(), 0);
     }
 
     #[test]
@@ -189,7 +143,7 @@ mod tests {
         for _ in 0..1000 {
             let f = inj.double(4);
             assert!(f.word < 4);
-            assert!(f.is_double());
+            assert!(f.second_bit.is_some());
             assert_ne!(Some(f.bit), f.second_bit);
         }
     }
@@ -198,7 +152,7 @@ mod tests {
     fn weighted_zero_is_all_singles() {
         let mut inj = FaultInjector::with_seed(5);
         for _ in 0..200 {
-            assert!(!inj.weighted(8, 0.0).is_double());
+            assert_eq!(inj.weighted(8, 0.0).second_bit, None);
         }
     }
 
@@ -206,37 +160,38 @@ mod tests {
     fn weighted_one_is_all_doubles() {
         let mut inj = FaultInjector::with_seed(6);
         for _ in 0..200 {
-            assert!(inj.weighted(8, 1.0).is_double());
+            assert!(inj.weighted(8, 1.0).second_bit.is_some());
         }
+    }
+
+    #[test]
+    fn weighted_stream_is_pinned() {
+        // Every seeded campaign outcome depends on this exact draw order:
+        // one Bernoulli draw for the multiplicity, then word, bit(s).
+        let spec = |word, bit, second_bit| FaultSpec {
+            word,
+            bit,
+            second_bit,
+        };
+        let mut inj = FaultInjector::with_seed(2006);
+        let drawn: Vec<_> = (0..6).map(|_| inj.weighted(8, 0.5)).collect();
+        assert_eq!(
+            drawn,
+            [
+                spec(5, 13, None),
+                spec(5, 1, None),
+                spec(0, 18, None),
+                spec(7, 10, Some(56)),
+                spec(5, 7, Some(38)),
+                spec(4, 51, Some(49)),
+            ]
+        );
     }
 
     #[test]
     #[should_panic(expected = "empty line")]
     fn empty_line_panics() {
-        FaultInjector::with_seed(0).single(0);
-    }
-
-    #[test]
-    fn counter_accessors_track_single_and_double_draws() {
-        let mut inj = FaultInjector::with_seed(11);
-        assert_eq!(inj.singles_generated(), 0);
-        assert_eq!(inj.doubles_generated(), 0);
-        for _ in 0..7 {
-            inj.single(8);
-        }
-        for _ in 0..3 {
-            inj.double(8);
-        }
-        assert_eq!(inj.singles_generated(), 7);
-        assert_eq!(inj.doubles_generated(), 3);
-        // `weighted` books into whichever class it drew; the two counters
-        // must account for every draw exactly once.
-        for _ in 0..100 {
-            inj.weighted(8, 0.5);
-        }
-        assert_eq!(inj.singles_generated() + inj.doubles_generated(), 110);
-        assert!(inj.singles_generated() > 7, "p=0.5 over 100 draws");
-        assert!(inj.doubles_generated() > 3, "p=0.5 over 100 draws");
+        FaultInjector::with_seed(0).weighted(0, 0.0);
     }
 
     #[test]
@@ -248,11 +203,7 @@ mod tests {
         let mut inj = FaultInjector::with_seed(0xF417);
         for i in 0..10_000usize {
             let words = 1 + i % 16;
-            let spec = match i % 3 {
-                0 => inj.single(words),
-                1 => inj.double(words),
-                _ => inj.weighted(words, (i % 100) as f64 / 100.0),
-            };
+            let spec = inj.weighted(words, (i % 101) as f64 / 100.0);
             assert!(spec.word < words, "word {} out of range {words}", spec.word);
             assert!(spec.bit < 64, "bit {} out of range", spec.bit);
             if let Some(second) = spec.second_bit {
@@ -260,35 +211,21 @@ mod tests {
                 assert_ne!(second, spec.bit, "double must flip distinct bits");
             }
         }
-        assert_eq!(
-            inj.singles_generated() + inj.doubles_generated(),
-            10_000,
-            "every draw is booked"
-        );
     }
 
     #[test]
-    fn apply_to_flips_exactly_the_struck_bits() {
-        let mut line = [0u64; 8];
+    fn mask_sets_exactly_the_struck_bits() {
         let single = FaultSpec {
             word: 3,
             bit: 17,
             second_bit: None,
         };
-        single.apply_to(&mut line);
-        assert_eq!(line[3], 1 << 17);
         assert_eq!(single.mask(), 1 << 17);
-        // Applying the same fault twice cancels (XOR semantics).
-        single.apply_to(&mut line);
-        assert_eq!(line, [0u64; 8]);
-
         let double = FaultSpec {
             word: 0,
             bit: 1,
             second_bit: Some(62),
         };
-        double.apply_to(&mut line);
-        assert_eq!(line[0], (1 << 1) | (1 << 62));
-        assert_eq!(double.mask().count_ones(), 2);
+        assert_eq!(double.mask(), (1 << 1) | (1 << 62));
     }
 }

@@ -10,11 +10,8 @@
 //! * [`hamming`] — **SECDED Hamming(72,64)**: single-error-correcting,
 //!   double-error-detecting code with 8 check bits per 64 data bits, the code
 //!   the paper (and POWER4 / Itanium) uses for dirty lines.
-//! * [`codeword`] — protected storage cells ([`codeword::ParityWord`],
-//!   [`codeword::SecdedWord`], and whole-line [`codeword::ProtectedLine`]s)
-//!   that pair data with its check bits and expose scrub/verify operations.
-//! * [`inject`] — a deterministic, seeded soft-error injector used by the
-//!   reliability experiments and the property-based test-suite.
+//! * [`inject`] — the deterministic, seeded single/double-bit fault draw
+//!   behind the live fault-injection campaigns (`aep-faultsim`).
 //! * [`area`] — check-bit overhead accounting ([`area::CodeArea`]) used by
 //!   the paper's area model (conventional 132 KB vs. proposed 54 KB).
 //!
@@ -40,20 +37,18 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod codeword;
 pub mod hamming;
 pub mod inject;
 pub mod parity;
 
 pub use area::CodeArea;
-pub use codeword::{ParityWord, ProtectedLine, SecdedWord};
 pub use hamming::Secded64;
 pub use inject::{FaultInjector, FaultSpec};
 pub use parity::{InterleavedParity, ParityBit};
 
 /// Outcome of decoding a protected word.
 ///
-/// Returned by [`Secded64::decode`] and the [`codeword`] cell types.
+/// Returned by [`Secded64::decode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decoded {
     /// Data and check bits are consistent; no error observed.
@@ -104,30 +99,6 @@ pub enum FlippedBit {
     Check(u8),
 }
 
-/// Errors reported by the coding substrate's fallible constructors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodeError {
-    /// A configuration value was outside its legal range.
-    InvalidConfig {
-        /// Which parameter was invalid.
-        what: &'static str,
-        /// Human-readable constraint that was violated.
-        constraint: &'static str,
-    },
-}
-
-impl core::fmt::Display for CodeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CodeError::InvalidConfig { what, constraint } => {
-                write!(f, "invalid {what}: {constraint}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodeError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,21 +130,8 @@ mod tests {
     }
 
     #[test]
-    fn code_error_display() {
-        let e = CodeError::InvalidConfig {
-            what: "line size",
-            constraint: "must be a multiple of 8 bytes",
-        };
-        assert_eq!(
-            e.to_string(),
-            "invalid line size: must be a multiple of 8 bytes"
-        );
-    }
-
-    #[test]
     fn types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Decoded>();
-        assert_send_sync::<CodeError>();
     }
 }

@@ -523,6 +523,7 @@ mod tests {
             table.due > 0,
             "dirty strikes under parity-only must be unrecoverable"
         );
+        assert!(table.refetch_recovered > 0, "clean strikes still refetch");
     }
 
     #[test]
@@ -545,15 +546,38 @@ mod tests {
         // riding an in-flight ECC-WB), clean lines refetch on parity.
         assert_eq!(proposed.due, 0, "proposed must fully protect single bits");
         assert_eq!(proposed.sdc, 0, "no strike may escape silently");
+        // Both recovery paths must actually fire, not just one of them.
+        assert!(
+            proposed.corrected > 0,
+            "dirty lines must use ECC: {proposed:?}"
+        );
+        assert!(
+            proposed.refetch_recovered > 0,
+            "clean lines must refetch: {proposed:?}"
+        );
     }
 
     #[test]
     fn double_bit_faults_defeat_secded() {
-        let mut c = cfg(SchemeKind::Uniform);
-        c.p_double = 1.0;
-        let table = run_campaign(&c, 2);
-        assert_eq!(table.corrected, 0, "double flips are never correctable");
-        assert!(table.due > 0, "SECDED must detect double flips as DUE");
+        let schemes = [
+            SchemeKind::Uniform,
+            SchemeKind::Proposed {
+                cleaning_interval: CHOSEN_INTERVAL,
+            },
+        ];
+        for scheme in schemes {
+            let mut c = cfg(scheme);
+            c.p_double = 1.0;
+            let table = run_campaign(&c, 2);
+            assert_eq!(
+                table.corrected, 0,
+                "{scheme:?}: doubles are never correctable"
+            );
+            assert!(
+                table.due > 0,
+                "{scheme:?}: SECDED must detect doubles as DUE"
+            );
+        }
     }
 
     #[test]

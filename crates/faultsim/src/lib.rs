@@ -1,11 +1,11 @@
 //! Monte Carlo soft-error campaigns over the live timing simulator.
 //!
-//! Where [`aep_core::verify`] checks schemes against *static* injected
-//! faults, this crate measures what actually happens when an upset lands
-//! in a busy machine: real bits flip in the data-holding L2 at seeded
-//! pseudo-Poisson arrival times, the workload keeps executing, and the
-//! upset is routed through the active scheme's detect/correct path at the
-//! next access, cleaning probe, or eviction that touches the struck line.
+//! This crate is the workspace's fault-injection engine. It measures
+//! what actually happens when an upset lands in a busy machine: real bits
+//! flip in the data-holding L2 at seeded pseudo-Poisson arrival times, the
+//! workload keeps executing, and the upset is routed through the active
+//! scheme's detect/correct path at the next access, cleaning probe, or
+//! eviction that touches the struck line.
 //!
 //! * [`outcome`] — the per-trial taxonomy (masked / corrected /
 //!   refetch-recovered / DUE / SDC) and campaign tallies.

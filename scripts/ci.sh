@@ -30,6 +30,8 @@ step() {
 step "cargo fmt --check" cargo fmt --check
 step "cargo clippy --workspace -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
+step "criterion benches compile" \
+  cargo build -p aep-bench --features criterion-benches --benches
 step "cargo test -q --workspace" cargo test -q --workspace
 step "stats gate (smoke)" scripts/stats_gate.sh smoke
 step "differential check (smoke)" scripts/differential_check.sh smoke

@@ -2,12 +2,12 @@
 //! verify the attached scheme recovers, with the ECC-array invariant
 //! intact throughout.
 
-use aep::core::verify::run_campaign;
 use aep::core::{NonUniformScheme, ProtectionScheme, RecoveryOutcome, SchemeKind};
 use aep::cpu::CoreConfig;
 use aep::mem::HierarchyConfig;
 use aep::sim::System;
 use aep::workloads::Benchmark;
+use aep_faultsim::{run_campaign, CampaignConfig};
 
 fn warm_system(kind: SchemeKind, cycles: u64) -> System<aep::workloads::Generator> {
     let mut sys = System::new(
@@ -44,25 +44,24 @@ fn invariant_holds_after_a_long_proposed_run() {
 
 #[test]
 fn live_l2_single_bit_strikes_recover_under_proposed() {
-    let mut sys = warm_system(
+    // Seeded single-bit strikes land in the running Table 1 machine's L2
+    // and are followed to their architectural end: dirty lines must
+    // decode against the shared ECC array, clean lines must refetch on
+    // parity, and nothing may be lost or escape silently.
+    let mut cfg = CampaignConfig::new(
+        Benchmark::Gap,
         SchemeKind::Proposed {
             cleaning_interval: 64 * 1024,
         },
-        200_000,
     );
-    // Run a seeded campaign against a snapshot of the live state: the
-    // cloned cache/memory carry the exact warmed-up contents, and the
-    // scheme's check arrays describe them.
-    let mut l2 = sys.hier.l2().clone();
-    let mut memory = sys.hier.memory().clone();
-    let report = run_campaign(&mut l2, sys.scheme.as_mut(), &mut memory, 9, 2_000, 0.0);
-    assert_eq!(report.injected, 2_000);
-    assert_eq!(
-        report.corrected + report.refetched,
-        2_000,
-        "every single-bit strike must be recovered: {report:?}"
-    );
-    assert_eq!(report.undetected, 0);
+    cfg.warmup_cycles = 300_000;
+    cfg.trials = 200;
+    let t = run_campaign(&cfg, 2);
+    assert_eq!(t.trials(), 200);
+    assert_eq!(t.due, 0, "every single-bit strike must be recovered: {t:?}");
+    assert_eq!(t.sdc, 0, "no strike may escape silently: {t:?}");
+    assert!(t.corrected > 0, "dirty lines must use ECC: {t:?}");
+    assert!(t.refetch_recovered > 0, "clean lines must refetch: {t:?}");
 }
 
 #[test]
