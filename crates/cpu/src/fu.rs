@@ -1,9 +1,11 @@
 //! The functional-unit pool.
 //!
-//! Table 1: *"4 INT add, 1 INT mult/div, 1 FP add, 1 FP mult/div"*. Each
-//! unit tracks the cycle it becomes free; an op acquires a free unit of its
-//! class at issue and holds it for the op's issue (initiation) interval
-//! while the result appears after the op's latency.
+//! Table 1: *"4 INT add, 1 INT mult/div, 1 FP add, 1 FP mult/div"*. An op
+//! acquires a free unit of its class at issue and holds it for the op's
+//! issue (initiation) interval while the result appears after the op's
+//! latency. Every class is fully pipelined (an issue interval of one
+//! cycle), so a unit acquired at `now` is free again at `now + 1`: the pool
+//! only counts, per class, the units taken in the current cycle.
 
 use crate::isa::OpClass;
 use aep_mem::Cycle;
@@ -46,14 +48,15 @@ impl FuConfig {
     }
 }
 
-/// Tracks per-unit busy-until cycles for every class.
+/// Units per class, and how many of them the current cycle has taken.
 #[derive(Debug, Clone)]
 pub struct FuPool {
-    int_alu: Vec<Cycle>,
-    int_mul: Vec<Cycle>,
-    fp_add: Vec<Cycle>,
-    fp_mul: Vec<Cycle>,
-    mem_ports: Vec<Cycle>,
+    /// Units per class, indexed by [`FuPool::class_index`].
+    units: [usize; 5],
+    /// Units taken during `cycle`, indexed like `units`.
+    taken: [usize; 5],
+    /// The cycle `taken` counts for.
+    cycle: Cycle,
 }
 
 impl FuPool {
@@ -73,11 +76,15 @@ impl FuPool {
             "every unit class needs at least one unit"
         );
         FuPool {
-            int_alu: vec![0; cfg.int_alu],
-            int_mul: vec![0; cfg.int_mul],
-            fp_add: vec![0; cfg.fp_add],
-            fp_mul: vec![0; cfg.fp_mul],
-            mem_ports: vec![0; cfg.mem_ports],
+            units: [
+                cfg.int_alu,
+                cfg.int_mul,
+                cfg.fp_add,
+                cfg.fp_mul,
+                cfg.mem_ports,
+            ],
+            taken: [0; 5],
+            cycle: 0,
         }
     }
 
@@ -110,41 +117,43 @@ impl FuPool {
         }
     }
 
-    fn units_mut(&mut self, class: OpClass) -> &mut Vec<Cycle> {
+    /// The unit class `class` issues to.
+    fn class_index(class: OpClass) -> usize {
         match class {
-            OpClass::IntAlu | OpClass::Branch => &mut self.int_alu,
-            OpClass::IntMul => &mut self.int_mul,
-            OpClass::FpAdd => &mut self.fp_add,
-            OpClass::FpMul => &mut self.fp_mul,
-            OpClass::Load | OpClass::Store => &mut self.mem_ports,
+            OpClass::IntAlu | OpClass::Branch => 0,
+            OpClass::IntMul => 1,
+            OpClass::FpAdd => 2,
+            OpClass::FpMul => 3,
+            OpClass::Load | OpClass::Store => 4,
         }
     }
 
     /// Tries to acquire a unit of `class` at `now`; on success the unit is
-    /// held for the class's issue interval and `true` is returned.
+    /// held for the class's issue interval (one cycle) and `true` is
+    /// returned. Calls must come in non-decreasing `now` order.
     pub fn try_acquire(&mut self, class: OpClass, now: Cycle) -> bool {
-        let interval = Self::timing(class).issue_interval;
-        let units = self.units_mut(class);
-        for busy_until in units.iter_mut() {
-            if *busy_until <= now {
-                *busy_until = now + interval;
-                return true;
-            }
+        if now != self.cycle {
+            self.cycle = now;
+            self.taken = [0; 5];
         }
-        false
+        let i = Self::class_index(class);
+        if self.taken[i] < self.units[i] {
+            self.taken[i] += 1;
+            true
+        } else {
+            false
+        }
     }
 
     /// Number of units of `class` free at `now`.
     #[must_use]
     pub fn free_units(&self, class: OpClass, now: Cycle) -> usize {
-        let units = match class {
-            OpClass::IntAlu | OpClass::Branch => &self.int_alu,
-            OpClass::IntMul => &self.int_mul,
-            OpClass::FpAdd => &self.fp_add,
-            OpClass::FpMul => &self.fp_mul,
-            OpClass::Load | OpClass::Store => &self.mem_ports,
-        };
-        units.iter().filter(|&&b| b <= now).count()
+        let i = Self::class_index(class);
+        if now == self.cycle {
+            self.units[i] - self.taken[i]
+        } else {
+            self.units[i]
+        }
     }
 }
 
@@ -167,6 +176,10 @@ mod tests {
         let mut pool = FuPool::new(&FuConfig::date2006());
         assert!(pool.try_acquire(OpClass::IntMul, 0));
         assert!(!pool.try_acquire(OpClass::IntMul, 0));
+        assert_eq!(pool.free_units(OpClass::IntMul, 0), 0);
+        // A fast-forwarded stretch frees the unit as well.
+        assert!(pool.try_acquire(OpClass::IntMul, 900));
+        assert!(!pool.try_acquire(OpClass::IntMul, 900));
     }
 
     #[test]
@@ -185,6 +198,23 @@ mod tests {
         assert!(pool.try_acquire(OpClass::Store, 0));
         assert!(!pool.try_acquire(OpClass::Load, 0), "2 mem ports");
         assert_eq!(pool.free_units(OpClass::Load, 1), 2);
+    }
+
+    #[test]
+    fn every_class_is_fully_pipelined() {
+        // The per-cycle counters free every unit at the next cycle, which
+        // is exact only while every issue interval is one cycle.
+        for class in [
+            OpClass::IntAlu,
+            OpClass::IntMul,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+            OpClass::Load,
+            OpClass::Store,
+            OpClass::Branch,
+        ] {
+            assert_eq!(FuPool::timing(class).issue_interval, 1, "{class:?}");
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub struct MicroOp {
 impl MicroOp {
     /// A register-to-register ALU op.
     #[must_use]
-    pub fn alu(pc: u64, src1: Option<u8>, src2: Option<u8>, dst: Option<u8>) -> Self {
+    pub const fn alu(pc: u64, src1: Option<u8>, src2: Option<u8>, dst: Option<u8>) -> Self {
         MicroOp {
             pc,
             class: OpClass::IntAlu,

@@ -7,12 +7,17 @@
 //! the branch resolves plus a redirect penalty (the standard trace-driven
 //! approximation of wrong-path execution).
 //!
+//! Every per-entry structure is indexed by the entry's 64-slot ring index
+//! ([`slot_of`] of its sequence number): the RUU is a fixed ring, and the
+//! LSQ, the wakeup lists and the ready/issuable sets are slot masks and
+//! per-slot arrays over the same ring, so no stage translates between
+//! queue positions and slots.
+//!
 //! The pipeline is advanced one cycle at a time by [`Pipeline::step`]; the
 //! caller owns the [`MemoryHierarchy`] so the experiment runner can
 //! interleave the cleaning logic and protection scheme between cycles.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use aep_mem::{Addr, Cycle, MemoryHierarchy};
 
@@ -29,6 +34,9 @@ const IFQ_ENTRIES: usize = 16;
 /// Cycles for a load served by store-to-load forwarding.
 const FORWARD_LATENCY: u64 = 2;
 
+/// Slots in the RUU ring (the configured RUU is capped at this size).
+const RING: usize = 64;
+
 #[derive(Debug, Clone)]
 struct FetchedOp {
     op: MicroOp,
@@ -36,7 +44,7 @@ struct FetchedOp {
     mispredicted: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RuuEntry {
     seq: u64,
     op: MicroOp,
@@ -52,22 +60,30 @@ struct RuuEntry {
     ready_at: Cycle,
 }
 
+impl RuuEntry {
+    /// Placeholder contents of a ring slot no live entry occupies.
+    const VACANT: RuuEntry = RuuEntry {
+        seq: 0,
+        op: MicroOp::alu(0, None, None, None),
+        issued: false,
+        complete_at: 0,
+        mispredicted: false,
+        prediction: None,
+        src_seqs: [None; 2],
+        wait_count: 0,
+        ready_at: 0,
+    };
+}
+
 /// Sentinel for empty wakeup-list links.
 const WAITER_NONE: u32 = u32::MAX;
 
-/// Slot of a sequence number in the fixed wakeup arrays. In-flight seqs
-/// span less than `ruu_entries <= 64`, so slots are unique per entry.
+/// Slot of a sequence number in the RUU ring and the per-slot arrays.
+/// In-flight seqs span at most `ruu_entries <= 64`, so slots are unique
+/// per entry.
 #[inline]
 fn slot_of(seq: u64) -> usize {
-    (seq & 63) as usize
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LsqEntry {
-    seq: u64,
-    is_store: bool,
-    /// Word-aligned address (byte address / 8) for forwarding checks.
-    word: u64,
+    (seq & (RING as u64 - 1)) as usize
 }
 
 /// Cumulative pipeline statistics.
@@ -132,10 +148,22 @@ pub struct Pipeline<S> {
     fu: FuPool,
     fetch_queue: VecDeque<FetchedOp>,
     staged: Option<MicroOp>,
-    ruu: VecDeque<RuuEntry>,
-    lsq: VecDeque<LsqEntry>,
+    /// The RUU as a ring indexed by [`slot_of`]; the live entries are
+    /// `head_seq..next_seq`.
+    ruu: [RuuEntry; RING],
     head_seq: u64,
     next_seq: u64,
+    // ----- load/store queue ----------------------------------------------
+    // The LSQ holds exactly the RUU's uncommitted loads and stores (both
+    // enter at dispatch and leave at commit), so it needs no queue of its
+    // own: an occupancy count for the dispatch limit, plus the slots and
+    // word addresses of the in-flight stores for forwarding.
+    /// Uncommitted loads and stores.
+    lsq_len: usize,
+    /// Bitmask (by slot) of uncommitted stores.
+    store_mask: u64,
+    /// Word-aligned address (byte address / 8) of the store in each slot.
+    store_word: [u64; RING],
     reg_producer: [Option<u64>; NUM_REGS],
     fetch_halted: bool,
     fetch_blocked_until: Cycle,
@@ -144,16 +172,19 @@ pub struct Pipeline<S> {
     // ----- wakeup/select scheduling state --------------------------------
     // The issue stage is event-driven instead of scanning the whole RUU
     // every cycle: a dispatched entry either knows the cycle its sources
-    // complete (`ready_heap`) or is linked into its unissued producers'
-    // waiter lists and woken when they issue. `issuable` holds, per slot,
-    // the entries whose sources are ready now (retrying FU arbitration
-    // each cycle). The outcome is cycle-exact identical to the full scan.
+    // complete (`scheduled`, keyed by the entry's `ready_at`) or is linked
+    // into its unissued producers' waiter lists and woken when they issue.
+    // `issuable` holds, per slot, the entries whose sources are ready now
+    // (retrying FU arbitration each cycle). The outcome is cycle-exact
+    // identical to the full scan.
     /// Head of the intrusive waiter list per producer slot.
-    waiter_head: [u32; 64],
+    waiter_head: [u32; RING],
     /// Next link per waiter node (`consumer_slot * 2 + src_index`).
-    waiter_next: [u32; 128],
-    /// Min-heap of `(ready_at, seq)` for resolved, not-yet-issuable entries.
-    ready_heap: BinaryHeap<Reverse<(Cycle, u64)>>,
+    waiter_next: [u32; 2 * RING],
+    /// Bitmask (by slot) of resolved, not-yet-issuable entries.
+    scheduled: u64,
+    /// The minimum `ready_at` over `scheduled` ([`Cycle::MAX`] when empty).
+    earliest_ready: Cycle,
     /// Bitmask (by slot) of entries whose sources are ready.
     issuable: u64,
 }
@@ -174,18 +205,21 @@ impl<S: InstrStream> Pipeline<S> {
             fu: FuPool::new(&cfg.fu),
             fetch_queue: VecDeque::with_capacity(IFQ_ENTRIES),
             staged: None,
-            ruu: VecDeque::with_capacity(cfg.ruu_entries),
-            lsq: VecDeque::with_capacity(cfg.lsq_entries),
+            ruu: [RuuEntry::VACANT; RING],
             head_seq: 0,
             next_seq: 0,
+            lsq_len: 0,
+            store_mask: 0,
+            store_word: [0; RING],
             reg_producer: [None; NUM_REGS],
             fetch_halted: false,
             fetch_blocked_until: 0,
             current_fetch_block: None,
             stats: PipelineStats::default(),
-            waiter_head: [WAITER_NONE; 64],
-            waiter_next: [WAITER_NONE; 128],
-            ready_heap: BinaryHeap::with_capacity(64),
+            waiter_head: [WAITER_NONE; RING],
+            waiter_next: [WAITER_NONE; 2 * RING],
+            scheduled: 0,
+            earliest_ready: Cycle::MAX,
             issuable: 0,
             cfg,
             stream,
@@ -196,6 +230,12 @@ impl<S: InstrStream> Pipeline<S> {
     #[must_use]
     pub fn stats(&self) -> PipelineStats {
         self.stats
+    }
+
+    /// Loads and stores currently in the load/store queue.
+    #[must_use]
+    pub fn lsq_occupancy(&self) -> usize {
+        self.lsq_len
     }
 
     /// The branch predictor (for its statistics).
@@ -252,7 +292,7 @@ impl<S: InstrStream> Pipeline<S> {
     pub fn next_event_after(&self, now: Cycle) -> Cycle {
         let mut t = Cycle::MAX;
         // Commit: the head entry retires when it completes.
-        if let Some(head) = self.ruu.front() {
+        if let Some(head) = self.head() {
             if head.issued {
                 t = t.min(head.complete_at.max(now + 1));
             }
@@ -262,12 +302,14 @@ impl<S: InstrStream> Pipeline<S> {
         if self.issuable != 0 {
             return now + 1;
         }
-        if let Some(&Reverse((rt, _))) = self.ready_heap.peek() {
-            t = t.min(rt.max(now + 1));
-        }
-        // Dispatch: pending fetched ops enter as soon as there is room.
-        if !self.fetch_queue.is_empty() && self.ruu.len() < self.cfg.ruu_entries {
-            return now + 1;
+        t = t.min(self.earliest_ready.max(now + 1));
+        // Dispatch: pending fetched ops enter as soon as there is room. A
+        // memory op facing a full LSQ waits for a commit, which the head
+        // term above already covers.
+        if let Some(front) = self.fetch_queue.front() {
+            if self.ruu_len() < self.cfg.ruu_entries && !self.lsq_blocks(front.op.class) {
+                return now + 1;
+            }
         }
         // Fetch: resumes when unblocked (a halt only ends via issue).
         if !self.fetch_halted && self.fetch_queue.len() < IFQ_ENTRIES {
@@ -287,25 +329,54 @@ impl<S: InstrStream> Pipeline<S> {
         }
     }
 
-    fn entry_index(&self, seq: u64) -> Option<usize> {
-        if seq < self.head_seq {
-            return None; // already committed
-        }
-        let idx = (seq - self.head_seq) as usize;
-        (idx < self.ruu.len()).then_some(idx)
+    /// Live RUU entries.
+    fn ruu_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// The oldest live RUU entry.
+    fn head(&self) -> Option<&RuuEntry> {
+        (self.head_seq < self.next_seq).then(|| &self.ruu[slot_of(self.head_seq)])
+    }
+
+    /// Whether an op of `class` must wait for LSQ space to dispatch.
+    fn lsq_blocks(&self, class: OpClass) -> bool {
+        class.is_mem() && self.lsq_len >= self.cfg.lsq_entries
+    }
+
+    /// The live RUU entry for `seq`, or `None` once it has committed.
+    fn live_entry(&self, seq: u64) -> Option<&RuuEntry> {
+        (self.head_seq..self.next_seq)
+            .contains(&seq)
+            .then(|| &self.ruu[slot_of(seq)])
     }
 
     fn src_ready(&self, src: Option<u64>, now: Cycle) -> bool {
         match src {
             None => true,
-            Some(seq) => match self.entry_index(seq) {
+            Some(seq) => match self.live_entry(seq) {
                 None => true, // producer committed: value in the register file
-                Some(idx) => {
-                    let e = &self.ruu[idx];
-                    e.issued && e.complete_at <= now
-                }
+                Some(e) => e.issued && e.complete_at <= now,
             },
         }
+    }
+
+    /// Whether the LSQ count and store mask describe exactly the live
+    /// RUU's memory ops.
+    #[cfg(test)]
+    fn lsq_in_sync(&self) -> bool {
+        let mut len = 0;
+        let mut stores = 0u64;
+        for seq in self.head_seq..self.next_seq {
+            let e = &self.ruu[slot_of(seq)];
+            if e.op.class.is_mem() {
+                len += 1;
+            }
+            if e.op.class == OpClass::Store {
+                stores |= 1 << slot_of(seq);
+            }
+        }
+        len == self.lsq_len && stores == self.store_mask
     }
 
     // ----- commit -------------------------------------------------------
@@ -313,18 +384,23 @@ impl<S: InstrStream> Pipeline<S> {
     fn commit_stage(&mut self, hier: &mut MemoryHierarchy, now: Cycle) {
         let mut committed = 0;
         while committed < self.cfg.commit_width {
-            let Some(head) = self.ruu.front() else { break };
-            if !head.issued || head.complete_at > now {
+            let Some(&entry) = self.head() else { break };
+            if !entry.issued || entry.complete_at > now {
                 break;
             }
-            let entry = self.ruu.pop_front().expect("front exists");
+            let slot = slot_of(self.head_seq);
+            debug_assert!(
+                (self.store_mask >> slot & 1 == 1) == (entry.op.class == OpClass::Store)
+                    && (self.lsq_len > 0 || !entry.op.class.is_mem()),
+                "LSQ in sync"
+            );
             self.head_seq += 1;
             committed += 1;
             self.stats.committed += 1;
 
             if entry.op.class.is_mem() {
-                let popped = self.lsq.pop_front();
-                debug_assert_eq!(popped.map(|e| e.seq), Some(entry.seq), "LSQ in sync");
+                self.lsq_len -= 1;
+                self.store_mask &= !(1 << slot);
             }
             if let Some(dst) = entry.op.dst {
                 if self.reg_producer[dst as usize] == Some(entry.seq) {
@@ -358,42 +434,36 @@ impl<S: InstrStream> Pipeline<S> {
 
     fn issue_stage(&mut self, hier: &mut MemoryHierarchy, now: Cycle) {
         // Wake entries whose resolved ready time has arrived.
-        while let Some(&Reverse((t, seq))) = self.ready_heap.peek() {
-            if t > now {
-                break;
-            }
-            self.ready_heap.pop();
-            self.issuable |= 1 << slot_of(seq);
+        if self.earliest_ready <= now {
+            self.wake_due(now);
         }
         if self.issuable == 0 {
             return;
         }
         // Select oldest-first among ready entries, exactly as the full RUU
-        // scan would: rotating the slot mask by the head's slot turns bit
-        // offsets into RUU indices.
+        // scan would: rotating the slot mask by the head's slot orders the
+        // bits by age.
         let head_slot = slot_of(self.head_seq) as u32;
         let mut pending = self.issuable.rotate_right(head_slot);
         let mut issued = 0;
         let mut resume: Option<Cycle> = None;
         while pending != 0 && issued < self.cfg.issue_width {
-            let idx = pending.trailing_zeros() as usize;
+            let slot = (pending.trailing_zeros() + head_slot) as usize & (RING - 1);
             pending &= pending - 1;
-            let (seq, class, addr, mispredicted) = {
-                let e = &self.ruu[idx];
-                debug_assert!(!e.issued, "issuable entries are unissued");
-                debug_assert!(
-                    self.src_ready(e.src_seqs[0], now) && self.src_ready(e.src_seqs[1], now),
-                    "wakeup scheduling must match the scan's readiness"
-                );
-                (e.seq, e.op.class, e.op.addr, e.mispredicted)
-            };
+            let e = self.ruu[slot];
+            debug_assert!(!e.issued, "issuable entries are unissued");
+            debug_assert!(
+                self.src_ready(e.src_seqs[0], now) && self.src_ready(e.src_seqs[1], now),
+                "wakeup scheduling must match the scan's readiness"
+            );
+            let class = e.op.class;
             if !self.fu.try_acquire(class, now) {
                 continue; // retried next cycle: the slot bit stays set
             }
             let complete_at = match class {
                 OpClass::Load => {
-                    let addr = addr.expect("loads carry addresses");
-                    if self.store_forwarding_hit(seq, addr) {
+                    let addr = e.op.addr.expect("loads carry addresses");
+                    if self.store_forwarding_hit(e.seq, addr) {
                         self.stats.forwarded_loads += 1;
                         now + FORWARD_LATENCY
                     } else {
@@ -404,22 +474,18 @@ impl<S: InstrStream> Pipeline<S> {
                 OpClass::Store => {
                     // Address generation + translation; the data is written
                     // to the hierarchy at commit.
-                    let addr = addr.expect("stores carry addresses");
+                    let addr = e.op.addr.expect("stores carry addresses");
                     let walk = self.dtlb.translate(addr);
                     now + 1 + walk
                 }
                 other => now + FuPool::timing(other).latency,
             };
-            {
-                let e = &mut self.ruu[idx];
-                e.issued = true;
-                e.complete_at = complete_at;
-            }
-            let slot = slot_of(seq);
+            self.ruu[slot].issued = true;
+            self.ruu[slot].complete_at = complete_at;
             self.issuable &= !(1 << slot);
             self.wake_waiters(slot, complete_at);
             issued += 1;
-            if mispredicted {
+            if e.mispredicted {
                 // The branch now has a resolution time: fetch restarts
                 // after it resolves plus the redirect penalty.
                 let at = complete_at + self.cfg.redirect_penalty;
@@ -433,9 +499,35 @@ impl<S: InstrStream> Pipeline<S> {
         }
     }
 
+    /// Moves every scheduled entry whose `ready_at` has arrived into the
+    /// issuable set and recomputes the earliest pending `ready_at`.
+    fn wake_due(&mut self, now: Cycle) {
+        let mut earliest = Cycle::MAX;
+        let mut pending = self.scheduled;
+        while pending != 0 {
+            let slot = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let ready_at = self.ruu[slot].ready_at;
+            if ready_at <= now {
+                self.scheduled &= !(1 << slot);
+                self.issuable |= 1 << slot;
+            } else {
+                earliest = earliest.min(ready_at);
+            }
+        }
+        self.earliest_ready = earliest;
+    }
+
+    /// Schedules the entry in `slot`, whose sources are all resolved, to
+    /// become issuable at its `ready_at`.
+    fn schedule(&mut self, slot: usize, ready_at: Cycle) {
+        self.scheduled |= 1 << slot;
+        self.earliest_ready = self.earliest_ready.min(ready_at);
+    }
+
     /// Notifies every consumer waiting on the producer in `slot` that its
     /// result lands at `complete_at`; consumers whose last dependency this
-    /// was are scheduled on the ready heap.
+    /// was are scheduled.
     fn wake_waiters(&mut self, slot: usize, complete_at: Cycle) {
         let mut node = self.waiter_head[slot];
         self.waiter_head[slot] = WAITER_NONE;
@@ -443,25 +535,39 @@ impl<S: InstrStream> Pipeline<S> {
             let consumer_slot = (node >> 1) as usize;
             let next = self.waiter_next[node as usize];
             self.waiter_next[node as usize] = WAITER_NONE;
-            let head_slot = slot_of(self.head_seq);
-            let idx = (consumer_slot + 64 - head_slot) & 63;
-            let seq = self.head_seq + idx as u64;
-            let e = &mut self.ruu[idx];
-            debug_assert_eq!(slot_of(e.seq), consumer_slot, "waiter slot in sync");
+            debug_assert!(
+                self.live_entry(self.ruu[consumer_slot].seq).is_some()
+                    && slot_of(self.ruu[consumer_slot].seq) == consumer_slot,
+                "waiter slot in sync"
+            );
+            let e = &mut self.ruu[consumer_slot];
             e.wait_count -= 1;
             e.ready_at = e.ready_at.max(complete_at);
             if e.wait_count == 0 {
-                self.ready_heap.push(Reverse((e.ready_at, seq)));
+                let ready_at = e.ready_at;
+                self.schedule(consumer_slot, ready_at);
             }
             node = next;
         }
     }
 
+    /// Whether an uncommitted store older than `load_seq` wrote the word
+    /// `addr` falls in.
     fn store_forwarding_hit(&self, load_seq: u64, addr: Addr) -> bool {
         let word = addr.0 / 8;
-        self.lsq
-            .iter()
-            .any(|e| e.is_store && e.seq < load_seq && e.word == word)
+        // Rotating by the head's slot orders the mask by age, so the bits
+        // below the load's age are exactly the older stores.
+        let head_slot = slot_of(self.head_seq) as u32;
+        let age = load_seq - self.head_seq;
+        let mut older = self.store_mask.rotate_right(head_slot) & ((1 << age) - 1);
+        while older != 0 {
+            let slot = (older.trailing_zeros() + head_slot) as usize & (RING - 1);
+            older &= older - 1;
+            if self.store_word[slot] == word {
+                return true;
+            }
+        }
+        false
     }
 
     // ----- dispatch -----------------------------------------------------
@@ -469,18 +575,18 @@ impl<S: InstrStream> Pipeline<S> {
     fn dispatch_stage(&mut self, _now: Cycle) {
         let mut dispatched = 0;
         while dispatched < self.cfg.decode_width {
-            if self.ruu.len() >= self.cfg.ruu_entries {
+            if self.ruu_len() >= self.cfg.ruu_entries {
                 break;
             }
             let Some(front) = self.fetch_queue.front() else {
                 break;
             };
-            if front.op.class.is_mem() && self.lsq.len() >= self.cfg.lsq_entries {
+            if self.lsq_blocks(front.op.class) {
                 break;
             }
             let fetched = self.fetch_queue.pop_front().expect("front exists");
             let seq = self.next_seq;
-            self.next_seq += 1;
+            let slot = slot_of(seq);
 
             let src_of =
                 |r: Option<u8>, map: &[Option<u64>; NUM_REGS]| r.and_then(|r| map[r as usize]);
@@ -492,25 +598,24 @@ impl<S: InstrStream> Pipeline<S> {
                 self.reg_producer[dst as usize] = Some(seq);
             }
             if fetched.op.class.is_mem() {
-                let addr = fetched.op.addr.expect("memory ops carry addresses");
-                self.lsq.push_back(LsqEntry {
-                    seq,
-                    is_store: fetched.op.class == OpClass::Store,
-                    word: addr.0 / 8,
-                });
+                self.lsq_len += 1;
+                if fetched.op.class == OpClass::Store {
+                    let addr = fetched.op.addr.expect("memory ops carry addresses");
+                    self.store_mask |= 1 << slot;
+                    self.store_word[slot] = addr.0 / 8;
+                }
             }
             // Wakeup bookkeeping: producers still in flight get a waiter
             // link; resolved dependencies contribute their completion time.
-            let slot = slot_of(seq);
             let mut wait_count: u8 = 0;
             let mut ready_at: Cycle = 0;
             for (i, src) in src_seqs.iter().enumerate() {
                 let Some(src_seq) = *src else { continue };
-                let Some(idx) = self.entry_index(src_seq) else {
+                let Some(producer) = self.live_entry(src_seq) else {
                     continue; // producer committed: value in the register file
                 };
-                if self.ruu[idx].issued {
-                    ready_at = ready_at.max(self.ruu[idx].complete_at);
+                if producer.issued {
+                    ready_at = ready_at.max(producer.complete_at);
                 } else {
                     let node = (slot * 2 + i) as u32;
                     let producer_slot = slot_of(src_seq);
@@ -519,10 +624,7 @@ impl<S: InstrStream> Pipeline<S> {
                     wait_count += 1;
                 }
             }
-            if wait_count == 0 {
-                self.ready_heap.push(Reverse((ready_at, seq)));
-            }
-            self.ruu.push_back(RuuEntry {
+            self.ruu[slot] = RuuEntry {
                 seq,
                 op: fetched.op,
                 issued: false,
@@ -532,7 +634,11 @@ impl<S: InstrStream> Pipeline<S> {
                 src_seqs,
                 wait_count,
                 ready_at,
-            });
+            };
+            self.next_seq += 1;
+            if wait_count == 0 {
+                self.schedule(slot, ready_at);
+            }
             dispatched += 1;
         }
     }
@@ -544,14 +650,15 @@ impl<S: InstrStream> Pipeline<S> {
             self.stats.fetch_stall_cycles += 1;
             return;
         }
-        let block_bytes = hier.config().l1i.line_bytes;
+        // Line sizes are powers of two (validated by the hierarchy config).
+        let block_shift = hier.config().l1i.line_bytes.trailing_zeros();
         let mut fetched = 0;
         while fetched < self.cfg.fetch_width && self.fetch_queue.len() < IFQ_ENTRIES {
             let op = match self.staged.take() {
                 Some(op) => op,
                 None => self.stream.next_op(),
             };
-            let block = op.pc / block_bytes;
+            let block = op.pc >> block_shift;
             if self.current_fetch_block != Some(block) {
                 let walk = self.itlb.translate(Addr::new(op.pc));
                 let done = hier.fetch(Addr::new(op.pc), now) + walk;
@@ -677,6 +784,74 @@ mod tests {
         assert!(stats.forwarded_loads > 0, "same-word load must forward");
     }
 
+    /// A pipeline whose next dispatched op gets `first_seq`, with `ops`
+    /// waiting in the fetch queue (the stream behind them is plain ALU
+    /// filler).
+    fn pipeline_at(first_seq: u64, ops: &[MicroOp]) -> Pipeline<LoopStream> {
+        let filler = LoopStream::new(vec![MicroOp::alu(0x100, None, None, Some(9))]);
+        let mut cpu = Pipeline::new(CoreConfig::date2006(), filler);
+        cpu.head_seq = first_seq;
+        cpu.next_seq = first_seq;
+        cpu.fetch_queue.extend(ops.iter().map(|&op| FetchedOp {
+            op,
+            prediction: None,
+            mispredicted: false,
+        }));
+        cpu
+    }
+
+    #[test]
+    fn forwarding_crosses_the_slot_ring_wrap() {
+        // The store lands in slot 63 and the load in slot 0.
+        let x = Addr::new(0x3000);
+        let ops = [
+            MicroOp::alu(0, None, None, Some(1)),
+            MicroOp::store(8, x, Some(1)),
+            MicroOp::load(16, x, Some(2)),
+        ];
+        let mut cpu = pipeline_at(62, &ops);
+        cpu.dispatch_stage(0);
+        assert_eq!((slot_of(63), slot_of(64)), (63, 0));
+        assert!(cpu.store_forwarding_hit(64, x));
+        assert!(
+            !cpu.store_forwarding_hit(63, x),
+            "a store never feeds itself"
+        );
+        assert!(cpu.lsq_in_sync());
+
+        let mut hier = mem();
+        for now in 0..500 {
+            cpu.step(&mut hier, now);
+            hier.tick(now);
+        }
+        assert_eq!(cpu.stats().forwarded_loads, 1);
+        assert!(cpu.stats().committed >= 3);
+    }
+
+    #[test]
+    fn loads_never_forward_from_younger_stores() {
+        let z = Addr::new(0x5000);
+        let ops = [
+            MicroOp::load(0, z, Some(2)),
+            MicroOp::store(8, z, Some(1)),
+            MicroOp::load(16, z, Some(3)),
+        ];
+        let mut cpu = pipeline_at(120, &ops);
+        cpu.dispatch_stage(0);
+        assert!(!cpu.store_forwarding_hit(120, z), "the store is younger");
+        assert!(cpu.store_forwarding_hit(122, z), "the store is older");
+
+        let mut hier = mem();
+        for now in 0..500 {
+            cpu.step(&mut hier, now);
+            hier.tick(now);
+        }
+        // The second load forwards (it issues while the store is still in
+        // flight); the first, older than the store, must not.
+        assert_eq!(cpu.stats().forwarded_loads, 1);
+        assert!(cpu.stats().committed >= 3);
+    }
+
     #[test]
     fn mispredicted_branches_cost_fetch_cycles() {
         // A branch alternating taken/not-taken against a randomised
@@ -717,8 +892,9 @@ mod tests {
         let mut hier = mem();
         for now in 0..2_000 {
             cpu.step(&mut hier, now);
-            assert!(cpu.ruu.len() <= 64);
-            assert!(cpu.lsq.len() <= 32);
+            assert!(cpu.ruu_len() <= 64);
+            assert!(cpu.lsq_occupancy() <= 32);
+            assert!(cpu.lsq_in_sync());
             hier.tick(now);
         }
     }

@@ -570,7 +570,7 @@ impl Cache {
                 found_invalid = true;
                 break;
             }
-            debug_assert!(
+            assert!(
                 self.tags[slot] != tag,
                 "install of an already-resident line {line}"
             );
@@ -1246,9 +1246,8 @@ mod tests {
         assert_eq!(c.line_data(set, way).unwrap()[3], 0xFFFE);
     }
 
-    // Hot-loop integrity checks are debug_assert!s: free in release, where
-    // the aep-check golden model is the independent backstop. Tests run
-    // with debug assertions on, so the panic contract still holds here.
+    // The victim scan's double-install check is a plain assert!: one
+    // compare per valid way scanned, so the contract holds in release too.
     #[test]
     #[should_panic(expected = "already-resident")]
     fn double_install_panics() {

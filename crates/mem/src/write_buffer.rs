@@ -142,10 +142,21 @@ impl WriteBuffer {
         self.stats
     }
 
+    /// The ring slot `offset` entries past the head (`offset` is below
+    /// the capacity, so one conditional subtract wraps it).
+    fn slot_at(&self, offset: usize) -> usize {
+        let slot = self.head + offset;
+        if slot >= self.entries.len() {
+            slot - self.entries.len()
+        } else {
+            slot
+        }
+    }
+
     /// The ring slot of the live entry for `line`, if any.
     fn find(&self, line: LineAddr) -> Option<usize> {
         (0..self.len)
-            .map(|i| (self.head + i) % self.entries.len())
+            .map(|i| self.slot_at(i))
             .find(|&slot| self.entries[slot].line == line)
     }
 
@@ -172,7 +183,7 @@ impl WriteBuffer {
             self.stats.full_stalls += 1;
             return PushOutcome::Full;
         }
-        let slot = (self.head + self.len) % self.entries.len();
+        let slot = self.slot_at(self.len);
         self.len += 1;
         self.entries[slot] = WriteEntry {
             line,
@@ -192,7 +203,7 @@ impl WriteBuffer {
             return None;
         }
         let entry = self.entries[self.head];
-        self.head = (self.head + 1) % self.entries.len();
+        self.head = self.slot_at(1);
         self.len -= 1;
         self.stats.retired += 1;
         Some(entry)

@@ -20,8 +20,8 @@
 //!   each observer declare the next cycle it must see. Event-driven
 //!   observers return [`Cycle::MAX`] (events are never skipped); the
 //!   differential checker returns `now + 1`, which forces the run loop
-//!   back to exact per-cycle stepping; a shadow-lane scrubber returns its
-//!   next due cycle. The run loop takes the minimum over all observers,
+//!   back to exact per-cycle stepping; a lane batch returns its lanes'
+//!   earliest due scrub. The run loop takes the minimum over all observers,
 //!   so fast-forwarding is *structurally* safe rather than gated on a
 //!   hard-coded `can_fast_forward` flag.
 

@@ -15,12 +15,14 @@
 //! So a whole family of configurations — every directive-free scheme at
 //! a given cleaning interval, crossed with any set of scrub periods —
 //! shares *one* cpu+hierarchy trajectory. The batch engine runs that
-//! trajectory once and attaches one **shadow lane** per configuration to
-//! the system's observer bus: each lane owns its own scheme instance
-//! (fed every L2 event through [`SystemObserver::post_event`]) and its
-//! own scrubber (driven at its due cycles through
-//! [`SystemObserver::cycle_end`], with [`SystemObserver::next_event_after`]
-//! keeping fast-forward exact). Per-lane statistics are byte-identical
+//! trajectory once and attaches a single **shadow lanes** observer to the
+//! system's observer bus. It holds one lane per configuration, each with
+//! its own scheme instance (fed every L2 event, in lane order, through
+//! [`SystemObserver::post_event`]) and its own scrubber (driven at its
+//! due cycles through [`SystemObserver::cycle_end`]). The observer caches
+//! the earliest due scrub over all lanes, so a stepped cycle with no scrub
+//! due costs one compare, and [`SystemObserver::next_event_after`] keeps
+//! fast-forward exact in O(1). Per-lane statistics are byte-identical
 //! to N independent serial runs, at roughly 1/N of the fetch/branch/
 //! event-drain cost per lane.
 //!
@@ -28,9 +30,9 @@
 //!
 //! Sharing is only sound for fault-free runs of directive-free schemes;
 //! both conditions are enforced, not assumed: [`LaneSpec::shareable`]
-//! rejects directive-emitting schemes up front, and the shadow lane
-//! panics if a scheme emits a directive or a shadow scrub finds anything
-//! but a clean line. Fault-injection campaigns never use lanes.
+//! rejects directive-emitting schemes up front, and the shadow lanes
+//! observer panics if a scheme emits a directive or a shadow scrub finds
+//! anything but a clean line. Fault-injection campaigns never use lanes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -124,24 +126,47 @@ pub struct LaneResult {
     pub registry: Registry,
 }
 
-/// The per-lane state a [`ShadowLane`] observer drives: the lane's own
-/// scheme instance and scrubber. Shared with the batch driver through an
-/// `Rc` so results can be read back after the run (single-threaded, the
-/// same idiom as the fault campaign's strike cell).
+/// One lane's state, driven by the batch's [`ShadowLanes`] observer: the
+/// lane's own scheme instance and scrubber.
 struct LaneState {
     scheme: Box<dyn ProtectionScheme>,
     scrubber: Option<Scrubber>,
     directives: Vec<Directive>,
 }
 
-type LaneCell = Rc<RefCell<LaneState>>;
+/// Every lane of a batch, shared with the batch driver through an `Rc` so
+/// results can be read back after the run (single-threaded, the same
+/// idiom as the fault campaign's strike cell).
+type LanesCell = Rc<RefCell<Vec<LaneState>>>;
 
-/// The observer half of one lane, attached to the base system's bus.
-struct ShadowLane {
-    cell: LaneCell,
+/// The observer half of a lane batch, attached once to the base system's
+/// bus.
+struct ShadowLanes {
+    lanes: LanesCell,
+    /// The earliest [`Scrubber::next_due_at`] over all lanes
+    /// ([`Cycle::MAX`] when no lane scrubs).
+    next_scrub_at: Cycle,
 }
 
-impl SystemObserver for ShadowLane {
+impl ShadowLanes {
+    fn new(lanes: LanesCell) -> Self {
+        let next_scrub_at = Self::earliest_scrub(&lanes.borrow());
+        ShadowLanes {
+            lanes,
+            next_scrub_at,
+        }
+    }
+
+    fn earliest_scrub(lanes: &[LaneState]) -> Cycle {
+        lanes
+            .iter()
+            .filter_map(|lane| lane.scrubber.as_ref().map(Scrubber::next_due_at))
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+}
+
+impl SystemObserver for ShadowLanes {
     fn post_event(
         &mut self,
         event: &L2Event,
@@ -149,15 +174,15 @@ impl SystemObserver for ShadowLane {
         _scheme: &dyn ProtectionScheme,
         _now: Cycle,
     ) {
-        let mut lane = self.cell.borrow_mut();
-        let lane = &mut *lane;
-        lane.scheme.on_event(event, hier.l2(), &mut lane.directives);
-        assert!(
-            lane.directives.is_empty(),
-            "shadow lane scheme '{}' emitted a directive; directive-emitting \
-             schemes cannot share a trajectory",
-            lane.scheme.name()
-        );
+        for lane in self.lanes.borrow_mut().iter_mut() {
+            lane.scheme.on_event(event, hier.l2(), &mut lane.directives);
+            assert!(
+                lane.directives.is_empty(),
+                "shadow lane scheme '{}' emitted a directive; directive-emitting \
+                 schemes cannot share a trajectory",
+                lane.scheme.name()
+            );
+        }
     }
 
     fn cycle_end(
@@ -166,25 +191,27 @@ impl SystemObserver for ShadowLane {
         _scheme: &dyn ProtectionScheme,
         now: Cycle,
     ) {
-        let mut lane = self.cell.borrow_mut();
-        let lane = &mut *lane;
-        if let Some(scrubber) = &mut lane.scrubber {
-            let (l2, memory) = hier.l2_and_memory_mut();
-            if let Some(outcome) = scrubber.tick(now, l2, lane.scheme.as_mut(), memory) {
-                assert!(
-                    matches!(outcome, RecoveryOutcome::Clean),
-                    "shadow-lane scrub found a non-clean line ({outcome:?}); lane \
-                     batches are fault-free by contract"
-                );
+        if now < self.next_scrub_at {
+            return;
+        }
+        let mut lanes = self.lanes.borrow_mut();
+        for lane in lanes.iter_mut() {
+            if let Some(scrubber) = &mut lane.scrubber {
+                let (l2, memory) = hier.l2_and_memory_mut();
+                if let Some(outcome) = scrubber.tick(now, l2, lane.scheme.as_mut(), memory) {
+                    assert!(
+                        matches!(outcome, RecoveryOutcome::Clean),
+                        "shadow-lane scrub found a non-clean line ({outcome:?}); lane \
+                         batches are fault-free by contract"
+                    );
+                }
             }
         }
+        self.next_scrub_at = Self::earliest_scrub(&lanes);
     }
 
     fn next_event_after(&self, _now: Cycle) -> Cycle {
-        match &self.cell.borrow().scrubber {
-            Some(scrubber) => scrubber.next_due_at(),
-            None => Cycle::MAX,
-        }
+        self.next_scrub_at
     }
 }
 
@@ -228,39 +255,37 @@ pub fn run_lanes(cfg: &ExperimentConfig, lanes: &[LaneSpec]) -> Vec<LaneResult> 
 
     let mut sys = Runner::new(cfg.clone()).into_system();
     let l2_geometry = (sys.hier.l2().sets(), sys.hier.l2().ways());
-    let cells: Vec<LaneCell> = lanes
-        .iter()
-        .map(|lane| {
-            let cell = Rc::new(RefCell::new(LaneState {
+    let states: LanesCell = Rc::new(RefCell::new(
+        lanes
+            .iter()
+            .map(|lane| LaneState {
                 scheme: build_scheme(lane.scheme, &cfg.hierarchy),
                 scrubber: lane
                     .scrub_period
                     .map(|period| Scrubber::new(period, l2_geometry.0, l2_geometry.1)),
                 directives: Vec::new(),
-            }));
-            sys.add_observer(Box::new(ShadowLane {
-                cell: Rc::clone(&cell),
-            }));
-            cell
-        })
-        .collect();
+            })
+            .collect(),
+    ));
+    sys.add_observer(Box::new(ShadowLanes::new(Rc::clone(&states))));
 
     let mut now: Cycle = 0;
     now = sys.run(now, cfg.warmup_cycles);
 
     let window = WindowSnapshot::take(&sys);
-    let energy_before: Vec<EnergyCounters> = cells
+    let energy_before: Vec<EnergyCounters> = states
+        .borrow()
         .iter()
-        .map(|cell| cell.borrow().scheme.energy_counters())
+        .map(|state| state.scheme.energy_counters())
         .collect();
     let dirty_sum = sys.run_census(now, cfg.measure_cycles);
 
+    let states = states.borrow();
     lanes
         .iter()
-        .zip(&cells)
+        .zip(states.iter())
         .zip(&energy_before)
-        .map(|((lane, cell), before)| {
-            let state = cell.borrow();
+        .map(|((lane, state), before)| {
             let energy = state.scheme.energy_counters().since(before);
             let stats = window.finish(
                 cfg.benchmark.clone(),

@@ -463,12 +463,45 @@ mod tests {
         LoopStream::new(ops)
     }
 
+    /// Groups of ops that all wait on one missing head load: three ALU
+    /// ops in the group's second fetch block, then loads and stores to
+    /// distinct cold lines back in its first. Dispatch fills the 32-entry
+    /// LSQ long before the 64-entry RUU, and each group's independent head
+    /// load only overlaps the previous group's miss if it dispatches on
+    /// time.
+    fn lsq_filling_stream() -> LoopStream {
+        let mut ops = Vec::new();
+        for group in 0..8u64 {
+            let pc = group * 64;
+            let line = |i: u64| Addr::new(0x40_000 + (group * 8 + i) * 4096);
+            ops.push(MicroOp::load(pc, line(0), Some(1)));
+            for i in 1..4 {
+                ops.push(MicroOp::alu(pc + 60 - i * 4, Some(1), None, Some(3)));
+            }
+            for i in 1..8 {
+                ops.push(if i % 3 == 0 {
+                    MicroOp::store(pc + i * 4, line(i), Some(1))
+                } else {
+                    MicroOp {
+                        src1: Some(1),
+                        ..MicroOp::load(pc + i * 4, line(i), Some(2))
+                    }
+                });
+            }
+        }
+        LoopStream::new(ops)
+    }
+
     fn tiny_system(kind: SchemeKind) -> System<LoopStream> {
+        tiny_system_over(kind, store_heavy_stream())
+    }
+
+    fn tiny_system_over(kind: SchemeKind, stream: LoopStream) -> System<LoopStream> {
         System::new(
             CoreConfig::date2006(),
             HierarchyConfig::tiny(),
             kind,
-            store_heavy_stream(),
+            stream,
         )
     }
 
@@ -509,18 +542,24 @@ mod tests {
 
     #[test]
     fn fast_forward_is_bit_identical_to_per_cycle_stepping() {
-        for kind in [
+        let kinds = [
             SchemeKind::Uniform,
             SchemeKind::Proposed {
                 cleaning_interval: 4096,
             },
-        ] {
-            let mut fast = tiny_system(kind);
-            fast.enable_scrubbing(64);
-            let mut until = tiny_system(kind);
-            until.enable_scrubbing(64);
-            let mut slow = tiny_system(kind);
-            slow.enable_scrubbing(64);
+        ];
+        // Each stream, and whether it must drive the LSQ full.
+        let streams: [(fn() -> LoopStream, bool); 2] =
+            [(store_heavy_stream, false), (lsq_filling_stream, true)];
+        for (kind, (stream, fills_lsq)) in kinds.into_iter().flat_map(|k| streams.map(|s| (k, s))) {
+            let system = || {
+                let mut sys = tiny_system_over(kind, stream());
+                sys.enable_scrubbing(64);
+                sys
+            };
+            let mut fast = system();
+            let mut until = system();
+            let mut slow = system();
 
             assert_eq!(fast.run(0, 40_000), 40_000);
             // Split at an arbitrary cycle: a never-true predicate must
@@ -528,8 +567,18 @@ mod tests {
             let mid = until.run_until(0, 17_321, || false);
             assert_eq!(mid, 17_321);
             assert_eq!(until.run_until(mid, 40_000 - mid, || false), 40_000);
+            let mut lsq_full_cycles = 0;
             for now in 0..40_000 {
                 slow.step(now);
+                if slow.cpu.lsq_occupancy() == CoreConfig::date2006().lsq_entries {
+                    lsq_full_cycles += 1;
+                }
+            }
+            if fills_lsq {
+                assert!(
+                    lsq_full_cycles > 1_000,
+                    "the load/store stream must fill the LSQ ({lsq_full_cycles} cycles full)"
+                );
             }
             for other in [&until, &slow] {
                 assert_eq!(fast.cpu.stats(), other.cpu.stats());

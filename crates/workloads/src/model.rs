@@ -241,7 +241,24 @@ impl WorkloadSpec {
         assert!((0.0..=1.0).contains(&self.branch.noise));
         for r in &self.regions {
             assert!(r.pattern.bytes() >= 64, "region smaller than a line");
+            if let Pattern::StreamRead { bytes, stride } | Pattern::StreamWrite { bytes, stride } =
+                r.pattern
+            {
+                assert!(stride <= bytes, "stream stride longer than its region");
+            }
         }
+    }
+}
+
+/// `x % bytes` for `x < 2 * bytes`: a region cursor (always below
+/// `bytes`) advanced by at most `bytes`.
+#[inline]
+fn wrap_below(x: u64, bytes: u64) -> u64 {
+    debug_assert!(x < 2 * bytes);
+    if x >= bytes {
+        x - bytes
+    } else {
+        x
     }
 }
 
@@ -267,7 +284,7 @@ impl RegionState {
             }
             Pattern::StreamRead { stride, .. } | Pattern::StreamWrite { stride, .. } => {
                 let a = self.base + self.cursor;
-                self.cursor = (self.cursor + stride) % bytes;
+                self.cursor = wrap_below(self.cursor + stride, bytes);
                 Addr::new(a)
             }
             Pattern::PointerChase { .. } => {
@@ -293,11 +310,11 @@ impl RegionState {
                 self.echo = !self.echo;
                 if self.echo {
                     let lag = (bytes / 32).max(64) & !63;
-                    let pos = (self.cursor + bytes - lag) % bytes;
+                    let pos = wrap_below(self.cursor + bytes - lag, bytes);
                     Addr::new(self.base + pos)
                 } else {
                     let a = self.base + self.cursor;
-                    self.cursor = (self.cursor + 64) % bytes;
+                    self.cursor = wrap_below(self.cursor + 64, bytes);
                     Addr::new(a)
                 }
             }

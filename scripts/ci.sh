@@ -33,6 +33,8 @@ step "cargo clippy --workspace -- -D warnings" \
 step "criterion benches compile" \
   cargo build -p aep-bench --features criterion-benches --benches
 step "cargo test -q --workspace" cargo test -q --workspace
+step "cargo test --release (mem, cpu, sim)" \
+  cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim
 step "stats gate (smoke)" scripts/stats_gate.sh smoke
 step "differential check (smoke)" scripts/differential_check.sh smoke
 step "workload diversity gate" \
