@@ -13,12 +13,12 @@
 use aep_bench::experiments::{self, Lab, Scale};
 use aep_bench::faults::{self, FaultsOptions};
 use aep_bench::gate;
-use aep_bench::runcache::{parse_scheme_slug, RunCache};
 use aep_core::area::AreaModel;
 use aep_core::CleaningLogic;
 use aep_cpu::CoreConfig;
 use aep_faultsim::StrikeModel;
 use aep_mem::HierarchyConfig;
+use aep_sim::runcache::{parse_scheme_slug, RunCache};
 use aep_workloads::BenchKind;
 
 fn main() {

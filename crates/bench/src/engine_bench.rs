@@ -23,11 +23,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use aep_core::SchemeKind;
+use aep_obs::json::{self, escape};
+use aep_obs::provenance::git_commit;
 use aep_sim::{run_lanes, LaneSpec, Runner, Table};
 use aep_workloads::Benchmark;
 
 use crate::experiments::{proposed, Scale};
-use crate::runcache::scheme_slug;
+use aep_sim::runcache::scheme_slug;
 
 /// One scheme's throughput measurement.
 #[derive(Debug, Clone)]
@@ -210,40 +212,6 @@ pub fn run_engine_bench(scale: Scale, benchmark: Benchmark) -> EngineBenchReport
     }
 }
 
-/// Best-effort short commit hash for report provenance, suffixed
-/// `-dirty` when tracked files differ from that commit (the figures then
-/// describe uncommitted code on top of it).
-pub(crate) fn git_commit() -> String {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        .filter(|s| !s.is_empty());
-    let Some(commit) = commit else {
-        return "unknown".to_owned();
-    };
-    let dirty = std::process::Command::new("git")
-        .args(["diff", "--quiet", "HEAD", "--"])
-        .status()
-        .is_ok_and(|status| status.code() == Some(1));
-    if dirty {
-        format!("{commit}-dirty")
-    } else {
-        commit
-    }
-}
-
-/// The measuring host for report provenance: its name and core count.
-pub(crate) fn host() -> String {
-    let name = std::fs::read_to_string("/proc/sys/kernel/hostname")
-        .map(|s| s.trim().to_owned())
-        .unwrap_or_else(|_| "unknown".to_owned());
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    format!("{name} nproc={nproc}")
-}
-
 impl EngineBenchReport {
     /// Renders the report as an aligned text table.
     #[must_use]
@@ -290,17 +258,17 @@ impl EngineBenchReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"harness\": \"engine\",");
-        let _ = writeln!(s, "  \"scale\": \"{}\",", self.scale.name());
-        let _ = writeln!(s, "  \"benchmark\": \"{}\",", self.benchmark.name());
-        let _ = writeln!(s, "  \"git_commit\": \"{}\",", self.git_commit);
+        let _ = writeln!(s, "  \"scale\": {},", escape(self.scale.name()));
+        let _ = writeln!(s, "  \"benchmark\": {},", escape(self.benchmark.name()));
+        let _ = writeln!(s, "  \"git_commit\": {},", escape(&self.git_commit));
         s.push_str("  \"schemes\": [\n");
         for (i, sample) in self.samples.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "    {{\"scheme\": \"{}\", \"label\": \"{}\", \"cycles\": {}, \
+                "    {{\"scheme\": {}, \"label\": {}, \"cycles\": {}, \
                  \"wall_ms\": {:.3}, \"mcycles_per_sec\": {:.3}}}{}",
-                sample.slug,
-                sample.label,
+                escape(&sample.slug),
+                escape(&sample.label),
                 sample.cycles,
                 sample.wall_ms,
                 sample.mcycles_per_sec,
@@ -317,8 +285,8 @@ impl EngineBenchReport {
         for (i, lane) in b.lanes.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "      {{\"label\": \"{}\", \"mcycles_per_sec\": {:.3}}}{}",
-                lane.label,
+                "      {{\"label\": {}, \"mcycles_per_sec\": {:.3}}}{}",
+                escape(&lane.label),
                 lane.mcycles_per_sec,
                 if i + 1 < b.lanes.len() { "," } else { "" }
             );
@@ -349,11 +317,16 @@ impl EngineBenchReport {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable explanation when the floor file has no
-    /// parseable `aggregate_speedup` or the current run regressed.
+    /// Returns a human-readable explanation when the floor file is not
+    /// valid JSON, has no numeric `lanes.aggregate_speedup`, or the
+    /// current run regressed.
     pub fn check_floor(&self, committed_json: &str, tolerance: f64) -> Result<String, String> {
-        let floor = extract_json_number(committed_json, "aggregate_speedup")
-            .ok_or("no \"aggregate_speedup\" in committed BENCH_engine.json")?;
+        let floor = json::parse(committed_json)
+            .map_err(|e| format!("committed BENCH_engine.json is not valid JSON: {e}"))?
+            .get("lanes")
+            .and_then(|lanes| lanes.get("aggregate_speedup"))
+            .and_then(json::Value::as_f64)
+            .ok_or("no \"lanes.aggregate_speedup\" in committed BENCH_engine.json")?;
         let current = self.lane_batch.aggregate_speedup;
         let min_ok = floor * (1.0 - tolerance);
         if current < min_ok {
@@ -369,17 +342,6 @@ impl EngineBenchReport {
             ))
         }
     }
-}
-
-/// Pulls `"key": <number>` out of hand-rolled JSON (first occurrence).
-pub(crate) fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -411,11 +373,7 @@ mod tests {
         assert!(json.contains("\"lane_count\": 8"));
         assert!(json.contains("\"aggregate_speedup\""));
         assert!(json.contains("\"git_commit\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
+        json::parse(&json).expect("the report is valid JSON");
         // The written JSON round-trips through the floor check.
         assert!(report.check_floor(&json, 0.2).is_ok());
     }
@@ -429,14 +387,18 @@ mod tests {
         );
         assert!(report.check_floor(&inflated, 0.2).is_err());
         assert!(report.check_floor("{}", 0.2).is_err());
-    }
-
-    #[test]
-    fn json_number_extraction() {
-        assert_eq!(
-            extract_json_number("{\"aggregate_speedup\": 7.812\n}", "aggregate_speedup"),
-            Some(7.812)
+        // A truncated file is garbage, even when the floor key and a
+        // passing value made it onto disk.
+        let truncated = format!(
+            "{{\"lanes\": {{\"aggregate_speedup\": {:.3}",
+            report.lane_batch.aggregate_speedup * 0.5
         );
-        assert_eq!(extract_json_number("{}", "aggregate_speedup"), None);
+        assert!(report.check_floor(&truncated, 0.2).is_err());
+        // The floor is read from `lanes`, not from the first key match.
+        let misplaced = format!(
+            "{{\"aggregate_speedup\": {:.3}, \"lanes\": {{}}}}",
+            report.lane_batch.aggregate_speedup * 0.5
+        );
+        assert!(report.check_floor(&misplaced, 0.2).is_err());
     }
 }

@@ -27,7 +27,7 @@ use aep_sim::{LaneJob, RunStats, Runner, Table};
 use aep_workloads::calibration::CHOSEN_INTERVAL;
 use aep_workloads::{BenchKind, Benchmark, Workload};
 
-use crate::runcache::RunCache;
+use aep_sim::runcache::RunCache;
 
 // `Scale` lives in `aep-sim` now (the explorer and the figure pipeline
 // share it); re-exported here so existing call sites keep compiling.

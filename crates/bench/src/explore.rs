@@ -30,7 +30,7 @@ use aep_workloads::{Benchmark, Workload};
 
 use crate::experiments::{Lab, Scale};
 use crate::faults::{self, FaultsOptions};
-use crate::runcache::RunCache;
+use aep_sim::runcache::RunCache;
 
 /// Parses a cycle-count axis value: plain cycles, or with a `K`/`M`
 /// (×1024 / ×1024²) suffix, e.g. `64K`, `1M`, `1048576`.

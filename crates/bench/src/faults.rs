@@ -28,7 +28,7 @@ use aep_faultsim::{
 use aep_workloads::{Benchmark, Workload};
 
 use crate::experiments::{FigureData, Lab, Scale};
-use crate::runcache::{fnv1a, scheme_slug, RunCache};
+use aep_sim::runcache::{fnv1a, scheme_slug, RunCache};
 
 /// Raw cache-entry format version; bump on layout changes **or** on
 /// semantic changes to the schemes/campaign that invalidate stored

@@ -14,9 +14,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use aep_faultsim::{run_campaign_report, StrikeModel};
+use aep_obs::json::{self, escape};
+use aep_obs::provenance::{git_commit, host};
 use aep_sim::{Runner, Table};
 
-use crate::engine_bench::{extract_json_number, git_commit, host};
 use crate::experiments::{proposed, Scale};
 use crate::faults::{campaign_config, FaultsOptions};
 
@@ -207,12 +208,12 @@ impl FaultsBenchReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"harness\": \"faults\",");
-        let _ = writeln!(s, "  \"scale\": \"{}\",", self.scale.name());
-        let _ = writeln!(s, "  \"benchmark\": \"{}\",", self.benchmark);
+        let _ = writeln!(s, "  \"scale\": {},", escape(self.scale.name()));
+        let _ = writeln!(s, "  \"benchmark\": {},", escape(&self.benchmark));
         let _ = writeln!(s, "  \"trials\": {},", self.trials);
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"git_commit\": \"{}\",", self.git_commit);
-        let _ = writeln!(s, "  \"host\": \"{}\",", self.host);
+        let _ = writeln!(s, "  \"git_commit\": {},", escape(&self.git_commit));
+        let _ = writeln!(s, "  \"host\": {},", escape(&self.host));
         let _ = writeln!(
             s,
             "  \"baseline_mcycles_per_sec\": {:.3},",
@@ -222,9 +223,9 @@ impl FaultsBenchReport {
         for (i, sample) in self.samples.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "    {{\"model\": \"{}\", \"trials\": {}, \"wall_ms\": {:.3}, \
+                "    {{\"model\": {}, \"trials\": {}, \"wall_ms\": {:.3}, \
                  \"trials_per_sec\": {:.3}, \"trials_per_mcycle\": {:.4}}}{}",
-                sample.model,
+                escape(&sample.model),
                 sample.trials,
                 sample.wall_ms,
                 sample.trials_per_sec,
@@ -250,10 +251,14 @@ impl FaultsBenchReport {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable explanation when the floor file has no
-    /// parseable `min_trials_per_mcycle` or the current run regressed.
+    /// Returns a human-readable explanation when the floor file is not
+    /// valid JSON, has no numeric `min_trials_per_mcycle`, or the current
+    /// run regressed.
     pub fn check_floor(&self, committed_json: &str, tolerance: f64) -> Result<String, String> {
-        let floor = extract_json_number(committed_json, "min_trials_per_mcycle")
+        let floor = json::parse(committed_json)
+            .map_err(|e| format!("committed BENCH_faults.json is not valid JSON: {e}"))?
+            .get("min_trials_per_mcycle")
+            .and_then(json::Value::as_f64)
             .ok_or("no \"min_trials_per_mcycle\" in committed BENCH_faults.json")?;
         let current = self.min_trials_per_mcycle();
         let min_ok = floor * (1.0 - tolerance);
@@ -290,7 +295,7 @@ mod tests {
         assert!(json.contains("\"model\": \"single\""));
         assert!(json.contains("\"model\": \"accum:scrub\""));
         assert!(json.contains("\"min_trials_per_mcycle\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        json::parse(&json).expect("the report is valid JSON");
         // The written JSON round-trips through the floor check.
         assert!(report.check_floor(&json, 0.2).is_ok());
         let inflated = format!(
@@ -299,5 +304,10 @@ mod tests {
         );
         assert!(report.check_floor(&inflated, 0.2).is_err());
         assert!(report.check_floor("{}", 0.2).is_err());
+        let truncated = format!(
+            "{{\"min_trials_per_mcycle\": {:.4}",
+            report.min_trials_per_mcycle() * 0.5
+        );
+        assert!(report.check_floor(&truncated, 0.2).is_err());
     }
 }

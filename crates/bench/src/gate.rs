@@ -23,7 +23,7 @@ use aep_workloads::Workload;
 
 use crate::experiments::Scale;
 use crate::faults::faults_schemes;
-use crate::runcache::scheme_slug;
+use aep_sim::runcache::scheme_slug;
 
 /// Default ring capacity (events retained) for `exp trace`.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;

@@ -23,7 +23,6 @@ pub mod explore;
 pub mod faults;
 pub mod faults_bench;
 pub mod gate;
-pub mod runcache;
 pub mod serve_cli;
 pub mod workloads_cli;
 
@@ -31,4 +30,6 @@ pub use engine_bench::EngineBenchReport;
 pub use experiments::{FigureData, Lab, Scale};
 pub use explore::LabEvaluator;
 pub use faults::FaultsOptions;
-pub use runcache::RunCache;
+
+/// Alias kept only because `perfbench/` imports `aep_bench::runcache`.
+pub use aep_sim::runcache;

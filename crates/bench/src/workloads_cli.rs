@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 
 use aep_check::{probe_matrix, run_stream, Coverage};
 use aep_faultsim::fan_out;
+use aep_obs::json::escape;
 use aep_workloads::{
     encode, find_trace, write_trace_file, Benchmark, TraceRecord, Workload, TRACE_DIR,
 };
@@ -161,7 +162,7 @@ fn feature_labels(bits: u32) -> Vec<&'static str> {
 }
 
 fn json_str_list(labels: &[&str]) -> String {
-    let quoted: Vec<String> = labels.iter().map(|l| format!("\"{l}\"")).collect();
+    let quoted: Vec<String> = labels.iter().copied().map(escape).collect();
     format!("[{}]", quoted.join(", "))
 }
 
@@ -348,10 +349,10 @@ fn run_report(args: &[String]) -> i32 {
     for (i, cell) in cells.iter().enumerate() {
         let beyond = cell.coverage.0 & !calibrated_union.0;
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"family\": \"{}\", \"features\": {}, \
+            "    {{\"name\": {}, \"family\": {}, \"features\": {}, \
              \"beyond_calibrated\": {}, \"violations\": {}, \"events_checked\": {}}}{}\n",
-            cell.workload.name(),
-            cell.workload.family(),
+            escape(&cell.workload.name()),
+            escape(cell.workload.family()),
             json_str_list(&feature_labels(cell.coverage.0)),
             json_str_list(&feature_labels(beyond)),
             cell.violations,
@@ -368,7 +369,8 @@ fn run_report(args: &[String]) -> i32 {
     for (i, (family, union)) in family_union.iter().enumerate() {
         let beyond = union.0 & !calibrated_union.0;
         json.push_str(&format!(
-            "    \"{family}\": {{\"features\": {}, \"beyond_calibrated\": {}}}{}\n",
+            "    {}: {{\"features\": {}, \"beyond_calibrated\": {}}}{}\n",
+            escape(family),
             json_str_list(&feature_labels(union.0)),
             json_str_list(&feature_labels(beyond)),
             if i + 1 == family_union.len() { "" } else { "," }

@@ -622,17 +622,23 @@ fn every_ci_floor_file_is_committed_with_its_floor_key() {
             .unwrap_or_else(|| panic!("{source}: --check-floor without a file"))
             .trim_matches(|c| c == '"' || c == '\'');
         // `faults-bench` gates the campaign floor; `bench` the lane engine.
-        let key = if tokens.contains(&"faults-bench") {
-            "min_trials_per_mcycle"
+        let path: &[&str] = if tokens.contains(&"faults-bench") {
+            &["min_trials_per_mcycle"]
         } else {
             assert!(tokens.contains(&"bench"), "{source}: unknown harness");
-            "aggregate_speedup"
+            &["lanes", "aggregate_speedup"]
         };
-        let json = std::fs::read_to_string(root.join(file))
+        let text = std::fs::read_to_string(root.join(file))
             .unwrap_or_else(|e| panic!("{source} checks a floor in {file}, which is missing: {e}"));
+        let doc = aep_obs::json::parse(&text)
+            .unwrap_or_else(|e| panic!("{source}: {file} is not valid JSON: {e}"));
+        let floor = path
+            .iter()
+            .try_fold(&doc, |v, key| v.get(key))
+            .and_then(aep_obs::json::Value::as_f64);
         assert!(
-            json.contains(&format!("\"{key}\"")),
-            "{source}: {file} has no \"{key}\" floor"
+            floor.is_some(),
+            "{source}: {file} has no numeric {path:?} floor"
         );
         checked += 1;
     }

@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 
 use aep_core::SchemeKind;
 use aep_faultsim::fan_out;
+use aep_obs::json::escape;
 use aep_rng::SmallRng;
 
 use crate::checker::Violation;
@@ -446,20 +447,6 @@ fn shrink(genome: &Genome, inject: bool) -> (Genome, ScenarioOutcome) {
     (best, outcome)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_reproducer(dir: &Path, seed: u64, failure: &FailureReport) -> Option<PathBuf> {
     std::fs::create_dir_all(dir).ok()?;
     let path = dir.join(format!("reproducer_seed{seed}.json"));
@@ -468,9 +455,9 @@ fn write_reproducer(dir: &Path, seed: u64, failure: &FailureReport) -> Option<Pa
         .iter()
         .map(|v| {
             format!(
-                "{{\"cycle\":{},\"message\":\"{}\"}}",
+                "{{\"cycle\":{},\"message\":{}}}",
                 v.cycle,
-                json_escape(&v.message)
+                escape(&v.message)
             )
         })
         .collect();

@@ -18,6 +18,7 @@ use aep_core::{scheme_slug, SchemeKind};
 use aep_cpu::isa::LoopStream;
 use aep_cpu::{CoreConfig, MicroOp};
 use aep_mem::{Addr, HierarchyConfig};
+use aep_obs::json::escape;
 use aep_sim::System;
 
 use crate::broken::BrokenRetiringScheme;
@@ -162,8 +163,8 @@ impl Genome {
             None => "null".to_owned(),
         };
         format!(
-            "{{\"scheme\":\"{}\",\"scrub_period\":{scrub},\"cycles\":{},\"segments\":[{}]}}",
-            scheme_slug(self.scheme),
+            "{{\"scheme\":{},\"scrub_period\":{scrub},\"cycles\":{},\"segments\":[{}]}}",
+            escape(&scheme_slug(self.scheme)),
             self.cycles,
             segs.join(",")
         )

@@ -71,7 +71,8 @@ fn fuzzer_finds_and_shrinks_the_injected_bug() {
     );
     let path = failure.reproducer_path.expect("reproducer must be written");
     let body = std::fs::read_to_string(&path).expect("reproducer readable");
-    assert!(body.contains("\"genome\""), "reproducer carries the genome");
+    let doc = aep_obs::json::parse(&body).expect("reproducer is valid JSON");
+    assert!(doc.get("genome").is_some(), "reproducer carries the genome");
     assert!(
         body.contains("no live or retiring"),
         "reproducer carries the violation"

@@ -13,6 +13,7 @@
 //! so `explore frontier` can re-analyse persisted grids bit-for-bit.
 
 use aep_core::{parse_scheme_slug, scheme_slug};
+use aep_obs::json::escape;
 use aep_workloads::Workload;
 
 use crate::driver::EvaluatedPoint;
@@ -100,12 +101,8 @@ pub fn frontier_json(
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"version\": 2,");
-    let _ = writeln!(out, "  \"scale\": \"{scale}\",");
-    let names: Vec<String> = spec
-        .keys()
-        .iter()
-        .map(|k| format!("\"{}\"", k.name()))
-        .collect();
+    let _ = writeln!(out, "  \"scale\": {},", escape(scale));
+    let names: Vec<String> = spec.keys().iter().map(|k| escape(k.name())).collect();
     let _ = writeln!(out, "  \"objectives\": [{}],", names.join(", "));
     out.push_str("  \"points\": [\n");
     for (i, e) in evaluated.iter().enumerate() {
@@ -114,21 +111,21 @@ pub fn frontier_json(
             .keys()
             .iter()
             .zip(&e.objectives.values)
-            .map(|(k, &v)| format!("\"{}\": {}", k.name(), json_number(v)))
+            .map(|(k, &v)| format!("{}: {}", escape(k.name()), json_number(v)))
             .collect();
         let _ = write!(
             out,
-            "    {{\"id\": \"{}\", \"benchmark\": \"{}\", \"scheme\": \"{}\", \
-             \"scrub\": {}, \"geometry\": \"{}\", \"interleave\": {}, {}, \
+            "    {{\"id\": {}, \"benchmark\": {}, \"scheme\": {}, \
+             \"scrub\": {}, \"geometry\": {}, \"interleave\": {}, {}, \
              \"frontier\": {}, \"knee\": {}}}",
-            p.id(),
-            p.benchmark.name(),
-            scheme_slug(p.scheme),
+            escape(&p.id()),
+            escape(&p.benchmark.name()),
+            escape(&scheme_slug(p.scheme)),
             match p.scrub_period {
                 Some(period) => format!("{period}"),
                 None => "null".to_owned(),
             },
-            p.geometry.slug(),
+            escape(&p.geometry.slug()),
             p.interleave,
             values.join(", "),
             analysis.frontier.contains(&i),
@@ -142,8 +139,8 @@ pub fn frontier_json(
             let _ = writeln!(
                 out,
                 "  \"constraint\": {{\"query\": \"min area s.t. ipc >= 99% of best\", \
-                 \"id\": \"{}\"}}",
-                evaluated[i].point.id()
+                 \"id\": {}}}",
+                escape(&evaluated[i].point.id())
             );
         }
         None => {

@@ -1,7 +1,7 @@
 //! Unified observability layer for the area-efficient error-protection
 //! simulator.
 //!
-//! Three concerns live here, all dependency-free so every other crate in the
+//! Four concerns live here, all dependency-free so every other crate in the
 //! workspace can plug in:
 //!
 //! 1. **Stats registry** ([`Registry`]): a hierarchical, deterministic map of
@@ -16,11 +16,18 @@
 //!    machine-readable export with stable keys and a comparison routine used
 //!    by `exp gate` / `scripts/stats_gate.sh` to fail CI when a change shifts
 //!    architectural counts (exact match) or derived rates (±2 % tolerance).
+//! 4. **JSON + provenance** ([`json`], [`provenance`]): the workspace's one
+//!    JSON parser (a [`json::Value`] tree with typed [`json::JsonError`]s
+//!    and a nesting limit) and string escaper, used by the snapshots, the
+//!    `aep-serve` wire protocol and the BENCH reports, plus the commit and
+//!    host those reports record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gate;
+pub mod json;
+pub mod provenance;
 mod registry;
 mod snapshot;
 mod trace;

@@ -11,6 +11,7 @@
 //! parses back to the identical bit pattern; non-finite values are encoded as
 //! the JSON strings `"NaN"`, `"inf"`, `"-inf"`.
 
+use crate::json::{self, Value};
 use crate::registry::{Registry, StatValue};
 use std::collections::BTreeMap;
 
@@ -72,7 +73,7 @@ impl StatsSnapshot {
                 out.push_str(",\n");
             }
             first = false;
-            out.push_str(&format!("    {}: {}", json_string(k), json_string(v)));
+            out.push_str(&format!("    {}: {}", json::escape(k), json::escape(v)));
         }
         out.push_str("\n  },\n");
         out.push_str("  \"stats\": {\n");
@@ -88,7 +89,7 @@ impl StatsSnapshot {
                     format!("{{ \"kind\": \"rate\", \"value\": {} }}", json_f64(*x))
                 }
             };
-            out.push_str(&format!("    {}: {value}", json_string(k)));
+            out.push_str(&format!("    {}: {value}", json::escape(k)));
         }
         out.push_str("\n  }\n}\n");
         out
@@ -96,84 +97,71 @@ impl StatsSnapshot {
 
     /// Parses a snapshot previously produced by [`StatsSnapshot::to_json`].
     ///
-    /// Accepts arbitrary whitespace and key order; returns a descriptive
-    /// error for malformed input or an unknown format version.
+    /// Accepts arbitrary whitespace and key order (a repeated key keeps
+    /// its last value); returns a descriptive error for malformed input
+    /// or an unknown format version.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = Parser::new(text).parse_document()?;
-        let Json::Object(fields) = root else {
+        let Value::Object(fields) = json::parse(text)? else {
             return Err("snapshot root is not a JSON object".into());
         };
-        let mut meta = BTreeMap::new();
-        let mut stats = BTreeMap::new();
+        let mut snap = Self::default();
         let mut version = None;
         for (key, value) in fields {
-            match key.as_str() {
-                "version" => match value {
-                    Json::Number(raw) => {
-                        version = Some(
-                            raw.parse::<u64>()
-                                .map_err(|_| format!("bad version number: {raw}"))?,
-                        );
-                    }
-                    _ => return Err("version is not a number".into()),
-                },
-                "meta" => {
-                    let Json::Object(pairs) = value else {
-                        return Err("meta is not an object".into());
-                    };
+            match (key.as_str(), value) {
+                ("version", Value::Number(raw)) => {
+                    version = Some(
+                        raw.parse::<u64>()
+                            .map_err(|_| format!("bad version number: {raw}"))?,
+                    );
+                }
+                ("version", _) => return Err("version is not a number".into()),
+                ("meta", Value::Object(pairs)) => {
                     for (k, v) in pairs {
-                        let Json::String(s) = v else {
+                        let Value::String(s) = v else {
                             return Err(format!("meta value for {k:?} is not a string"));
                         };
-                        meta.insert(k, s);
+                        snap.meta.insert(k, s);
                     }
                 }
-                "stats" => {
-                    let Json::Object(pairs) = value else {
-                        return Err("stats is not an object".into());
-                    };
+                ("meta", _) => return Err("meta is not an object".into()),
+                ("stats", Value::Object(pairs)) => {
                     for (k, v) in pairs {
-                        stats.insert(k, parse_stat(v)?);
+                        snap.stats.insert(k, parse_stat(v)?);
                     }
                 }
-                other => return Err(format!("unknown top-level key {other:?}")),
+                ("stats", _) => return Err("stats is not an object".into()),
+                (other, _) => return Err(format!("unknown top-level key {other:?}")),
             }
         }
         match version {
-            Some(FORMAT_VERSION) => Ok(Self { meta, stats }),
+            Some(FORMAT_VERSION) => Ok(snap),
             Some(v) => Err(format!("unsupported snapshot version {v}")),
             None => Err("snapshot missing version".into()),
         }
     }
 }
 
-fn parse_stat(value: Json) -> Result<StatValue, String> {
-    let Json::Object(fields) = value else {
+fn parse_stat(value: Value) -> Result<StatValue, String> {
+    let Value::Object(mut fields) = value else {
         return Err("stat entry is not an object".into());
     };
-    let mut kind = None;
-    let mut raw = None;
-    for (k, v) in fields {
-        match (k.as_str(), v) {
-            ("kind", Json::String(s)) => kind = Some(s),
-            ("value", other) => raw = Some(other),
-            (other, _) => return Err(format!("unknown stat field {other:?}")),
-        }
-    }
-    let (kind, raw) = match (kind, raw) {
-        (Some(k), Some(r)) => (k, r),
-        _ => return Err("stat entry missing kind or value".into()),
+    let (Some(Value::String(kind)), Some(raw)) = (fields.remove("kind"), fields.remove("value"))
+    else {
+        return Err("stat entry missing kind or value".into());
     };
+    if let Some(other) = fields.keys().next() {
+        return Err(format!("unknown stat field {other:?}"));
+    }
     match (kind.as_str(), raw) {
-        ("counter", Json::Number(n)) => n
+        ("counter", Value::Number(n)) => n
             .parse::<u64>()
             .map(StatValue::Counter)
             .map_err(|_| format!("bad counter value: {n}")),
-        ("rate", Json::Number(n)) => n
+        ("rate", Value::Number(n)) => n
             .parse::<f64>()
             .map(StatValue::Rate)
             .map_err(|_| format!("bad rate value: {n}")),
-        ("rate", Json::String(s)) => match s.as_str() {
+        ("rate", Value::String(s)) => match s.as_str() {
             "NaN" => Ok(StatValue::Rate(f64::NAN)),
             "inf" => Ok(StatValue::Rate(f64::INFINITY)),
             "-inf" => Ok(StatValue::Rate(f64::NEG_INFINITY)),
@@ -200,208 +188,6 @@ fn json_f64(x: f64) -> String {
         } else {
             // Keep rates visually distinct from counters in the file.
             format!("{s}.0")
-        }
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value tree; numbers keep their raw text so the caller can
-/// parse them as `u64` or `f64` depending on the declared stat kind.
-enum Json {
-    Object(Vec<(String, Json)>),
-    String(String),
-    Number(String),
-}
-
-/// Minimal recursive-descent parser for the subset of JSON that snapshots
-/// use: objects, strings, and numbers.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Json, String> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(value)
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'"' => Ok(Json::String(self.parse_string()?)),
-            b'-' | b'0'..=b'9' => self.parse_number(),
-            other => Err(format!(
-                "unexpected byte {:?} at {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next()?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u escape at {}", self.pos))?;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad \\u codepoint at {}", self.pos))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape \\{} at {}", other as char, self.pos)),
-                },
-                byte if byte < 0x80 => out.push(byte as char),
-                byte => {
-                    // Reassemble a multi-byte UTF-8 sequence; input came from
-                    // a &str so it is valid by construction.
-                    let len = match byte {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    self.pos = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..self.pos)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8 sequence")?);
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(format!("expected number at byte {start}"));
-        }
-        Ok(Json::Number(
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .expect("number bytes are ASCII")
-                .to_string(),
-        ))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Result<u8, String> {
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        let got = self.next()?;
-        if got == byte {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                byte as char,
-                self.pos - 1,
-                got as char
-            ))
         }
     }
 }
@@ -458,5 +244,10 @@ mod tests {
         assert!(StatsSnapshot::from_json("not json").is_err());
         assert!(StatsSnapshot::from_json("{\"version\": 1").is_err());
         assert!(StatsSnapshot::from_json("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(StatsSnapshot::from_json(&"{\"a\":".repeat(13_000)).is_err());
     }
 }

@@ -20,12 +20,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use aep_core::SchemeKind;
+use aep_obs::json::escape;
 use aep_sim::runcache::{render_stats, RunCache};
 use aep_sim::{Runner, Scale};
 use aep_workloads::Benchmark;
 
 use crate::client::{Client, ClientError, Endpoint};
 use crate::protocol::SubmitRequest;
+
+/// Alias kept only because `perfbench/` imports `aep_serve::hammer::git_commit`.
+pub use aep_obs::provenance::git_commit;
 
 /// Load-harness knobs.
 #[derive(Debug, Clone)]
@@ -127,9 +131,9 @@ impl HammerReport {
     pub fn to_json(&self, floor_rps: Option<f64>, floor_hit: Option<f64>) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"report\": \"serve_hammer\",\n");
-        out.push_str(&format!("  \"git_commit\": \"{}\",\n", git_commit()));
-        out.push_str(&format!("  \"endpoint\": \"{}\",\n", self.endpoint));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
+        out.push_str(&format!("  \"git_commit\": {},\n", escape(&git_commit())));
+        out.push_str(&format!("  \"endpoint\": {},\n", escape(&self.endpoint)));
+        out.push_str(&format!("  \"scale\": {},\n", escape(self.scale)));
         out.push_str(&format!(
             "  \"distinct_configs\": {},\n",
             self.distinct_configs
@@ -464,19 +468,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// The current short commit hash, for report provenance.
-#[must_use]
-pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,5 +523,25 @@ mod tests {
         assert!(json.contains("\"report\": \"serve_hammer\""));
         assert!(json.contains("\"floor_rps\": 500"));
         assert!(json.contains("\"hit_rate\": 0.9500"));
+    }
+
+    #[test]
+    fn report_json_escapes_a_hostile_unix_endpoint() {
+        let endpoint = Endpoint::parse("unix:/tmp/a\"b\\c.sock")
+            .unwrap()
+            .to_string();
+        let report = HammerReport {
+            endpoint: endpoint.clone(),
+            scale: "smoke",
+            distinct_configs: 16,
+            validated: 0,
+            steps: Vec::new(),
+        };
+        let doc = aep_obs::json::parse(&report.to_json(None, None)).expect("valid JSON");
+        assert_eq!(
+            doc.get("endpoint").and_then(|v| v.as_str()),
+            Some(endpoint.as_str())
+        );
+        assert_eq!(doc.get("scale").and_then(|v| v.as_str()), Some("smoke"));
     }
 }

@@ -13,9 +13,9 @@
 //! numbers while validating every response bit-exactly against a
 //! direct in-process run.
 //!
-//! Everything here is `std`-only — the sockets, the thread pool, the
-//! JSON ([`json`]) — because the workspace builds with no crates.io
-//! access.
+//! Everything here is `std`-only — the sockets, the thread pool, and
+//! the JSON ([`aep_obs::json`]) — because the workspace builds with no
+//! crates.io access.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +24,10 @@ pub mod client;
 pub mod daemon;
 pub mod engine;
 pub mod hammer;
-pub mod json;
 pub mod protocol;
+
+/// Alias kept only because `perfbench/` imports `aep_serve::json`.
+pub use aep_obs::json;
 
 pub use client::{Client, ClientError, Endpoint, SubmitReply};
 pub use daemon::{spawn, DaemonConfig, ServeHandle};

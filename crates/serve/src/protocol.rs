@@ -2,7 +2,7 @@
 //!
 //! Every request and every response is one JSON object on one line —
 //! trivially framable from any language, greppable in transcripts, and
-//! parseable with the in-tree [`crate::json`] module (no serde, no
+//! parseable with the in-tree [`aep_obs::json`] module (no serde, no
 //! crates.io). The grammar (also documented in `DESIGN.md` §3.12):
 //!
 //! ```text
@@ -41,7 +41,7 @@ use aep_sim::runcache::{parse_stats, render_stats};
 use aep_sim::{ExperimentConfig, RunStats, Scale};
 use aep_workloads::Benchmark;
 
-use crate::json::{self, Value};
+use aep_obs::json::{self, Value};
 
 /// Hard ceiling on one request line (bytes, newline included). Lines
 /// beyond it are answered with an `oversized` error and discarded

@@ -106,6 +106,23 @@ fn hostile_lines_get_typed_errors_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_lines_are_malformed_not_a_stack_overflow() {
+    let (handle, endpoint) = daemon(|_| {});
+    let mut client = connect(&endpoint);
+
+    // Fits under the line limit, yet nests far deeper than any thread
+    // stack could recurse: it must be a typed error, not an abort.
+    for line in ["[".repeat(65_000), "{\"a\":".repeat(13_000)] {
+        assert!(line.len() < MAX_LINE_BYTES);
+        let reply = client.roundtrip_line(&line).expect("reply");
+        assert_eq!(error_code(&reply), ErrorCode::Malformed);
+    }
+    client.ping().expect("ping still gets pong");
+
+    shutdown_and_join(&endpoint, handle);
+}
+
+#[test]
 fn mid_request_disconnect_leaves_the_daemon_serving() {
     let (handle, endpoint) = daemon(|_| {});
 

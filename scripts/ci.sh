@@ -32,6 +32,8 @@ step "cargo clippy --workspace -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
 step "criterion benches compile" \
   cargo build -p aep-bench --features criterion-benches --benches
+step "perfbench builds" \
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
 step "cargo test -q --workspace" cargo test -q --workspace
 step "cargo test --release (mem, cpu, sim)" \
   cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim
