@@ -3,23 +3,25 @@
 //! Usage: `exp <command> [--scale paper|quick|smoke] [--jobs N]
 //! [--no-cache] [--csv|--md] [--out DIR]`
 //!
-//! Commands: `table1`, `fig1`, `fig2`, `fig3`, `fig4`, `fig5`, `fig6`,
-//! `fig7`, `fig8`, `perf`, `area`, `calibrate`, `bench`, `all`.
+//! The table commands (`table1`, `fig1` … `fig8`, `perf`, `area`, and the
+//! extension tables) are the declarations of
+//! `aep_bench::experiments::figures()`; `all` prints the paper's own
+//! ones in order. The other commands (`faults`, `run`, `trace`, `gate`,
+//! `explore`, `check`, `bench`, `faults-bench`, `lanes`, `serve`,
+//! `submit`, `hammer`, `workloads`) are dispatched below; `exp help`
+//! lists them all.
 //!
 //! Experiments fan out across `--jobs` worker threads (default: all
 //! available cores) and results persist in `results/cache/` so repeated
 //! invocations render instantly; `--no-cache` forces fresh runs.
 
-use aep_bench::experiments::{self, Lab, Scale};
+use std::fmt::Write as _;
+
+use aep_bench::experiments::{self, Lab, Output, Scale};
 use aep_bench::faults::{self, FaultsOptions};
 use aep_bench::gate;
-use aep_core::area::AreaModel;
-use aep_core::CleaningLogic;
-use aep_cpu::CoreConfig;
 use aep_faultsim::StrikeModel;
-use aep_mem::HierarchyConfig;
 use aep_sim::runcache::{parse_scheme_slug, RunCache};
-use aep_workloads::BenchKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -207,7 +209,14 @@ fn main() {
         });
     }
     let mut fig_index = 0u32;
-    let mut emit = |fig: experiments::FigureData| {
+    let mut emit = |out: Output| {
+        let fig = match out {
+            Output::Text(text) => {
+                print!("{text}");
+                return;
+            }
+            Output::Table(fig) => fig,
+        };
         if let Some(dir) = &out_dir {
             fig_index += 1;
             // Derive a filename from the figure title's first word(s).
@@ -242,20 +251,6 @@ fn main() {
     }
 
     match command.as_str() {
-        "table1" => print_table1(),
-        "fig1" => emit(experiments::fig1(&mut lab)),
-        "fig2" => print_fig2(),
-        "fig3" => emit(experiments::fig3_fig4(&mut lab, BenchKind::Fp)),
-        "fig4" => emit(experiments::fig3_fig4(&mut lab, BenchKind::Int)),
-        "fig5" => emit(experiments::fig5_fig6(&mut lab, BenchKind::Fp)),
-        "fig6" => emit(experiments::fig5_fig6(&mut lab, BenchKind::Int)),
-        "fig7" => emit(experiments::fig7(&mut lab)),
-        "fig8" => emit(experiments::fig8(&mut lab)),
-        "perf" => emit(experiments::perf(&mut lab)),
-        "area" => print_area(),
-        "calibrate" => emit(experiments::calibrate(&mut lab)),
-        "ablation" => emit(experiments::ablation_schemes(&mut lab)),
-        "reliability" => emit(experiments::reliability(&mut lab)),
         "faults" => {
             // Reject interleave degrees the physical layout cannot map
             // before any campaign starts (a usage error, not a panic).
@@ -294,7 +289,7 @@ fn main() {
                 );
                 print!("{}", snap.to_json());
             } else {
-                emit(fig);
+                emit(Output::Table(fig));
             }
         }
         "faults-bench" => {
@@ -368,105 +363,100 @@ fn main() {
             let code = gate::gate_command(scale, &faults_opts.benchmark, &golden_dir, regen);
             std::process::exit(code);
         }
-        "lifetimes" => emit(experiments::lifetimes(scale)),
-        "sensitivity" => emit(experiments::sensitivity(scale)),
-        "energy" => emit(experiments::energy(&mut lab)),
-        "cleaners" => emit(experiments::cleaners(scale)),
-        "seeds" => emit(experiments::seeds(scale, 5)),
         "bench" => run_engine_bench(scale, check_floor.as_deref()),
         "lanes" => run_lanes_snapshot(scale, &faults_opts.benchmark, serial_lanes),
         "all" => {
             // One up-front plan covering every figure below, so the whole
             // session executes as a single parallel batch.
             lab.prefetch(&experiments::all_configs());
-            print_table1();
-            emit(experiments::fig1(&mut lab));
-            print_fig2();
-            emit(experiments::fig3_fig4(&mut lab, BenchKind::Fp));
-            emit(experiments::fig3_fig4(&mut lab, BenchKind::Int));
-            emit(experiments::fig5_fig6(&mut lab, BenchKind::Fp));
-            emit(experiments::fig5_fig6(&mut lab, BenchKind::Int));
-            emit(experiments::fig7(&mut lab));
-            emit(experiments::fig8(&mut lab));
-            emit(experiments::perf(&mut lab));
-            print_area();
+            for fig in experiments::figures().iter().filter(|f| f.in_all) {
+                emit(fig.render(&mut lab));
+            }
             eprintln!("[lab] total distinct runs: {}", lab.runs());
         }
         "help" | "--help" | "-h" => println!("{}", usage()),
-        other => {
-            eprintln!("exp: unknown command '{other}'\n\n{}", usage());
-            std::process::exit(2);
-        }
+        other => match experiments::figure(other) {
+            Some(fig) => emit(fig.render(&mut lab)),
+            None => {
+                eprintln!("exp: unknown command '{other}'\n\n{}", usage());
+                std::process::exit(2);
+            }
+        },
     }
 }
 
 fn usage() -> String {
-    "exp — regenerate the paper's tables and figures\n\n\
-     usage: exp <command> [--scale paper|quick|smoke] [--jobs N]\n\
-     \x20                 [--no-cache] [--csv|--md] [--out DIR]\n\n\
-     commands:\n\
-     \x20 table1     baseline processor configuration (Table 1)\n\
-     \x20 fig1       % dirty L2 lines per cycle, org\n\
-     \x20 fig2       cleaning-logic / ECC-array structural summary\n\
-     \x20 fig3,fig4  dirty lines vs cleaning interval (FP / INT)\n\
-     \x20 fig5,fig6  write-back traffic vs interval (FP / INT)\n\
-     \x20 fig7       dirty lines, proposed scheme\n\
-     \x20 fig8       write-back breakdown, proposed scheme\n\
-     \x20 perf       IPC org vs proposed (§5.2)\n\
-     \x20 area       area accounting, 132KB vs 54KB (§5.2)\n\
-     \x20 calibrate  workload-calibration sweep\n\
-     \x20 faults     live fault-injection campaign per scheme\n\
-     \x20            [--trials N] [--p-double P] [--seed S] [--bench B]\n\
-     \x20            [--model single|burst:K|col:K|row:K|accum:scrub[:C]]\n\
-     \x20            [--interleave D] [--challengers] [--stats-json]\n\
-     \x20            (--challengers appends the related-work schemes)\n\
-     \x20 run        one observed experiment: full stats snapshot\n\
-     \x20            [--bench B] [--scheme S] [--stats-json]\n\
-     \x20            [--faults-trials N]\n\
-     \x20 trace      dump the cycle trace of one run as JSONL\n\
-     \x20            [--bench B] [--scheme S] [--capacity N]\n\
-     \x20 gate       stats-regression gate vs results/golden/\n\
-     \x20            (default scale: smoke) [--golden DIR] [--regen]\n\
-     \x20 explore    design-space exploration: grid | refine | frontier\n\
-     \x20            (see `exp explore help` for axes and objectives)\n\
-     \x20 check      differential checking: lockstep golden model,\n\
-     \x20            protocol invariants, coverage-guided fuzzing\n\
-     \x20            (see `exp check help`; violations exit 1)\n\
-     \x20 bench      engine-throughput harness: serial scheme ladder +\n\
-     \x20            lane-parallel batch (BENCH_engine.json)\n\
-     \x20            [--check-floor FILE] fails (exit 1) if the lane\n\
-     \x20            aggregate speedup regresses >20% vs FILE\n\
-     \x20 faults-bench  campaign-throughput harness: one fault campaign\n\
-     \x20            per strike model, normalised trials/Mcycle\n\
-     \x20            (BENCH_faults.json) [--trials N] [--check-floor FILE]\n\
-     \x20 lanes      run the standard lane set, print per-lane stats\n\
-     \x20            snapshots; [--serial] runs each lane independently\n\
-     \x20            (outputs must be byte-identical)\n\
-     \x20 serve      start the persistent simulation daemon (NDJSON over\n\
-     \x20            TCP/Unix socket, shared run cache, admission control;\n\
-     \x20            see `exp serve help`)\n\
-     \x20 submit     send one experiment to a running daemon and print\n\
-     \x20            its result (also --ping/--stats/--shutdown;\n\
-     \x20            see `exp submit help`)\n\
-     \x20 hammer     load-test a running daemon, validating every response\n\
-     \x20            bit-exactly (BENCH_serve.json; see `exp hammer help`)\n\
-     \x20 workloads  diversity coverage report and trace corpus tools:\n\
-     \x20            `report [--check]` gates on each generator family\n\
-     \x20            reaching features the calibrated suite never does;\n\
-     \x20            `gen-corpus` regenerates traces/ (see help)\n\
-     \x20 all        everything above in order\n\n\
-     flags:\n\
-     \x20 --jobs N     worker threads for experiment fan-out\n\
-     \x20              (default: available cores; output is\n\
-     \x20              identical for every N)\n\
-     \x20 --scheme S   scheme slug: uniform | parity | uniform_clean:N |\n\
-     \x20              proposed:N | proposed_multi:N:E | silent:N |\n\
-     \x20              reuse:N:M (default: proposed at the calibrated\n\
-     \x20              interval)\n\
-     \x20 --no-cache   ignore and do not write results/cache/\n\n\
-     exit codes: 0 success, 1 stats-gate regression or check violation,\n\
-     2 usage error"
-        .to_owned()
+    let figures = experiments::figures();
+    let mut tables = String::new();
+    for fig in &figures {
+        let _ = writeln!(tables, "  {:<12}{}", fig.slug, fig.title());
+    }
+    let all: Vec<&str> = figures
+        .iter()
+        .filter(|f| f.in_all)
+        .map(|f| f.slug)
+        .collect();
+    format!(
+        "exp — regenerate the paper's tables and figures\n\n\
+         usage: exp <command> [--scale paper|quick|smoke] [--jobs N]\n\
+         \x20                 [--no-cache] [--csv|--md] [--out DIR]\n\n\
+         tables:\n\
+         {tables}\
+         \x20 all         the paper's result, in order:\n\
+         \x20             {}\n\n\
+         other commands:\n\
+         \x20 faults      live fault-injection campaign per scheme\n\
+         \x20             [--trials N] [--p-double P] [--seed S] [--bench B]\n\
+         \x20             [--model single|burst:K|col:K|row:K|accum:scrub[:C]]\n\
+         \x20             [--interleave D] [--challengers] [--stats-json]\n\
+         \x20             (--challengers appends the related-work schemes)\n\
+         \x20 run         one observed experiment: full stats snapshot\n\
+         \x20             [--bench B] [--scheme S] [--stats-json]\n\
+         \x20             [--faults-trials N]\n\
+         \x20 trace       dump the cycle trace of one run as JSONL\n\
+         \x20             [--bench B] [--scheme S] [--capacity N]\n\
+         \x20 gate        stats-regression gate vs results/golden/\n\
+         \x20             (default scale: smoke) [--golden DIR] [--regen]\n\
+         \x20 explore     design-space exploration: grid | refine | frontier\n\
+         \x20             (see `exp explore help` for axes and objectives)\n\
+         \x20 check       differential checking: lockstep golden model,\n\
+         \x20             protocol invariants, coverage-guided fuzzing\n\
+         \x20             (see `exp check help`; violations exit 1)\n\
+         \x20 bench       engine-throughput harness: serial scheme ladder +\n\
+         \x20             lane-parallel batch (BENCH_engine.json)\n\
+         \x20             [--check-floor FILE] fails (exit 1) if the lane\n\
+         \x20             aggregate speedup regresses >20% vs FILE\n\
+         \x20 faults-bench  campaign-throughput harness: one fault campaign\n\
+         \x20             per strike model, normalised trials/Mcycle\n\
+         \x20             (BENCH_faults.json) [--trials N] [--check-floor FILE]\n\
+         \x20 lanes       run the standard lane set, print per-lane stats\n\
+         \x20             snapshots; [--serial] runs each lane independently\n\
+         \x20             (outputs must be byte-identical)\n\
+         \x20 serve       start the persistent simulation daemon (NDJSON over\n\
+         \x20             TCP/Unix socket, shared run cache, admission control;\n\
+         \x20             see `exp serve help`)\n\
+         \x20 submit      send one experiment to a running daemon and print\n\
+         \x20             its result (also --ping/--stats/--shutdown;\n\
+         \x20             see `exp submit help`)\n\
+         \x20 hammer      load-test a running daemon, validating every response\n\
+         \x20             bit-exactly (BENCH_serve.json; see `exp hammer help`)\n\
+         \x20 workloads   diversity coverage report and trace corpus tools:\n\
+         \x20             `report [--check]` gates on each generator family\n\
+         \x20             reaching features the calibrated suite never does;\n\
+         \x20             `gen-corpus` regenerates traces/ (see help)\n\n\
+         flags:\n\
+         \x20 --jobs N     worker threads for experiment fan-out\n\
+         \x20              (default: available cores; output is\n\
+         \x20              identical for every N)\n\
+         \x20 --scheme S   scheme slug: uniform | parity | uniform_clean:N |\n\
+         \x20              proposed:N | proposed_multi:N:E | silent:N |\n\
+         \x20              reuse:N:M (default: proposed at the calibrated\n\
+         \x20              interval)\n\
+         \x20 --no-cache   ignore and do not write results/cache/\n\n\
+         exit codes: 0 success, 1 stats-gate regression or check violation,\n\
+         2 usage error",
+        all.join(", ")
+    )
 }
 
 /// Runs the standard lane set and prints one stats snapshot per lane —
@@ -526,98 +516,4 @@ fn run_engine_bench(scale: Scale, check_floor: Option<&std::path::Path>) {
             }
         }
     }
-}
-
-fn print_table1() {
-    let core = CoreConfig::date2006();
-    let hier = HierarchyConfig::date2006();
-    println!("Table 1: baseline processor configuration");
-    println!("-----------------------------------------");
-    println!("Issue window            {}-entry RUU", core.ruu_entries);
-    println!("                        {}-entry LSQ", core.lsq_entries);
-    println!(
-        "decode and issue rate   {} instructions per cycle",
-        core.issue_width
-    );
-    println!(
-        "Functional units        {} INT add, {} INT mult/div",
-        core.fu.int_alu, core.fu.int_mul
-    );
-    println!(
-        "                        {} FP add, {} FP mult/div",
-        core.fu.fp_add, core.fu.fp_mul
-    );
-    let cache = |c: &aep_mem::CacheConfig| {
-        format!(
-            "{}KB {}-way, {}B line, {}-cycle",
-            c.size_bytes / 1024,
-            c.ways,
-            c.line_bytes,
-            c.hit_latency
-        )
-    };
-    println!("L1 instruction cache    {}", cache(&hier.l1i));
-    println!(
-        "L1 data cache           {} (write-through)",
-        cache(&hier.l1d)
-    );
-    println!(
-        "Write buffer            fully associative, {} entries",
-        hier.write_buffer_entries
-    );
-    println!("L2 cache                unified {}", cache(&hier.l2));
-    println!(
-        "Main memory             {}B-wide, {}-cycle",
-        hier.bus_bytes_per_cycle, hier.memory_latency
-    );
-    println!("Branch prediction       2-level, 2K BTB");
-    println!("Instruction TLB         64-entry, 4-way");
-    println!("Data TLB                128-entry, 4-way");
-    println!();
-}
-
-fn print_fig2() {
-    let hier = HierarchyConfig::date2006();
-    let fsm = CleaningLogic::new(1024 * 1024, hier.l2.sets() as usize);
-    println!("Figure 2: cleaning logic and ECC storage architecture (structural)");
-    println!("-------------------------------------------------------------------");
-    println!(
-        "parity arrays           one per way ({} ways), 1 bit / 64 data bits",
-        hier.l2.ways
-    );
-    println!(
-        "shared ECC array        one entry per set: {} entries x {} B",
-        hier.l2.sets(),
-        hier.l2.line_bytes / 8
-    );
-    println!(
-        "written bits            1 per line ({} bits)",
-        hier.l2.lines()
-    );
-    println!(
-        "cleaning FSM            cycle counter + {}-bit next-set latch",
-        fsm.latch_bits()
-    );
-    println!(
-        "probe cadence @1M       one set every {} cycles",
-        fsm.probe_period()
-    );
-    println!("arbitration             L1 misses have priority over cleaning probes");
-    println!();
-}
-
-fn print_area() {
-    let model = AreaModel::new(&HierarchyConfig::date2006().l2);
-    let conventional = model.conventional();
-    let proposed = model.proposed();
-    println!("§5.2 area accounting (1MB 4-way L2, 64B lines)");
-    println!("----------------------------------------------");
-    print!("{}", conventional.to_table());
-    println!();
-    print!("{}", proposed.to_table());
-    println!();
-    println!(
-        "reduction: {:.1}% (paper: 59%)",
-        conventional.total().reduction_to(proposed.total()) * 100.0
-    );
 }

@@ -1,45 +1,48 @@
 //! Shared experiment orchestration for the `exp` binary and the benches.
 //!
-//! Every figure of the paper maps to one function here returning a
-//! [`FigureData`] (labels + per-benchmark rows) that the caller renders as
-//! text or CSV. Figures share (benchmark, scheme) configurations — e.g.
-//! Figures 3 and 5 are two views of the same interval sweep — so all
-//! functions draw their runs from a memoizing [`Lab`]: each configuration
-//! is simulated exactly once per process.
+//! Every table `exp` prints is declared once, as one [`Figure`] in
+//! [`figures`]: its command slug, title, columns and precision, and
+//! where its rows come from. The `exp` dispatch, the `exp all` sequence,
+//! the table lines of `exp help` (each table's title) and
+//! [`all_configs`] are all read off that list; so are the Criterion
+//! figure benches.
 //!
-//! Execution is **plan-then-execute**: each figure has a `*_configs()`
-//! companion declaring the exact (benchmark, scheme) set it needs, and
-//! the figure function submits that plan to [`Lab::prefetch`] before
-//! reading any result. The lab dedupes the plan against its memo and the
-//! optional on-disk [`RunCache`], then fans the remaining runs out across
-//! [`std::thread::scope`] workers (`Lab::jobs`). Runs are deterministic
-//! in their config alone, so the worker count never changes a figure —
-//! only how fast it arrives.
+//! Execution is **plan-then-execute**: a [`Source::Planned`] figure
+//! lists, row by row, the exact [`ExperimentConfig`]s it reads, and
+//! [`Figure::render`] submits the whole plan to
+//! [`Lab::prefetch_configs`] before computing any row. The lab dedupes
+//! the plan against its memo and the optional on-disk [`RunCache`], then
+//! fans the remaining runs out across [`std::thread::scope`] workers
+//! (`Lab::jobs`). Rows read only planned results ([`Lab::planned`]
+//! panics otherwise), and runs are deterministic in their config alone,
+//! so the worker count never changes a figure — only how fast it
+//! arrives. Figures share configurations (Figures 3 and 5 are two views
+//! of the same interval sweep), and each is simulated at most once per
+//! process.
 
 use std::collections::HashMap;
 
-use aep_core::SchemeKind;
+use aep_core::area::AreaModel;
+use aep_core::cleaning::CleaningPolicy;
+use aep_core::{CleaningLogic, EnergyModel, SchemeKind, SoftErrorModel};
+use aep_cpu::CoreConfig;
+use aep_dse::registry;
 use aep_faultsim::fan_out;
+use aep_mem::HierarchyConfig;
+use aep_sim::report::{mean, stddev};
+use aep_sim::runcache::RunCache;
 // The execute-tier planner (`LaneJob` + `plan_lane_jobs`) lives in
 // `aep_sim::lanes` now — the `exp serve` daemon's scheduler batches
 // concurrent clients' submissions through the same code path.
-use aep_sim::{LaneJob, RunStats, Runner, Table};
+use aep_sim::{ExperimentConfig, LaneJob, RunStats, Runner, System, Table};
 use aep_workloads::calibration::CHOSEN_INTERVAL;
-use aep_workloads::{BenchKind, Benchmark, Workload};
-
-use aep_sim::runcache::RunCache;
+use aep_workloads::{Benchmark, Workload};
 
 // `Scale` lives in `aep-sim` now (the explorer and the figure pipeline
 // share it); re-exported here so existing call sites keep compiling.
 pub use aep_sim::Scale;
 
-// The scheme sets behind every figure live in the `aep-dse` registry —
-// one declaration serves the figure pipeline and the explorer's default
-// axes alike.
-pub use aep_dse::registry::{
-    ablation_schemes as ablation_scheme_set, comparison_schemes, interval_axis,
-    interval_sweep_schemes, proposed,
-};
+pub use aep_dse::registry::proposed;
 
 /// One planned experiment: a (workload, scheme) pair to run at the
 /// lab's scale.
@@ -73,7 +76,7 @@ impl BatchSummary {
 /// worker threads.
 ///
 /// The memo is keyed by the full [`RunCache`] key — scale, benchmark,
-/// scheme, seed, and a hash of the whole [`aep_sim::ExperimentConfig`] —
+/// scheme, seed, and a hash of the whole [`ExperimentConfig`] —
 /// so the explorer's off-grid points (non-Table-1 geometry, scrubbing)
 /// share the same engine and cache as the figure pipeline's
 /// (benchmark, scheme) plans.
@@ -134,7 +137,7 @@ impl Lab {
     /// Ensures every (benchmark, scheme) configuration in `plan` is
     /// resolved at the lab's scale — see [`Lab::prefetch_configs`].
     pub fn prefetch(&mut self, plan: &[PlannedRun]) {
-        let configs: Vec<aep_sim::ExperimentConfig> = plan
+        let configs: Vec<ExperimentConfig> = plan
             .iter()
             .map(|(benchmark, scheme)| self.scale.config(benchmark.clone(), *scheme))
             .collect();
@@ -153,11 +156,11 @@ impl Lab {
     /// finished first — and are written back to the disk cache.
     /// Cache-directory I/O errors are reported (and treated as misses)
     /// instead of silently recomputing.
-    pub fn prefetch_configs(&mut self, plan: &[aep_sim::ExperimentConfig]) {
+    pub fn prefetch_configs(&mut self, plan: &[ExperimentConfig]) {
         let mut summary = BatchSummary::default();
         // Plan: dedupe (first occurrence wins), count memo hits.
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut pending: Vec<(String, &aep_sim::ExperimentConfig)> = Vec::new();
+        let mut pending: Vec<(String, &ExperimentConfig)> = Vec::new();
         for cfg in plan {
             let key = RunCache::key(self.scale.name(), cfg);
             if !seen.insert(key.clone()) {
@@ -171,7 +174,7 @@ impl Lab {
             pending.push((key, cfg));
         }
         // Recall tier: the disk cache.
-        let mut misses: Vec<(String, &aep_sim::ExperimentConfig)> = Vec::new();
+        let mut misses: Vec<(String, &ExperimentConfig)> = Vec::new();
         for (key, cfg) in pending {
             if let Some(disk) = &self.disk {
                 match disk.load_checked(&key) {
@@ -205,8 +208,7 @@ impl Lab {
         // unaffected by how the plan happened to batch.
         summary.evaluated = misses.len();
         let verbose = self.verbose;
-        let miss_cfgs: Vec<&aep_sim::ExperimentConfig> =
-            misses.iter().map(|(_, cfg)| *cfg).collect();
+        let miss_cfgs: Vec<&ExperimentConfig> = misses.iter().map(|(_, cfg)| *cfg).collect();
         let lane_jobs = aep_sim::plan_lane_jobs(&miss_cfgs);
         let job_results = fan_out(lane_jobs.len(), self.jobs, |j| match &lane_jobs[j] {
             LaneJob::Batch {
@@ -276,13 +278,33 @@ impl Lab {
 
     /// Runs (or recalls) one arbitrary configuration (the explorer's
     /// entry point: geometry and scrub deviations welcome).
-    pub fn stats_config(&mut self, cfg: &aep_sim::ExperimentConfig) -> RunStats {
+    pub fn stats_config(&mut self, cfg: &ExperimentConfig) -> RunStats {
         let key = RunCache::key(self.scale.name(), cfg);
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
         self.prefetch_configs(std::slice::from_ref(cfg));
         self.cache[&key].clone()
+    }
+
+    /// The result of a configuration an earlier batch resolved. Unlike
+    /// [`Lab::stats_config`], it never starts a run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` was never planned: a figure reads only what it
+    /// planned.
+    #[must_use]
+    pub fn planned(&self, cfg: &ExperimentConfig) -> &RunStats {
+        self.cache
+            .get(&RunCache::key(self.scale.name(), cfg))
+            .unwrap_or_else(|| {
+                panic!(
+                    "{} / {} was read outside the plan",
+                    cfg.benchmark,
+                    cfg.scheme.label()
+                )
+            })
     }
 
     /// Number of distinct configurations resolved so far (simulated or
@@ -315,18 +337,25 @@ pub struct FigureData {
 }
 
 impl FigureData {
-    /// Renders as an aligned text table with a MEAN row.
-    #[must_use]
-    pub fn to_text(&self) -> String {
+    /// The rows as a [`Table`] (no mean row).
+    fn table(&self) -> Table {
         let mut headers = vec![self.row_header.clone()];
         headers.extend(self.columns.iter().cloned());
         let mut t = Table::new(headers);
         for (label, values) in &self.rows {
             t.numeric_row(label, values, self.decimals);
         }
+        t
+    }
+
+    /// Renders as an aligned text table with a MEAN row.
+    #[must_use]
+    pub fn to_text(&self) -> String {
+        let mut t = self.table();
         if !self.rows.is_empty() {
-            let cols = self.columns.len();
-            let means: Vec<f64> = (0..cols).map(|c| self.column_mean(c)).collect();
+            let means: Vec<f64> = (0..self.columns.len())
+                .map(|c| self.column_mean(c))
+                .collect();
             t.numeric_row("MEAN", &means, self.decimals);
         }
         format!("{}\n{}", self.title, t.to_text())
@@ -335,25 +364,13 @@ impl FigureData {
     /// Renders as GitHub-flavoured markdown (no mean row).
     #[must_use]
     pub fn to_markdown(&self) -> String {
-        let mut headers = vec![self.row_header.clone()];
-        headers.extend(self.columns.iter().cloned());
-        let mut t = Table::new(headers);
-        for (label, values) in &self.rows {
-            t.numeric_row(label, values, self.decimals);
-        }
-        t.to_markdown()
+        self.table().to_markdown()
     }
 
     /// Renders as CSV (no mean row).
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut headers = vec![self.row_header.clone()];
-        headers.extend(self.columns.iter().cloned());
-        let mut t = Table::new(headers);
-        for (label, values) in &self.rows {
-            t.numeric_row(label, values, self.decimals);
-        }
-        t.to_csv()
+        self.table().to_csv()
     }
 
     /// Mean of one value column.
@@ -366,133 +383,189 @@ impl FigureData {
         assert!(!self.rows.is_empty());
         self.rows.iter().map(|(_, v)| v[col]).sum::<f64>() / self.rows.len() as f64
     }
+}
 
-    /// The value for one benchmark row (by its lower-case name).
+/// One row of a [`Source::Planned`] figure: its label and the
+/// configurations its cells are computed from.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Row label (first column).
+    pub label: String,
+    /// The configurations this row reads, in the order its cell
+    /// function receives their results.
+    pub configs: Vec<ExperimentConfig>,
+}
+
+/// Where a figure's content comes from.
+#[derive(Debug, Clone)]
+pub enum Source {
+    /// A closed-form printout that runs no simulation.
+    Printed(fn() -> String),
+    /// Rows planned through [`Lab`]: the figure with no rows yet, every
+    /// row's configurations at a scale, and one row's values from its
+    /// results (in [`Row::configs`] order).
+    Planned(
+        FigureData,
+        fn(Scale) -> Vec<Row>,
+        fn(&Row, &[&RunStats]) -> Vec<f64>,
+    ),
+    /// Rows measured by driving [`System`] directly, for quantities a
+    /// [`RunStats`] and its run-cache key do not carry: the figure with
+    /// no rows yet, and every row at a scale.
+    Direct(FigureData, fn(Scale) -> Vec<(String, Vec<f64>)>),
+}
+
+/// One `exp` table command, declared once.
+#[derive(Debug, Clone)]
+pub struct Figure {
+    /// The `exp` command that prints it.
+    pub slug: &'static str,
+    /// Whether `exp all` prints it (the paper's own result).
+    pub in_all: bool,
+    /// What it prints.
+    pub source: Source,
+}
+
+/// A rendered figure.
+#[derive(Debug, Clone)]
+pub enum Output {
+    /// Preformatted text, printed as is.
+    Text(String),
+    /// A table, rendered as text, CSV or markdown by the caller.
+    Table(FigureData),
+}
+
+impl Figure {
+    /// Its title: the first line it prints, and its `exp help` line.
     #[must_use]
-    pub fn value(&self, benchmark: &str, col: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|(name, _)| name == benchmark)
-            .map(|(_, v)| v[col])
+    pub fn title(&self) -> String {
+        match &self.source {
+            Source::Printed(text) => text().lines().next().unwrap_or_default().to_owned(),
+            Source::Planned(table, ..) | Source::Direct(table, _) => table.title.clone(),
+        }
+    }
+
+    /// The configurations this figure reads at `scale`, row by row
+    /// (empty for figures not planned through [`Lab`]).
+    #[must_use]
+    pub fn plan(&self, scale: Scale) -> Vec<ExperimentConfig> {
+        match &self.source {
+            Source::Planned(_, plan, _) => {
+                plan(scale).into_iter().flat_map(|r| r.configs).collect()
+            }
+            Source::Printed(_) | Source::Direct(..) => Vec::new(),
+        }
+    }
+
+    /// Computes the figure at the lab's scale: the text of a printed
+    /// one, or a table. A planned figure submits its whole plan as one
+    /// [`Lab::prefetch_configs`] batch, then builds every row from
+    /// planned results only.
+    pub fn render(&self, lab: &mut Lab) -> Output {
+        match &self.source {
+            Source::Printed(text) => Output::Text(text()),
+            Source::Direct(table, rows) => Output::Table(FigureData {
+                rows: rows(lab.scale()),
+                ..table.clone()
+            }),
+            Source::Planned(table, plan, cells) => {
+                let rows = plan(lab.scale());
+                let configs: Vec<ExperimentConfig> = rows
+                    .iter()
+                    .flat_map(|r| r.configs.iter().cloned())
+                    .collect();
+                lab.prefetch_configs(&configs);
+                let rows = rows
+                    .iter()
+                    .map(|row| {
+                        let stats: Vec<&RunStats> =
+                            row.configs.iter().map(|cfg| lab.planned(cfg)).collect();
+                        (row.label.clone(), cells(row, &stats))
+                    })
+                    .collect();
+                Output::Table(FigureData {
+                    rows,
+                    ..table.clone()
+                })
+            }
+        }
     }
 }
 
-fn benchmarks_of(kind: Option<BenchKind>) -> Vec<Benchmark> {
-    match kind {
-        None => Benchmark::all().to_vec(),
-        Some(BenchKind::Fp) => Benchmark::fp().to_vec(),
-        Some(BenchKind::Int) => Benchmark::int().to_vec(),
+/// A figure planned through [`Lab`], one row per `plan` entry.
+fn planned<S: Into<String>>(
+    slug: &'static str,
+    title: impl Into<String>,
+    columns: impl IntoIterator<Item = S>,
+    decimals: usize,
+    plan: fn(Scale) -> Vec<Row>,
+    cells: fn(&Row, &[&RunStats]) -> Vec<f64>,
+) -> Figure {
+    let table = shape(title, columns, decimals);
+    Figure {
+        slug,
+        in_all: false,
+        source: Source::Planned(table, plan, cells),
     }
 }
 
-/// Cross product of workloads × schemes, in row-major (workload) order.
-fn cross(benches: &[Benchmark], schemes: &[SchemeKind]) -> Vec<PlannedRun> {
-    benches
+/// A figure measured by driving [`System`] directly.
+fn direct<S: Into<String>>(
+    slug: &'static str,
+    title: &str,
+    columns: impl IntoIterator<Item = S>,
+    decimals: usize,
+    rows: fn(Scale) -> Vec<(String, Vec<f64>)>,
+) -> Figure {
+    let table = shape(title, columns, decimals);
+    Figure {
+        slug,
+        in_all: false,
+        source: Source::Direct(table, rows),
+    }
+}
+
+/// A figure's title, headers and precision, with no rows yet.
+fn shape<S: Into<String>>(
+    title: impl Into<String>,
+    columns: impl IntoIterator<Item = S>,
+    decimals: usize,
+) -> FigureData {
+    FigureData {
+        title: title.into(),
+        row_header: "benchmark".into(),
+        columns: columns.into_iter().map(Into::into).collect(),
+        rows: Vec::new(),
+        decimals,
+    }
+}
+
+/// `fig` with its first column headed `header` instead of `benchmark`.
+fn headed(mut fig: Figure, header: &str) -> Figure {
+    if let Source::Planned(table, ..) | Source::Direct(table, _) = &mut fig.source {
+        table.row_header = header.into();
+    }
+    fig
+}
+
+/// One row per benchmark, each reading `schemes` in order.
+fn per_benchmark(scale: Scale, benchmarks: &[Benchmark], schemes: &[SchemeKind]) -> Vec<Row> {
+    benchmarks
         .iter()
-        .flat_map(|&b| schemes.iter().map(move |&k| (Workload::from(b), k)))
+        .map(|&b| Row {
+            label: b.name().to_owned(),
+            configs: schemes.iter().map(|&k| scale.config(b, k)).collect(),
+        })
         .collect()
 }
 
-/// The runs [`fig1`] needs.
-#[must_use]
-pub fn fig1_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &[SchemeKind::Uniform])
+fn dirty_pct(s: &RunStats) -> f64 {
+    s.l2.avg_dirty_fraction * 100.0
 }
 
-/// The runs [`fig3_fig4`] needs for `kind`.
-#[must_use]
-pub fn fig3_fig4_configs(kind: BenchKind) -> Vec<PlannedRun> {
-    cross(&benchmarks_of(Some(kind)), &interval_sweep_schemes())
-}
-
-/// The runs [`fig5_fig6`] needs for `kind` (same sweep as Figures 3/4).
-#[must_use]
-pub fn fig5_fig6_configs(kind: BenchKind) -> Vec<PlannedRun> {
-    fig3_fig4_configs(kind)
-}
-
-/// The runs [`fig7`] needs.
-#[must_use]
-pub fn fig7_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &[proposed()])
-}
-
-/// The runs [`fig8`] needs.
-#[must_use]
-pub fn fig8_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &[proposed()])
-}
-
-/// The runs [`perf`] needs.
-#[must_use]
-pub fn perf_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &comparison_schemes())
-}
-
-/// The runs [`calibrate`] needs.
-#[must_use]
-pub fn calibrate_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &[SchemeKind::Uniform])
-}
-
-/// The runs [`ablation_schemes`] needs.
-#[must_use]
-pub fn ablation_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &ablation_scheme_set())
-}
-
-/// The runs [`reliability`] needs.
-#[must_use]
-pub fn reliability_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &comparison_schemes())
-}
-
-/// The runs [`energy`] needs.
-#[must_use]
-pub fn energy_configs() -> Vec<PlannedRun> {
-    cross(&benchmarks_of(None), &comparison_schemes())
-}
-
-/// The union of every lab-driven figure's plan, in `exp all` emission
-/// order — `exp all` submits this once up front so the whole session
-/// parallelises as a single batch instead of figure by figure.
-#[must_use]
-pub fn all_configs() -> Vec<PlannedRun> {
-    let mut plan = fig1_configs();
-    plan.extend(fig3_fig4_configs(BenchKind::Fp));
-    plan.extend(fig3_fig4_configs(BenchKind::Int));
-    plan.extend(fig5_fig6_configs(BenchKind::Fp));
-    plan.extend(fig5_fig6_configs(BenchKind::Int));
-    plan.extend(fig7_configs());
-    plan.extend(fig8_configs());
-    plan.extend(perf_configs());
-    plan
-}
-
-/// **Figure 1**: percentage of dirty L2 lines per cycle, org configuration.
-pub fn fig1(lab: &mut Lab) -> FigureData {
-    lab.prefetch(&fig1_configs());
-    let rows = benchmarks_of(None)
-        .into_iter()
-        .map(|b| {
-            let stats = lab.stats(b, SchemeKind::Uniform);
-            (
-                b.name().to_owned(),
-                vec![stats.l2.avg_dirty_fraction * 100.0],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Figure 1: % dirty L2 lines per cycle (1MB 4-way, no cleaning)".into(),
-        row_header: "benchmark".into(),
-        columns: vec!["%dirty".into()],
-        rows,
-        decimals: 1,
-    }
-}
-
+/// The Figures 3–6 columns: every cleaning interval, then `org`.
 fn interval_columns() -> Vec<String> {
-    let mut columns: Vec<String> = interval_axis()
+    let mut columns: Vec<String> = registry::interval_axis()
         .into_iter()
         .map(aep_core::scheme::human_interval)
         .collect();
@@ -500,222 +573,485 @@ fn interval_columns() -> Vec<String> {
     columns
 }
 
-/// **Figures 3/4**: % dirty lines per cycle vs cleaning interval
-/// (Figure 3 = FP, Figure 4 = INT).
-pub fn fig3_fig4(lab: &mut Lab, kind: BenchKind) -> FigureData {
-    lab.prefetch(&fig3_fig4_configs(kind));
-    let rows = benchmarks_of(Some(kind))
-        .into_iter()
-        .map(|b| {
-            let mut values: Vec<f64> = interval_axis()
-                .into_iter()
-                .map(|interval| {
-                    lab.stats(
-                        b,
-                        SchemeKind::UniformWithCleaning {
-                            cleaning_interval: interval,
-                        },
-                    )
-                    .l2
-                    .avg_dirty_fraction
-                        * 100.0
-                })
-                .collect();
-            values.push(lab.stats(b, SchemeKind::Uniform).l2.avg_dirty_fraction * 100.0);
-            (b.name().to_owned(), values)
-        })
-        .collect();
-    let figno = if kind == BenchKind::Fp { 3 } else { 4 };
-    FigureData {
-        title: format!("Figure {figno}: % dirty lines per cycle vs cleaning interval ({kind})"),
-        row_header: "benchmark".into(),
-        columns: interval_columns(),
-        rows,
-        decimals: 1,
-    }
-}
+/// Workload seeds of the `seeds` table.
+const SEEDS: u64 = 5;
 
-/// **Figures 5/6**: write-back traffic (% of loads/stores) vs interval
-/// (Figure 5 = FP, Figure 6 = INT), including the `org` bar.
-pub fn fig5_fig6(lab: &mut Lab, kind: BenchKind) -> FigureData {
-    lab.prefetch(&fig5_fig6_configs(kind));
-    let rows = benchmarks_of(Some(kind))
-        .into_iter()
-        .map(|b| {
-            let mut values: Vec<f64> = interval_axis()
-                .into_iter()
-                .map(|interval| {
-                    lab.stats(
-                        b,
-                        SchemeKind::UniformWithCleaning {
-                            cleaning_interval: interval,
-                        },
-                    )
-                    .l2
-                    .wb_percent()
-                })
-                .collect();
-            values.push(lab.stats(b, SchemeKind::Uniform).l2.wb_percent());
-            (b.name().to_owned(), values)
-        })
-        .collect();
-    let figno = if kind == BenchKind::Fp { 5 } else { 6 };
-    FigureData {
-        title: format!(
-            "Figure {figno}: write-backs as % of all loads/stores vs cleaning interval ({kind})"
+/// Every `exp` table, in `exp help` order: the paper's own, which `exp
+/// all` prints in this order, then the extensions.
+#[must_use]
+pub fn figures() -> Vec<Figure> {
+    let printed = |slug, text| Figure {
+        slug,
+        in_all: false,
+        source: Source::Printed(text),
+    };
+    let paper = [
+        printed("table1", table1_text),
+        planned(
+            "fig1",
+            "Figure 1: % dirty L2 lines per cycle (1MB 4-way, no cleaning)",
+            ["%dirty"],
+            1,
+            |s| per_benchmark(s, &Benchmark::all(), &[SchemeKind::Uniform]),
+            |_, r| vec![dirty_pct(r[0])],
         ),
-        row_header: "benchmark".into(),
-        columns: interval_columns(),
-        rows,
-        decimals: 2,
-    }
-}
-
-/// **Figure 7**: % dirty lines per cycle under the full proposed scheme
-/// (cleaning @ 1M + shared per-set ECC array).
-pub fn fig7(lab: &mut Lab) -> FigureData {
-    lab.prefetch(&fig7_configs());
-    let rows = benchmarks_of(None)
-        .into_iter()
-        .map(|b| {
-            let stats = lab.stats(b, proposed());
-            (
-                b.name().to_owned(),
-                vec![stats.l2.avg_dirty_fraction * 100.0],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Figure 7: % dirty lines per cycle, proposed scheme (clean@1M + ECC array)".into(),
-        row_header: "benchmark".into(),
-        columns: vec!["%dirty".into()],
-        rows,
-        decimals: 1,
-    }
-}
-
-/// **Figure 8**: write-back breakdown (Clean-WB / WB / ECC-WB as % of all
-/// loads/stores) under the proposed scheme.
-pub fn fig8(lab: &mut Lab) -> FigureData {
-    lab.prefetch(&fig8_configs());
-    let rows = benchmarks_of(None)
-        .into_iter()
-        .map(|b| {
-            let s = lab.stats(b, proposed());
-            let w = &s.l2;
-            (
-                b.name().to_owned(),
+        printed("fig2", fig2_text),
+        planned(
+            "fig3",
+            "Figure 3: % dirty lines per cycle vs cleaning interval (FP)",
+            interval_columns(),
+            1,
+            |s| per_benchmark(s, &Benchmark::fp(), &registry::interval_sweep_schemes()),
+            |_, r| r.iter().map(|s| dirty_pct(s)).collect(),
+        ),
+        planned(
+            "fig4",
+            "Figure 4: % dirty lines per cycle vs cleaning interval (INT)",
+            interval_columns(),
+            1,
+            |s| per_benchmark(s, &Benchmark::int(), &registry::interval_sweep_schemes()),
+            |_, r| r.iter().map(|s| dirty_pct(s)).collect(),
+        ),
+        planned(
+            "fig5",
+            "Figure 5: write-backs as % of all loads/stores vs cleaning interval (FP)",
+            interval_columns(),
+            2,
+            |s| per_benchmark(s, &Benchmark::fp(), &registry::interval_sweep_schemes()),
+            |_, r| r.iter().map(|s| s.l2.wb_percent()).collect(),
+        ),
+        planned(
+            "fig6",
+            "Figure 6: write-backs as % of all loads/stores vs cleaning interval (INT)",
+            interval_columns(),
+            2,
+            |s| per_benchmark(s, &Benchmark::int(), &registry::interval_sweep_schemes()),
+            |_, r| r.iter().map(|s| s.l2.wb_percent()).collect(),
+        ),
+        planned(
+            "fig7",
+            "Figure 7: % dirty lines per cycle, proposed scheme (clean@1M + ECC array)",
+            ["%dirty"],
+            1,
+            |s| per_benchmark(s, &Benchmark::all(), &[proposed()]),
+            |_, r| vec![dirty_pct(r[0])],
+        ),
+        planned(
+            "fig8",
+            "Figure 8: write-back breakdown, proposed scheme (% of all loads/stores)",
+            ["Clean-WB", "WB", "ECC-WB", "total"],
+            3,
+            |s| per_benchmark(s, &Benchmark::all(), &[proposed()]),
+            |_, r| {
+                let w = &r[0].l2;
                 vec![
                     w.wb_percent_of(w.wb_cleaning),
                     w.wb_percent_of(w.wb_replacement),
                     w.wb_percent_of(w.wb_ecc),
                     w.wb_percent(),
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Figure 8: write-back breakdown, proposed scheme (% of all loads/stores)".into(),
-        row_header: "benchmark".into(),
-        columns: vec![
-            "Clean-WB".into(),
-            "WB".into(),
-            "ECC-WB".into(),
-            "total".into(),
-        ],
-        rows,
-        decimals: 3,
-    }
-}
-
-/// **§5.2 performance**: IPC of org vs proposed, and the loss percentage.
-pub fn perf(lab: &mut Lab) -> FigureData {
-    lab.prefetch(&perf_configs());
-    let rows = benchmarks_of(None)
-        .into_iter()
-        .map(|b| {
-            let base = lab.stats(b, SchemeKind::Uniform);
-            let ours = lab.stats(b, proposed());
-            let loss = (base.ipc - ours.ipc) / base.ipc * 100.0;
-            (b.name().to_owned(), vec![base.ipc, ours.ipc, loss])
-        })
-        .collect();
-    FigureData {
-        title: "§5.2 performance: IPC, org vs proposed".into(),
-        row_header: "benchmark".into(),
-        columns: vec!["IPC org".into(), "IPC proposed".into(), "loss %".into()],
-        rows,
-        decimals: 3,
-    }
-}
-
-/// Calibration sweep: org dirty%, WB%, IPC, and cache behaviour for every
-/// benchmark (used to tune the workload models; not a paper figure).
-pub fn calibrate(lab: &mut Lab) -> FigureData {
-    lab.prefetch(&calibrate_configs());
-    let rows = benchmarks_of(None)
-        .into_iter()
-        .map(|b| {
-            let s = lab.stats(b, SchemeKind::Uniform);
-            (
-                b.name().to_owned(),
+                ]
+            },
+        ),
+        planned(
+            "perf",
+            "§5.2 performance: IPC, org vs proposed",
+            ["IPC org", "IPC proposed", "loss %"],
+            3,
+            |s| per_benchmark(s, &Benchmark::all(), &registry::comparison_schemes()),
+            |_, r| {
+                let (base, ours) = (r[0], r[1]);
+                vec![base.ipc, ours.ipc, (base.ipc - ours.ipc) / base.ipc * 100.0]
+            },
+        ),
+        printed("area", area_text),
+    ];
+    let extensions = [
+        planned(
+            "calibrate",
+            "Calibration (org): dirty%, WB%, IPC, miss ratios",
+            ["%dirty", "%WB", "IPC", "L1D miss%", "L2 miss%", "mispred%"],
+            2,
+            |s| per_benchmark(s, &Benchmark::all(), &[SchemeKind::Uniform]),
+            |_, r| {
+                let s = r[0];
                 vec![
-                    s.l2.avg_dirty_fraction * 100.0,
+                    dirty_pct(s),
                     s.l2.wb_percent(),
                     s.ipc,
                     s.l1d_miss_ratio * 100.0,
                     s.l2_miss_ratio * 100.0,
                     s.mispredict_ratio * 100.0,
+                ]
+            },
+        ),
+        // 1 vs 2 ECC entries per set is a *structural* question answered
+        // by `AreaModel`; this contrasts the line-up's dynamic behaviour.
+        planned(
+            "ablation",
+            "Ablation: dirty% and WB% across protection configurations",
+            registry::ablation_lineup()
+                .into_iter()
+                .flat_map(|(n, _)| [format!("{n} dirty%"), format!("{n} WB%")]),
+            2,
+            |s| per_benchmark(s, &Benchmark::all(), &registry::ablation_schemes()),
+            |_, r| {
+                r.iter()
+                    .flat_map(|s| [dirty_pct(s), s.l2.wb_percent()])
+                    .collect()
+            },
+        ),
+        // Measured dirty residency as first-order FIT per design.
+        planned(
+            "reliability",
+            "Reliability: first-order FIT by design (1000 FIT/Mbit raw; DUE+SDC shown)",
+            [
+                "none(SDC)",
+                "parity(org)",
+                "parity(+clean)",
+                "uniform",
+                "proposed",
+            ],
+            0,
+            |s| per_benchmark(s, &Benchmark::all(), &registry::comparison_schemes()),
+            |_, r| {
+                let (org, ours) = (&r[0].l2, &r[1].l2);
+                let l2 = aep_mem::CacheConfig::date2006_l2();
+                let model = SoftErrorModel::date2006_typical();
+                vec![
+                    model.unprotected(&l2).sdc_fit,
+                    model.parity_only(&l2, org.avg_dirty_fraction).due_fit,
+                    model.parity_only(&l2, ours.avg_dirty_fraction).due_fit,
+                    model.uniform_ecc(&l2).user_visible_fit(),
+                    model
+                        .proposed(&l2, ours.avg_dirty_fraction)
+                        .user_visible_fit(),
+                ]
+            },
+        ),
+        // The Li et al. angle: check/encode energy per 1 000 loads/stores,
+        // plus the energy of the write-backs proposed adds over org.
+        planned(
+            "energy",
+            "Protection energy (pJ per 1000 loads/stores): org vs proposed",
+            ["org checks", "prop checks", "prop total", "check savings%"],
+            1,
+            |s| per_benchmark(s, &Benchmark::all(), &registry::comparison_schemes()),
+            |_, r| {
+                let (org, ours) = (r[0], r[1]);
+                let model = EnergyModel::default_2006();
+                let per_kops = |pj: f64, ls: u64| pj / (ls as f64 / 1_000.0);
+                let org_checks = model.protection_energy_pj(org.energy);
+                let ours_checks = model.protection_energy_pj(ours.energy);
+                let extra_wb = ours.l2.wb_total().saturating_sub(org.l2.wb_total());
+                let ours_total = model.total_energy_pj(ours.energy, extra_wb);
+                vec![
+                    per_kops(org_checks, org.l2.loads_stores),
+                    per_kops(ours_checks, ours.l2.loads_stores),
+                    per_kops(ours_total, ours.l2.loads_stores),
+                    if org_checks > 0.0 {
+                        (1.0 - ours_checks / org_checks) * 100.0
+                    } else {
+                        0.0
+                    },
+                ]
+            },
+        ),
+        direct(
+            "lifetimes",
+            "Dirty-line lifetimes (org): generational behaviour census",
+            ["mean(Kcyc)", "%>=64K", "%>=1M", "%>=4M", "samples"],
+            1,
+            lifetime_rows,
+        ),
+        // "Large L2/L3 caches of current processors": the L2 from 512 KB
+        // to 4 MB at the paper's 1M cleaning interval.
+        headed(
+            planned(
+                "sensitivity",
+                "Sensitivity: L2 size sweep (gap; area model + measured behaviour)",
+                [
+                    "conv KiB",
+                    "prop KiB",
+                    "reduction%",
+                    "org dirty%",
+                    "prop dirty%",
+                    "prop WB%",
+                ],
+                1,
+                |s| {
+                    [512u64, 1024, 2048, 4096]
+                        .into_iter()
+                        .map(|kib| {
+                            let mut hierarchy = HierarchyConfig::date2006();
+                            hierarchy.l2.size_bytes = kib * 1024;
+                            let configs = registry::comparison_schemes().into_iter().map(|k| {
+                                ExperimentConfig {
+                                    hierarchy: hierarchy.clone(),
+                                    ..s.config(Benchmark::Gap, k)
+                                }
+                            });
+                            Row {
+                                label: format!("{kib}K"),
+                                configs: configs.collect(),
+                            }
+                        })
+                        .collect()
+                },
+                |row, r| {
+                    let model = AreaModel::new(&row.configs[0].hierarchy.l2);
+                    let (conventional, ours) =
+                        (model.conventional().total(), model.proposed().total());
+                    vec![
+                        conventional.kib(),
+                        ours.kib(),
+                        conventional.reduction_to(ours) * 100.0,
+                        dirty_pct(r[0]),
+                        dirty_pct(r[1]),
+                        r[1].l2.wb_percent(),
+                    ]
+                },
+            ),
+            "L2 size",
+        ),
+        headed(
+            direct(
+                "cleaners",
+                "Cleaning-policy comparison on gap (uniform ECC L2)",
+                ["%dirty", "%WB", "IPC"],
+                2,
+                cleaner_rows,
+            ),
+            "policy",
+        ),
+        // The headline metrics are properties of the workload model, not
+        // of one random stream.
+        planned(
+            "seeds",
+            format!("Seed robustness: org dirty% over {SEEDS} seeds (mean, sample sd)"),
+            ["mean %dirty", "sd"],
+            2,
+            |s| {
+                Benchmark::all()
+                    .into_iter()
+                    .map(|b| Row {
+                        label: b.name().to_owned(),
+                        configs: (0..SEEDS)
+                            .map(|seed| ExperimentConfig {
+                                seed: 1000 + seed,
+                                ..s.config(b, SchemeKind::Uniform)
+                            })
+                            .collect(),
+                    })
+                    .collect()
+            },
+            |_, r| {
+                let samples: Vec<f64> = r.iter().map(|s| dirty_pct(s)).collect();
+                vec![mean(&samples), stddev(&samples)]
+            },
+        ),
+    ];
+    paper
+        .into_iter()
+        .map(|f| Figure { in_all: true, ..f })
+        .chain(extensions)
+        .collect()
+}
+
+/// The declared figure printed by `exp <slug>`.
+#[must_use]
+pub fn figure(slug: &str) -> Option<Figure> {
+    figures().into_iter().find(|f| f.slug == slug)
+}
+
+/// The union of the `exp all` figures' plans, in emission order —
+/// `exp all` submits this once up front so the whole session
+/// parallelises as a single batch instead of figure by figure. The
+/// (workload, scheme) pairs of these plans do not depend on the scale.
+#[must_use]
+pub fn all_configs() -> Vec<PlannedRun> {
+    figures()
+        .iter()
+        .filter(|f| f.in_all)
+        .flat_map(|f| f.plan(Scale::Quick))
+        .map(|cfg| (cfg.benchmark, cfg.scheme))
+        .collect()
+}
+
+/// **Table 1**: the baseline processor configuration.
+fn table1_text() -> String {
+    let core = CoreConfig::date2006();
+    let hier = HierarchyConfig::date2006();
+    let cache = |c: &aep_mem::CacheConfig| {
+        let (kb, ways, line) = (c.size_bytes / 1024, c.ways, c.line_bytes);
+        format!("{kb}KB {ways}-way, {line}B line, {}-cycle", c.hit_latency)
+    };
+    format!(
+        "Table 1: baseline processor configuration\n\
+         -----------------------------------------\n\
+         Issue window            {}-entry RUU\n\
+         \x20                       {}-entry LSQ\n\
+         decode and issue rate   {} instructions per cycle\n\
+         Functional units        {} INT add, {} INT mult/div\n\
+         \x20                       {} FP add, {} FP mult/div\n\
+         L1 instruction cache    {}\n\
+         L1 data cache           {} (write-through)\n\
+         Write buffer            fully associative, {} entries\n\
+         L2 cache                unified {}\n\
+         Main memory             {}B-wide, {}-cycle\n\
+         Branch prediction       2-level, 2K BTB\n\
+         Instruction TLB         64-entry, 4-way\n\
+         Data TLB                128-entry, 4-way\n\n",
+        core.ruu_entries,
+        core.lsq_entries,
+        core.issue_width,
+        core.fu.int_alu,
+        core.fu.int_mul,
+        core.fu.fp_add,
+        core.fu.fp_mul,
+        cache(&hier.l1i),
+        cache(&hier.l1d),
+        hier.write_buffer_entries,
+        cache(&hier.l2),
+        hier.bus_bytes_per_cycle,
+        hier.memory_latency
+    )
+}
+
+/// **Figure 2**: the cleaning logic and ECC storage, structurally.
+fn fig2_text() -> String {
+    let l2 = HierarchyConfig::date2006().l2;
+    let fsm = CleaningLogic::new(1024 * 1024, l2.sets() as usize);
+    format!(
+        "Figure 2: cleaning logic and ECC storage architecture (structural)\n\
+         -------------------------------------------------------------------\n\
+         parity arrays           one per way ({} ways), 1 bit / 64 data bits\n\
+         shared ECC array        one entry per set: {} entries x {} B\n\
+         written bits            1 per line ({} bits)\n\
+         cleaning FSM            cycle counter + {}-bit next-set latch\n\
+         probe cadence @1M       one set every {} cycles\n\
+         arbitration             L1 misses have priority over cleaning probes\n\n",
+        l2.ways,
+        l2.sets(),
+        l2.line_bytes / 8,
+        l2.lines(),
+        fsm.latch_bits(),
+        fsm.probe_period()
+    )
+}
+
+/// **§5.2 area accounting**: conventional vs proposed protection storage.
+fn area_text() -> String {
+    let model = AreaModel::new(&HierarchyConfig::date2006().l2);
+    let (conventional, proposed) = (model.conventional(), model.proposed());
+    format!(
+        "§5.2 area accounting (1MB 4-way L2, 64B lines)\n\
+         ----------------------------------------------\n\
+         {}\n{}\nreduction: {:.1}% (paper: 59%)\n",
+        conventional.to_table(),
+        proposed.to_table(),
+        conventional.total().reduction_to(proposed.total()) * 100.0
+    )
+}
+
+/// The `lifetimes` rows: for each benchmark (org), the mean dirty
+/// lifetime and the fraction of lifetimes at least as long as each
+/// cleaning interval — the lines a sweep at that interval can hope to
+/// reclaim. The generational-behaviour evidence behind the paper's
+/// cleaning technique; the lifetime histogram is not part of `RunStats`.
+fn lifetime_rows(scale: Scale) -> Vec<(String, Vec<f64>)> {
+    let (warmup, window) = match scale {
+        Scale::Paper => (4_000_000u64, 12_000_000u64),
+        Scale::Quick => (1_000_000, 2_500_000),
+        Scale::Smoke => (30_000, 80_000),
+    };
+    Benchmark::all()
+        .into_iter()
+        .map(|b| {
+            let mut sys = System::new(
+                CoreConfig::date2006(),
+                HierarchyConfig::date2006(),
+                SchemeKind::Uniform,
+                b.generator(2006),
+            );
+            sys.hier.l2_mut().enable_lifetime_tracking();
+            let mut now = sys.run(0, warmup);
+            now = sys.run(now, window);
+            sys.hier.l2_mut().flush_lifetimes(now);
+            let h = sys
+                .hier
+                .l2()
+                .lifetime_histogram()
+                .expect("tracking enabled")
+                .clone();
+            (
+                b.name().to_owned(),
+                vec![
+                    h.mean() / 1_000.0,
+                    h.fraction_at_least(64 * 1024) * 100.0,
+                    h.fraction_at_least(1024 * 1024) * 100.0,
+                    h.fraction_at_least(4 * 1024 * 1024) * 100.0,
+                    h.samples() as f64,
                 ],
             )
         })
-        .collect();
-    FigureData {
-        title: "Calibration (org): dirty%, WB%, IPC, miss ratios".into(),
-        row_header: "benchmark".into(),
-        columns: vec![
-            "%dirty".into(),
-            "%WB".into(),
-            "IPC".into(),
-            "L1D miss%".into(),
-            "L2 miss%".into(),
-            "mispred%".into(),
-        ],
-        rows,
-        decimals: 2,
-    }
+        .collect()
 }
 
-/// Ablation: dirty fraction and WB% for 1 vs 2 ECC entries per set is a
-/// *structural* question answered by [`aep_core::AreaModel`]; the dynamic
-/// ablation here contrasts the proposed scheme against cleaning-only and
-/// parity-only at the chosen interval.
-pub fn ablation_schemes(lab: &mut Lab) -> FigureData {
-    lab.prefetch(&ablation_configs());
-    let configs = aep_dse::registry::ablation_lineup();
-    let rows = benchmarks_of(None)
+/// The `cleaners` rows: the paper's written-bit interval FSM vs.
+/// Kaxiras-style decay cleaning vs. Lee et al.'s eager writeback (§2
+/// related work), on the uniform-ECC L2. `SchemeKind` does not express
+/// the decay and eager policies, so these runs bypass the lab.
+fn cleaner_rows(scale: Scale) -> Vec<(String, Vec<f64>)> {
+    let (warmup, window) = match scale {
+        Scale::Paper => (12_000_000u64, 20_000_000u64),
+        Scale::Quick => (1_500_000, 2_500_000),
+        Scale::Smoke => (30_000, 50_000),
+    };
+    let sets = HierarchyConfig::date2006().l2.sets() as usize;
+    let interval = CHOSEN_INTERVAL;
+    let policies: Vec<(String, CleaningPolicy)> = vec![
+        ("none (org)".into(), CleaningPolicy::None),
+        (
+            "written-bit@1M".into(),
+            CleaningPolicy::written_bit(interval, sets),
+        ),
+        (
+            "decay@1M".into(),
+            CleaningPolicy::decay(interval, interval, sets),
+        ),
+        ("eager".into(), CleaningPolicy::eager(sets)),
+    ];
+    policies
         .into_iter()
-        .map(|b| {
-            let values: Vec<f64> = configs
-                .iter()
-                .flat_map(|&(_, k)| {
-                    let s = lab.stats(b, k);
-                    [s.l2.avg_dirty_fraction * 100.0, s.l2.wb_percent()]
-                })
-                .collect();
-            (b.name().to_owned(), values)
+        .map(|(label, policy)| {
+            let mut sys = System::new(
+                CoreConfig::date2006(),
+                HierarchyConfig::date2006(),
+                SchemeKind::Uniform,
+                Benchmark::Gap.generator(2006),
+            );
+            sys.set_cleaning_policy(policy);
+            let now = sys.run(0, warmup);
+            let wb0 = sys.hier.l2().stats().writebacks();
+            let ops0 = sys.hier.ops().loads_stores();
+            let committed0 = sys.cpu.stats().committed;
+            let mut dirty_sum = 0.0;
+            for tick in now..now + window {
+                sys.step(tick);
+                dirty_sum += sys.hier.l2_dirty_fraction();
+            }
+            let wb = sys.hier.l2().stats().writebacks() - wb0;
+            let ops = sys.hier.ops().loads_stores() - ops0;
+            (
+                label,
+                vec![
+                    dirty_sum / window as f64 * 100.0,
+                    wb as f64 / ops as f64 * 100.0,
+                    (sys.cpu.stats().committed - committed0) as f64 / window as f64,
+                ],
+            )
         })
-        .collect();
-    FigureData {
-        title: "Ablation: dirty% and WB% across protection configurations".into(),
-        row_header: "benchmark".into(),
-        columns: configs
-            .iter()
-            .flat_map(|&(n, _)| [format!("{n} dirty%"), format!("{n} WB%")])
-            .collect(),
-        rows,
-        decimals: 2,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -744,8 +1080,6 @@ mod tests {
         assert!(text.contains("2.0"));
         assert!((fig.column_mean(0) - 2.0).abs() < 1e-12);
         assert_eq!(fig.to_csv().lines().count(), 3);
-        assert_eq!(fig.value("a", 0), Some(1.0));
-        assert_eq!(fig.value("zzz", 0), None);
     }
 
     #[test]
@@ -777,10 +1111,10 @@ mod tests {
 
     #[test]
     fn parallel_prefetch_is_bit_identical_to_serial() {
-        let plan = cross(
-            &[Benchmark::Gzip, Benchmark::Mcf, Benchmark::Applu],
-            &[SchemeKind::Uniform, proposed()],
-        );
+        let plan: Vec<PlannedRun> = [Benchmark::Gzip, Benchmark::Mcf, Benchmark::Applu]
+            .into_iter()
+            .flat_map(|b| [(b.into(), SchemeKind::Uniform), (b.into(), proposed())])
+            .collect();
         let mut serial = Lab::new(Scale::Smoke);
         serial.prefetch(&plan);
         let mut parallel = Lab::new(Scale::Smoke).jobs(4);
@@ -867,456 +1201,63 @@ mod tests {
 
     #[test]
     fn plans_cover_their_figures() {
-        // Each figure's plan must contain every config the figure reads;
-        // run at smoke scale and confirm no figure triggers extra runs
-        // beyond its declared plan.
-        let mut lab = Lab::new(Scale::Smoke);
-        lab.prefetch(&fig1_configs());
-        let declared = lab.runs();
-        let _ = fig1(&mut lab);
-        assert_eq!(lab.runs(), declared, "fig1 ran outside its plan");
+        // A figure reads only its declared plan: rendering runs exactly
+        // the plan's distinct configurations, nothing more.
+        for slug in ["fig1", "perf", "sensitivity"] {
+            let fig = figure(slug).expect("declared");
+            let mut lab = Lab::new(Scale::Smoke);
+            let Output::Table(data) = fig.render(&mut lab) else {
+                panic!("{slug} is a table");
+            };
+            let distinct: std::collections::HashSet<String> = fig
+                .plan(Scale::Smoke)
+                .iter()
+                .map(|cfg| RunCache::key("smoke", cfg))
+                .collect();
+            assert_eq!(lab.runs(), distinct.len(), "{slug} ran outside its plan");
+            assert!(!data.rows.is_empty());
+        }
+    }
 
+    #[test]
+    #[should_panic(expected = "read outside the plan")]
+    fn reading_an_unplanned_config_panics() {
         let mut lab = Lab::new(Scale::Smoke);
-        lab.prefetch(&perf_configs());
-        let declared = lab.runs();
-        let _ = perf(&mut lab);
-        assert_eq!(lab.runs(), declared, "perf ran outside its plan");
+        lab.prefetch(&[(Benchmark::Gzip.into(), SchemeKind::Uniform)]);
+        let _ = lab.planned(&Scale::Smoke.config(Benchmark::Gzip, proposed()));
     }
 
     #[test]
     fn all_configs_is_the_union_of_figure_plans() {
         let all = all_configs();
-        for plan in [
-            fig1_configs(),
-            fig3_fig4_configs(BenchKind::Fp),
-            fig5_fig6_configs(BenchKind::Int),
-            fig7_configs(),
-            fig8_configs(),
-            perf_configs(),
-        ] {
-            for run in plan {
-                assert!(all.contains(&run), "{run:?} missing from all_configs");
+        // fig1 (14), fig3-fig6 (4 x 7 x 5), fig7, fig8 (14 each), perf (28);
+        // 84 distinct.
+        assert_eq!(all.len(), 210);
+        let distinct: std::collections::HashSet<String> =
+            all.iter().map(|run| format!("{run:?}")).collect();
+        assert_eq!(distinct.len(), 84);
+        let mut expected = Vec::new();
+        for fig in figures().iter().filter(|f| f.in_all) {
+            for cfg in fig.plan(Scale::Smoke) {
+                expected.push((cfg.benchmark, cfg.scheme));
             }
         }
-    }
-}
-
-/// A cheap, single-benchmark probe of each table/figure's pipeline, used
-/// by the Criterion benches (`benches/figures.rs`) as regression guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FigureProbe {
-    /// Table 1 (configuration construction + validation).
-    Table1,
-    /// Figure 1 (org dirty census) on `gap`.
-    Fig1,
-    /// Figure 3 (FP interval sweep point) on `applu` @256K.
-    Fig3,
-    /// Figure 4 (INT interval sweep point) on `gap` @256K.
-    Fig4,
-    /// Figure 5 (FP WB traffic point) on `equake` @1M.
-    Fig5,
-    /// Figure 6 (INT WB traffic point) on `parser` @1M.
-    Fig6,
-    /// Figure 7 (proposed dirty census) on `mesa`.
-    Fig7,
-    /// Figure 8 (proposed WB breakdown) on `gzip`.
-    Fig8,
-    /// §5.2 IPC comparison on `vpr`.
-    Perf,
-    /// §5.2 area accounting (closed-form).
-    Area,
-}
-
-impl FigureProbe {
-    /// Every probe, in paper order.
-    #[must_use]
-    pub fn all() -> [FigureProbe; 10] {
-        [
-            FigureProbe::Table1,
-            FigureProbe::Fig1,
-            FigureProbe::Fig3,
-            FigureProbe::Fig4,
-            FigureProbe::Fig5,
-            FigureProbe::Fig6,
-            FigureProbe::Fig7,
-            FigureProbe::Fig8,
-            FigureProbe::Perf,
-            FigureProbe::Area,
-        ]
+        assert_eq!(all, expected, "all_configs is every exp-all plan, in order");
     }
 
-    /// The Criterion bench name.
-    #[must_use]
-    pub fn bench_name(self) -> &'static str {
-        match self {
-            FigureProbe::Table1 => "table1_config",
-            FigureProbe::Fig1 => "fig1_dirty_baseline",
-            FigureProbe::Fig3 => "fig3_interval_sweep_fp",
-            FigureProbe::Fig4 => "fig4_interval_sweep_int",
-            FigureProbe::Fig5 => "fig5_wb_traffic_fp",
-            FigureProbe::Fig6 => "fig6_wb_traffic_int",
-            FigureProbe::Fig7 => "fig7_proposed_dirty",
-            FigureProbe::Fig8 => "fig8_wb_breakdown",
-            FigureProbe::Perf => "perf_ipc_loss",
-            FigureProbe::Area => "area_accounting",
+    #[test]
+    fn slugs_are_unique_and_dispatchable() {
+        let figs = figures();
+        for fig in &figs {
+            assert_eq!(figs.iter().filter(|f| f.slug == fig.slug).count(), 1);
         }
-    }
-}
-
-/// Runs one probe and returns its headline metric.
-#[must_use]
-pub fn run_figure_probe(probe: FigureProbe) -> f64 {
-    let smoke =
-        |b: Benchmark, k: SchemeKind| Runner::new(aep_sim::ExperimentConfig::fast_test(b, k)).run();
-    let clean = |i: u64| SchemeKind::UniformWithCleaning {
-        cleaning_interval: i,
-    };
-    match probe {
-        FigureProbe::Table1 => {
-            let core = aep_cpu::CoreConfig::date2006();
-            let hier = aep_mem::HierarchyConfig::date2006();
-            hier.validate().expect("Table 1 must validate");
-            (core.ruu_entries + hier.write_buffer_entries) as f64
-        }
-        FigureProbe::Fig1 => {
-            smoke(Benchmark::Gap, SchemeKind::Uniform)
-                .l2
-                .avg_dirty_fraction
-        }
-        FigureProbe::Fig3 => {
-            smoke(Benchmark::Applu, clean(256 * 1024))
-                .l2
-                .avg_dirty_fraction
-        }
-        FigureProbe::Fig4 => {
-            smoke(Benchmark::Gap, clean(256 * 1024))
-                .l2
-                .avg_dirty_fraction
-        }
-        FigureProbe::Fig5 => smoke(Benchmark::Equake, clean(1024 * 1024)).l2.wb_percent(),
-        FigureProbe::Fig6 => smoke(Benchmark::Parser, clean(1024 * 1024)).l2.wb_percent(),
-        FigureProbe::Fig7 => smoke(Benchmark::Mesa, proposed()).l2.avg_dirty_fraction,
-        FigureProbe::Fig8 => {
-            let s = smoke(Benchmark::Gzip, proposed());
-            s.l2.wb_percent_of(s.l2.wb_ecc)
-        }
-        FigureProbe::Perf => {
-            let base = smoke(Benchmark::Vpr, SchemeKind::Uniform);
-            let ours = smoke(Benchmark::Vpr, proposed());
-            (base.ipc - ours.ipc) / base.ipc
-        }
-        FigureProbe::Area => {
-            let model = aep_core::AreaModel::new(&aep_mem::CacheConfig::date2006_l2());
-            model
-                .conventional()
-                .total()
-                .reduction_to(model.proposed().total())
-        }
-    }
-}
-
-/// Reliability table: measured dirty residency translated into first-order
-/// FIT for each protection design (see `aep_core::reliability`).
-pub fn reliability(lab: &mut Lab) -> FigureData {
-    use aep_core::SoftErrorModel;
-    lab.prefetch(&reliability_configs());
-    let l2 = aep_mem::CacheConfig::date2006_l2();
-    let model = SoftErrorModel::date2006_typical();
-    let rows = Benchmark::all()
-        .into_iter()
-        .map(|b| {
-            let org = lab.stats(b, SchemeKind::Uniform);
-            let ours = lab.stats(b, proposed());
-            let parity_org = model.parity_only(&l2, org.l2.avg_dirty_fraction);
-            let parity_ours = model.parity_only(&l2, ours.l2.avg_dirty_fraction);
-            (
-                b.name().to_owned(),
-                vec![
-                    model.unprotected(&l2).sdc_fit,
-                    parity_org.due_fit,
-                    parity_ours.due_fit,
-                    model.uniform_ecc(&l2).user_visible_fit(),
-                    model
-                        .proposed(&l2, ours.l2.avg_dirty_fraction)
-                        .user_visible_fit(),
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Reliability: first-order FIT by design (1000 FIT/Mbit raw; DUE+SDC shown)".into(),
-        row_header: "benchmark".into(),
-        columns: vec![
-            "none(SDC)".into(),
-            "parity(org)".into(),
-            "parity(+clean)".into(),
-            "uniform".into(),
-            "proposed".into(),
-        ],
-        rows,
-        decimals: 0,
-    }
-}
-
-/// Dirty-lifetime census: the generational-behaviour evidence behind the
-/// paper's cleaning technique. For each benchmark (org configuration),
-/// reports the mean dirty lifetime and the fraction of lifetimes at least
-/// as long as each cleaning interval — the lines a sweep at that interval
-/// can hope to reclaim.
-#[must_use]
-pub fn lifetimes(scale: Scale) -> FigureData {
-    use aep_cpu::CoreConfig;
-    use aep_mem::HierarchyConfig;
-    use aep_sim::System;
-
-    let (warmup, window) = match scale {
-        Scale::Paper => (4_000_000u64, 12_000_000u64),
-        Scale::Quick => (1_000_000, 2_500_000),
-        Scale::Smoke => (30_000, 80_000),
-    };
-    let rows = Benchmark::all()
-        .into_iter()
-        .map(|b| {
-            let mut sys = System::new(
-                CoreConfig::date2006(),
-                HierarchyConfig::date2006(),
-                SchemeKind::Uniform,
-                b.generator(2006),
-            );
-            sys.hier.l2_mut().enable_lifetime_tracking();
-            let mut now = sys.run(0, warmup);
-            now = sys.run(now, window);
-            sys.hier.l2_mut().flush_lifetimes(now);
-            let h = sys
-                .hier
-                .l2()
-                .lifetime_histogram()
-                .expect("tracking enabled")
-                .clone();
-            (
-                b.name().to_owned(),
-                vec![
-                    h.mean() / 1_000.0,
-                    h.fraction_at_least(64 * 1024) * 100.0,
-                    h.fraction_at_least(1024 * 1024) * 100.0,
-                    h.fraction_at_least(4 * 1024 * 1024) * 100.0,
-                    h.samples() as f64,
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Dirty-line lifetimes (org): generational behaviour census".into(),
-        row_header: "benchmark".into(),
-        columns: vec![
-            "mean(Kcyc)".into(),
-            "%>=64K".into(),
-            "%>=1M".into(),
-            "%>=4M".into(),
-            "samples".into(),
-        ],
-        rows,
-        decimals: 1,
-    }
-}
-
-/// Cache-size sensitivity: the paper motivates with "large L2/L3 caches of
-/// current processors" — this sweep scales the L2 from 512 KB to 4 MB and
-/// reports the area accounting plus measured dirty fractions and traffic
-/// for `gap` under org and proposed (keeping the paper's 1M cleaning
-/// interval).
-#[must_use]
-pub fn sensitivity(scale: Scale) -> FigureData {
-    use aep_core::AreaModel;
-    use aep_sim::Runner;
-
-    let rows = [512u64, 1024, 2048, 4096]
-        .into_iter()
-        .map(|kib| {
-            let mut hierarchy = aep_mem::HierarchyConfig::date2006();
-            hierarchy.l2.size_bytes = kib * 1024;
-            let model = AreaModel::new(&hierarchy.l2);
-            let conventional = model.conventional().total();
-            let ours = model.proposed().total();
-
-            let run = |scheme: SchemeKind| {
-                let mut cfg = scale.config(Benchmark::Gap, scheme);
-                cfg.hierarchy = hierarchy.clone();
-                Runner::new(cfg).run()
-            };
-            let org = run(SchemeKind::Uniform);
-            let prop = run(proposed());
-            (
-                format!("{kib}K"),
-                vec![
-                    conventional.kib(),
-                    ours.kib(),
-                    conventional.reduction_to(ours) * 100.0,
-                    org.l2.avg_dirty_fraction * 100.0,
-                    prop.l2.avg_dirty_fraction * 100.0,
-                    prop.l2.wb_percent(),
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Sensitivity: L2 size sweep (gap; area model + measured behaviour)".into(),
-        row_header: "L2 size".into(),
-        columns: vec![
-            "conv KiB".into(),
-            "prop KiB".into(),
-            "reduction%".into(),
-            "org dirty%".into(),
-            "prop dirty%".into(),
-            "prop WB%".into(),
-        ],
-        rows,
-        decimals: 1,
-    }
-}
-
-/// Protection-energy comparison (the Li et al. angle): check/encode
-/// energy per 1 000 loads/stores plus the energy of the extra write-backs
-/// each configuration adds over org.
-pub fn energy(lab: &mut Lab) -> FigureData {
-    use aep_core::EnergyModel;
-    lab.prefetch(&energy_configs());
-    let model = EnergyModel::default_2006();
-    let rows = Benchmark::all()
-        .into_iter()
-        .map(|b| {
-            let org = lab.stats(b, SchemeKind::Uniform);
-            let ours = lab.stats(b, proposed());
-            let per_kops = |pj: f64, ls: u64| pj / (ls as f64 / 1_000.0);
-            let org_checks = model.protection_energy_pj(org.energy);
-            let ours_checks = model.protection_energy_pj(ours.energy);
-            let extra_wb = ours.l2.wb_total().saturating_sub(org.l2.wb_total());
-            let ours_total = model.total_energy_pj(ours.energy, extra_wb);
-            (
-                b.name().to_owned(),
-                vec![
-                    per_kops(org_checks, org.l2.loads_stores),
-                    per_kops(ours_checks, ours.l2.loads_stores),
-                    per_kops(ours_total, ours.l2.loads_stores),
-                    if org_checks > 0.0 {
-                        (1.0 - ours_checks / org_checks) * 100.0
-                    } else {
-                        0.0
-                    },
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Protection energy (pJ per 1000 loads/stores): org vs proposed".into(),
-        row_header: "benchmark".into(),
-        columns: vec![
-            "org checks".into(),
-            "prop checks".into(),
-            "prop total".into(),
-            "check savings%".into(),
-        ],
-        rows,
-        decimals: 1,
-    }
-}
-
-/// Head-to-head comparison of early-write-back policies (§2 related
-/// work): the paper's written-bit interval FSM vs. Kaxiras-style decay
-/// cleaning vs. Lee et al.'s eager writeback, on the uniform-ECC L2.
-#[must_use]
-pub fn cleaners(scale: Scale) -> FigureData {
-    use aep_core::cleaning::CleaningPolicy;
-    use aep_cpu::CoreConfig;
-    use aep_mem::HierarchyConfig;
-    use aep_sim::System;
-
-    let (warmup, window) = match scale {
-        Scale::Paper => (12_000_000u64, 20_000_000u64),
-        Scale::Quick => (1_500_000, 2_500_000),
-        Scale::Smoke => (30_000, 50_000),
-    };
-    let sets = HierarchyConfig::date2006().l2.sets() as usize;
-    let interval = CHOSEN_INTERVAL;
-    let policies: Vec<(String, CleaningPolicy)> = vec![
-        ("none (org)".into(), CleaningPolicy::None),
-        (
-            "written-bit@1M".into(),
-            CleaningPolicy::written_bit(interval, sets),
-        ),
-        (
-            "decay@1M".into(),
-            CleaningPolicy::decay(interval, interval, sets),
-        ),
-        ("eager".into(), CleaningPolicy::eager(sets)),
-    ];
-    let rows = policies
-        .into_iter()
-        .map(|(label, policy)| {
-            let mut sys = System::new(
-                CoreConfig::date2006(),
-                HierarchyConfig::date2006(),
-                SchemeKind::Uniform,
-                Benchmark::Gap.generator(2006),
-            );
-            sys.set_cleaning_policy(policy);
-            let mut now = sys.run(0, warmup);
-            let wb0 = sys.hier.l2().stats().writebacks();
-            let ops0 = sys.hier.ops().loads_stores();
-            let committed0 = sys.cpu.stats().committed;
-            let mut dirty_sum = 0.0;
-            for tick in now..now + window {
-                sys.step(tick);
-                dirty_sum += sys.hier.l2_dirty_fraction();
-            }
-            now += window;
-            let _ = now;
-            let wb = sys.hier.l2().stats().writebacks() - wb0;
-            let ops = sys.hier.ops().loads_stores() - ops0;
-            (
-                label,
-                vec![
-                    dirty_sum / window as f64 * 100.0,
-                    wb as f64 / ops as f64 * 100.0,
-                    (sys.cpu.stats().committed - committed0) as f64 / window as f64,
-                ],
-            )
-        })
-        .collect();
-    FigureData {
-        title: "Cleaning-policy comparison on gap (uniform ECC L2)".into(),
-        row_header: "policy".into(),
-        columns: vec!["%dirty".into(), "%WB".into(), "IPC".into()],
-        rows,
-        decimals: 2,
-    }
-}
-
-/// Seed-robustness study: Figure 1's dirty fraction for several workload
-/// seeds, reported as mean ± sample standard deviation. Shows the
-/// headline metrics are properties of the workload *model*, not of one
-/// random stream.
-#[must_use]
-pub fn seeds(scale: Scale, n_seeds: u64) -> FigureData {
-    use aep_sim::report::{mean, stddev};
-    let rows = Benchmark::all()
-        .into_iter()
-        .map(|b| {
-            let samples: Vec<f64> = (0..n_seeds)
-                .map(|s| {
-                    let mut cfg = scale.config(b, SchemeKind::Uniform);
-                    cfg.seed = 1000 + s;
-                    Runner::new(cfg).run().l2.avg_dirty_fraction * 100.0
-                })
-                .collect();
-            (b.name().to_owned(), vec![mean(&samples), stddev(&samples)])
-        })
-        .collect();
-    FigureData {
-        title: format!("Seed robustness: org dirty% over {n_seeds} seeds (mean, sample sd)"),
-        row_header: "benchmark".into(),
-        columns: vec!["mean %dirty".into(), "sd".into()],
-        rows,
-        decimals: 2,
+        let all: Vec<&str> = figs.iter().filter(|f| f.in_all).map(|f| f.slug).collect();
+        assert_eq!(
+            all,
+            [
+                "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "perf",
+                "area"
+            ]
+        );
     }
 }

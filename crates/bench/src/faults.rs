@@ -27,7 +27,7 @@ use aep_faultsim::{
 };
 use aep_workloads::{Benchmark, Workload};
 
-use crate::experiments::{FigureData, Lab, Scale};
+use crate::experiments::{FigureData, Lab, PlannedRun, Scale};
 use aep_sim::runcache::{fnv1a, scheme_slug, RunCache};
 
 /// Raw cache-entry format version; bump on layout changes **or** on
@@ -259,33 +259,29 @@ fn campaign_for(
 }
 
 /// The first-order analytical user-visible FIT for `scheme`, fed with the
-/// lab's measured dirty fraction where the model needs one.
+/// lab's measured dirty fraction where the model needs one. That run
+/// must already be planned.
 fn analytical_fit(
     model: &SoftErrorModel,
     l2: &aep_mem::CacheConfig,
     scheme: SchemeKind,
-    lab: &mut Lab,
+    lab: &Lab,
     benchmark: &Workload,
 ) -> f64 {
+    let dirty = || {
+        lab.planned(&lab.scale().config(benchmark.clone(), scheme))
+            .l2
+            .avg_dirty_fraction
+    };
     match scheme {
-        SchemeKind::Uniform | SchemeKind::UniformWithCleaning { .. } => {
-            model.uniform_ecc(l2).user_visible_fit()
-        }
-        SchemeKind::ParityOnly => {
-            let dirty = lab
-                .stats(benchmark.clone(), SchemeKind::ParityOnly)
-                .l2
-                .avg_dirty_fraction;
-            model.parity_only(l2, dirty).user_visible_fit()
-        }
+        SchemeKind::Uniform | SchemeKind::UniformWithCleaning { .. } => model.uniform_ecc(l2),
+        SchemeKind::ParityOnly => model.parity_only(l2, dirty()),
         SchemeKind::Proposed { .. }
         | SchemeKind::ProposedMulti { .. }
         | SchemeKind::SilentWriteEcc { .. }
-        | SchemeKind::ReuseCopyback { .. } => {
-            let dirty = lab.stats(benchmark.clone(), scheme).l2.avg_dirty_fraction;
-            model.proposed(l2, dirty).user_visible_fit()
-        }
+        | SchemeKind::ReuseCopyback { .. } => model.proposed(l2, dirty()),
     }
+    .user_visible_fit()
 }
 
 /// Empirical/analytical FIT ratio with the edge conventions documented in
@@ -327,18 +323,36 @@ pub fn faults_figure(
     } else {
         faults_schemes()
     };
+    // The analytical column reads the lab's dirty fraction for every
+    // scheme but uniform ECC: plan those runs as one parallel batch.
+    let measured: Vec<PlannedRun> = schemes
+        .iter()
+        .filter(|k| {
+            !matches!(
+                k,
+                SchemeKind::Uniform | SchemeKind::UniformWithCleaning { .. }
+            )
+        })
+        .map(|&k| (opts.benchmark.clone(), k))
+        .collect();
+    lab.prefetch(&measured);
     let rows = schemes
         .into_iter()
         .map(|scheme| {
             let report = campaign_for(scale, opts, scheme, jobs, disk, verbose);
             if let Some(reg) = stats.as_deref_mut() {
-                reg.scoped(
-                    &format!("faults.model.{}.{}", opts.model.slug(), scheme_slug(scheme)),
-                    |r| {
-                        report.register_stats(r);
-                        report.register_throughput(r);
-                    },
-                );
+                // Key segments may not contain the `.` separator.
+                let (model, slug) = (opts.model.slug(), scheme_slug(scheme));
+                reg.scoped("faults", |r| {
+                    r.scoped("model", |r| {
+                        r.scoped(&model, |r| {
+                            r.scoped(&slug, |r| {
+                                report.register_stats(r);
+                                report.register_throughput(r);
+                            });
+                        });
+                    });
+                });
             }
             let table = &report.total;
             let l2 = &campaign_config(scale, opts, scheme).hierarchy.l2;

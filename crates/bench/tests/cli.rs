@@ -17,14 +17,141 @@ fn exp(args: &[&str]) -> std::process::Output {
         .expect("exp binary runs")
 }
 
+/// Every table command `exp` dispatches.
+const TABLES: [&str; 19] = [
+    "table1",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "perf",
+    "area",
+    "calibrate",
+    "ablation",
+    "reliability",
+    "energy",
+    "lifetimes",
+    "sensitivity",
+    "cleaners",
+    "seeds",
+];
+
 #[test]
 fn help_prints_usage_on_stdout_and_succeeds() {
+    let declared: Vec<&str> = aep_bench::experiments::figures()
+        .iter()
+        .map(|f| f.slug)
+        .collect();
+    assert_eq!(declared, TABLES, "every declared table is listed here");
+    let others = [
+        "all",
+        "faults",
+        "run",
+        "trace",
+        "gate",
+        "explore",
+        "check",
+        "bench",
+        "faults-bench",
+        "lanes",
+        "serve",
+        "submit",
+        "hammer",
+        "workloads",
+    ];
     for args in [&[][..], &["help"][..], &["--help"][..]] {
         let out = exp(args);
         assert!(out.status.success(), "{args:?} must exit 0");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("usage: exp <command>"), "{args:?}");
-        assert!(stdout.contains("faults"), "usage must list every command");
+        for command in TABLES.iter().chain(&others) {
+            assert!(
+                stdout
+                    .lines()
+                    .any(|l| l.split_whitespace().next() == Some(command)),
+                "usage must list `{command}`:\n{stdout}"
+            );
+        }
+    }
+}
+
+/// The extension tables no other test or CI step runs: each must exit 0
+/// and print its title and a `MEAN` row.
+#[test]
+fn every_extension_table_renders_at_smoke_scale() {
+    let dir = TempWorkdir::new("tables");
+    for slug in [
+        "calibrate",
+        "ablation",
+        "reliability",
+        "energy",
+        "lifetimes",
+        "sensitivity",
+        "cleaners",
+        "seeds",
+    ] {
+        let title = aep_bench::experiments::figure(slug)
+            .expect("declared table")
+            .title();
+        let out = exp_in(
+            &dir.0,
+            &[slug, "--scale", "smoke", "--no-cache", "--jobs", "2"],
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{slug}: {out:?}");
+        assert_eq!(stdout.lines().next(), Some(title.as_str()), "{slug}");
+        assert!(
+            stdout.lines().any(|l| l.starts_with("MEAN ")),
+            "{slug} has no MEAN row:\n{stdout}"
+        );
+    }
+}
+
+/// `exp faults --stats-json` publishes each scheme's campaign under
+/// `faults.model.<model>.<scheme>` (it used to abort on the dotted key).
+#[test]
+fn faults_stats_json_publishes_every_scheme() {
+    let dir = TempWorkdir::new("faults-json");
+    let args = ["faults", "--scale", "smoke", "--no-cache", "--jobs", "2"];
+    let out = exp_in(
+        &dir.0,
+        &[&args[..], &["--trials", "20", "--stats-json"]].concat(),
+    );
+    assert!(out.status.success(), "{out:?}");
+    let json = aep_obs::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let stats = json.as_object().expect("object")["stats"]
+        .as_object()
+        .expect("stats");
+    for scheme in aep_bench::faults::faults_schemes() {
+        let key = format!(
+            "faults.model.single.{}.masked",
+            aep_sim::runcache::scheme_slug(scheme)
+        );
+        assert!(stats.contains_key(&key), "missing {key}");
+    }
+}
+
+/// `seeds` and `sensitivity` plan through the lab, so a second render
+/// comes entirely from the disk cache and prints the same bytes.
+#[test]
+fn planned_extension_tables_rerender_from_the_cache() {
+    let dir = TempWorkdir::new("warm");
+    for slug in ["seeds", "sensitivity"] {
+        let args = [slug, "--scale", "smoke", "--jobs", "2"];
+        let cold = exp_in(&dir.0, &args);
+        let warm = exp_in(&dir.0, &args);
+        assert!(cold.status.success() && warm.status.success(), "{slug}");
+        let stderr = String::from_utf8_lossy(&warm.stderr);
+        let batch = stderr
+            .lines()
+            .find(|l| l.starts_with("[lab] batch:"))
+            .unwrap_or_else(|| panic!("{slug}: no batch line in {stderr}"));
+        assert!(batch.ends_with(", 0 evaluated"), "{slug}: {batch}");
+        assert_eq!(cold.stdout, warm.stdout, "{slug} re-render differs");
     }
 }
 

@@ -30,6 +30,7 @@
 //! never silently become vacuous.
 
 use aep_core::{parse_scheme_slug, scheme_slug, SchemeKind};
+use aep_dse::registry::challengers_faults_schemes;
 use aep_faultsim::{fan_out, run_campaign, CampaignConfig, StrikeModel};
 use aep_sim::lanes::{partition_lanes, run_lane_serial, run_lanes, LaneSpec};
 use aep_sim::runcache::{render_stats, RunCache};
@@ -56,13 +57,6 @@ impl ConformanceReport {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
-}
-
-/// Every scheme configuration the conformance suite certifies — the
-/// lockstep registry, which is the definition of "registered scheme".
-#[must_use]
-pub fn conformance_schemes() -> Vec<SchemeKind> {
-    crate::lockstep::lockstep_schemes()
 }
 
 /// The adversarial genomes of the protocol-fuzz stage: set-conflict
@@ -285,7 +279,7 @@ pub fn run_conformance(scheme: SchemeKind) -> ConformanceReport {
 /// threads. Reports come back in registry order regardless of `jobs`.
 #[must_use]
 pub fn run_conformance_matrix(jobs: usize) -> Vec<ConformanceReport> {
-    let schemes = conformance_schemes();
+    let schemes = challengers_faults_schemes();
     fan_out(schemes.len(), jobs, |i| run_conformance(schemes[i]))
 }
 
@@ -318,7 +312,7 @@ mod tests {
         // The full matrix runs in `exp check --conformance` and the
         // core integration suite; here a single cheap stage pins the
         // plumbing: every registered scheme fuzzes clean.
-        for scheme in conformance_schemes() {
+        for scheme in challengers_faults_schemes() {
             let mut failures = Vec::new();
             let events = check_protocol(scheme, &mut failures);
             assert!(failures.is_empty(), "{}: {failures:?}", scheme.label());
@@ -336,7 +330,7 @@ mod tests {
 
     #[test]
     fn registry_covers_both_challengers() {
-        let schemes = conformance_schemes();
+        let schemes = challengers_faults_schemes();
         assert!(schemes
             .iter()
             .any(|s| matches!(s, SchemeKind::SilentWriteEcc { .. })));

@@ -45,13 +45,12 @@ pub mod scenario;
 pub use broken::BrokenRetiringScheme;
 pub use checker::{CheckState, LockstepChecker, SharedCheckState, Violation};
 pub use conformance::{
-    broken_scheme_is_caught, conformance_schemes, run_conformance, run_conformance_matrix,
-    ConformanceReport,
+    broken_scheme_is_caught, run_conformance, run_conformance_matrix, ConformanceReport,
 };
 pub use coverage::Coverage;
 pub use fuzz::{run_fuzz, FailureReport, FuzzConfig, FuzzReport};
 pub use golden::GoldenModel;
-pub use lockstep::{lockstep_schemes, run_lockstep, LockstepResult};
+pub use lockstep::{run_lockstep, LockstepResult};
 pub use scenario::{
     probe_matrix, run_genome, run_stream, Genome, ScenarioOutcome, Segment, StreamProbe,
 };

@@ -8,6 +8,7 @@ use std::rc::Rc;
 
 use aep_core::SchemeKind;
 use aep_cpu::CoreConfig;
+use aep_dse::registry::challengers_faults_schemes;
 use aep_faultsim::fan_out;
 use aep_mem::HierarchyConfig;
 use aep_sim::System;
@@ -49,34 +50,6 @@ impl LockstepResult {
     }
 }
 
-/// Every scheme configuration the lockstep leg shadows — all registered
-/// families, at the paper's selected 1M cleaning interval.
-#[must_use]
-pub fn lockstep_schemes() -> Vec<SchemeKind> {
-    const MEG: u64 = 1024 * 1024;
-    vec![
-        SchemeKind::Uniform,
-        SchemeKind::UniformWithCleaning {
-            cleaning_interval: MEG,
-        },
-        SchemeKind::ParityOnly,
-        SchemeKind::Proposed {
-            cleaning_interval: MEG,
-        },
-        SchemeKind::ProposedMulti {
-            cleaning_interval: MEG,
-            entries_per_set: 2,
-        },
-        SchemeKind::SilentWriteEcc {
-            cleaning_interval: MEG,
-        },
-        SchemeKind::ReuseCopyback {
-            cleaning_interval: MEG,
-            multiplier: 4,
-        },
-    ]
-}
-
 fn run_one(scheme: SchemeKind, bench: Benchmark, cycles: u64) -> LockstepResult {
     let hier_cfg = HierarchyConfig::date2006();
     let stream = bench.generator(LOCKSTEP_SEED);
@@ -98,12 +71,13 @@ fn run_one(scheme: SchemeKind, bench: Benchmark, cycles: u64) -> LockstepResult 
     }
 }
 
-/// Runs the lockstep matrix: every registered scheme × `benchmarks`,
+/// Runs the lockstep matrix: every registered scheme
+/// ([`challengers_faults_schemes`]) × `benchmarks`,
 /// `cycles` cycles each, fanned out over `jobs` threads. Results come
 /// back in matrix order regardless of `jobs`.
 #[must_use]
 pub fn run_lockstep(benchmarks: &[Benchmark], cycles: u64, jobs: usize) -> Vec<LockstepResult> {
-    let schemes = lockstep_schemes();
+    let schemes = challengers_faults_schemes();
     let pairs: Vec<(SchemeKind, Benchmark)> = schemes
         .iter()
         .flat_map(|&s| benchmarks.iter().map(move |&b| (s, b)))
@@ -123,7 +97,7 @@ mod tests {
         // A short horizon keeps this test cheap; `exp check` runs the
         // real smoke/quick horizons.
         let results = run_lockstep(&[Benchmark::Gzip], 4_000, 1);
-        assert_eq!(results.len(), lockstep_schemes().len());
+        assert_eq!(results.len(), challengers_faults_schemes().len());
         for r in &results {
             assert!(
                 !r.failed(),

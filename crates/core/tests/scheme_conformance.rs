@@ -9,15 +9,14 @@
 //! which cargo permits) so that adding a `SchemeKind` variant without
 //! conformance coverage is caught next to the enum it extends.
 
-use aep_check::conformance::{
-    broken_scheme_is_caught, conformance_schemes, run_conformance_matrix,
-};
+use aep_check::conformance::{broken_scheme_is_caught, run_conformance_matrix};
 use aep_core::SchemeKind;
+use aep_dse::registry::challengers_faults_schemes;
 
 #[test]
 fn every_registered_scheme_passes_the_full_battery() {
     let reports = run_conformance_matrix(2);
-    assert_eq!(reports.len(), conformance_schemes().len());
+    assert_eq!(reports.len(), challengers_faults_schemes().len());
     let mut failed = Vec::new();
     for r in &reports {
         assert!(
@@ -38,7 +37,7 @@ fn every_registered_scheme_passes_the_full_battery() {
 
 #[test]
 fn the_challengers_are_registered() {
-    let schemes = conformance_schemes();
+    let schemes = challengers_faults_schemes();
     assert!(
         schemes
             .iter()

@@ -123,6 +123,8 @@ pub fn challengers_schemes() -> Vec<SchemeKind> {
 /// The fault-campaign scheme set extended with the challengers: the
 /// incumbents of [`faults_schemes`] followed by the related-work line-up,
 /// so challenger DUE/SDC columns land next to the schemes they contest.
+/// Every registered scheme family appears once, so this is also the set
+/// `aep-check`'s lockstep leg and conformance battery certify.
 #[must_use]
 pub fn challengers_faults_schemes() -> Vec<SchemeKind> {
     let mut schemes = faults_schemes();

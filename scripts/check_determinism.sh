@@ -14,7 +14,9 @@
 # consume RNG the single-bit model never touches. A ninth leg runs the
 # explorer over the related-work challenger scheme axes (silent-store
 # ECC, reuse-predicted copy-back): their store-value modelling and
-# predictor state must not perturb worker-count invariance.
+# predictor state must not perturb worker-count invariance. A tenth leg
+# covers the extension tables planned through the lab (`exp seeds`,
+# `exp sensitivity`), whose runs fan out across --jobs like the figures'.
 #
 # Usage: scripts/check_determinism.sh [scale] [jobs]
 #          scale  paper|quick|smoke   (default: smoke)
@@ -45,6 +47,21 @@ else
   diff "$tmp/serial.txt" "$tmp/parallel.txt" | head -n 40 >&2
   exit 1
 fi
+
+for table in seeds sensitivity; do
+  echo "==> exp $table --scale $scale --jobs 1 vs --jobs $jobs --no-cache"
+  ./target/release/exp "$table" --scale "$scale" --jobs 1 --no-cache \
+    > "$tmp/${table}_serial.txt" 2> /dev/null
+  ./target/release/exp "$table" --scale "$scale" --jobs "$jobs" --no-cache \
+    > "$tmp/${table}_parallel.txt" 2> /dev/null
+  if cmp -s "$tmp/${table}_serial.txt" "$tmp/${table}_parallel.txt"; then
+    echo "==> $table determinism: byte-identical (--jobs 1 vs --jobs $jobs, $scale)"
+  else
+    echo "==> $table determinism FAILED: outputs differ" >&2
+    diff "$tmp/${table}_serial.txt" "$tmp/${table}_parallel.txt" | head -n 40 >&2
+    exit 1
+  fi
+done
 
 echo "==> exp faults --scale $scale --jobs 1 --no-cache"
 ./target/release/exp faults --scale "$scale" --jobs 1 --no-cache \
