@@ -154,7 +154,8 @@ pub fn render_report(r: &CampaignReport) -> String {
 }
 
 /// Parses cache-entry text back into a [`CampaignReport`] (`None` on any
-/// malformed or version-mismatched input — the caller re-runs). A disk
+/// malformed or version-mismatched input, or when the chunk tables do not
+/// sum to the totals — a truncated entry — so the caller re-runs). A disk
 /// hit carries no wall-clock: `wall_seconds` comes back `0.0`.
 #[must_use]
 pub fn parse_report(text: &str) -> Option<CampaignReport> {
@@ -192,16 +193,21 @@ pub fn parse_report(text: &str) -> Option<CampaignReport> {
     if *fields.get("version")? != FORMAT_VERSION {
         return None;
     }
-    Some(CampaignReport {
-        total: OutcomeTable {
-            masked: *fields.get("masked")?,
-            corrected: *fields.get("corrected")?,
-            refetch_recovered: *fields.get("refetch")?,
-            due: *fields.get("due")?,
-            sdc: *fields.get("sdc")?,
-            struck_valid: *fields.get("struck_valid")?,
-            struck_dirty: *fields.get("struck_dirty")?,
-        },
+    let total = OutcomeTable {
+        masked: *fields.get("masked")?,
+        corrected: *fields.get("corrected")?,
+        refetch_recovered: *fields.get("refetch")?,
+        due: *fields.get("due")?,
+        sdc: *fields.get("sdc")?,
+        struck_valid: *fields.get("struck_valid")?,
+        struck_dirty: *fields.get("struck_dirty")?,
+    };
+    let mut sum = OutcomeTable::default();
+    for c in &chunks {
+        sum.merge(c);
+    }
+    (sum == total).then_some(CampaignReport {
+        total,
         chunks,
         wall_seconds: 0.0,
     })
@@ -226,7 +232,13 @@ fn campaign_for(
     let cfg = campaign_config(scale, opts, scheme);
     let key = campaign_key(scale, &cfg);
     if let Some(disk) = disk {
-        if let Some(report) = disk.load_raw(&key).as_deref().and_then(parse_report) {
+        // An entry with the wrong chunk count is a damaged one: rerun.
+        if let Some(report) = disk
+            .load_raw(&key)
+            .as_deref()
+            .and_then(parse_report)
+            .filter(|r| r.chunks.len() == cfg.chunks())
+        {
             if verbose {
                 eprintln!("[faults] disk hit {}", scheme.label());
             }
@@ -436,6 +448,43 @@ mod tests {
         assert_eq!(parse_table("version=99\nmasked=1\n"), None);
         assert_eq!(parse_table("masked=zzz\n"), None);
         assert_eq!(parse_table("version=3\nchunk=1,2\n"), None, "short chunk");
+    }
+
+    #[test]
+    fn damaged_cache_entries_rerun_the_campaign() {
+        let dir =
+            std::env::temp_dir().join(format!("aep-faults-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = RunCache::new(&dir);
+        let opts = FaultsOptions {
+            trials: 40,
+            ..FaultsOptions::default()
+        };
+        let scheme = SchemeKind::ParityOnly;
+        let key = campaign_key(Scale::Smoke, &campaign_config(Scale::Smoke, &opts, scheme));
+        let fresh = campaign_for(Scale::Smoke, &opts, scheme, 1, Some(&disk), false);
+        let entry = disk.load_raw(&key).expect("the campaign is cached");
+        let lines: Vec<&str> = entry.lines().collect();
+        assert_eq!(lines.len(), 8 + fresh.chunks.len());
+        // Every proper prefix of the entry, cut at a line boundary, and
+        // the whole entry with one total tampered with.
+        let mut damaged: Vec<String> = (0..lines.len())
+            .map(|n| lines[..n].iter().map(|l| format!("{l}\n")).collect())
+            .collect();
+        damaged.push(entry.replacen(
+            &format!("\nmasked={}\n", fresh.total.masked),
+            &format!("\nmasked={}\n", fresh.total.masked + 1),
+            1,
+        ));
+        for text in damaged {
+            disk.store_raw(&key, &text).expect("cache writable");
+            let rerun = campaign_for(Scale::Smoke, &opts, scheme, 1, Some(&disk), false);
+            assert!(rerun.wall_seconds > 0.0, "served as a hit:\n{text}");
+            assert_eq!(rerun.chunks, fresh.chunks);
+            assert_eq!(rerun.total, fresh.total);
+            assert_eq!(disk.load_raw(&key).as_deref(), Some(entry.as_str()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

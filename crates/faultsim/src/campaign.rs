@@ -7,51 +7,84 @@
 //! (invalid frames count as immediately masked strikes — the same
 //! normalisation the analytical [`aep_core::SoftErrorModel`] uses), the
 //! configured [`StrikeModel`] draws a physical flip footprint mapped
-//! through the array's [`ArrayLayout`], real bits flip in the live data
-//! array, and the system keeps executing until the upset is consumed by
-//! the scheme's detect/correct path or the per-trial horizon expires.
+//! through the array's [`ArrayLayout`], and the system keeps executing
+//! until the upset is consumed by the scheme's detect/correct path or the
+//! per-trial horizon expires.
 //!
 //! # The trial loop is event-driven
 //!
 //! Both the inter-strike gap and the resolution window run through the
 //! system's fast-forward loop, which steps only cycles at which some
-//! component can act. The resolution window uses
-//! [`System::run_until`], polling the probe after each stepped cycle:
-//! the probe is purely event-driven ([`StrikeProbe`] keeps the default
-//! `next_event_after = Cycle::MAX`) and skipped cycles emit no L2
-//! events, so the window stops at exactly the cycle — and in exactly the
-//! machine state — a cycle-by-cycle walk would. A test keeps that walk
-//! as an oracle and checks every strike model against it.
+//! component can act. Strikes resolve in the pre-scheme hook of an
+//! observer that only acts on L2 events, and skipped cycles emit no L2
+//! events, so a strike resolves at exactly the cycle — and in exactly
+//! the machine state — a cycle-by-cycle walk would reach. A test keeps
+//! that walk as an oracle and checks every strike model against it.
+//!
+//! # Chunks share one trajectory
+//!
+//! Trials are grouped into fixed-size chunks, and each chunk's trials run
+//! in sequence as if on a machine of its own: the chunk's next strike
+//! lands a gap after its previous one resolved. The simulator's timing
+//! never reads line data, so a chunk's machine differs from the
+//! strike-free machine only in the struck words no access has overwritten
+//! since the strike, and only until that strike resolves. The shared
+//! driver therefore warms one machine per group of chunks and runs every
+//! chunk as a *lane* over it: each lane keeps its own RNG streams,
+//! outcome table and at most one virtual pending strike, and nothing is
+//! flipped in the shared machine. At the first L2 event that touches a
+//! pending strike's frame, the lane rebuilds its corruption (the struck
+//! words that still hold their pre-strike value, and the line's memory
+//! image when the event is its write-back), runs the monitor's
+//! classification against a scratch clone of the scheme, and restores the
+//! shared state; a strike still pending at its horizon is finalised the
+//! same way at its deadline. Pending strikes are indexed by frame and lane
+//! timers (next strike, horizon deadline) sit in a min-heap, so neither
+//! an L2 event nor a pause scans every lane.
+//!
+//! The one exception is silent-store elision (the silent-write-aware
+//! scheme): a store's payload is compared against the resident words, so
+//! a strike can change which stores are elided and with them the
+//! machine's trajectory. A hierarchy that elides silent stores therefore
+//! runs each chunk on a [`System::fork`] of the warmed machine, with real
+//! bits flipped and a [`StrikeProbe`] attached. That per-chunk path is
+//! also the shared driver's test oracle.
 //!
 //! # Determinism
 //!
-//! Trials are grouped into fixed-size chunks. Each chunk runs on a
-//! [`System::fork`] of an identically-warmed prototype (one per worker
-//! thread — warm-up cost is paid once per worker, not once per chunk) and
-//! derives its injection RNG from `mix64(seed, chunk)` — so a chunk's
-//! outcome depends only on the config and its index, never on which
-//! worker thread ran it or in what order. [`fan_out_init`] re-sorts chunk
-//! tables by index before the in-order merge, which makes `--jobs N`
-//! byte-identical to `--jobs 1`.
+//! Each chunk derives its injection RNG from `mix64(seed, chunk)`, and
+//! every trial step — the gap draw, the frame pick and snapshot, the
+//! pattern draw, and the horizon verdict — is one shared definition both
+//! drivers call, so a chunk's table depends only on the config and its
+//! index. Chunks are split into contiguous groups, one warmed machine per
+//! group, and the groups' tables are concatenated in chunk order before
+//! the in-order merge, which makes `--jobs N` byte-identical to
+//! `--jobs 1`.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Instant;
 
+use aep_core::{ProtectionScheme, RecoveryOutcome, SchemeKind};
 use aep_cpu::CoreConfig;
 use aep_ecc::inject::FaultInjector;
+use aep_mem::addr::LineAddr;
+use aep_mem::cache::Cache;
 use aep_mem::memory::mix64;
-use aep_mem::{ArrayLayout, HierarchyConfig};
+use aep_mem::{ArrayLayout, Cycle, HierarchyConfig, L2Event, MainMemory};
 use aep_rng::SmallRng;
-use aep_sim::System;
+use aep_sim::{System, SystemObserver};
 use aep_workloads::{Workload, WorkloadStream};
 
-use aep_core::{RecoveryOutcome, SchemeKind};
-
 use crate::models::StrikeModel;
-use crate::monitor::{PendingStrike, StrikeCell, StrikeProbe, StrikeState};
+use crate::monitor::{
+    hits, resolve_event, touched_frame, PendingStrike, StrikeCell, StrikeProbe, StrikeState,
+};
 use crate::outcome::{OutcomeTable, TrialOutcome};
-use crate::pool::fan_out_init;
+use crate::pool::fan_out;
 
 /// Everything that determines a campaign's result. Two equal configs
 /// produce bit-identical [`OutcomeTable`]s regardless of `jobs`.
@@ -75,14 +108,16 @@ pub struct CampaignConfig {
     /// columns belong to `interleave` different logical words. Must
     /// divide the words-per-line. Degree 1 is a non-interleaved array.
     pub interleave: usize,
-    /// Cycles each chunk's fresh system runs before its first strike.
+    /// Cycles the machine runs before the first strike.
     pub warmup_cycles: u64,
     /// Per-trial resolution budget: cycles to wait for the struck line to
     /// be accessed, cleaned, or evicted before force-resolving.
     pub horizon_cycles: u64,
     /// Mean of the exponential inter-strike gap, in cycles.
     pub mean_gap_cycles: f64,
-    /// Trials per chunk (the unit of parallelism and determinism).
+    /// Trials per chunk: the unit of determinism. A chunk's trials run
+    /// in sequence from one RNG stream, and its table never depends on
+    /// which other chunks share its machine.
     pub trials_per_chunk: u32,
     /// Core configuration.
     pub core: CoreConfig,
@@ -134,8 +169,16 @@ impl CampaignConfig {
         ArrayLayout::new(self.hierarchy.l2.words_per_line(), self.interleave)
     }
 
-    fn chunks(&self) -> usize {
+    /// Number of chunks the trials split into.
+    #[must_use]
+    pub fn chunks(&self) -> usize {
         (self.trials as usize).div_ceil(self.trials_per_chunk.max(1) as usize)
+    }
+
+    /// Trials in `chunk`: a full chunk, or the remainder in the last one.
+    fn chunk_trials(&self, chunk: usize) -> u64 {
+        let done = chunk as u64 * u64::from(self.trials_per_chunk);
+        u64::from(self.trials_per_chunk).min(u64::from(self.trials) - done)
     }
 }
 
@@ -209,12 +252,14 @@ pub fn run_campaign_report(cfg: &CampaignConfig, jobs: usize) -> CampaignReport 
     );
     let _ = cfg.layout(); // validate interleave against the geometry up front
     let start = Instant::now();
-    let chunks = fan_out_init(
-        cfg.chunks(),
-        jobs,
-        || warmed_prototype(cfg),
-        |warm, chunk| run_chunk(cfg, warm, chunk),
-    );
+    let count = cfg.chunks();
+    let groups = jobs.max(1).min(count);
+    let chunks: Vec<OutcomeTable> = fan_out(groups, jobs, |g| {
+        run_group(cfg, g * count / groups..(g + 1) * count / groups)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let wall_seconds = start.elapsed().as_secs_f64();
     let mut total = OutcomeTable::default();
     for t in &chunks {
@@ -227,12 +272,26 @@ pub fn run_campaign_report(cfg: &CampaignConfig, jobs: usize) -> CampaignReport 
     }
 }
 
-/// Builds the per-worker prototype system and runs its warm-up once.
-///
-/// No probe is attached here: an unarmed [`StrikeProbe`] is passive (it
-/// only acts on an armed pending strike), so warming without one is
-/// trajectory-identical to the old warm-with-probe path — and each chunk
-/// gets a fresh probe on its fork anyway.
+/// Runs a contiguous range of chunks on one warmed machine and returns
+/// their tables in chunk order.
+fn run_group(cfg: &CampaignConfig, chunks: Range<usize>) -> Vec<OutcomeTable> {
+    let warm = warmed_prototype(cfg);
+    if shares_trajectory(&warm) {
+        run_shared(cfg, warm, chunks)
+    } else {
+        chunks.map(|chunk| run_chunk(cfg, &warm, chunk)).collect()
+    }
+}
+
+/// Whether strikes leave the machine's trajectory untouched, so that
+/// chunks can run as lanes over one strike-free machine: true unless the
+/// hierarchy elides silent stores, whose payload compare reads the
+/// (possibly struck) resident words.
+fn shares_trajectory(sys: &System<WorkloadStream>) -> bool {
+    !sys.hier.elides_silent_stores()
+}
+
+/// Builds a group's machine and runs its warm-up once.
 fn warmed_prototype(cfg: &CampaignConfig) -> System<WorkloadStream> {
     let mut sys = System::new(
         cfg.core.clone(),
@@ -244,7 +303,105 @@ fn warmed_prototype(cfg: &CampaignConfig) -> System<WorkloadStream> {
     sys
 }
 
-/// Runs one chunk of trials on a fork of the worker's warmed prototype.
+/// One chunk's private random streams. Every trial step that draws goes
+/// through these methods, so both drivers consume a chunk's streams in
+/// the same order: a gap, then a frame and (for a valid frame) a pattern.
+struct ChunkDraws {
+    rng: SmallRng,
+    injector: FaultInjector,
+}
+
+impl ChunkDraws {
+    /// Chunk-indexed streams: they depend only on (master seed, chunk).
+    fn new(cfg: &CampaignConfig, chunk: usize) -> Self {
+        let chunk_seed = mix64(cfg.seed ^ mix64(0xFA01_7B17 ^ chunk as u64));
+        ChunkDraws {
+            rng: SmallRng::seed_from_u64(chunk_seed),
+            injector: FaultInjector::with_seed(mix64(chunk_seed)),
+        }
+    }
+
+    /// Exponential inter-arrival gap (inverse-CDF on [0,1), min 1 cycle).
+    fn gap(&mut self, cfg: &CampaignConfig) -> u64 {
+        let u: f64 = self.rng.gen();
+        ((-(1.0 - u).ln()) * cfg.mean_gap_cycles).ceil().max(1.0) as u64
+    }
+
+    /// Picks the struck frame uniformly over the whole array. An invalid
+    /// frame is a benign strike (`None`; counting it keeps the empirical
+    /// rates normalised over the whole array). A valid one yields the
+    /// strike — frame, line, drawn pattern and pre-strike snapshot, not
+    /// yet applied — and whether the line was dirty.
+    fn strike(
+        &mut self,
+        cfg: &CampaignConfig,
+        layout: &ArrayLayout,
+        l2: &Cache,
+    ) -> Option<(PendingStrike, bool)> {
+        let set = self.rng.gen_range(0..l2.sets());
+        let way = self.rng.gen_range(0..l2.ways());
+        let view = l2.line_view(set, way);
+        if !view.valid {
+            return None;
+        }
+        let snapshot: Box<[u64]> = l2
+            .line_data(set, way)
+            .expect("store_data caches hold line data")
+            .into();
+        let pattern = cfg.model.draw(
+            layout,
+            &mut self.rng,
+            &mut self.injector,
+            cfg.p_double,
+            cfg.mean_gap_cycles,
+        );
+        let strike = PendingStrike {
+            set,
+            way,
+            line: view.line,
+            pattern,
+            snapshot,
+        };
+        Some((strike, view.dirty))
+    }
+}
+
+/// Force-resolves a strike that nothing consumed within the horizon,
+/// given the struck line's dirty bit and corrupted data.
+///
+/// A clean struck line counts as masked: main memory still holds the
+/// intact copy, so the latent flip can always be recovered by refetch and
+/// never becomes loss on its own. A dirty struck line is resolved as if it
+/// were written back now — the scheme's outbound check decides whether the
+/// latent upset would have been corrected, declared DUE, or silently
+/// escaped to memory — and, as everywhere else, a "corrected" image that
+/// does not match the pre-strike snapshot is a miscorrection booked as SDC.
+fn horizon_outcome(
+    strike: &PendingStrike,
+    dirty: bool,
+    corrupted: &[u64],
+    scheme: &mut dyn ProtectionScheme,
+) -> TrialOutcome {
+    if !dirty {
+        return TrialOutcome::Masked;
+    }
+    let mut buf = corrupted.to_vec();
+    match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
+        RecoveryOutcome::Clean => TrialOutcome::Sdc,
+        RecoveryOutcome::CorrectedByEcc { .. } => {
+            if buf.as_slice() == &*strike.snapshot {
+                TrialOutcome::Corrected
+            } else {
+                TrialOutcome::Sdc
+            }
+        }
+        RecoveryOutcome::RecoveredByRefetch => TrialOutcome::RefetchRecovered,
+        RecoveryOutcome::Unrecoverable => TrialOutcome::Due,
+    }
+}
+
+/// Runs one chunk of trials on a fork of the warmed machine, flipping
+/// real bits (the per-chunk path).
 fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) -> OutcomeTable {
     run_chunk_with(cfg, warm, chunk, resolve_strike)
 }
@@ -280,61 +437,24 @@ fn run_chunk_with(
         u64,
     ) -> (u64, Option<TrialOutcome>),
 ) -> OutcomeTable {
-    let done = chunk as u64 * u64::from(cfg.trials_per_chunk);
-    let trials_here = u64::from(cfg.trials_per_chunk).min(u64::from(cfg.trials) - done);
-
     let mut sys = warm.fork();
     let cell: StrikeCell = Rc::new(RefCell::new(StrikeState::default()));
     sys.add_observer(Box::new(StrikeProbe::new(Rc::clone(&cell))));
     let layout = cfg.layout();
+    let mut draws = ChunkDraws::new(cfg, chunk);
     let mut now = cfg.warmup_cycles;
 
-    // Chunk-indexed seed: depends only on (master seed, chunk index).
-    let chunk_seed = mix64(cfg.seed ^ mix64(0xFA01_7B17 ^ chunk as u64));
-    let mut rng = SmallRng::seed_from_u64(chunk_seed);
-    let mut injector = FaultInjector::with_seed(mix64(chunk_seed));
-
     let mut table = OutcomeTable::default();
-    for _ in 0..trials_here {
-        // Exponential inter-arrival gap (inverse-CDF on [0,1), min 1 cycle).
-        let u: f64 = rng.gen();
-        let gap = ((-(1.0 - u).ln()) * cfg.mean_gap_cycles).ceil().max(1.0) as u64;
-        now = sys.run(now, gap);
-
-        let (set, way, view) = {
-            let l2 = sys.hier.l2();
-            let set = rng.gen_range(0..l2.sets());
-            let way = rng.gen_range(0..l2.ways());
-            (set, way, l2.line_view(set, way))
-        };
-        if !view.valid {
-            // Strikes on empty frames are benign; counting them keeps the
-            // empirical rates normalised over the whole array.
+    for _ in 0..cfg.chunk_trials(chunk) {
+        now = sys.run(now, draws.gap(cfg));
+        let Some((strike, dirty)) = draws.strike(cfg, &layout, sys.hier.l2()) else {
             table.record(TrialOutcome::Masked, false, false);
             continue;
-        }
-        let snapshot: Box<[u64]> = sys
-            .hier
-            .l2()
-            .line_data(set, way)
-            .expect("store_data caches hold line data")
-            .into();
-        let dirty = view.dirty;
-        let pattern = cfg.model.draw(
-            &layout,
-            &mut rng,
-            &mut injector,
-            cfg.p_double,
-            cfg.mean_gap_cycles,
-        );
-        pattern.strike_cache(sys.hier.l2_mut(), set, way);
-        cell.borrow_mut().arm(PendingStrike {
-            set,
-            way,
-            line: view.line,
-            pattern,
-            snapshot,
-        });
+        };
+        strike
+            .pattern
+            .strike_cache(sys.hier.l2_mut(), strike.set, strike.way);
+        cell.borrow_mut().arm(strike);
 
         let (next, outcome) = resolve(&mut sys, &cell, now, cfg.horizon_cycles);
         now = next;
@@ -344,15 +464,8 @@ fn run_chunk_with(
     table
 }
 
-/// Force-resolves a strike that nothing consumed within the horizon.
-///
-/// A clean struck line counts as masked: main memory still holds the
-/// intact copy, so the latent flip can always be recovered by refetch and
-/// never becomes loss on its own. A dirty struck line is resolved as if it
-/// were written back now — the scheme's outbound check decides whether the
-/// latent upset would have been corrected, declared DUE, or silently
-/// escaped to memory — and, as everywhere else, a "corrected" image that
-/// does not match the pre-strike snapshot is a miscorrection booked as SDC.
+/// Applies [`horizon_outcome`] to the live struck line, then scrubs the
+/// latent flips out of the array before the next trial.
 fn finalize_at_horizon<S: aep_cpu::InstrStream>(
     sys: &mut System<S>,
     cell: &StrikeCell,
@@ -361,41 +474,324 @@ fn finalize_at_horizon<S: aep_cpu::InstrStream>(
         .borrow_mut()
         .take_pending()
         .expect("horizon expiry implies an unresolved strike");
-    let (l2, _memory) = sys.hier.l2_and_memory_mut();
+    let l2 = sys.hier.l2();
     let view = l2.line_view(strike.set, strike.way);
     debug_assert!(
         view.valid && view.line == strike.line,
         "a struck line can only leave its frame via a witnessed eviction"
     );
-    let outcome = if !view.dirty {
-        TrialOutcome::Masked
-    } else {
-        let mut buf: Vec<u64> = l2
-            .line_data(strike.set, strike.way)
-            .expect("struck lines hold data")
-            .to_vec();
-        match sys
-            .scheme
-            .verify_writeback(strike.set, strike.way, &mut buf)
-        {
-            RecoveryOutcome::Clean => TrialOutcome::Sdc,
-            RecoveryOutcome::CorrectedByEcc { .. } => {
-                if buf.as_slice() == &*strike.snapshot {
-                    TrialOutcome::Corrected
-                } else {
-                    TrialOutcome::Sdc
-                }
-            }
-            RecoveryOutcome::RecoveredByRefetch => TrialOutcome::RefetchRecovered,
-            RecoveryOutcome::Unrecoverable => TrialOutcome::Due,
-        }
-    };
-    // Scrub the latent flips out of the array before the next trial.
+    let data = l2
+        .line_data(strike.set, strike.way)
+        .expect("struck lines hold data");
+    let outcome = horizon_outcome(&strike, view.dirty, data, sys.scheme.as_mut());
     let l2 = sys.hier.l2_mut();
     for f in strike.pattern.flips() {
         l2.write_word(strike.set, strike.way, f.word, strike.snapshot[f.word]);
     }
     outcome
+}
+
+/// Flips the struck words of `words` — a copy of the struck line in the
+/// strike-free machine — that still hold their pre-strike value, which
+/// rebuilds the chunk's own corrupted image. A word a store overwrote
+/// after the strike holds the store's value in both machines (with
+/// silent-store elision off every store carries a fresh value, so no
+/// store rewrites a word's pre-strike value).
+fn restrike(strike: &PendingStrike, words: &mut [u64]) {
+    for f in strike.pattern.flips() {
+        if words[f.word] == strike.snapshot[f.word] {
+            words[f.word] ^= f.mask;
+        }
+    }
+}
+
+/// Classifies `strike` at `event` as the chunk's own machine would:
+/// rebuilds the chunk's corruption in the resident line (when the frame
+/// still holds the struck line) and in the line's memory image (when the
+/// event is its write-back), runs the monitor against a scratch clone of
+/// the scheme, and restores the shared line, memory image and scheme.
+fn resolve_virtually(
+    strike: &PendingStrike,
+    event: &L2Event,
+    l2: &mut Cache,
+    scheme: &dyn ProtectionScheme,
+    memory: &mut MainMemory,
+) -> TrialOutcome {
+    let (set, way) = (strike.set, strike.way);
+    let view = l2.line_view(set, way);
+    let saved_line = (view.valid && view.line == strike.line).then(|| {
+        let saved = l2
+            .line_data(set, way)
+            .expect("struck lines hold data")
+            .to_vec();
+        let mut corrupted = saved.clone();
+        restrike(strike, &mut corrupted);
+        write_line(l2, set, way, &corrupted);
+        saved
+    });
+    let writes_back = matches!(
+        *event,
+        L2Event::Evict { dirty: true, .. } | L2Event::Cleaned { .. }
+    );
+    let saved_image = writes_back.then(|| {
+        let saved = memory.read_line(strike.line);
+        let mut corrupted = saved.clone();
+        restrike(strike, &mut corrupted);
+        memory.write_line(strike.line, &corrupted);
+        saved
+    });
+    let mut scratch = scheme.clone_box();
+    let outcome = resolve_event(strike, event, l2, scratch.as_mut(), memory);
+    if let Some(saved) = saved_line {
+        write_line(l2, set, way, &saved);
+    }
+    if let Some(saved) = saved_image {
+        memory.write_line(strike.line, &saved);
+    }
+    outcome
+}
+
+/// Overwrites every word of a resident line.
+fn write_line(l2: &mut Cache, set: usize, way: usize, words: &[u64]) {
+    for (i, &w) in words.iter().enumerate() {
+        l2.write_word(set, way, i, w);
+    }
+}
+
+/// One chunk's trials as a lane over the group's shared machine.
+struct Lane {
+    draws: ChunkDraws,
+    trials_left: u64,
+    table: OutcomeTable,
+    /// The armed strike and the struck line's dirty bit at strike time.
+    pending: Option<(PendingStrike, bool)>,
+    /// The cycle of the lane's live timer: its next strike, or its
+    /// pending strike's horizon deadline (`Cycle::MAX` once done).
+    due: Cycle,
+}
+
+/// A group's lanes and their indexes, shared between the driver loop
+/// (strikes, deadlines, bookkeeping) and the [`LaneProbe`] (resolutions).
+struct LaneSet {
+    lanes: Vec<Lane>,
+    ways: usize,
+    /// Lanes with a pending strike, by struck frame (`set * ways + way`).
+    by_frame: Vec<Vec<usize>>,
+    /// `(due, lane)` timers; an entry whose cycle no longer matches its
+    /// lane's `due` is stale and skipped.
+    timers: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// Strikes resolved during the current step: lane, outcome, dirty.
+    resolved: Vec<(usize, TrialOutcome, bool)>,
+}
+
+impl LaneSet {
+    fn new(cfg: &CampaignConfig, chunks: Range<usize>, l2: &Cache) -> Self {
+        let mut lanes = LaneSet {
+            lanes: Vec::with_capacity(chunks.len()),
+            ways: l2.ways(),
+            by_frame: vec![Vec::new(); l2.sets() * l2.ways()],
+            timers: BinaryHeap::new(),
+            resolved: Vec::new(),
+        };
+        for chunk in chunks {
+            lanes.lanes.push(Lane {
+                draws: ChunkDraws::new(cfg, chunk),
+                trials_left: cfg.chunk_trials(chunk),
+                table: OutcomeTable::default(),
+                pending: None,
+                due: Cycle::MAX,
+            });
+            let lane = lanes.lanes.len() - 1;
+            lanes.schedule_strike(cfg, lane, cfg.warmup_cycles);
+        }
+        lanes
+    }
+
+    fn set_due(&mut self, lane: usize, due: Cycle) {
+        self.lanes[lane].due = due;
+        self.timers.push(Reverse((due, lane)));
+    }
+
+    /// Draws `lane`'s next gap from `now`, or retires the lane when its
+    /// trials are done.
+    fn schedule_strike(&mut self, cfg: &CampaignConfig, lane: usize, now: Cycle) {
+        let l = &mut self.lanes[lane];
+        if l.trials_left == 0 {
+            l.due = Cycle::MAX;
+        } else {
+            let due = now + l.draws.gap(cfg);
+            self.set_due(lane, due);
+        }
+    }
+
+    /// Books one finished trial and schedules the lane's next strike.
+    fn finish(
+        &mut self,
+        cfg: &CampaignConfig,
+        lane: usize,
+        outcome: TrialOutcome,
+        valid: bool,
+        dirty: bool,
+        now: Cycle,
+    ) {
+        let l = &mut self.lanes[lane];
+        l.table.record(outcome, valid, dirty);
+        l.trials_left -= 1;
+        self.schedule_strike(cfg, lane, now);
+    }
+
+    /// Handles everything due at `now`, with the machine stopped before
+    /// cycle `now`: books the strikes resolved in the last step, lands
+    /// the strikes due now, and finalises the strikes whose horizon
+    /// expires now.
+    fn pause(
+        &mut self,
+        cfg: &CampaignConfig,
+        layout: &ArrayLayout,
+        now: Cycle,
+        l2: &Cache,
+        scheme: &dyn ProtectionScheme,
+    ) {
+        for (lane, outcome, dirty) in std::mem::take(&mut self.resolved) {
+            self.finish(cfg, lane, outcome, true, dirty, now);
+        }
+        while let Some(&Reverse((due, lane))) = self.timers.peek() {
+            if due > now {
+                break;
+            }
+            self.timers.pop();
+            if self.lanes[lane].due != due {
+                continue;
+            }
+            match self.lanes[lane].pending.take() {
+                Some((strike, dirty)) => {
+                    self.unindex(lane, &strike);
+                    let view = l2.line_view(strike.set, strike.way);
+                    debug_assert!(
+                        view.valid && view.line == strike.line,
+                        "a struck line can only leave its frame via a witnessed eviction"
+                    );
+                    let mut corrupted = l2
+                        .line_data(strike.set, strike.way)
+                        .expect("struck lines hold data")
+                        .to_vec();
+                    restrike(&strike, &mut corrupted);
+                    let mut scratch = scheme.clone_box();
+                    let outcome =
+                        horizon_outcome(&strike, view.dirty, &corrupted, scratch.as_mut());
+                    self.finish(cfg, lane, outcome, true, dirty, now);
+                }
+                None => match self.lanes[lane].draws.strike(cfg, layout, l2) {
+                    None => self.finish(cfg, lane, TrialOutcome::Masked, false, false, now),
+                    Some((strike, dirty)) => {
+                        self.by_frame[strike.set * self.ways + strike.way].push(lane);
+                        self.lanes[lane].pending = Some((strike, dirty));
+                        self.set_due(lane, now + cfg.horizon_cycles);
+                    }
+                },
+            }
+        }
+    }
+
+    /// The next cycle some lane needs the machine stopped before, or
+    /// `None` when every lane is done. Drops stale timers on the way.
+    fn next_due(&mut self) -> Option<Cycle> {
+        while let Some(&Reverse((due, lane))) = self.timers.peek() {
+            if self.lanes[lane].due == due {
+                return Some(due);
+            }
+            self.timers.pop();
+        }
+        None
+    }
+
+    fn unindex(&mut self, lane: usize, strike: &PendingStrike) {
+        let frame = &mut self.by_frame[strike.set * self.ways + strike.way];
+        let at = frame
+            .iter()
+            .position(|&l| l == lane)
+            .expect("pending strikes are indexed by frame");
+        frame.swap_remove(at);
+    }
+
+    /// Resolves every pending strike that `event` on (`set`, `way`)
+    /// holding `line` hits.
+    fn resolve_frame(
+        &mut self,
+        event: &L2Event,
+        (set, way, line): (usize, usize, LineAddr),
+        l2: &mut Cache,
+        scheme: &dyn ProtectionScheme,
+        memory: &mut MainMemory,
+    ) {
+        let frame = set * self.ways + way;
+        let mut i = 0;
+        while i < self.by_frame[frame].len() {
+            let lane = self.by_frame[frame][i];
+            let (strike, _) = self.lanes[lane]
+                .pending
+                .as_ref()
+                .expect("indexed lanes hold a strike");
+            if !hits(strike, set, way, line) {
+                i += 1;
+                continue;
+            }
+            self.by_frame[frame].swap_remove(i);
+            let (strike, dirty) = self.lanes[lane].pending.take().expect("checked above");
+            let outcome = resolve_virtually(&strike, event, l2, scheme, memory);
+            self.resolved.push((lane, outcome, dirty));
+        }
+    }
+}
+
+/// The shared machine's observer: resolves lanes' pending strikes in the
+/// pre-scheme hook, while the check storage still describes the
+/// pre-event line image.
+struct LaneProbe(Rc<RefCell<LaneSet>>);
+
+impl SystemObserver for LaneProbe {
+    fn pre_event(
+        &mut self,
+        event: &L2Event,
+        l2: &mut Cache,
+        scheme: &mut dyn ProtectionScheme,
+        memory: &mut MainMemory,
+        _now: Cycle,
+    ) {
+        if let Some(frame) = touched_frame(event) {
+            self.0
+                .borrow_mut()
+                .resolve_frame(event, frame, l2, scheme, memory);
+        }
+    }
+}
+
+/// Runs `chunks` as lanes over the warmed machine `sys` (the shared
+/// driver; see the module docs) and returns their tables in chunk order.
+fn run_shared(
+    cfg: &CampaignConfig,
+    mut sys: System<WorkloadStream>,
+    chunks: Range<usize>,
+) -> Vec<OutcomeTable> {
+    let layout = cfg.layout();
+    let lanes = Rc::new(RefCell::new(LaneSet::new(cfg, chunks, sys.hier.l2())));
+    sys.add_observer(Box::new(LaneProbe(Rc::clone(&lanes))));
+    let mut now = cfg.warmup_cycles;
+    loop {
+        let next = {
+            let mut l = lanes.borrow_mut();
+            l.pause(cfg, &layout, now, sys.hier.l2(), sys.scheme.as_ref());
+            match l.next_due() {
+                Some(next) => next,
+                None => break,
+            }
+        };
+        // Stop right after any resolution: its lane's next gap starts at
+        // the following cycle, which may come before `next`.
+        now = sys.run_until(now, next - now, || !lanes.borrow().resolved.is_empty());
+    }
+    let tables = lanes.borrow().lanes.iter().map(|l| l.table).collect();
+    tables
 }
 
 #[cfg(test)]
@@ -406,6 +802,19 @@ mod tests {
 
     fn cfg(scheme: SchemeKind) -> CampaignConfig {
         CampaignConfig::fast_test(Benchmark::Swim, scheme)
+    }
+
+    /// One of each strike model.
+    fn all_models() -> [StrikeModel; 5] {
+        [
+            StrikeModel::Single,
+            StrikeModel::Burst { width: 2 },
+            StrikeModel::Col { span: 4 },
+            StrikeModel::Row { span: 8 },
+            StrikeModel::Accum {
+                scrub_cycles: crate::models::DEFAULT_SCRUB_CYCLES,
+            },
+        ]
     }
 
     /// The strike-resolution loop before fast-forwarding: one `step` per
@@ -454,22 +863,13 @@ mod tests {
 
     #[test]
     fn fast_forward_resolution_matches_per_cycle_stepping() {
-        let models = [
-            StrikeModel::Single,
-            StrikeModel::Burst { width: 2 },
-            StrikeModel::Col { span: 4 },
-            StrikeModel::Row { span: 8 },
-            StrikeModel::Accum {
-                scrub_cycles: crate::models::DEFAULT_SCRUB_CYCLES,
-            },
-        ];
         let schemes = [
             SchemeKind::ParityOnly,
             SchemeKind::Proposed {
                 cleaning_interval: CHOSEN_INTERVAL,
             },
         ];
-        for model in models {
+        for model in all_models() {
             for scheme in schemes {
                 let mut c = cfg(scheme);
                 c.model = model;
@@ -484,6 +884,73 @@ mod tests {
                 assert!(oracle.struck_valid > 0, "{label}: no valid strike");
             }
         }
+    }
+
+    /// Every chunk's table from the per-chunk oracle: a fork of the
+    /// warmed machine per chunk, with real bits flipped.
+    fn oracle_chunks(c: &CampaignConfig) -> Vec<OutcomeTable> {
+        let warm = warmed_prototype(c);
+        (0..c.chunks())
+            .map(|chunk| run_chunk(c, &warm, chunk))
+            .collect()
+    }
+
+    /// Every chunk's table from the shared driver, whatever the predicate
+    /// says.
+    fn shared_chunks(c: &CampaignConfig) -> Vec<OutcomeTable> {
+        run_shared(c, warmed_prototype(c), 0..c.chunks())
+    }
+
+    /// The smoke-scale campaign geometry (`exp faults --scale smoke`).
+    fn smoke(scheme: SchemeKind) -> CampaignConfig {
+        CampaignConfig::fast_test(Benchmark::Gap, scheme)
+    }
+
+    #[test]
+    fn shared_driver_matches_the_per_chunk_oracle() {
+        for scheme in aep_dse::registry::challengers_faults_schemes() {
+            let silent = matches!(scheme, SchemeKind::SilentWriteEcc { .. });
+            assert_eq!(
+                shares_trajectory(&warmed_prototype(&smoke(scheme))),
+                !silent,
+                "only the silent-store scheme keeps per-chunk machines: {scheme:?}"
+            );
+            if silent {
+                continue;
+            }
+            for model in all_models() {
+                for interleave in [1, 4] {
+                    for seed in [2006, 2007] {
+                        let c = CampaignConfig {
+                            trials: 30,
+                            model,
+                            interleave,
+                            seed,
+                            ..smoke(scheme)
+                        };
+                        let label =
+                            format!("{scheme:?} {} il{interleave} seed {seed}", model.slug());
+                        assert_eq!(shared_chunks(&c), oracle_chunks(&c), "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn silent_store_scheme_forced_through_the_shared_driver_differs() {
+        // Strikes steer a machine that elides silent stores (a struck word
+        // changes which stores match), so the shared driver is not exact
+        // for it — and the equivalence check must be able to see that.
+        let silent = aep_dse::registry::challengers_faults_schemes()
+            .into_iter()
+            .find(|k| matches!(k, SchemeKind::SilentWriteEcc { .. }))
+            .expect("the challenger line-up holds the silent-store scheme");
+        let c = CampaignConfig {
+            trials: 1000,
+            ..smoke(silent)
+        };
+        assert_ne!(shared_chunks(&c), oracle_chunks(&c));
     }
 
     #[test]

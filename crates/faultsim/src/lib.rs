@@ -1,11 +1,11 @@
 //! Monte Carlo soft-error campaigns over the live timing simulator.
 //!
 //! This crate is the workspace's fault-injection engine. It measures
-//! what actually happens when an upset lands in a busy machine: real bits
-//! flip in the data-holding L2 at seeded pseudo-Poisson arrival times, the
-//! workload keeps executing, and the upset is routed through the active
-//! scheme's detect/correct path at the next access, cleaning probe, or
-//! eviction that touches the struck line.
+//! what actually happens when an upset lands in a busy machine: bits of
+//! the data-holding L2 are struck at seeded pseudo-Poisson arrival times,
+//! the workload keeps executing, and the upset is routed through the
+//! active scheme's detect/correct path at the next access, cleaning
+//! probe, or eviction that touches the struck line.
 //!
 //! * [`outcome`] — the per-trial taxonomy (masked / corrected /
 //!   refetch-recovered / DUE / SDC) and campaign tallies.
@@ -14,7 +14,8 @@
 //! * [`monitor`] — the [`aep_sim::SystemObserver`] that resolves a pending
 //!   strike at the first event touching the struck frame, including
 //!   miscorrection-aware SDC classification.
-//! * [`campaign`] — chunked, jobs-invariant campaign driver.
+//! * [`campaign`] — chunked, jobs-invariant campaign driver: each
+//!   worker's chunks run as lanes over one shared warmed machine.
 //! * [`pool`] — the order-preserving thread fan-out shared with the
 //!   experiment engine.
 
@@ -31,4 +32,4 @@ pub use campaign::{run_campaign, run_campaign_report, CampaignConfig, CampaignRe
 pub use models::{StrikeModel, StrikePattern, WordFlips};
 pub use monitor::{PendingStrike, StrikeCell, StrikeProbe, StrikeState};
 pub use outcome::{OutcomeTable, TrialOutcome};
-pub use pool::{fan_out, fan_out_init};
+pub use pool::fan_out;

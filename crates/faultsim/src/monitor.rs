@@ -117,11 +117,7 @@ impl SystemObserver for StrikeProbe {
         memory: &mut MainMemory,
         _now: Cycle,
     ) {
-        let (L2Event::ReadHit { set, way, line, .. }
-        | L2Event::WriteHit { set, way, line, .. }
-        | L2Event::Evict { set, way, line, .. }
-        | L2Event::Cleaned { set, way, line, .. }) = *event
-        else {
+        let Some((set, way, line)) = touched_frame(event) else {
             return;
         };
         let mut state = self.cell.borrow_mut();
@@ -135,19 +131,7 @@ impl SystemObserver for StrikeProbe {
             return;
         }
         let strike = state.pending.take().expect("checked above");
-        let outcome = match *event {
-            L2Event::ReadHit { dirty, .. } => resolve_read(&strike, l2, scheme, memory, dirty),
-            L2Event::WriteHit {
-                first_write,
-                silent,
-                ..
-            } => resolve_write(&strike, l2, scheme, memory, first_write, silent),
-            L2Event::Evict { dirty, .. } => resolve_evict(&strike, scheme, memory, dirty),
-            L2Event::Cleaned { .. } => resolve_cleaned(&strike, l2, scheme, memory),
-            L2Event::Fill { .. } | L2Event::WordWritten { .. } => {
-                unreachable!("only line accesses resolve strikes")
-            }
-        };
+        let outcome = resolve_event(&strike, event, l2, scheme, memory);
         self.resolutions
             .push((strike.set, strike.way, outcome.label()));
         state.outcome = Some(outcome);
@@ -158,8 +142,53 @@ impl SystemObserver for StrikeProbe {
     }
 }
 
-fn hits(strike: &PendingStrike, set: usize, way: usize, line: LineAddr) -> bool {
+/// The frame and resident line of an event that can resolve a strike: a
+/// line access, eviction or cleaning. Fills and word writes never do.
+#[must_use]
+pub(crate) fn touched_frame(event: &L2Event) -> Option<(usize, usize, LineAddr)> {
+    match *event {
+        L2Event::ReadHit { set, way, line, .. }
+        | L2Event::WriteHit { set, way, line, .. }
+        | L2Event::Evict { set, way, line, .. }
+        | L2Event::Cleaned { set, way, line, .. } => Some((set, way, line)),
+        L2Event::Fill { .. } | L2Event::WordWritten { .. } => None,
+    }
+}
+
+/// Whether an event on (`set`, `way`) holding `line` resolves `strike`.
+#[must_use]
+pub(crate) fn hits(strike: &PendingStrike, set: usize, way: usize, line: LineAddr) -> bool {
     strike.set == set && strike.way == way && strike.line == line
+}
+
+/// Classifies `strike` at `event`, the first event that [`hits`] it,
+/// running the scheme's detect/correct path against the corrupted
+/// machine state and repairing it afterwards (see the module docs).
+///
+/// # Panics
+///
+/// Panics if `event` is a fill or a word write, which never resolve a
+/// strike.
+pub(crate) fn resolve_event(
+    strike: &PendingStrike,
+    event: &L2Event,
+    l2: &mut Cache,
+    scheme: &mut dyn ProtectionScheme,
+    memory: &mut MainMemory,
+) -> TrialOutcome {
+    match *event {
+        L2Event::ReadHit { dirty, .. } => resolve_read(strike, l2, scheme, memory, dirty),
+        L2Event::WriteHit {
+            first_write,
+            silent,
+            ..
+        } => resolve_write(strike, l2, scheme, memory, first_write, silent),
+        L2Event::Evict { dirty, .. } => resolve_evict(strike, scheme, memory, dirty),
+        L2Event::Cleaned { .. } => resolve_cleaned(strike, l2, scheme, memory),
+        L2Event::Fill { .. } | L2Event::WordWritten { .. } => {
+            unreachable!("only line accesses resolve strikes")
+        }
+    }
 }
 
 /// Writes the pre-strike value of every struck word back into the cache —

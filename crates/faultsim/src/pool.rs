@@ -51,64 +51,6 @@ where
     indexed.into_iter().map(|(_, value)| value).collect()
 }
 
-/// Like [`fan_out`], but each worker thread first builds private state
-/// with `init()` and threads it through every chunk it pulls.
-///
-/// This is the seam the campaign driver uses to amortise warm-up: `init`
-/// builds (and warms) one prototype [`System`](aep_sim::System) per
-/// worker, and `work` forks it per chunk instead of rebuilding from
-/// cycle 0. Because `work(state, i)` must produce the same result for any
-/// freshly-`init`ed state, the `jobs`-invariance guarantee of [`fan_out`]
-/// carries over unchanged — the state is an accelerator, never an input.
-///
-/// The worker state `W` needs no `Send`/`Sync` bound: it is created and
-/// consumed entirely on the thread that owns it (the campaign's state
-/// holds `Rc`s, which could not cross threads).
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn fan_out_init<W, T, I, F>(count: usize, jobs: usize, init: I, work: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&mut W, usize) -> T + Sync,
-{
-    if jobs <= 1 || count <= 1 {
-        if count == 0 {
-            return Vec::new();
-        }
-        let mut state = init();
-        return (0..count).map(|i| work(&mut state, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs.min(count))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    let mut state: Option<W> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let state = state.get_or_insert_with(&init);
-                        out.push((i, work(state, i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, value)| value).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,30 +61,6 @@ mod tests {
         let parallel = fan_out(17, 4, |i| i * i);
         assert_eq!(serial, parallel);
         assert_eq!(serial[3], 9);
-    }
-
-    #[test]
-    fn init_variant_matches_plain_fan_out() {
-        let serial = fan_out_init(17, 1, || 100usize, |base, i| *base + i * i);
-        let parallel = fan_out_init(17, 4, || 100usize, |base, i| *base + i * i);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[3], 109);
-    }
-
-    #[test]
-    fn init_is_lazy_per_worker() {
-        use std::sync::atomic::AtomicUsize;
-        let inits = AtomicUsize::new(0);
-        let out = fan_out_init(3, 8, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
-        assert_eq!(out, vec![0, 1, 2]);
-        // At most one init per worker that actually pulled a chunk.
-        assert!(inits.load(Ordering::Relaxed) <= 3);
-    }
-
-    #[test]
-    fn init_variant_empty_input_never_inits() {
-        let out = fan_out_init(0, 4, || panic!("must not init"), |_: &mut (), i| i);
-        assert_eq!(out, Vec::<usize>::new());
     }
 
     #[test]

@@ -113,6 +113,14 @@ impl MemoryHierarchy {
         self.silent_elision = enabled;
     }
 
+    /// Whether silent-store elision is on: the only path on which the
+    /// machine's timing reads line data (see
+    /// [`MemoryHierarchy::set_silent_store_elision`]).
+    #[must_use]
+    pub fn elides_silent_stores(&self) -> bool {
+        self.silent_elision
+    }
+
     /// Number of write-allocate fills whose store payload matched the
     /// memory image exactly and therefore installed clean.
     #[must_use]

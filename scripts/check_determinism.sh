@@ -17,6 +17,11 @@
 # predictor state must not perturb worker-count invariance. A tenth leg
 # covers the extension tables planned through the lab (`exp seeds`,
 # `exp sensitivity`), whose runs fan out across --jobs like the figures'.
+# An eleventh leg runs the fault campaign over the challenger line-up
+# (`exp faults --challengers --model burst:2`): the silent-store scheme
+# keeps one forked machine per chunk while every other scheme runs its
+# chunks as lanes over one shared machine per worker, so this one output
+# covers both campaign drivers.
 #
 # Usage: scripts/check_determinism.sh [scale] [jobs]
 #          scale  paper|quick|smoke   (default: smoke)
@@ -94,6 +99,24 @@ if cmp -s "$tmp/faults_burst_serial.txt" "$tmp/faults_burst_parallel.txt"; then
 else
   echo "==> faults burst:2 determinism FAILED: outputs differ" >&2
   diff "$tmp/faults_burst_serial.txt" "$tmp/faults_burst_parallel.txt" | head -n 40 >&2
+  exit 1
+fi
+
+# Both campaign drivers in one output: the silent-store scheme runs per
+# chunk, the rest share one trajectory per contiguous group of chunks.
+echo "==> exp faults --challengers --model burst:2 --scale $scale --jobs 1 --no-cache"
+./target/release/exp faults --challengers --model burst:2 --scale "$scale" --jobs 1 --no-cache \
+  > "$tmp/faults_chal_serial.txt" 2> /dev/null
+
+echo "==> exp faults --challengers --model burst:2 --scale $scale --jobs $jobs --no-cache"
+./target/release/exp faults --challengers --model burst:2 --scale "$scale" --jobs "$jobs" --no-cache \
+  > "$tmp/faults_chal_parallel.txt" 2> /dev/null
+
+if cmp -s "$tmp/faults_chal_serial.txt" "$tmp/faults_chal_parallel.txt"; then
+  echo "==> faults challengers burst:2 determinism: byte-identical (--jobs 1 vs --jobs $jobs, $scale)"
+else
+  echo "==> faults challengers burst:2 determinism FAILED: outputs differ" >&2
+  diff "$tmp/faults_chal_serial.txt" "$tmp/faults_chal_parallel.txt" | head -n 40 >&2
   exit 1
 fi
 
