@@ -11,30 +11,29 @@
 //! lists, row by row, the exact [`ExperimentConfig`]s it reads, and
 //! [`Figure::render`] submits the whole plan to
 //! [`Lab::prefetch_configs`] before computing any row. The lab dedupes
-//! the plan against its memo and the optional on-disk [`RunCache`], then
-//! fans the remaining runs out across [`std::thread::scope`] workers
-//! (`Lab::jobs`). Rows read only planned results ([`Lab::planned`]
+//! the plan and submits it as one batch to its [`Engine`], the executor
+//! `exp serve` answers from too: the engine resolves each run from its
+//! memo, the optional on-disk [`RunCache`], or a fresh simulation on one
+//! of `Lab::jobs` workers. Rows read only planned results ([`Lab::planned`]
 //! panics otherwise), and runs are deterministic in their config alone,
 //! so the worker count never changes a figure — only how fast it
 //! arrives. Figures share configurations (Figures 3 and 5 are two views
 //! of the same interval sweep), and each is simulated at most once per
 //! process.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use aep_core::area::AreaModel;
 use aep_core::cleaning::CleaningPolicy;
 use aep_core::{CleaningLogic, EnergyModel, SchemeKind, SoftErrorModel};
 use aep_cpu::CoreConfig;
 use aep_dse::registry;
-use aep_faultsim::fan_out;
 use aep_mem::HierarchyConfig;
+use aep_serve::{Engine, EngineConfig, Source as RunSource, Submission};
 use aep_sim::report::{mean, stddev};
 use aep_sim::runcache::RunCache;
-// The execute-tier planner (`LaneJob` + `plan_lane_jobs`) lives in
-// `aep_sim::lanes` now — the `exp serve` daemon's scheduler batches
-// concurrent clients' submissions through the same code path.
-use aep_sim::{ExperimentConfig, LaneJob, RunStats, Runner, System, Table};
+use aep_sim::{ExperimentConfig, RunStats, System, Table};
 use aep_workloads::calibration::CHOSEN_INTERVAL;
 use aep_workloads::{Benchmark, Workload};
 
@@ -70,23 +69,24 @@ impl BatchSummary {
     }
 }
 
-/// A memoizing experiment laboratory: runs each configuration at most
-/// once per process, optionally spilling results to (and recalling them
-/// from) an on-disk [`RunCache`], and executing batched plans across
-/// worker threads.
+/// A memoizing experiment laboratory: a batch client of one
+/// [`Engine`], which runs each configuration at most once per process,
+/// optionally spilling results to (and recalling them from) an on-disk
+/// [`RunCache`], and executing batched plans across worker threads.
 ///
-/// The memo is keyed by the full [`RunCache`] key — scale, benchmark,
-/// scheme, seed, and a hash of the whole [`ExperimentConfig`] —
-/// so the explorer's off-grid points (non-Table-1 geometry, scrubbing)
-/// share the same engine and cache as the figure pipeline's
-/// (benchmark, scheme) plans.
+/// Runs are keyed by the full [`RunCache`] key — scale, benchmark,
+/// scheme, seed, and a hash of the whole [`ExperimentConfig`] — so the
+/// explorer's off-grid points (non-Table-1 geometry, scrubbing) share
+/// the same engine and cache as the figure pipeline's (benchmark,
+/// scheme) plans. The engine starts with the lab's first batch, so a
+/// command that plans nothing spawns no threads.
 #[derive(Debug)]
 pub struct Lab {
     scale: Scale,
-    cache: HashMap<String, RunStats>,
     verbose: bool,
     jobs: usize,
     disk: Option<RunCache>,
+    engine: Option<Engine>,
     totals: BatchSummary,
 }
 
@@ -96,10 +96,10 @@ impl Lab {
     pub fn new(scale: Scale) -> Self {
         Lab {
             scale,
-            cache: HashMap::new(),
             verbose: false,
             jobs: 1,
             disk: None,
+            engine: None,
             totals: BatchSummary::default(),
         }
     }
@@ -144,122 +144,56 @@ impl Lab {
         self.prefetch_configs(&configs);
     }
 
-    /// Ensures every configuration in `plan` is resolved, fanning cache
-    /// misses out across up to `jobs` worker threads, and emits a
+    /// Ensures every configuration in `plan` is resolved, and emits a
     /// one-line batch summary (planned / memo hits / disk hits /
     /// evaluated) on stderr.
     ///
-    /// The plan is deduplicated (first occurrence wins), then satisfied
-    /// in three tiers: the in-process memo, the disk cache (if attached),
-    /// and finally fresh simulation. Fresh results merge into the memo in
-    /// plan order — deterministically, regardless of which worker
-    /// finished first — and are written back to the disk cache.
-    /// Cache-directory I/O errors are reported (and treated as misses)
-    /// instead of silently recomputing.
+    /// The plan is deduplicated (first occurrence wins) and submitted to
+    /// the engine as one batch, which satisfies it in three tiers: the
+    /// memo, the disk cache (if attached), and fresh simulation across
+    /// up to `jobs` workers, with shareable-trajectory configurations
+    /// batched onto lanes. Fresh results are written back to the disk
+    /// cache; cache-directory I/O errors are reported (and treated as
+    /// misses) instead of silently recomputing.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the engine's message if a simulation panicked.
     pub fn prefetch_configs(&mut self, plan: &[ExperimentConfig]) {
-        let mut summary = BatchSummary::default();
-        // Plan: dedupe (first occurrence wins), count memo hits.
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut pending: Vec<(String, &ExperimentConfig)> = Vec::new();
-        for cfg in plan {
-            let key = RunCache::key(self.scale.name(), cfg);
-            if !seen.insert(key.clone()) {
-                continue;
-            }
-            summary.planned += 1;
-            if self.cache.contains_key(&key) {
-                summary.memo_hits += 1;
-                continue;
-            }
-            pending.push((key, cfg));
-        }
-        // Recall tier: the disk cache.
-        let mut misses: Vec<(String, &ExperimentConfig)> = Vec::new();
-        for (key, cfg) in pending {
-            if let Some(disk) = &self.disk {
-                match disk.load_checked(&key) {
-                    Ok(Some(stats)) => {
-                        if self.verbose {
-                            eprintln!("[lab] disk hit {} / {}", cfg.benchmark, cfg.scheme.label());
-                        }
-                        summary.disk_hits += 1;
-                        self.cache.insert(key, stats);
-                        continue;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!(
-                            "[lab] warning: cannot read cache entry {key}: {e} \
-                             (re-simulating)"
-                        );
-                    }
-                }
-            }
-            misses.push((key, cfg));
-        }
-        // Execute tier: simulate the misses. Shareable-trajectory
-        // configurations (same machine and workload, directive-free
-        // schemes with one cleaning interval) are batched into a single
-        // lane-parallel run ([`aep_sim::run_lanes`]) that amortises the
-        // cpu+hierarchy trajectory across all of them; the rest run
-        // serially. Jobs then fan out across worker threads. Lane
-        // results are byte-identical to serial runs (enforced by the
-        // lane engine's property tests), so caching and determinism are
-        // unaffected by how the plan happened to batch.
-        summary.evaluated = misses.len();
-        let verbose = self.verbose;
-        let miss_cfgs: Vec<&ExperimentConfig> = misses.iter().map(|(_, cfg)| *cfg).collect();
-        let lane_jobs = aep_sim::plan_lane_jobs(&miss_cfgs);
-        let job_results = fan_out(lane_jobs.len(), self.jobs, |j| match &lane_jobs[j] {
-            LaneJob::Batch {
-                cfg,
-                specs,
-                indices,
-            } => {
-                if verbose {
-                    eprintln!(
-                        "[lab] lane batch: {} lanes / {} ({})",
-                        specs.len(),
-                        cfg.benchmark,
-                        specs
-                            .iter()
-                            .map(aep_sim::LaneSpec::label)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                }
-                let lane_results = aep_sim::run_lanes(cfg, specs);
-                indices
-                    .iter()
-                    .copied()
-                    .zip(lane_results.into_iter().map(|r| r.stats))
-                    .collect::<Vec<(usize, RunStats)>>()
-            }
-            LaneJob::Solo(i) => {
-                let cfg = misses[*i].1;
-                if verbose {
-                    eprintln!("[lab] running {} / {}", cfg.benchmark, cfg.scheme.label());
-                }
-                vec![(*i, Runner::new(cfg.clone()).run())]
-            }
+        let mut seen = HashSet::new();
+        let distinct: Vec<ExperimentConfig> = plan
+            .iter()
+            .filter(|cfg| seen.insert(RunCache::key(self.scale.name(), cfg)))
+            .cloned()
+            .collect();
+        let mut summary = BatchSummary {
+            planned: distinct.len(),
+            ..BatchSummary::default()
+        };
+        let engine = self.engine.get_or_insert_with(|| {
+            Engine::new(EngineConfig {
+                jobs: self.jobs,
+                queue_depth: usize::MAX,
+                disk: self.disk.take(),
+                verbose: self.verbose,
+                ..EngineConfig::new(self.scale)
+            })
         });
-        let mut by_index: Vec<Option<RunStats>> = vec![None; misses.len()];
-        for (i, stats) in job_results.into_iter().flatten() {
-            by_index[i] = Some(stats);
-        }
-        let results = by_index
-            .into_iter()
-            .map(|s| s.expect("every miss is resolved by exactly one job"));
-        for ((key, _), stats) in misses.into_iter().zip(results) {
-            if let Some(disk) = &self.disk {
-                if let Err(e) = disk.store(&key, &stats) {
-                    eprintln!(
-                        "[lab] warning: cannot write cache entry {key}: {e} \
-                         (continuing uncached)"
-                    );
+        for submission in engine.submit_all(self.scale, distinct) {
+            let source = match submission {
+                Submission::Ready { .. } => RunSource::Memo,
+                Submission::Pending { ticket, .. } => {
+                    ticket.wait().unwrap_or_else(|e| panic!("{e}")).1
                 }
+                Submission::Busy | Submission::Draining => {
+                    unreachable!("an unbounded, never-drained engine sheds nothing")
+                }
+            };
+            match source {
+                RunSource::Memo => summary.memo_hits += 1,
+                RunSource::Disk => summary.disk_hits += 1,
+                RunSource::Fresh => summary.evaluated += 1,
             }
-            self.cache.insert(key, stats);
         }
         if summary.planned > 0 {
             eprintln!(
@@ -277,14 +211,17 @@ impl Lab {
     }
 
     /// Runs (or recalls) one arbitrary configuration (the explorer's
-    /// entry point: geometry and scrub deviations welcome).
+    /// entry point: geometry and scrub deviations welcome). A memo hit
+    /// prints nothing; anything else is a one-run batch.
     pub fn stats_config(&mut self, cfg: &ExperimentConfig) -> RunStats {
-        let key = RunCache::key(self.scale.name(), cfg);
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
+        if self.memo(cfg).is_none() {
+            self.prefetch_configs(std::slice::from_ref(cfg));
         }
-        self.prefetch_configs(std::slice::from_ref(cfg));
-        self.cache[&key].clone()
+        RunStats::clone(&self.planned(cfg))
+    }
+
+    fn memo(&self, cfg: &ExperimentConfig) -> Option<Arc<RunStats>> {
+        self.engine.as_ref()?.memo_get(self.scale, cfg)
     }
 
     /// The result of a configuration an earlier batch resolved. Unlike
@@ -295,23 +232,21 @@ impl Lab {
     /// Panics if `cfg` was never planned: a figure reads only what it
     /// planned.
     #[must_use]
-    pub fn planned(&self, cfg: &ExperimentConfig) -> &RunStats {
-        self.cache
-            .get(&RunCache::key(self.scale.name(), cfg))
-            .unwrap_or_else(|| {
-                panic!(
-                    "{} / {} was read outside the plan",
-                    cfg.benchmark,
-                    cfg.scheme.label()
-                )
-            })
+    pub fn planned(&self, cfg: &ExperimentConfig) -> Arc<RunStats> {
+        self.memo(cfg).unwrap_or_else(|| {
+            panic!(
+                "{} / {} was read outside the plan",
+                cfg.benchmark,
+                cfg.scheme.label()
+            )
+        })
     }
 
     /// Number of distinct configurations resolved so far (simulated or
     /// recalled from disk).
     #[must_use]
     pub fn runs(&self) -> usize {
-        self.cache.len()
+        self.totals.disk_hits + self.totals.evaluated
     }
 
     /// Cumulative tier accounting across every batch this lab resolved.
@@ -478,8 +413,9 @@ impl Figure {
                 let rows = rows
                     .iter()
                     .map(|row| {
-                        let stats: Vec<&RunStats> =
+                        let stats: Vec<Arc<RunStats>> =
                             row.configs.iter().map(|cfg| lab.planned(cfg)).collect();
+                        let stats: Vec<&RunStats> = stats.iter().map(Arc::as_ref).collect();
                         (row.label.clone(), cells(row, &stats))
                     })
                     .collect();
@@ -1057,6 +993,7 @@ fn cleaner_rows(scale: Scale) -> Vec<(String, Vec<f64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aep_sim::{LaneJob, Runner};
 
     #[test]
     fn scale_parsing() {
@@ -1087,9 +1024,77 @@ mod tests {
         let mut lab = Lab::new(Scale::Smoke);
         let a = lab.stats(Benchmark::Gzip, SchemeKind::Uniform);
         assert_eq!(lab.runs(), 1);
+        let totals = lab.totals();
         let b = lab.stats(Benchmark::Gzip, SchemeKind::Uniform);
         assert_eq!(lab.runs(), 1, "second call must hit the cache");
+        // A batch line is printed for every batch that plans anything; a
+        // memo hit submits no batch at all.
+        assert_eq!(lab.totals(), totals, "a memo hit is not a batch");
         assert_eq!(a, b);
+    }
+
+    /// A short-window configuration, so plans of hundreds stay cheap.
+    fn tiny(bench: Benchmark, scheme: SchemeKind) -> ExperimentConfig {
+        let mut cfg = Scale::Smoke.config(bench, scheme);
+        cfg.warmup_cycles = 4_000;
+        cfg.measure_cycles = 6_000;
+        cfg
+    }
+
+    /// `exp`, the explorer and `exp serve` share `results/cache/`: an
+    /// entry either client wrote is a disk hit for the other, with the
+    /// identical stats.
+    #[test]
+    fn lab_and_engine_read_each_others_cache_entries() {
+        let dir = std::env::temp_dir().join(format!("aep-lab-engine-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let from_lab_cfg = tiny(Benchmark::Gzip, proposed());
+        let from_engine_cfg = tiny(Benchmark::Mcf, SchemeKind::Uniform);
+
+        let mut writer = Lab::new(Scale::Smoke).with_disk_cache(RunCache::new(&dir));
+        let from_lab = writer.stats_config(&from_lab_cfg);
+        let engine = Engine::new(EngineConfig {
+            jobs: 1,
+            disk: Some(RunCache::new(&dir)),
+            ..EngineConfig::new(Scale::Smoke)
+        });
+        let (_, recalled, source) = engine
+            .submit_and_wait(Scale::Smoke, from_lab_cfg)
+            .expect("disk hit");
+        assert_eq!(source, RunSource::Disk);
+        assert_bit_identical(&from_lab, &recalled);
+        let (_, from_engine, source) = engine
+            .submit_and_wait(Scale::Smoke, from_engine_cfg.clone())
+            .expect("fresh run");
+        assert_eq!(source, RunSource::Fresh);
+        engine.join();
+
+        let mut reader = Lab::new(Scale::Smoke).with_disk_cache(RunCache::new(&dir));
+        let recalled = reader.stats_config(&from_engine_cfg);
+        assert_eq!(reader.totals().disk_hits, 1);
+        assert_eq!(reader.totals().evaluated, 0);
+        assert_bit_identical(&from_engine, &recalled);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lab plan is never shed, however long: in-process plans outgrow
+    /// the daemon's default admission limit.
+    #[test]
+    fn plans_longer_than_the_default_queue_depth_resolve() {
+        let n = EngineConfig::new(Scale::Smoke).queue_depth + 44;
+        let plan: Vec<ExperimentConfig> = (0..n as u64)
+            .map(|seed| ExperimentConfig {
+                seed,
+                ..tiny(Benchmark::Gzip, SchemeKind::Uniform)
+            })
+            .collect();
+        let mut lab = Lab::new(Scale::Smoke).jobs(2);
+        lab.prefetch_configs(&plan);
+        assert_eq!(lab.totals().evaluated, n);
+        assert_eq!(lab.runs(), n);
+        for cfg in &plan {
+            assert_eq!(lab.planned(cfg).benchmark, cfg.benchmark);
+        }
     }
 
     /// Asserts two stats are equal down to the f64 bit patterns (plain
@@ -1197,6 +1202,14 @@ mod tests {
         );
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn a_failed_run_panics_the_lab_with_the_engines_message() {
+        let mut cfg = tiny(Benchmark::Gzip, proposed());
+        cfg.measure_cycles = 0;
+        Lab::new(Scale::Smoke).prefetch_configs(&[cfg]);
     }
 
     #[test]

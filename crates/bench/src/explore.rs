@@ -208,25 +208,8 @@ impl LabEvaluator {
         if point.geometry != Geometry::date2006() {
             point.geometry.apply(&mut cfg.hierarchy.l2);
         }
-        let key = faults::campaign_key(scale, &cfg);
         let disk = self.use_cache.then(|| RunCache::default_under("."));
-        if let Some(disk) = &disk {
-            if let Some(table) = disk.load_raw(&key).as_deref().and_then(faults::parse_table) {
-                return table;
-            }
-        }
-        eprintln!(
-            "[explore] fault campaign {} ({} trials)",
-            point.id(),
-            cfg.trials
-        );
-        let report = aep_faultsim::run_campaign_report(&cfg, self.jobs);
-        if let Some(disk) = &disk {
-            if let Err(e) = disk.store_raw(&key, &faults::render_report(&report)) {
-                eprintln!("[explore] warning: cannot write cache entry {key}: {e}");
-            }
-        }
-        report.total
+        faults::campaign_for(scale, &cfg, self.jobs, disk.as_ref(), true).total
     }
 }
 

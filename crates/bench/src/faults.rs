@@ -213,24 +213,16 @@ pub fn parse_report(text: &str) -> Option<CampaignReport> {
     })
 }
 
-/// Parses cache-entry text down to the merged [`OutcomeTable`] (the
-/// explorer's view — it never needs the chunk breakdown).
-#[must_use]
-pub fn parse_table(text: &str) -> Option<OutcomeTable> {
-    parse_report(text).map(|r| r.total)
-}
-
-/// Runs (or recalls) one scheme's campaign.
-fn campaign_for(
+/// Runs (or recalls) one campaign: the one load → run → store path for
+/// `exp faults` and the explorer's empirical objectives.
+pub(crate) fn campaign_for(
     scale: Scale,
-    opts: &FaultsOptions,
-    scheme: SchemeKind,
+    cfg: &CampaignConfig,
     jobs: usize,
     disk: Option<&RunCache>,
     verbose: bool,
 ) -> CampaignReport {
-    let cfg = campaign_config(scale, opts, scheme);
-    let key = campaign_key(scale, &cfg);
+    let key = campaign_key(scale, cfg);
     if let Some(disk) = disk {
         // An entry with the wrong chunk count is a damaged one: rerun.
         if let Some(report) = disk
@@ -240,7 +232,7 @@ fn campaign_for(
             .filter(|r| r.chunks.len() == cfg.chunks())
         {
             if verbose {
-                eprintln!("[faults] disk hit {}", scheme.label());
+                eprintln!("[faults] disk hit {}", cfg.scheme.label());
             }
             return report;
         }
@@ -249,12 +241,12 @@ fn campaign_for(
         eprintln!(
             "[faults] campaign {} / {} ({} trials, model {})",
             cfg.benchmark,
-            scheme.label(),
+            cfg.scheme.label(),
             cfg.trials,
             cfg.model.slug()
         );
     }
-    let report = run_campaign_report(&cfg, jobs);
+    let report = run_campaign_report(cfg, jobs);
     if verbose {
         eprintln!(
             "[faults]   {:.0} trials/s ({:.2} s wall)",
@@ -351,7 +343,8 @@ pub fn faults_figure(
     let rows = schemes
         .into_iter()
         .map(|scheme| {
-            let report = campaign_for(scale, opts, scheme, jobs, disk, verbose);
+            let cfg = campaign_config(scale, opts, scheme);
+            let report = campaign_for(scale, &cfg, jobs, disk, verbose);
             if let Some(reg) = stats.as_deref_mut() {
                 // Key segments may not contain the `.` separator.
                 let (model, slug) = (opts.model.slug(), scheme_slug(scheme));
@@ -367,7 +360,7 @@ pub fn faults_figure(
                 });
             }
             let table = &report.total;
-            let l2 = &campaign_config(scale, opts, scheme).hierarchy.l2;
+            let l2 = &cfg.hierarchy.l2;
             let raw = model.raw_fit(CodeArea::from_bytes(l2.size_bytes));
             let empirical = raw * (table.due_rate() + table.sdc_rate());
             let analytical = analytical_fit(&model, l2, scheme, lab, &opts.benchmark);
@@ -443,11 +436,13 @@ mod tests {
         assert_eq!(parsed.total, report.total);
         assert_eq!(parsed.chunks, report.chunks);
         assert_eq!(parsed.wall_seconds, 0.0, "wall-clock never survives disk");
-        assert_eq!(parse_table(&render_report(&report)), Some(total));
-        assert_eq!(parse_table(""), None);
-        assert_eq!(parse_table("version=99\nmasked=1\n"), None);
-        assert_eq!(parse_table("masked=zzz\n"), None);
-        assert_eq!(parse_table("version=3\nchunk=1,2\n"), None, "short chunk");
+        assert!(parse_report("").is_none());
+        assert!(parse_report("version=99\nmasked=1\n").is_none());
+        assert!(parse_report("masked=zzz\n").is_none());
+        assert!(
+            parse_report("version=3\nchunk=1,2\n").is_none(),
+            "short chunk"
+        );
     }
 
     #[test]
@@ -460,9 +455,9 @@ mod tests {
             trials: 40,
             ..FaultsOptions::default()
         };
-        let scheme = SchemeKind::ParityOnly;
-        let key = campaign_key(Scale::Smoke, &campaign_config(Scale::Smoke, &opts, scheme));
-        let fresh = campaign_for(Scale::Smoke, &opts, scheme, 1, Some(&disk), false);
+        let cfg = campaign_config(Scale::Smoke, &opts, SchemeKind::ParityOnly);
+        let key = campaign_key(Scale::Smoke, &cfg);
+        let fresh = campaign_for(Scale::Smoke, &cfg, 1, Some(&disk), false);
         let entry = disk.load_raw(&key).expect("the campaign is cached");
         let lines: Vec<&str> = entry.lines().collect();
         assert_eq!(lines.len(), 8 + fresh.chunks.len());
@@ -478,7 +473,7 @@ mod tests {
         ));
         for text in damaged {
             disk.store_raw(&key, &text).expect("cache writable");
-            let rerun = campaign_for(Scale::Smoke, &opts, scheme, 1, Some(&disk), false);
+            let rerun = campaign_for(Scale::Smoke, &cfg, 1, Some(&disk), false);
             assert!(rerun.wall_seconds > 0.0, "served as a hit:\n{text}");
             assert_eq!(rerun.chunks, fresh.chunks);
             assert_eq!(rerun.total, fresh.total);

@@ -417,6 +417,11 @@ fn explore_grid_acceptance_determinism_and_reanalysis() {
         "grid run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // One batch for the grid; reading each point back is a memo hit,
+    // which prints nothing.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let batches = stderr.lines().filter(|l| l.starts_with("[lab] batch:"));
+    assert_eq!(batches.count(), 1, "stderr: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("## Pareto frontier"), "stdout: {stdout}");
     assert!(
@@ -463,6 +468,74 @@ fn explore_grid_acceptance_determinism_and_reanalysis() {
     assert_eq!(
         first, reanalysis,
         ".dse records must re-analyse bit-for-bit"
+    );
+}
+
+/// A fault-campaign cache entry with fewer chunks than its config is a
+/// damaged one, even when its totals add up: the explorer reruns the
+/// campaign and rewrites the entry, as `exp faults` does.
+#[test]
+fn explore_reruns_a_campaign_entry_with_missing_chunks() {
+    let work = TempWorkdir::new("chunks");
+    let args = [
+        "explore",
+        "grid",
+        "--scale",
+        "smoke",
+        "--axes",
+        "scheme=proposed;interval=1M;bench=gzip",
+        "--objectives",
+        "area,due",
+        "--trials",
+        "40",
+        "--jobs",
+        "2",
+    ];
+    let out = exp_in(&work.0, &args);
+    assert!(out.status.success(), "{out:?}");
+    let entry_path = std::fs::read_dir(work.0.join("results/cache"))
+        .expect("cache written")
+        .map(|e| e.expect("cache entry").path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with("faults-smoke-gzip-") && name.ends_with(".run")
+        })
+        .expect("the campaign is cached");
+    let entry = std::fs::read_to_string(&entry_path).expect("entry readable");
+    assert_eq!(entry.lines().filter(|l| l.starts_with("chunk=")).count(), 4);
+
+    // Drop the last chunk and take it out of the totals, so the entry
+    // still parses and sums, but covers 30 of 40 trials.
+    let mut lines: Vec<String> = entry.lines().map(str::to_owned).collect();
+    let last = lines.pop().expect("a chunk line");
+    let dropped: Vec<u64> = last["chunk=".len()..]
+        .split(',')
+        .map(|n| n.parse().expect("count"))
+        .collect();
+    let fields = [
+        "masked=",
+        "corrected=",
+        "refetch=",
+        "due=",
+        "sdc=",
+        "struck_valid=",
+        "struck_dirty=",
+    ];
+    for line in &mut lines {
+        if let Some(i) = fields.iter().position(|f| line.starts_with(f)) {
+            let total: u64 = line[fields[i].len()..].parse().expect("count");
+            *line = format!("{}{}", fields[i], total - dropped[i]);
+        }
+    }
+    let damaged: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(&entry_path, damaged).expect("cache writable");
+
+    let out = exp_in(&work.0, &args);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        std::fs::read_to_string(&entry_path).expect("entry readable"),
+        entry,
+        "the damaged entry must be rerun and rewritten"
     );
 }
 

@@ -1,11 +1,15 @@
-//! The warm experiment engine behind the daemon.
+//! The experiment engine: the one executor behind `exp`, the
+//! design-space explorer and the daemon.
 //!
-//! One [`Engine`] owns what a cold `exp` process has to rebuild every
-//! invocation: an in-memory memo of finished runs (sharded, keyed by the
-//! content-addressed [`RunCache`] key), the optional on-disk cache, and
-//! a worker pool kept hot across requests. Submissions resolve through
-//! the same three tiers as the `Lab` — memo, disk, fresh simulation —
-//! with two service-layer additions:
+//! One [`Engine`] owns an in-memory memo of finished runs (sharded,
+//! keyed by the content-addressed [`RunCache`] key), the optional
+//! on-disk cache, and a worker pool kept hot across requests. Every run
+//! any client asks for resolves through its three tiers — memo, disk,
+//! fresh simulation. The daemon submits one request at a time; the
+//! figure pipeline's `Lab` (in `aep-bench`) submits each figure's or
+//! explorer batch's whole plan at once with [`Engine::submit_all`], with
+//! admission control effectively off (`queue_depth: usize::MAX`). On top
+//! of the tiers the engine adds two service-layer behaviours:
 //!
 //! * **Admission control.** The number of admitted-but-unfinished runs
 //!   is bounded (`queue_depth`); past it, submissions shed with a typed
@@ -16,10 +20,10 @@
 //!   N clients asking for the same configuration cost one simulation.
 //!
 //! Admitted misses flow through a scheduler thread that probes the disk
-//! tier and groups the remainder with [`aep_sim::plan_lane_jobs`] — the
-//! same planner the `Lab` uses — so concurrent clients' directive-free
-//! configurations batch onto shared lanes. Workers execute the planned
-//! jobs and fulfill every subscribed waiter.
+//! tier and groups the remainder with [`aep_sim::plan_lane_jobs`], so
+//! directive-free configurations — one plan's or concurrent clients' —
+//! batch onto shared lanes. Workers execute the planned jobs and fulfill
+//! every subscribed waiter.
 //!
 //! Everything is observable: counters and per-stage latency histograms
 //! publish under the `serve.*` scope via [`Engine::snapshot_json`].
@@ -270,60 +274,31 @@ impl Engine {
             return Submission::Ready { key, stats };
         }
         let mut s = shared.sched.lock().expect("scheduler state poisoned");
-        if let Some(inflight) = s.inflight.get_mut(&key) {
-            shared.counters.dedup_joins.fetch_add(1, Ordering::Relaxed);
-            let cell = new_cell();
-            inflight.waiters.push(Arc::clone(&cell));
-            return Submission::Pending {
-                key,
-                ticket: Ticket { cell },
-            };
-        }
-        // A completion may have landed between the memo probe and the
-        // lock: completions publish to the memo *before* clearing the
-        // in-flight entry, so re-checking here under the lock is enough.
-        if let Some(stats) = shared.memo_get(&key) {
-            shared.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Submission::Ready { key, stats };
-        }
-        if s.draining {
-            shared
-                .counters
-                .shed_draining
-                .fetch_add(1, Ordering::Relaxed);
-            return Submission::Draining;
-        }
-        if s.depth >= shared.queue_depth {
-            shared
-                .counters
-                .shed_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            return Submission::Busy;
-        }
-        shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        s.depth += 1;
-        let depth = s.depth as u64;
-        shared
-            .counters
-            .queue_peak
-            .fetch_max(depth, Ordering::Relaxed);
-        let cell = new_cell();
-        s.inflight.insert(
-            key.clone(),
-            Inflight {
-                waiters: vec![Arc::clone(&cell)],
-            },
-        );
-        s.pending.push(PendingRun {
-            key: key.clone(),
-            cfg,
-            admitted: Instant::now(),
-        });
-        shared.work_ready.notify_all();
-        Submission::Pending {
-            key,
-            ticket: Ticket { cell },
-        }
+        shared.admit(&mut s, key, cfg)
+    }
+
+    /// Submits a whole plan under one scheduler lock, so the scheduler
+    /// takes it as one batch and lane-plans it together rather than as
+    /// however many pieces the coalescing window happened to catch.
+    /// Outcomes are in plan order.
+    #[must_use]
+    pub fn submit_all(
+        &self,
+        scale: Scale,
+        cfgs: impl IntoIterator<Item = ExperimentConfig>,
+    ) -> Vec<Submission> {
+        let shared = &*self.shared;
+        let mut s = shared.sched.lock().expect("scheduler state poisoned");
+        cfgs.into_iter()
+            .map(|cfg| shared.admit(&mut s, RunCache::key(scale.name(), &cfg), cfg))
+            .collect()
+    }
+
+    /// The memoized result of `cfg` at `scale`, if a run of it has
+    /// completed. Never starts a run and counts no request.
+    #[must_use]
+    pub fn memo_get(&self, scale: Scale, cfg: &ExperimentConfig) -> Option<Arc<RunStats>> {
+        self.shared.memo_get(&RunCache::key(scale.name(), cfg))
     }
 
     /// Convenience for in-process callers: submit and block until done.
@@ -507,6 +482,60 @@ impl Shared {
             .cloned()
     }
 
+    /// Resolves one submission under the scheduler lock: joins an
+    /// in-flight run of the same key, answers from the memo, sheds, or
+    /// admits it as pending work.
+    fn admit(&self, s: &mut SchedState, key: String, cfg: ExperimentConfig) -> Submission {
+        if let Some(inflight) = s.inflight.get_mut(&key) {
+            self.counters.dedup_joins.fetch_add(1, Ordering::Relaxed);
+            let cell = new_cell();
+            inflight.waiters.push(Arc::clone(&cell));
+            return Submission::Pending {
+                key,
+                ticket: Ticket { cell },
+            };
+        }
+        // A completion may have landed between a caller's memo probe and
+        // the lock: completions publish to the memo *before* clearing the
+        // in-flight entry, so checking here under the lock is enough.
+        if let Some(stats) = self.memo_get(&key) {
+            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Submission::Ready { key, stats };
+        }
+        if s.draining {
+            self.counters.shed_draining.fetch_add(1, Ordering::Relaxed);
+            return Submission::Draining;
+        }
+        if s.depth >= self.queue_depth {
+            self.counters
+                .shed_queue_full
+                .fetch_add(1, Ordering::Relaxed);
+            return Submission::Busy;
+        }
+        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+        s.depth += 1;
+        self.counters
+            .queue_peak
+            .fetch_max(s.depth as u64, Ordering::Relaxed);
+        let cell = new_cell();
+        s.inflight.insert(
+            key.clone(),
+            Inflight {
+                waiters: vec![Arc::clone(&cell)],
+            },
+        );
+        s.pending.push(PendingRun {
+            key: key.clone(),
+            cfg,
+            admitted: Instant::now(),
+        });
+        self.work_ready.notify_all();
+        Submission::Pending {
+            key,
+            ticket: Ticket { cell },
+        }
+    }
+
     /// Publishes a finished run: disk write-back (fresh runs), memo
     /// insert, then waiter fulfillment. Memo-before-inflight-clear is
     /// load-bearing: `submit` re-checks the memo under the scheduler
@@ -522,7 +551,7 @@ impl Shared {
         if source == Source::Fresh {
             if let Some(disk) = &self.disk {
                 if let Err(e) = disk.store(key, stats) {
-                    eprintln!("[serve] warning: cannot write cache entry {key}: {e}");
+                    eprintln!("[engine] warning: cannot write cache entry {key}: {e}");
                 }
             }
         }
@@ -615,6 +644,13 @@ fn scheduler_loop(shared: &Shared, tx: &mpsc::Sender<WorkItem>) {
             if let Some(disk) = &shared.disk {
                 match disk.load_checked(&run.key) {
                     Ok(Some(stats)) => {
+                        if shared.verbose {
+                            eprintln!(
+                                "[engine] disk hit {} / {}",
+                                run.cfg.benchmark,
+                                run.cfg.scheme.label()
+                            );
+                        }
                         shared.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
                         shared.complete(
                             &run.key,
@@ -628,7 +664,7 @@ fn scheduler_loop(shared: &Shared, tx: &mpsc::Sender<WorkItem>) {
                     Ok(None) => {}
                     Err(e) => {
                         eprintln!(
-                            "[serve] warning: cannot read cache entry {}: {e} (re-simulating)",
+                            "[engine] warning: cannot read cache entry {}: {e} (re-simulating)",
                             run.key
                         );
                     }
@@ -685,7 +721,11 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
         match item {
             WorkItem::Solo(run) => {
                 if shared.verbose {
-                    eprintln!("[serve] running {}", run.key);
+                    eprintln!(
+                        "[engine] running {} / {}",
+                        run.cfg.benchmark,
+                        run.cfg.scheme.label()
+                    );
                 }
                 shared.counters.solo_runs.fetch_add(1, Ordering::Relaxed);
                 let started = Instant::now();
@@ -707,7 +747,7 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
             WorkItem::Batch { cfg, specs, runs } => {
                 if shared.verbose {
                     eprintln!(
-                        "[serve] lane batch: {} lanes / {}",
+                        "[engine] lane batch: {} lanes / {}",
                         specs.len(),
                         cfg.benchmark.name()
                     );

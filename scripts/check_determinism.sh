@@ -21,7 +21,10 @@
 # (`exp faults --challengers --model burst:2`): the silent-store scheme
 # keeps one forked machine per chunk while every other scheme runs its
 # chunks as lanes over one shared machine per worker, so this one output
-# covers both campaign drivers.
+# covers both campaign drivers. A twelfth leg runs `exp all` twice with
+# the run cache on, in a fresh working directory: the cold pass fills the
+# cache, the warm pass must evaluate nothing, and both must print the
+# --no-cache bytes, so a disk-tier answer is compared with a fresh one.
 #
 # Usage: scripts/check_determinism.sh [scale] [jobs]
 #          scale  paper|quick|smoke   (default: smoke)
@@ -50,6 +53,28 @@ if cmp -s "$tmp/serial.txt" "$tmp/parallel.txt"; then
 else
   echo "==> determinism FAILED: outputs differ" >&2
   diff "$tmp/serial.txt" "$tmp/parallel.txt" | head -n 40 >&2
+  exit 1
+fi
+
+exp="$PWD/target/release/exp"
+mkdir "$tmp/cached"
+for pass in cold warm; do
+  echo "==> exp all --scale $scale --jobs $jobs ($pass run cache)"
+  (cd "$tmp/cached" && "$exp" all --scale "$scale" --jobs "$jobs") \
+    > "$tmp/cached_$pass.txt" 2> "$tmp/cached_$pass.err"
+  if cmp -s "$tmp/serial.txt" "$tmp/cached_$pass.txt"; then
+    echo "==> $pass-cache determinism: byte-identical to --no-cache ($scale)"
+  else
+    echo "==> $pass-cache determinism FAILED: outputs differ from --no-cache" >&2
+    diff "$tmp/serial.txt" "$tmp/cached_$pass.txt" | head -n 40 >&2
+    exit 1
+  fi
+done
+batch="$(grep '^\[lab\] batch:' "$tmp/cached_warm.err" | head -n 1)"
+if [[ "$batch" == *", 0 evaluated" ]]; then
+  echo "==> warm cache simulated nothing: $batch"
+else
+  echo "==> warm cache FAILED: expected 0 evaluated, got '$batch'" >&2
   exit 1
 fi
 
