@@ -1205,7 +1205,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "simulation worker panicked: measure_cycles must be positive")]
     fn a_failed_run_panics_the_lab_with_the_engines_message() {
         let mut cfg = tiny(Benchmark::Gzip, proposed());
         cfg.measure_cycles = 0;

@@ -13,7 +13,8 @@
 //! Everything downstream of the evaluator is a pure function of the
 //! space and the objective spec, so every report under `results/dse/` is
 //! byte-identical for any `--jobs` count — `scripts/check_determinism.sh`
-//! asserts exactly that on the frontier JSON.
+//! holds the frontier JSON and `.dse` records to their committed digests
+//! in `results/DIGESTS` at `--jobs 1` and `--jobs N`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

@@ -601,6 +601,20 @@ impl Shared {
     }
 }
 
+/// `what: reason`, where the reason is the panic payload's text (the
+/// `&str` or `String` that `panic!` carries), so a waiter sees which
+/// check fired.
+fn panic_message(what: &str, payload: &(dyn std::any::Any + Send)) -> String {
+    let reason = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    match reason {
+        Some(reason) => format!("{what}: {reason}"),
+        None => what.to_string(),
+    }
+}
+
 fn instant_us(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.saturating_duration_since(from).as_micros()).unwrap_or(u64::MAX)
 }
@@ -741,7 +755,10 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
                             Some(started),
                         );
                     }
-                    Err(_) => shared.fail(&run.key, "simulation worker panicked"),
+                    Err(payload) => shared.fail(
+                        &run.key,
+                        &panic_message("simulation worker panicked", payload.as_ref()),
+                    ),
                 }
             }
             WorkItem::Batch { cfg, specs, runs } => {
@@ -777,9 +794,10 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<WorkItem>>>) {
                             );
                         }
                     }
-                    Err(_) => {
+                    Err(payload) => {
+                        let message = panic_message("lane batch worker panicked", payload.as_ref());
                         for run in &runs {
-                            shared.fail(&run.key, "lane batch worker panicked");
+                            shared.fail(&run.key, &message);
                         }
                     }
                 }

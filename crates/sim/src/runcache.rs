@@ -233,9 +233,14 @@ pub fn render_stats(stats: &RunStats) -> String {
 }
 
 /// Parses cache-file text back into a [`RunStats`] (`None` on any
-/// malformed, missing, or version-mismatched field).
+/// malformed, missing, or version-mismatched field, or without the
+/// trailing newline [`render_stats`] always writes: a truncated entry
+/// can still hold every field, its last number cut short).
 #[must_use]
 pub fn parse_stats(text: &str) -> Option<RunStats> {
+    if !text.ends_with('\n') {
+        return None;
+    }
     let mut fields = std::collections::HashMap::new();
     for line in text.lines() {
         let line = line.trim();
@@ -392,6 +397,24 @@ mod tests {
         let text = render_stats(&stats);
         let truncated: String = text.lines().take(5).collect::<Vec<_>>().join("\n");
         assert!(parse_stats(&truncated).is_none());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_an_entry_is_a_miss() {
+        // A prefix cut inside the last line (`energy.ecc_encodes=2` of
+        // `=2205`) still holds every field; only the missing newline
+        // tells it from the whole entry.
+        let mut stats = sample_stats();
+        stats.energy.ecc_encodes = 2_205;
+        let text = render_stats(&stats);
+        for end in 0..text.len() {
+            assert!(
+                parse_stats(&text[..end]).is_none(),
+                "prefix of {end} bytes parsed"
+            );
+        }
+        let parsed = parse_stats(&text).expect("the whole entry parses");
+        assert_eq!(render_stats(&parsed), text);
     }
 
     #[test]

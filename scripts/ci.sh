@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI legs: formatting, lints, the full test suite, and the
-# stats-regression gate, with per-step elapsed time. The GitHub workflow
+# Offline CI legs: formatting, lints, the full test suite, the
+# determinism check against results/DIGESTS and the stats-regression
+# gate, with per-step elapsed time. The GitHub workflow
 # (.github/workflows/ci.yml) runs these same steps as parallel jobs;
 # this script is the one-shot local equivalent.
 #
@@ -37,6 +38,7 @@ step "perfbench builds" \
 step "cargo test -q --workspace" cargo test -q --workspace
 step "cargo test --release (mem, cpu, sim)" \
   cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim
+step "determinism (results/DIGESTS)" scripts/check_determinism.sh 4
 step "stats gate (smoke)" scripts/stats_gate.sh smoke
 step "differential check (smoke)" scripts/differential_check.sh smoke
 step "workload diversity gate" \
