@@ -14,10 +14,11 @@
 //! 2. **Slug & run-cache identity** — `scheme_slug` round-trips through
 //!    `parse_scheme_slug`, and [`RunCache::key`] is stable in the config
 //!    and sensitive to the seed.
-//! 3. **Lane batch vs. serial** — a batch lane of the scheme produces
-//!    byte-identical stats and registry entries to a serial run, and the
-//!    scheme's shareability classification matches its use of directives
-//!    (directive-emitting schemes must not share a machine).
+//! 3. **Lane batch vs. serial** — a plain and a scrubbed lane of the
+//!    scheme, batched over one shared scheme instance, each produce
+//!    byte-identical stats and registry entries to their serial runs, and
+//!    the scheme's shareability classification matches its use of
+//!    directives (directive-emitting schemes must not share a machine).
 //! 4. **Fork round-trip** — a warmed system and its fork replay
 //!    identically, the contract the fault campaign's warm-once /
 //!    fork-per-chunk design rests on.
@@ -27,16 +28,22 @@
 //! The suite must also *fail* on the deliberately broken scheme double
 //! ([`crate::broken::BrokenRetiringScheme`]); [`broken_scheme_is_caught`]
 //! is that self-test, pinned by a regression test so the battery can
-//! never silently become vacuous.
+//! never silently become vacuous. The lane stage has its own: a scheme
+//! double whose clean verification writes state
+//! ([`crate::broken::MutatingVerifyScheme`]) must fail it
+//! ([`mutating_verify_is_caught`]).
 
 use aep_core::{parse_scheme_slug, scheme_slug, SchemeKind};
 use aep_dse::registry::challengers_faults_schemes;
 use aep_faultsim::{fan_out, run_campaign, CampaignConfig, StrikeModel};
-use aep_sim::lanes::{partition_lanes, run_lane_serial, run_lanes, LaneSpec};
+use aep_sim::lanes::{
+    partition_lanes, run_lane_serial, run_lane_serial_with, run_lanes_with, LaneSpec, SchemeBuilder,
+};
 use aep_sim::runcache::{render_stats, RunCache};
-use aep_sim::ExperimentConfig;
+use aep_sim::{build_scheme, ExperimentConfig};
 use aep_workloads::Benchmark;
 
+use crate::broken::MutatingVerifyScheme;
 use crate::scenario::{run_genome, Genome, Segment};
 
 /// One scheme's verdict: the battery stages that failed, with context.
@@ -176,19 +183,7 @@ fn check_lanes(scheme: SchemeKind, failures: &mut Vec<String>) {
         failures.push("serial lane run is not reproducible".to_owned());
     }
     if spec.shareable() {
-        // Shareable lanes must be bit-identical between the batch
-        // engine's shadow observers and a serial run.
-        let batch = run_lanes(&cfg, std::slice::from_ref(&spec));
-        let batch_stats = render_stats(&batch[0].stats);
-        let serial_stats = render_stats(&serial.stats);
-        if batch_stats != serial_stats {
-            failures.push(format!(
-                "lane batch diverges from serial:\n--- batch\n{batch_stats}\n--- serial\n{serial_stats}"
-            ));
-        }
-        if batch[0].registry.clone().into_entries() != serial.registry.clone().into_entries() {
-            failures.push("lane batch registry diverges from serial".to_owned());
-        }
+        failures.extend(shared_lane_failures(&cfg, scheme, build_scheme));
     } else {
         // Directive emitters must be routed to solo execution by the
         // batch planner, never into a shared trajectory.
@@ -199,6 +194,39 @@ fn check_lanes(scheme: SchemeKind, failures: &mut Vec<String>) {
             ));
         }
     }
+}
+
+/// The lane engine's sharing contract for `scheme`, with every scheme
+/// instance built by `build`: a batch of one plain and one scrubbed lane
+/// of that kind (which share one shadow instance) must match each lane's
+/// serial run on stats and registry. Returns one failure per diverging
+/// lane.
+fn shared_lane_failures(
+    cfg: &ExperimentConfig,
+    scheme: SchemeKind,
+    build: SchemeBuilder,
+) -> Vec<String> {
+    let specs = [LaneSpec::new(scheme), LaneSpec::with_scrub(scheme, 256)];
+    let batch = run_lanes_with(cfg, &specs, build);
+    let mut failures = Vec::new();
+    for (spec, lane) in specs.iter().zip(&batch) {
+        let serial = run_lane_serial_with(cfg, spec, build);
+        let batch_stats = render_stats(&lane.stats);
+        let serial_stats = render_stats(&serial.stats);
+        if batch_stats != serial_stats {
+            failures.push(format!(
+                "lane '{}' diverges from serial:\n--- batch\n{batch_stats}\n--- serial\n{serial_stats}",
+                spec.label()
+            ));
+        }
+        if lane.registry.clone().into_entries() != serial.registry.into_entries() {
+            failures.push(format!(
+                "lane '{}' registry diverges from serial",
+                spec.label()
+            ));
+        }
+    }
+    failures
 }
 
 fn check_fork(scheme: SchemeKind, failures: &mut Vec<String>) {
@@ -303,6 +331,18 @@ pub fn broken_scheme_is_caught() -> u64 {
     run_genome(&genome, true).total_violations
 }
 
+/// Self-test of the lane stage: the sharing contract, checked with
+/// [`MutatingVerifyScheme`] (whose clean verification writes state) in
+/// place of the real `org` scheme, must fail. Returns the failure count
+/// (zero means the lane stage has gone vacuous).
+#[must_use]
+pub fn mutating_verify_is_caught() -> usize {
+    let mut cfg = ExperimentConfig::fast_test(Benchmark::Gzip, SchemeKind::Uniform);
+    cfg.warmup_cycles = 10_000;
+    cfg.measure_cycles = 20_000;
+    shared_lane_failures(&cfg, SchemeKind::Uniform, MutatingVerifyScheme::build).len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +365,14 @@ mod tests {
         assert!(
             broken_scheme_is_caught() > 0,
             "the battery no longer catches the known-broken scheme double"
+        );
+    }
+
+    #[test]
+    fn mutating_verify_fails_the_lane_stage() {
+        assert!(
+            mutating_verify_is_caught() > 0,
+            "the lane stage no longer catches a scheme whose clean verify writes state"
         );
     }
 

@@ -45,7 +45,8 @@ pub mod scenario;
 pub use broken::BrokenRetiringScheme;
 pub use checker::{CheckState, LockstepChecker, SharedCheckState, Violation};
 pub use conformance::{
-    broken_scheme_is_caught, run_conformance, run_conformance_matrix, ConformanceReport,
+    broken_scheme_is_caught, mutating_verify_is_caught, run_conformance, run_conformance_matrix,
+    ConformanceReport,
 };
 pub use coverage::Coverage;
 pub use fuzz::{run_fuzz, FailureReport, FuzzConfig, FuzzReport};

@@ -317,6 +317,7 @@ impl CleaningPolicy {
     /// the returned one are provably policy-idle, which is what lets the
     /// system loop fast-forward over them.
     #[must_use]
+    #[inline]
     pub fn next_due_after(&self, now: Cycle) -> Cycle {
         match self {
             CleaningPolicy::None => Cycle::MAX,

@@ -9,7 +9,9 @@
 //! which cargo permits) so that adding a `SchemeKind` variant without
 //! conformance coverage is caught next to the enum it extends.
 
-use aep_check::conformance::{broken_scheme_is_caught, run_conformance_matrix};
+use aep_check::conformance::{
+    broken_scheme_is_caught, mutating_verify_is_caught, run_conformance_matrix,
+};
 use aep_core::SchemeKind;
 use aep_dse::registry::challengers_faults_schemes;
 
@@ -57,4 +59,7 @@ fn the_battery_is_not_vacuous() {
     // The deliberately broken scheme double (the pre-PR 2 retiring-entry
     // bug) must be flagged; a suite that passes it proves nothing.
     assert!(broken_scheme_is_caught() > 0);
+    // A scheme whose clean verification writes state cannot share one
+    // instance across lanes; the lane stage must say so.
+    assert!(mutating_verify_is_caught() > 0);
 }

@@ -159,6 +159,7 @@ impl BranchPredictor {
     }
 
     /// Predicts direction and target for the branch at `pc`.
+    #[inline]
     pub fn predict(&mut self, pc: u64) -> Prediction {
         self.stats.lookups += 1;
         let taken = self.pht[self.pht_index(pc)] >= 2;
@@ -174,6 +175,7 @@ impl BranchPredictor {
     /// Trains the predictor with the branch's actual outcome; returns
     /// `true` when the earlier `prediction` caused a redirect (direction
     /// wrong, or taken with a missing/wrong target).
+    #[inline]
     pub fn update(&mut self, pc: u64, taken: bool, target: u64, prediction: Prediction) -> bool {
         // Direction: saturating 2-bit counter.
         let idx = self.pht_index(pc);

@@ -120,7 +120,9 @@ impl MicroOp {
     }
 
     /// Panics (in debug builds) when the op is internally inconsistent;
-    /// used by generators as a self-check.
+    /// used by generators as a self-check. Inline so the release build,
+    /// where the body is empty, pays no cross-crate call per op.
+    #[inline]
     pub fn debug_validate(&self) {
         debug_assert_eq!(
             self.addr.is_some(),

@@ -9,15 +9,17 @@
 //!
 //! Every per-entry structure is indexed by the entry's 64-slot ring index
 //! ([`slot_of`] of its sequence number): the RUU is a fixed ring, and the
-//! LSQ, the wakeup lists and the ready/issuable sets are slot masks and
-//! per-slot arrays over the same ring, so no stage translates between
-//! queue positions and slots.
+//! LSQ, the wakeup lists, the ready/issuable sets and the branch records
+//! are slot masks and per-slot arrays over the same ring, so no stage
+//! translates between queue positions and slots. An RUU slot holds only
+//! what issue, wakeup and commit read of every op, in half a 64-byte
+//! cache line: a branch's outcome and prediction live in a side array,
+//! and an entry's sequence number is implied by its slot's age relative
+//! to the head. The instruction fetch queue is a fixed ring too.
 //!
 //! The pipeline is advanced one cycle at a time by [`Pipeline::step`]; the
 //! caller owns the [`MemoryHierarchy`] so the experiment runner can
 //! interleave the cleaning logic and protection scheme between cycles.
-
-use std::collections::VecDeque;
 
 use aep_mem::{Addr, Cycle, MemoryHierarchy};
 
@@ -37,46 +39,97 @@ const FORWARD_LATENCY: u64 = 2;
 /// Slots in the RUU ring (the configured RUU is capped at this size).
 const RING: usize = 64;
 
-#[derive(Debug, Clone)]
+/// One instruction-fetch-queue entry (a branch's prediction rides in
+/// [`Pipeline::ifq_predictions`]).
+#[derive(Debug, Clone, Copy)]
 struct FetchedOp {
     op: MicroOp,
-    prediction: Option<Prediction>,
     mispredicted: bool,
 }
 
+impl FetchedOp {
+    /// Placeholder contents of an IFQ slot no live entry occupies.
+    const VACANT: FetchedOp = FetchedOp {
+        op: MicroOp::alu(0, None, None, None),
+        mispredicted: false,
+    };
+}
+
+/// One RUU slot.
 #[derive(Debug, Clone, Copy)]
 struct RuuEntry {
-    seq: u64,
-    op: MicroOp,
-    issued: bool,
     complete_at: Cycle,
-    mispredicted: bool,
-    prediction: Option<Prediction>,
-    src_seqs: [Option<u64>; 2],
-    /// In-flight producers this entry still waits on (wakeup scheduling).
-    wait_count: u8,
     /// Earliest cycle the sources can all be ready: the max `complete_at`
     /// over resolved producers. Valid once `wait_count` reaches 0.
     ready_at: Cycle,
+    /// The effective address of a load or store (unused otherwise).
+    addr: Addr,
+    class: OpClass,
+    /// The destination register ([`NO_REG`] when none).
+    dst: u8,
+    issued: bool,
+    mispredicted: bool,
+    /// In-flight producers this entry still waits on (wakeup scheduling).
+    wait_count: u8,
 }
+
+// Two slots per 64-byte cache line.
+const _: () = assert!(std::mem::size_of::<RuuEntry>() <= 32);
 
 impl RuuEntry {
     /// Placeholder contents of a ring slot no live entry occupies.
     const VACANT: RuuEntry = RuuEntry {
-        seq: 0,
-        op: MicroOp::alu(0, None, None, None),
-        issued: false,
         complete_at: 0,
-        mispredicted: false,
-        prediction: None,
-        src_seqs: [None; 2],
-        wait_count: 0,
         ready_at: 0,
+        addr: Addr(0),
+        class: OpClass::IntAlu,
+        dst: NO_REG,
+        issued: false,
+        mispredicted: false,
+        wait_count: 0,
     };
 }
 
+/// What commit needs of a branch to train the predictor: its site,
+/// actual outcome and fetch-time prediction.
+#[derive(Debug, Clone, Copy)]
+struct BranchRecord {
+    pc: u64,
+    target: u64,
+    taken: bool,
+    prediction: Prediction,
+}
+
+/// Placeholder contents of a prediction slot no live branch occupies.
+const NO_PREDICTION: Prediction = Prediction {
+    taken: false,
+    target: None,
+};
+
+impl BranchRecord {
+    /// Placeholder contents of a ring slot no live branch occupies.
+    const VACANT: BranchRecord = BranchRecord {
+        pc: 0,
+        target: 0,
+        taken: false,
+        prediction: NO_PREDICTION,
+    };
+}
+
+/// Sentinel of [`RuuEntry::dst`]: the op writes no register.
+const NO_REG: u8 = u8::MAX;
+
 /// Sentinel for empty wakeup-list links.
 const WAITER_NONE: u32 = u32::MAX;
+
+/// Sentinel of [`Pipeline::reg_producer`]: no in-flight producer (the
+/// value is in the register file). Sequence numbers never reach it.
+const NO_PRODUCER: u64 = u64::MAX;
+
+/// Sentinel of [`Pipeline::current_fetch_block`]: no block is open.
+/// Block numbers are addresses shifted right by the line size, so they
+/// never reach it.
+const NO_BLOCK: u64 = u64::MAX;
 
 /// Slot of a sequence number in the RUU ring and the per-slot arrays.
 /// In-flight seqs span at most `ruu_entries <= 64`, so slots are unique
@@ -146,11 +199,25 @@ pub struct Pipeline<S> {
     itlb: Tlb,
     dtlb: Tlb,
     fu: FuPool,
-    fetch_queue: VecDeque<FetchedOp>,
+    /// The instruction fetch queue as a ring: the live entries are the
+    /// `ifq_len` slots from `ifq_head` on (wrapping).
+    ifq: [FetchedOp; IFQ_ENTRIES],
+    /// The fetch-time prediction of the branch in each IFQ slot.
+    ifq_predictions: [Prediction; IFQ_ENTRIES],
+    ifq_head: usize,
+    ifq_len: usize,
     staged: Option<MicroOp>,
     /// The RUU as a ring indexed by [`slot_of`]; the live entries are
     /// `head_seq..next_seq`.
     ruu: [RuuEntry; RING],
+    /// The branch in each slot, read back at commit to train the
+    /// predictor.
+    branches: [BranchRecord; RING],
+    /// Each slot's source producers ([`NO_PRODUCER`] when none), kept
+    /// only for the debug-build check that wakeup scheduling agrees with
+    /// a full readiness scan.
+    #[cfg(debug_assertions)]
+    src_seqs: [[u64; 2]; RING],
     head_seq: u64,
     next_seq: u64,
     // ----- load/store queue ----------------------------------------------
@@ -164,10 +231,13 @@ pub struct Pipeline<S> {
     store_mask: u64,
     /// Word-aligned address (byte address / 8) of the store in each slot.
     store_word: [u64; RING],
-    reg_producer: [Option<u64>; NUM_REGS],
+    /// The in-flight op that last named each register as its destination
+    /// ([`NO_PRODUCER`] once it has committed).
+    reg_producer: [u64; NUM_REGS],
     fetch_halted: bool,
     fetch_blocked_until: Cycle,
-    current_fetch_block: Option<u64>,
+    /// The I-cache block fetch is reading ([`NO_BLOCK`] after a redirect).
+    current_fetch_block: u64,
     stats: PipelineStats,
     // ----- wakeup/select scheduling state --------------------------------
     // The issue stage is event-driven instead of scanning the whole RUU
@@ -203,18 +273,24 @@ impl<S: InstrStream> Pipeline<S> {
             itlb: Tlb::date2006_itlb(),
             dtlb: Tlb::date2006_dtlb(),
             fu: FuPool::new(&cfg.fu),
-            fetch_queue: VecDeque::with_capacity(IFQ_ENTRIES),
+            ifq: [FetchedOp::VACANT; IFQ_ENTRIES],
+            ifq_predictions: [NO_PREDICTION; IFQ_ENTRIES],
+            ifq_head: 0,
+            ifq_len: 0,
             staged: None,
             ruu: [RuuEntry::VACANT; RING],
+            branches: [BranchRecord::VACANT; RING],
+            #[cfg(debug_assertions)]
+            src_seqs: [[NO_PRODUCER; 2]; RING],
             head_seq: 0,
             next_seq: 0,
             lsq_len: 0,
             store_mask: 0,
             store_word: [0; RING],
-            reg_producer: [None; NUM_REGS],
+            reg_producer: [NO_PRODUCER; NUM_REGS],
             fetch_halted: false,
             fetch_blocked_until: 0,
-            current_fetch_block: None,
+            current_fetch_block: NO_BLOCK,
             stats: PipelineStats::default(),
             waiter_head: [WAITER_NONE; RING],
             waiter_next: [WAITER_NONE; 2 * RING],
@@ -306,13 +382,13 @@ impl<S: InstrStream> Pipeline<S> {
         // Dispatch: pending fetched ops enter as soon as there is room. A
         // memory op facing a full LSQ waits for a commit, which the head
         // term above already covers.
-        if let Some(front) = self.fetch_queue.front() {
+        if let Some(front) = self.ifq_front() {
             if self.ruu_len() < self.cfg.ruu_entries && !self.lsq_blocks(front.op.class) {
                 return now + 1;
             }
         }
         // Fetch: resumes when unblocked (a halt only ends via issue).
-        if !self.fetch_halted && self.fetch_queue.len() < IFQ_ENTRIES {
+        if !self.fetch_halted && self.ifq_len < IFQ_ENTRIES {
             t = t.min(self.fetch_blocked_until.max(now + 1));
         }
         t
@@ -339,6 +415,21 @@ impl<S: InstrStream> Pipeline<S> {
         (self.head_seq < self.next_seq).then(|| &self.ruu[slot_of(self.head_seq)])
     }
 
+    /// The oldest fetched op not yet dispatched.
+    fn ifq_front(&self) -> Option<&FetchedOp> {
+        (self.ifq_len > 0).then(|| &self.ifq[self.ifq_head])
+    }
+
+    /// Appends a fetched op to the IFQ (the caller checks for room) and
+    /// returns its slot.
+    fn ifq_push(&mut self, op: MicroOp, mispredicted: bool) -> usize {
+        debug_assert!(self.ifq_len < IFQ_ENTRIES, "IFQ overflow");
+        let slot = (self.ifq_head + self.ifq_len) & (IFQ_ENTRIES - 1);
+        self.ifq[slot] = FetchedOp { op, mispredicted };
+        self.ifq_len += 1;
+        slot
+    }
+
     /// Whether an op of `class` must wait for LSQ space to dispatch.
     fn lsq_blocks(&self, class: OpClass) -> bool {
         class.is_mem() && self.lsq_len >= self.cfg.lsq_entries
@@ -351,13 +442,18 @@ impl<S: InstrStream> Pipeline<S> {
             .then(|| &self.ruu[slot_of(seq)])
     }
 
-    fn src_ready(&self, src: Option<u64>, now: Cycle) -> bool {
-        match src {
-            None => true,
-            Some(seq) => match self.live_entry(seq) {
-                None => true, // producer committed: value in the register file
-                Some(e) => e.issued && e.complete_at <= now,
-            },
+    /// Whether `slot` holds a live RUU entry.
+    fn slot_is_live(&self, slot: usize) -> bool {
+        ((slot as u64).wrapping_sub(self.head_seq) & (RING as u64 - 1)) < self.ruu_len() as u64
+    }
+
+    /// Whether the source produced by `seq` ([`NO_PRODUCER`]: none) is
+    /// ready at `now`.
+    #[cfg(debug_assertions)]
+    fn src_ready(&self, seq: u64, now: Cycle) -> bool {
+        match self.live_entry(seq) {
+            None => true, // no producer, or it committed: value in the register file
+            Some(e) => e.issued && e.complete_at <= now,
         }
     }
 
@@ -369,10 +465,10 @@ impl<S: InstrStream> Pipeline<S> {
         let mut stores = 0u64;
         for seq in self.head_seq..self.next_seq {
             let e = &self.ruu[slot_of(seq)];
-            if e.op.class.is_mem() {
+            if e.class.is_mem() {
                 len += 1;
             }
-            if e.op.class == OpClass::Store {
+            if e.class == OpClass::Store {
                 stores |= 1 << slot_of(seq);
             }
         }
@@ -383,34 +479,32 @@ impl<S: InstrStream> Pipeline<S> {
 
     fn commit_stage(&mut self, hier: &mut MemoryHierarchy, now: Cycle) {
         let mut committed = 0;
-        while committed < self.cfg.commit_width {
-            let Some(&entry) = self.head() else { break };
+        while committed < self.cfg.commit_width && self.head_seq < self.next_seq {
+            let seq = self.head_seq;
+            let slot = slot_of(seq);
+            let entry = &self.ruu[slot];
             if !entry.issued || entry.complete_at > now {
                 break;
             }
-            let slot = slot_of(self.head_seq);
+            let (class, dst) = (entry.class, entry.dst);
             debug_assert!(
-                (self.store_mask >> slot & 1 == 1) == (entry.op.class == OpClass::Store)
-                    && (self.lsq_len > 0 || !entry.op.class.is_mem()),
+                (self.store_mask >> slot & 1 == 1) == (class == OpClass::Store)
+                    && (self.lsq_len > 0 || !class.is_mem()),
                 "LSQ in sync"
             );
             self.head_seq += 1;
             committed += 1;
             self.stats.committed += 1;
 
-            if entry.op.class.is_mem() {
-                self.lsq_len -= 1;
-                self.store_mask &= !(1 << slot);
+            // Only a store's bit is set, so clearing the slot's is exact.
+            self.lsq_len -= usize::from(class.is_mem());
+            self.store_mask &= !(1 << slot);
+            if dst != NO_REG && self.reg_producer[dst as usize] == seq {
+                self.reg_producer[dst as usize] = NO_PRODUCER;
             }
-            if let Some(dst) = entry.op.dst {
-                if self.reg_producer[dst as usize] == Some(entry.seq) {
-                    self.reg_producer[dst as usize] = None;
-                }
-            }
-            match entry.op.class {
+            match class {
                 OpClass::Store => {
-                    let addr = entry.op.addr.expect("stores carry addresses");
-                    let done = hier.store(addr, now);
+                    let done = hier.store(self.ruu[slot].addr, now);
                     if done > now + 1 {
                         // The write buffer was full: the store holds the
                         // commit port while the oldest entry retires.
@@ -419,11 +513,8 @@ impl<S: InstrStream> Pipeline<S> {
                     }
                 }
                 OpClass::Branch => {
-                    let pred = entry
-                        .prediction
-                        .expect("branches carry their fetch-time prediction");
-                    self.bpred
-                        .update(entry.op.pc, entry.op.taken, entry.op.target, pred);
+                    let b = self.branches[slot];
+                    self.bpred.update(b.pc, b.taken, b.target, b.prediction);
                 }
                 _ => {}
             }
@@ -448,22 +539,26 @@ impl<S: InstrStream> Pipeline<S> {
         let mut issued = 0;
         let mut resume: Option<Cycle> = None;
         while pending != 0 && issued < self.cfg.issue_width {
-            let slot = (pending.trailing_zeros() + head_slot) as usize & (RING - 1);
+            let age = pending.trailing_zeros();
+            let slot = (age + head_slot) as usize & (RING - 1);
             pending &= pending - 1;
-            let e = self.ruu[slot];
+            let e = &self.ruu[slot];
+            let (class, addr, mispredicted) = (e.class, e.addr, e.mispredicted);
             debug_assert!(!e.issued, "issuable entries are unissued");
-            debug_assert!(
-                self.src_ready(e.src_seqs[0], now) && self.src_ready(e.src_seqs[1], now),
-                "wakeup scheduling must match the scan's readiness"
-            );
-            let class = e.op.class;
+            #[cfg(debug_assertions)]
+            {
+                let [a, b] = self.src_seqs[slot];
+                assert!(
+                    self.src_ready(a, now) && self.src_ready(b, now),
+                    "wakeup scheduling must match the scan's readiness"
+                );
+            }
             if !self.fu.try_acquire(class, now) {
                 continue; // retried next cycle: the slot bit stays set
             }
             let complete_at = match class {
                 OpClass::Load => {
-                    let addr = e.op.addr.expect("loads carry addresses");
-                    if self.store_forwarding_hit(e.seq, addr) {
+                    if self.store_forwarding_hit(self.head_seq + u64::from(age), addr) {
                         self.stats.forwarded_loads += 1;
                         now + FORWARD_LATENCY
                     } else {
@@ -474,7 +569,6 @@ impl<S: InstrStream> Pipeline<S> {
                 OpClass::Store => {
                     // Address generation + translation; the data is written
                     // to the hierarchy at commit.
-                    let addr = e.op.addr.expect("stores carry addresses");
                     let walk = self.dtlb.translate(addr);
                     now + 1 + walk
                 }
@@ -485,7 +579,7 @@ impl<S: InstrStream> Pipeline<S> {
             self.issuable &= !(1 << slot);
             self.wake_waiters(slot, complete_at);
             issued += 1;
-            if e.mispredicted {
+            if mispredicted {
                 // The branch now has a resolution time: fetch restarts
                 // after it resolves plus the redirect penalty.
                 let at = complete_at + self.cfg.redirect_penalty;
@@ -495,7 +589,7 @@ impl<S: InstrStream> Pipeline<S> {
         if let Some(at) = resume {
             self.fetch_halted = false;
             self.fetch_blocked_until = self.fetch_blocked_until.max(at);
-            self.current_fetch_block = None;
+            self.current_fetch_block = NO_BLOCK;
         }
     }
 
@@ -535,11 +629,7 @@ impl<S: InstrStream> Pipeline<S> {
             let consumer_slot = (node >> 1) as usize;
             let next = self.waiter_next[node as usize];
             self.waiter_next[node as usize] = WAITER_NONE;
-            debug_assert!(
-                self.live_entry(self.ruu[consumer_slot].seq).is_some()
-                    && slot_of(self.ruu[consumer_slot].seq) == consumer_slot,
-                "waiter slot in sync"
-            );
+            debug_assert!(self.slot_is_live(consumer_slot), "waiter slot in sync");
             let e = &mut self.ruu[consumer_slot];
             e.wait_count -= 1;
             e.ready_at = e.ready_at.max(complete_at);
@@ -574,67 +664,76 @@ impl<S: InstrStream> Pipeline<S> {
 
     fn dispatch_stage(&mut self, _now: Cycle) {
         let mut dispatched = 0;
-        while dispatched < self.cfg.decode_width {
-            if self.ruu_len() >= self.cfg.ruu_entries {
+        while dispatched < self.cfg.decode_width
+            && self.ifq_len > 0
+            && self.ruu_len() < self.cfg.ruu_entries
+        {
+            let ifq_slot = self.ifq_head;
+            let fetched = self.ifq[ifq_slot];
+            let op = fetched.op;
+            if self.lsq_blocks(op.class) {
                 break;
             }
-            let Some(front) = self.fetch_queue.front() else {
-                break;
-            };
-            if self.lsq_blocks(front.op.class) {
-                break;
-            }
-            let fetched = self.fetch_queue.pop_front().expect("front exists");
+            self.ifq_head = (ifq_slot + 1) & (IFQ_ENTRIES - 1);
+            self.ifq_len -= 1;
             let seq = self.next_seq;
             let slot = slot_of(seq);
 
-            let src_of =
-                |r: Option<u8>, map: &[Option<u64>; NUM_REGS]| r.and_then(|r| map[r as usize]);
-            let src_seqs = [
-                src_of(fetched.op.src1, &self.reg_producer),
-                src_of(fetched.op.src2, &self.reg_producer),
-            ];
-            if let Some(dst) = fetched.op.dst {
-                self.reg_producer[dst as usize] = Some(seq);
+            let producer = |r: Option<u8>| r.map_or(NO_PRODUCER, |r| self.reg_producer[r as usize]);
+            let src_seqs = [producer(op.src1), producer(op.src2)];
+            if let Some(dst) = op.dst {
+                self.reg_producer[dst as usize] = seq;
             }
-            if fetched.op.class.is_mem() {
-                self.lsq_len += 1;
-                if fetched.op.class == OpClass::Store {
-                    let addr = fetched.op.addr.expect("memory ops carry addresses");
-                    self.store_mask |= 1 << slot;
-                    self.store_word[slot] = addr.0 / 8;
-                }
+            let is_mem = op.class.is_mem();
+            assert!(op.addr.is_some() || !is_mem, "memory ops carry addresses");
+            let addr = op.addr.unwrap_or(Addr(0));
+            self.lsq_len += usize::from(is_mem);
+            if op.class == OpClass::Store {
+                self.store_mask |= 1 << slot;
+                self.store_word[slot] = addr.0 / 8;
+            } else if op.class == OpClass::Branch {
+                self.branches[slot] = BranchRecord {
+                    pc: op.pc,
+                    target: op.target,
+                    taken: op.taken,
+                    prediction: self.ifq_predictions[ifq_slot],
+                };
             }
             // Wakeup bookkeeping: producers still in flight get a waiter
             // link; resolved dependencies contribute their completion time.
+            // A recorded producer is always in flight: commit clears it.
             let mut wait_count: u8 = 0;
             let mut ready_at: Cycle = 0;
-            for (i, src) in src_seqs.iter().enumerate() {
-                let Some(src_seq) = *src else { continue };
-                let Some(producer) = self.live_entry(src_seq) else {
-                    continue; // producer committed: value in the register file
-                };
+            for (i, src_seq) in src_seqs.into_iter().enumerate() {
+                if src_seq == NO_PRODUCER {
+                    continue;
+                }
+                debug_assert!(self.live_entry(src_seq).is_some(), "producers are live");
+                let producer_slot = slot_of(src_seq);
+                let producer = &self.ruu[producer_slot];
                 if producer.issued {
                     ready_at = ready_at.max(producer.complete_at);
                 } else {
                     let node = (slot * 2 + i) as u32;
-                    let producer_slot = slot_of(src_seq);
                     self.waiter_next[node as usize] = self.waiter_head[producer_slot];
                     self.waiter_head[producer_slot] = node;
                     wait_count += 1;
                 }
             }
             self.ruu[slot] = RuuEntry {
-                seq,
-                op: fetched.op,
-                issued: false,
                 complete_at: 0,
-                mispredicted: fetched.mispredicted,
-                prediction: fetched.prediction,
-                src_seqs,
-                wait_count,
                 ready_at,
+                addr,
+                class: op.class,
+                dst: op.dst.unwrap_or(NO_REG),
+                issued: false,
+                mispredicted: fetched.mispredicted,
+                wait_count,
             };
+            #[cfg(debug_assertions)]
+            {
+                self.src_seqs[slot] = src_seqs;
+            }
             self.next_seq += 1;
             if wait_count == 0 {
                 self.schedule(slot, ready_at);
@@ -653,16 +752,16 @@ impl<S: InstrStream> Pipeline<S> {
         // Line sizes are powers of two (validated by the hierarchy config).
         let block_shift = hier.config().l1i.line_bytes.trailing_zeros();
         let mut fetched = 0;
-        while fetched < self.cfg.fetch_width && self.fetch_queue.len() < IFQ_ENTRIES {
+        while fetched < self.cfg.fetch_width && self.ifq_len < IFQ_ENTRIES {
             let op = match self.staged.take() {
                 Some(op) => op,
                 None => self.stream.next_op(),
             };
             let block = op.pc >> block_shift;
-            if self.current_fetch_block != Some(block) {
+            if self.current_fetch_block != block {
                 let walk = self.itlb.translate(Addr::new(op.pc));
                 let done = hier.fetch(Addr::new(op.pc), now) + walk;
-                self.current_fetch_block = Some(block);
+                self.current_fetch_block = block;
                 if done > now + 1 {
                     // I-cache miss: hold the op and resume when it lands.
                     self.staged = Some(op);
@@ -670,38 +769,34 @@ impl<S: InstrStream> Pipeline<S> {
                     return;
                 }
             }
-            let mut entry = FetchedOp {
-                op,
-                prediction: None,
-                mispredicted: false,
-            };
             let mut halt = false;
             let mut taken_break = false;
             if op.class == OpClass::Branch {
                 let pred = self.bpred.predict(op.pc);
                 let mispredict =
                     pred.taken != op.taken || (op.taken && pred.target != Some(op.target));
-                entry.prediction = Some(pred);
-                entry.mispredicted = mispredict;
+                let ifq_slot = self.ifq_push(op, mispredict);
+                self.ifq_predictions[ifq_slot] = pred;
                 if mispredict {
                     halt = true;
                 } else if op.taken {
                     taken_break = true;
                 }
+            } else {
+                self.ifq_push(op, false);
             }
-            self.fetch_queue.push_back(entry);
             self.stats.fetched += 1;
             fetched += 1;
             if halt {
                 // Wrong-path fetch: stop until the branch resolves.
                 self.fetch_halted = true;
-                self.current_fetch_block = None;
+                self.current_fetch_block = NO_BLOCK;
                 return;
             }
             if taken_break {
                 // Correctly predicted taken branch: the fetch stream
                 // redirects to the target block next cycle.
-                self.current_fetch_block = None;
+                self.current_fetch_block = NO_BLOCK;
                 break;
             }
         }
@@ -792,11 +887,9 @@ mod tests {
         let mut cpu = Pipeline::new(CoreConfig::date2006(), filler);
         cpu.head_seq = first_seq;
         cpu.next_seq = first_seq;
-        cpu.fetch_queue.extend(ops.iter().map(|&op| FetchedOp {
-            op,
-            prediction: None,
-            mispredicted: false,
-        }));
+        for &op in ops {
+            cpu.ifq_push(op, false);
+        }
         cpu
     }
 

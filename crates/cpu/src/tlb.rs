@@ -62,7 +62,15 @@ pub struct Tlb {
     miss_penalty: u64,
     tick: u64,
     stats: TlbStats,
+    /// The page of the most recent translation ([`NO_PAGE`] before the
+    /// first) and its entry: repeated translations of one page, the
+    /// common case, skip the set scan.
+    last_vpn: u64,
+    last_entry: usize,
 }
+
+/// Sentinel of [`Tlb::last_vpn`]; page numbers never reach it.
+const NO_PAGE: u64 = u64::MAX;
 
 impl Tlb {
     /// Creates a TLB with `entries` total entries, `ways` associativity,
@@ -87,6 +95,8 @@ impl Tlb {
             miss_penalty,
             tick: 0,
             stats: TlbStats::default(),
+            last_vpn: NO_PAGE,
+            last_entry: 0,
         }
     }
 
@@ -104,16 +114,31 @@ impl Tlb {
 
     /// Translates `addr`, returning the extra latency (0 on a hit,
     /// the miss penalty on a miss; the entry is filled).
+    #[inline]
     pub fn translate(&mut self, addr: Addr) -> u64 {
         let vpn = addr.0 / PAGE_BYTES;
+        self.tick += 1;
+        if vpn == self.last_vpn {
+            self.entries[self.last_entry].lru = self.tick;
+            self.stats.hits += 1;
+            return 0;
+        }
+        self.translate_other_page(vpn)
+    }
+
+    /// [`Tlb::translate`] of a page other than the last one translated
+    /// (kept out of line so the same-page path inlines into callers).
+    #[inline(never)]
+    fn translate_other_page(&mut self, vpn: u64) -> u64 {
         let set = (vpn as usize) & (self.sets - 1);
         let base = set * self.ways;
-        self.tick += 1;
         for w in 0..self.ways {
             let e = &mut self.entries[base + w];
             if e.valid && e.vpn == vpn {
                 e.lru = self.tick;
                 self.stats.hits += 1;
+                self.last_vpn = vpn;
+                self.last_entry = base + w;
                 return 0;
             }
         }
@@ -137,6 +162,8 @@ impl Tlb {
             valid: true,
             lru: self.tick,
         };
+        self.last_vpn = vpn;
+        self.last_entry = victim;
         self.miss_penalty
     }
 

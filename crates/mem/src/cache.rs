@@ -409,6 +409,7 @@ impl Cache {
     /// Drains all pending events into `buf` (cleared first) by swapping
     /// buffers, so the steady-state hot loop performs no allocation: the
     /// cache and the caller ping-pong the same two backing stores.
+    #[inline]
     pub fn drain_events_into(&mut self, buf: &mut Vec<L2Event>) {
         buf.clear();
         std::mem::swap(&mut self.events, buf);
@@ -455,8 +456,11 @@ impl Cache {
         // The hot probe: a contiguous scan over the set's tag and valid
         // lanes only — no other metadata is touched until a hit.
         let base = self.slot(set, 0);
-        let hit_way =
-            (0..self.ways).find(|&way| self.valid[base + way] && self.tags[base + way] == tag);
+        let ways = base..base + self.ways;
+        let hit_way = self.tags[ways.clone()]
+            .iter()
+            .zip(&self.valid[ways])
+            .position(|(&t, &valid)| valid && t == tag);
         match hit_way {
             Some(way) => {
                 let slot = base + way;

@@ -210,6 +210,7 @@ impl MemoryHierarchy {
 
     /// Background work for cycle `now`: drains the write buffer through the
     /// L2 port when the port is free. Call once per simulated cycle.
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
         if !self.wb.is_empty() && now >= self.l2_port_free_at {
             self.retire_one(now);
@@ -222,6 +223,7 @@ impl MemoryHierarchy {
     /// between is a no-op, which is what lets the system loop
     /// fast-forward over them.
     #[must_use]
+    #[inline]
     pub fn next_event_after(&self, now: Cycle) -> Cycle {
         if self.wb.is_empty() {
             Cycle::MAX
@@ -473,6 +475,7 @@ impl MemoryHierarchy {
 
     /// Drains pending L2 events into `buf` (cleared first) without
     /// allocating: the swap-buffer protocol of [`Cache::drain_events_into`].
+    #[inline]
     pub fn drain_l2_events_into(&mut self, buf: &mut Vec<L2Event>) {
         self.l2.drain_events_into(buf);
     }

@@ -16,30 +16,44 @@
 //! a given cleaning interval, crossed with any set of scrub periods —
 //! shares *one* cpu+hierarchy trajectory. The batch engine runs that
 //! trajectory once and attaches a single **shadow lanes** observer to the
-//! system's observer bus. It holds one lane per configuration, each with
-//! its own scheme instance (fed every L2 event, in lane order, through
-//! [`SystemObserver::post_event`]) and its own scrubber (driven at its
-//! due cycles through [`SystemObserver::cycle_end`]). The observer caches
-//! the earliest due scrub over all lanes, so a stepped cycle with no scrub
-//! due costs one compare, and [`SystemObserver::next_event_after`] keeps
-//! fast-forward exact in O(1). Per-lane statistics are byte-identical
-//! to N independent serial runs, at roughly 1/N of the fetch/branch/
-//! event-drain cost per lane.
+//! system's observer bus. It holds one shadow scheme instance per
+//! distinct [`SchemeKind`] of the batch (fed every L2 event through
+//! [`SystemObserver::post_event`]) and, per lane, its own scrubber
+//! (driven at its due cycles through [`SystemObserver::cycle_end`]) and
+//! the index of its kind's instance. Lanes of one kind share that
+//! instance: they see identical L2 events, and a shareable scheme's
+//! `verify_line` on a clean line writes no state, so every lane's scheme
+//! statistics, energy and registry are exactly what its own instance
+//! would hold. The base system's own scheme slot holds a no-op, so each
+//! kind's check bits are computed once per event. The observer caches
+//! the earliest due scrub over all lanes, so a stepped cycle with no
+//! scrub due costs one compare, and
+//! [`SystemObserver::next_event_after`] keeps fast-forward exact in
+//! O(1). Per-lane statistics are byte-identical to N independent serial
+//! runs, at roughly 1/N of the fetch/branch/event-drain cost per lane
+//! and one scheme update per kind rather than per lane.
 //!
 //! # Trusted seams
 //!
-//! Sharing is only sound for fault-free runs of directive-free schemes;
-//! both conditions are enforced, not assumed: [`LaneSpec::shareable`]
-//! rejects directive-emitting schemes up front, and the shadow lanes
-//! observer panics if a scheme emits a directive or a shadow scrub finds
-//! anything but a clean line. Fault-injection campaigns never use lanes.
+//! Sharing is only sound for fault-free runs of directive-free schemes
+//! whose clean-line verification is read-only; all three conditions are
+//! enforced, not assumed: [`LaneSpec::shareable`] rejects
+//! directive-emitting schemes up front, the shadow lanes observer panics
+//! if a scheme emits a directive or a shadow scrub finds anything but a
+//! clean line, and the conformance suite checks, for every shareable
+//! scheme, that a plain and a scrubbed lane of one kind both match their
+//! serial runs (and that a scheme double whose clean verification
+//! mutates state is caught). Fault-injection campaigns never use lanes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use aep_core::scrub::Scrubber;
-use aep_core::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome, SchemeKind};
-use aep_mem::{Cycle, L2Event, MemoryHierarchy};
+use aep_core::{
+    AreaReport, Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome, SchemeKind,
+};
+use aep_mem::cache::Cache;
+use aep_mem::{Cycle, HierarchyConfig, L2Event, MainMemory, MemoryHierarchy};
 use aep_obs::Registry;
 
 use crate::bus::SystemObserver;
@@ -126,43 +140,132 @@ pub struct LaneResult {
     pub registry: Registry,
 }
 
-/// One lane's state, driven by the batch's [`ShadowLanes`] observer: the
-/// lane's own scheme instance and scrubber.
+/// Builds one scheme instance for a kind over a machine's geometry:
+/// [`build_scheme`] in every real batch; the conformance suite passes a
+/// scheme double to check the batch engine's sharing contract.
+pub type SchemeBuilder = fn(SchemeKind, &HierarchyConfig) -> Box<dyn ProtectionScheme>;
+
+/// One lane's own state: its scrubber, and the index of its kind's
+/// shadow scheme in [`Shadow::schemes`].
 struct LaneState {
-    scheme: Box<dyn ProtectionScheme>,
+    scheme: usize,
     scrubber: Option<Scrubber>,
+}
+
+/// The shadow state of a batch, driven by its [`ShadowLanes`] observer:
+/// one scheme instance per distinct [`SchemeKind`], and the lanes.
+struct Shadow {
+    schemes: Vec<Box<dyn ProtectionScheme>>,
+    lanes: Vec<LaneState>,
     directives: Vec<Directive>,
 }
 
-/// Every lane of a batch, shared with the batch driver through an `Rc` so
-/// results can be read back after the run (single-threaded, the same
-/// idiom as the fault campaign's strike cell).
-type LanesCell = Rc<RefCell<Vec<LaneState>>>;
-
-/// The observer half of a lane batch, attached once to the base system's
-/// bus.
-struct ShadowLanes {
-    lanes: LanesCell,
-    /// The earliest [`Scrubber::next_due_at`] over all lanes
-    /// ([`Cycle::MAX`] when no lane scrubs).
-    next_scrub_at: Cycle,
-}
-
-impl ShadowLanes {
-    fn new(lanes: LanesCell) -> Self {
-        let next_scrub_at = Self::earliest_scrub(&lanes.borrow());
-        ShadowLanes {
+impl Shadow {
+    /// One instance per distinct kind of `lanes` (first-occurrence order)
+    /// over `hier`'s L2.
+    fn new(lanes: &[LaneSpec], hier: &HierarchyConfig, build: SchemeBuilder) -> Self {
+        let (sets, ways) = (hier.l2.sets() as usize, hier.l2.ways as usize);
+        let mut kinds: Vec<SchemeKind> = Vec::new();
+        let lanes = lanes
+            .iter()
+            .map(|lane| {
+                let scheme = kinds
+                    .iter()
+                    .position(|&k| k == lane.scheme)
+                    .unwrap_or_else(|| {
+                        kinds.push(lane.scheme);
+                        kinds.len() - 1
+                    });
+                LaneState {
+                    scheme,
+                    scrubber: lane
+                        .scrub_period
+                        .map(|period| Scrubber::new(period, sets, ways)),
+                }
+            })
+            .collect();
+        Shadow {
+            schemes: kinds.into_iter().map(|kind| build(kind, hier)).collect(),
             lanes,
-            next_scrub_at,
+            directives: Vec::new(),
         }
     }
 
-    fn earliest_scrub(lanes: &[LaneState]) -> Cycle {
-        lanes
+    /// The earliest [`Scrubber::next_due_at`] over all lanes
+    /// ([`Cycle::MAX`] when no lane scrubs).
+    fn earliest_scrub(&self) -> Cycle {
+        self.lanes
             .iter()
             .filter_map(|lane| lane.scrubber.as_ref().map(Scrubber::next_due_at))
             .min()
             .unwrap_or(Cycle::MAX)
+    }
+}
+
+/// The scheme slot of a batch's base system. Every kind's instance lives
+/// in the [`Shadow`], so the base holds this no-op instead of repeating
+/// one kind's work: it observes nothing and emits no directives, exactly
+/// like the shareable scheme it stands in for.
+struct NoScheme;
+
+impl ProtectionScheme for NoScheme {
+    fn name(&self) -> &'static str {
+        "none"
+    }
+
+    fn clone_box(&self) -> Box<dyn ProtectionScheme> {
+        Box::new(NoScheme)
+    }
+
+    fn area(&self) -> AreaReport {
+        AreaReport {
+            scheme: "none",
+            components: Vec::new(),
+        }
+    }
+
+    fn on_event(&mut self, _event: &L2Event, _l2: &Cache, _directives: &mut Vec<Directive>) {}
+
+    fn verify_access(
+        &mut self,
+        _l2: &mut Cache,
+        _set: usize,
+        _way: usize,
+        _was_dirty: bool,
+        _memory: &mut MainMemory,
+    ) -> RecoveryOutcome {
+        RecoveryOutcome::Clean
+    }
+
+    fn verify_writeback(&mut self, _set: usize, _way: usize, _data: &mut [u64]) -> RecoveryOutcome {
+        RecoveryOutcome::Clean
+    }
+
+    fn protected_dirty_lines(&self) -> usize {
+        0
+    }
+}
+
+/// The batch's shadow state, shared with the batch driver through an `Rc`
+/// so results can be read back after the run (single-threaded, the same
+/// idiom as the fault campaign's strike cell).
+type ShadowCell = Rc<RefCell<Shadow>>;
+
+/// The observer half of a lane batch, attached once to the base system's
+/// bus.
+struct ShadowLanes {
+    shadow: ShadowCell,
+    /// The cached [`Shadow::earliest_scrub`].
+    next_scrub_at: Cycle,
+}
+
+impl ShadowLanes {
+    fn new(shadow: ShadowCell) -> Self {
+        let next_scrub_at = shadow.borrow().earliest_scrub();
+        ShadowLanes {
+            shadow,
+            next_scrub_at,
+        }
     }
 }
 
@@ -174,13 +277,14 @@ impl SystemObserver for ShadowLanes {
         _scheme: &dyn ProtectionScheme,
         _now: Cycle,
     ) {
-        for lane in self.lanes.borrow_mut().iter_mut() {
-            lane.scheme.on_event(event, hier.l2(), &mut lane.directives);
+        let shadow = &mut *self.shadow.borrow_mut();
+        for scheme in &mut shadow.schemes {
+            scheme.on_event(event, hier.l2(), &mut shadow.directives);
             assert!(
-                lane.directives.is_empty(),
+                shadow.directives.is_empty(),
                 "shadow lane scheme '{}' emitted a directive; directive-emitting \
                  schemes cannot share a trajectory",
-                lane.scheme.name()
+                scheme.name()
             );
         }
     }
@@ -194,11 +298,12 @@ impl SystemObserver for ShadowLanes {
         if now < self.next_scrub_at {
             return;
         }
-        let mut lanes = self.lanes.borrow_mut();
-        for lane in lanes.iter_mut() {
+        let shadow = &mut *self.shadow.borrow_mut();
+        for lane in &mut shadow.lanes {
             if let Some(scrubber) = &mut lane.scrubber {
                 let (l2, memory) = hier.l2_and_memory_mut();
-                if let Some(outcome) = scrubber.tick(now, l2, lane.scheme.as_mut(), memory) {
+                let scheme = shadow.schemes[lane.scheme].as_mut();
+                if let Some(outcome) = scrubber.tick(now, l2, scheme, memory) {
                     assert!(
                         matches!(outcome, RecoveryOutcome::Clean),
                         "shadow-lane scrub found a non-clean line ({outcome:?}); lane \
@@ -207,7 +312,7 @@ impl SystemObserver for ShadowLanes {
                 }
             }
         }
-        self.next_scrub_at = Self::earliest_scrub(&lanes);
+        self.next_scrub_at = shadow.earliest_scrub();
     }
 
     fn next_event_after(&self, _now: Cycle) -> Cycle {
@@ -228,6 +333,20 @@ impl SystemObserver for ShadowLanes {
 /// interval, or `cfg` conflicts with the lanes as described above.
 #[must_use]
 pub fn run_lanes(cfg: &ExperimentConfig, lanes: &[LaneSpec]) -> Vec<LaneResult> {
+    run_lanes_with(cfg, lanes, build_scheme)
+}
+
+/// [`run_lanes`] with the shadow scheme instances built by `build`.
+///
+/// # Panics
+///
+/// As [`run_lanes`].
+#[must_use]
+pub fn run_lanes_with(
+    cfg: &ExperimentConfig,
+    lanes: &[LaneSpec],
+    build: SchemeBuilder,
+) -> Vec<LaneResult> {
     let first = lanes.first().expect("a lane batch needs at least one lane");
     assert!(
         cfg.scheme == first.scheme,
@@ -254,39 +373,29 @@ pub fn run_lanes(cfg: &ExperimentConfig, lanes: &[LaneSpec]) -> Vec<LaneResult> 
     }
 
     let mut sys = Runner::new(cfg.clone()).into_system();
-    let l2_geometry = (sys.hier.l2().sets(), sys.hier.l2().ways());
-    let states: LanesCell = Rc::new(RefCell::new(
-        lanes
-            .iter()
-            .map(|lane| LaneState {
-                scheme: build_scheme(lane.scheme, &cfg.hierarchy),
-                scrubber: lane
-                    .scrub_period
-                    .map(|period| Scrubber::new(period, l2_geometry.0, l2_geometry.1)),
-                directives: Vec::new(),
-            })
-            .collect(),
-    ));
-    sys.add_observer(Box::new(ShadowLanes::new(Rc::clone(&states))));
+    sys.scheme = Box::new(NoScheme);
+    let shadow: ShadowCell = Rc::new(RefCell::new(Shadow::new(lanes, &cfg.hierarchy, build)));
+    sys.add_observer(Box::new(ShadowLanes::new(Rc::clone(&shadow))));
 
     let mut now: Cycle = 0;
     now = sys.run(now, cfg.warmup_cycles);
 
     let window = WindowSnapshot::take(&sys);
-    let energy_before: Vec<EnergyCounters> = states
+    let energy_before: Vec<EnergyCounters> = shadow
         .borrow()
+        .schemes
         .iter()
-        .map(|state| state.scheme.energy_counters())
+        .map(|scheme| scheme.energy_counters())
         .collect();
     let dirty_sum = sys.run_census(now, cfg.measure_cycles);
 
-    let states = states.borrow();
+    let shadow = shadow.borrow();
     lanes
         .iter()
-        .zip(states.iter())
-        .zip(&energy_before)
-        .map(|((lane, state), before)| {
-            let energy = state.scheme.energy_counters().since(before);
+        .zip(&shadow.lanes)
+        .map(|(lane, state)| {
+            let scheme = &shadow.schemes[state.scheme];
+            let energy = scheme.energy_counters().since(&energy_before[state.scheme]);
             let stats = window.finish(
                 cfg.benchmark.clone(),
                 lane.scheme,
@@ -300,7 +409,7 @@ pub fn run_lanes(cfg: &ExperimentConfig, lanes: &[LaneSpec]) -> Vec<LaneResult> 
             let mut registry = Registry::new();
             registry.scoped("cpu", |r| sys.cpu.register_stats(r));
             registry.scoped("mem", |r| sys.hier.register_stats(r));
-            registry.scoped("scheme", |r| state.scheme.register_stats(r));
+            registry.scoped("scheme", |r| scheme.register_stats(r));
             registry.scoped("cleaning", |r| sys.cleaning.register_stats(r));
             registry.scoped("scrub", |r| {
                 state
@@ -325,10 +434,21 @@ pub fn run_lanes(cfg: &ExperimentConfig, lanes: &[LaneSpec]) -> Vec<LaneResult> 
 /// [`run_lanes`] output against this).
 #[must_use]
 pub fn run_lane_serial(cfg: &ExperimentConfig, lane: &LaneSpec) -> LaneResult {
+    run_lane_serial_with(cfg, lane, build_scheme)
+}
+
+/// [`run_lane_serial`] with the system's scheme built by `build`.
+#[must_use]
+pub fn run_lane_serial_with(
+    cfg: &ExperimentConfig,
+    lane: &LaneSpec,
+    build: SchemeBuilder,
+) -> LaneResult {
     let mut serial_cfg = cfg.clone();
     serial_cfg.scheme = lane.scheme;
     serial_cfg.scrub_period = lane.scrub_period;
     let mut sys = Runner::new(serial_cfg.clone()).into_system();
+    sys.scheme = build(lane.scheme, &serial_cfg.hierarchy);
     let now = sys.run(0, serial_cfg.warmup_cycles);
     let window = WindowSnapshot::take(&sys);
     let energy_before = sys.scheme.energy_counters();

@@ -514,6 +514,63 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every field of the first `n` ops of `b`'s generator at
+    /// `seed`, in a fixed little-endian encoding.
+    fn stream_digest(b: Benchmark, seed: u64, n: usize) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &byte in bytes {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let reg = |r: Option<u8>| r.map_or(0xff, |r| r);
+        let mut g = b.generator(seed);
+        for _ in 0..n {
+            let op = g.next_op();
+            eat(&op.pc.to_le_bytes());
+            eat(&[
+                op.class as u8,
+                reg(op.src1),
+                reg(op.src2),
+                reg(op.dst),
+                u8::from(op.taken),
+                u8::from(op.addr.is_some()),
+            ]);
+            eat(&op.addr.map_or(0, |a| a.0).to_le_bytes());
+            eat(&op.target.to_le_bytes());
+        }
+        h
+    }
+
+    /// The raw op stream of every calibrated generator is pinned: any
+    /// change to a draw (its order, its threshold, its sampler) changes
+    /// a digest here long before it shows in a figure.
+    #[test]
+    fn generator_streams_are_pinned() {
+        const PINNED: [(Benchmark, u64); 14] = [
+            (Benchmark::Applu, 0xbca9_fe23_6c5e_e788),
+            (Benchmark::Swim, 0x17f5_63d6_ad80_a543),
+            (Benchmark::Mgrid, 0x678f_c477_47c9_6d50),
+            (Benchmark::Equake, 0x1043_0011_cc3d_3517),
+            (Benchmark::Apsi, 0x4779_1675_1ee7_b295),
+            (Benchmark::Mesa, 0xc865_0e0b_d4fb_ba83),
+            (Benchmark::Art, 0x6488_a162_3b59_bf3f),
+            (Benchmark::Mcf, 0xb3ff_a9d7_9fbc_cd6a),
+            (Benchmark::Gap, 0xaca5_ce32_3e00_fa51),
+            (Benchmark::Parser, 0xcbbd_b98b_07f3_02d8),
+            (Benchmark::Gzip, 0x010d_2ceb_7922_329c),
+            (Benchmark::Vpr, 0x87ca_517e_39e6_309b),
+            (Benchmark::Gcc, 0x0dbc_2e80_c27d_eb86),
+            (Benchmark::Bzip2, 0x62e5_afaa_ffc0_253a),
+        ];
+        let got: Vec<(Benchmark, u64)> = Benchmark::all()
+            .into_iter()
+            .map(|b| (b, stream_digest(b, 2006, 100_000)))
+            .collect();
+        assert_eq!(got, PINNED, "a generator's op stream changed");
+    }
+
     #[test]
     fn display_prints_names() {
         assert_eq!(Benchmark::Applu.to_string(), "applu");

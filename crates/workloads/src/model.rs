@@ -231,6 +231,14 @@ impl WorkloadSpec {
     pub fn assert_valid(&self) {
         self.mix.assert_valid();
         assert!(!self.regions.is_empty(), "at least one region required");
+        // The region pick needs a monotone CDF (see `region_cuts`).
+        assert!(
+            self.regions.iter().all(|r| r.read_weight >= 0.0
+                && r.write_weight >= 0.0
+                && r.read_weight.is_finite()
+                && r.write_weight.is_finite()),
+            "region weights must be finite and non-negative"
+        );
         let rw: f64 = self.regions.iter().map(|r| r.read_weight).sum();
         let ww: f64 = self.regions.iter().map(|r| r.write_weight).sum();
         assert!(rw > 0.0, "some region must accept reads");
@@ -322,14 +330,47 @@ impl RegionState {
     }
 }
 
+/// `2^53`: a `gen::<f64>()` draw is `k · 2^-53` for the 53-bit integer
+/// `k = next_u64() >> 11`, so every comparison of it with a probability
+/// cut is an exact comparison of `k` with an integer threshold.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// The integer threshold of `x < cut`: for `x = k · 2^-53`, `x < cut`
+/// holds exactly when `k < ceil(cut · 2^53)` (scaling by a power of two
+/// is exact).
+fn below(cut: f64) -> u64 {
+    (cut * UNIT).ceil() as u64
+}
+
+/// The integer thresholds of a region CDF: `k >= cuts[i]` holds exactly
+/// when `x > cdf[i]` (`x <= c` is `k <= floor(c · 2^53)`). On a monotone
+/// CDF the first region with `x <= cdf[i]` is the count of cuts `k`
+/// reaches, which is how [`Generator::pick_region`] picks without a
+/// branch.
+fn region_cuts(cdf: &[f64]) -> Vec<u64> {
+    cdf.iter().map(|&c| (c * UNIT).floor() as u64 + 1).collect()
+}
+
+/// Ops the generator draws per refill of its batch.
+const BATCH: usize = 64;
+
 /// The deterministic micro-op generator for one benchmark.
+///
+/// Ops are drawn [`BATCH`] at a time into a buffer the stream then hands
+/// out one by one: the draw loop keeps the generator's state in
+/// registers, and the per-op call from the pipeline is a buffer read. The
+/// stream is the same op sequence either way.
 #[derive(Debug, Clone)]
 pub struct Generator {
     rng: SmallRng,
-    read_cdf: Vec<f64>,
-    write_cdf: Vec<f64>,
+    /// [`region_cuts`] of the normalised load weights.
+    read_cuts: Vec<u64>,
+    /// [`region_cuts`] of the normalised store weights.
+    write_cuts: Vec<u64>,
     regions: Vec<RegionState>,
-    mix: InstrMix,
+    /// [`below`] thresholds of the cumulative mix: load, store, branch,
+    /// int ALU, int multiply, FP add (the rest is FP multiply).
+    class_cuts: [u64; 6],
     code_bytes: u64,
     pc: u64,
     code_base: u64,
@@ -343,6 +384,9 @@ pub struct Generator {
     dep_sampler: Bernoulli,
     noise_sampler: Bernoulli,
     half_sampler: Bernoulli,
+    /// Drawn ops not yet handed out: `batch[batch_pos..]`.
+    batch: [MicroOp; BATCH],
+    batch_pos: usize,
 }
 
 /// Mixer used by [`Pattern::PointerChase`] to pick the next node.
@@ -398,12 +442,19 @@ impl Generator {
         };
         let read_cdf = normalise(regions.iter().map(|r| r.region.read_weight).collect());
         let write_cdf = normalise(regions.iter().map(|r| r.region.write_weight).collect());
+        // The running sums the per-op class test accumulated, in its order.
+        let m = spec.mix;
+        let mut cut = 0.0;
+        let class_cuts = [m.load, m.store, m.branch, m.int_alu, m.int_mul, m.fp_add].map(|p| {
+            cut += p;
+            below(cut)
+        });
         Generator {
             rng: SmallRng::seed_from_u64(seed ^ 0xAE9_5EED),
-            read_cdf,
-            write_cdf,
+            read_cuts: region_cuts(&read_cdf),
+            write_cuts: region_cuts(&write_cdf),
             regions,
-            mix: spec.mix,
+            class_cuts,
             code_bytes: spec.code_bytes,
             pc: CODE_BASE,
             code_base: CODE_BASE,
@@ -417,23 +468,29 @@ impl Generator {
             dep_sampler: Bernoulli::new(spec.dep_frac),
             noise_sampler: Bernoulli::new(spec.branch.noise),
             half_sampler: Bernoulli::new(0.5),
+            batch: [MicroOp::alu(0, None, None, None); BATCH],
+            batch_pos: BATCH,
         }
     }
 
-    /// Total ops generated so far.
+    /// Total ops handed out so far.
     #[must_use]
     pub fn ops_emitted(&self) -> u64 {
         self.ops_emitted
     }
 
+    /// The region of the next load or store: the first whose cumulative
+    /// weight reaches the draw (the last one when rounding leaves the CDF
+    /// short of 1).
     fn pick_region(&mut self, write: bool) -> usize {
-        let cdf = if write {
-            &self.write_cdf
+        let cuts = if write {
+            &self.write_cuts
         } else {
-            &self.read_cdf
+            &self.read_cuts
         };
-        let x: f64 = self.rng.gen();
-        cdf.iter().position(|&c| x <= c).unwrap_or(cdf.len() - 1)
+        let k = self.rng.next_u64() >> 11;
+        let passed: usize = cuts.iter().map(|&c| usize::from(k >= c)).sum();
+        passed.min(cuts.len() - 1)
     }
 
     fn next_dst(&mut self) -> u8 {
@@ -472,17 +529,25 @@ impl Generator {
         }
         pc
     }
-}
 
-impl InstrStream for Generator {
-    fn next_op(&mut self) -> MicroOp {
-        self.ops_emitted += 1;
-        let x: f64 = self.rng.gen();
-        let m = self.mix;
+    /// Draws the next [`BATCH`] ops.
+    #[inline(never)]
+    fn refill(&mut self) {
+        for i in 0..BATCH {
+            self.batch[i] = self.draw();
+        }
+        self.batch_pos = 0;
+    }
+
+    /// Draws one op: the whole per-op model.
+    #[inline(always)]
+    fn draw(&mut self) -> MicroOp {
+        // The class draw, compared as an integer (see `below`).
+        let k = self.rng.next_u64() >> 11;
+        let [load, store, branch, int_alu, int_mul, fp_add] = self.class_cuts;
         let pc = self.advance_pc();
 
-        let mut cut = m.load;
-        let op = if x < cut {
+        let op = if k < load {
             let idx = self.pick_region(false);
             let is_chase = matches!(
                 self.regions[idx].region.pattern,
@@ -498,18 +563,12 @@ impl InstrStream for Generator {
                 self.last_chase_dst = Some(dst);
             }
             op
-        } else if x < {
-            cut += m.store;
-            cut
-        } {
+        } else if k < store {
             let idx = self.pick_region(true);
             let addr = self.regions[idx].next_addr(&mut self.rng);
             let src = self.pick_src();
             MicroOp::store(pc, addr, src)
-        } else if x < {
-            cut += m.branch;
-            cut
-        } {
+        } else if k < branch {
             // Loop-control branch: a counted loop's back edge (taken
             // trip-1 times, then falls through), plus a noisy
             // data-dependent minority that resists prediction.
@@ -536,20 +595,11 @@ impl InstrStream for Generator {
             }
             MicroOp::branch(site, taken, target)
         } else {
-            let class = if x < {
-                cut += m.int_alu;
-                cut
-            } {
+            let class = if k < int_alu {
                 OpClass::IntAlu
-            } else if x < {
-                cut += m.int_mul;
-                cut
-            } {
+            } else if k < int_mul {
                 OpClass::IntMul
-            } else if x < {
-                cut += m.fp_add;
-                cut
-            } {
+            } else if k < fp_add {
                 OpClass::FpAdd
             } else {
                 OpClass::FpMul
@@ -572,6 +622,19 @@ impl InstrStream for Generator {
             self.prev_dst = Some(d);
         }
         op.debug_validate();
+        op
+    }
+}
+
+impl InstrStream for Generator {
+    #[inline]
+    fn next_op(&mut self) -> MicroOp {
+        if self.batch_pos == BATCH {
+            self.refill();
+        }
+        let op = self.batch[self.batch_pos];
+        self.batch_pos += 1;
+        self.ops_emitted += 1;
         op
     }
 }
@@ -729,6 +792,17 @@ mod tests {
     fn invalid_mix_panics() {
         let mut s = spec();
         s.mix.load = 0.9;
+        let _ = Generator::new(&s, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_region_weight_panics() {
+        // A negative weight makes the CDF non-monotone, where the
+        // branch-free region pick would disagree with a first-match scan.
+        let mut s = spec();
+        s.regions[0].write_weight = 1.2;
+        s.regions[1].write_weight = -0.2;
         let _ = Generator::new(&s, 0);
     }
 

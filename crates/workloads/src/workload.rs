@@ -143,6 +143,7 @@ pub enum WorkloadStream {
 }
 
 impl InstrStream for WorkloadStream {
+    #[inline]
     fn next_op(&mut self) -> MicroOp {
         match self {
             WorkloadStream::Bench(g) => g.next_op(),

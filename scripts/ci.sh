@@ -36,8 +36,8 @@ step "criterion benches compile" \
 step "perfbench builds" \
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
 step "cargo test -q --workspace" cargo test -q --workspace
-step "cargo test --release (mem, cpu, sim)" \
-  cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim
+step "cargo test --release (mem, cpu, sim, workloads)" \
+  cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim -p aep-workloads
 step "determinism (results/DIGESTS)" scripts/check_determinism.sh 4
 step "stats gate (smoke)" scripts/stats_gate.sh smoke
 step "differential check (smoke)" scripts/differential_check.sh smoke
