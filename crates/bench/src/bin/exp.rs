@@ -16,197 +16,104 @@
 //! invocations render instantly; `--no-cache` forces fresh runs.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 use aep_bench::experiments::{self, Lab, Output, Scale};
 use aep_bench::faults::{self, FaultsOptions};
-use aep_bench::gate;
-use aep_faultsim::StrikeModel;
-use aep_sim::runcache::{parse_scheme_slug, RunCache};
+use aep_bench::flags::{default_jobs, Flags};
+use aep_bench::{check_cli, explore, gate, serve_cli, workloads_cli};
+use aep_sim::runcache::RunCache;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = String::from("help");
-    let mut scale = Scale::Quick;
-    let mut scale_set = false;
+    let (command, rest) = match args.split_first() {
+        Some((command, rest)) => (command.as_str(), rest),
+        None => ("help", &[][..]),
+    };
+    // These subcommands own their flag grammars; every other command
+    // shares the one `run` reads.
+    std::process::exit(match command {
+        "explore" => explore::run(rest),
+        "check" => check_cli::run(rest),
+        "serve" => serve_cli::serve(rest),
+        "submit" => serve_cli::submit(rest),
+        "hammer" => serve_cli::hammer(rest),
+        "workloads" => workloads_cli::run(rest),
+        _ => run(command, rest),
+    });
+}
+
+/// Runs a table command or one of the commands sharing its flags;
+/// returns the exit code.
+fn run(command: &str, args: &[String]) -> i32 {
+    let mut scale = None;
     let mut csv = false;
     let mut md = false;
-    let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut jobs = default_jobs();
     let mut use_cache = true;
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut check_floor: Option<std::path::PathBuf> = None;
+    let mut out_dir: Option<PathBuf> = None;
+    let mut check_floor: Option<PathBuf> = None;
     let mut faults_opts = FaultsOptions::default();
-    let mut scheme: Option<aep_core::SchemeKind> = None;
+    let mut scheme = None;
     let mut stats_json = false;
     let mut serial_lanes = false;
     let mut regen = false;
     let mut golden_dir = gate::default_golden_dir(".");
     let mut trace_capacity = gate::DEFAULT_TRACE_CAPACITY;
     let mut faults_trials: Option<u32> = None;
-    let mut it = args.iter();
-    if let Some(c) = it.next() {
-        command = c.clone();
-    }
-    // `explore` has its own flag grammar (--axes, --objectives, --budget,
-    // --in); hand the remaining args over before the generic loop below
-    // rejects them.
-    if command == "explore" {
-        std::process::exit(aep_bench::explore::run(&args[1..]));
-    }
-    // Likewise `check`: the differential checker's flags (--fuzz-iters,
-    // --seed, --inject-violation) are its own.
-    if command == "check" {
-        std::process::exit(aep_bench::check_cli::run(&args[1..]));
-    }
-    // The simulation-service subcommands (daemon, client, load harness)
-    // own their grammars too.
-    if command == "serve" {
-        std::process::exit(aep_bench::serve_cli::serve(&args[1..]));
-    }
-    if command == "submit" {
-        std::process::exit(aep_bench::serve_cli::submit(&args[1..]));
-    }
-    if command == "hammer" {
-        std::process::exit(aep_bench::serve_cli::hammer(&args[1..]));
-    }
-    // `workloads`: the diversity report, coverage-reach gate, and trace
-    // corpus generator.
-    if command == "workloads" {
-        std::process::exit(aep_bench::workloads_cli::run(&args[1..]));
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                scale = Scale::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}' (use paper|quick|smoke)");
-                    std::process::exit(2);
-                });
-                scale_set = true;
-            }
-            "--scheme" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                scheme = Some(parse_scheme_slug(v).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown scheme '{v}' (use uniform|parity|uniform_clean:N|\
-                         proposed:N|proposed_multi:N:E|silent:N|reuse:N:M)"
-                    );
-                    std::process::exit(2);
-                }));
-            }
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
+            "--scale" => scale = Some(f.scale()?),
+            "--scheme" => scheme = Some(f.scheme()?),
             "--stats-json" => stats_json = true,
             "--serial" => serial_lanes = true,
             "--regen" => regen = true,
-            "--golden" => {
-                let dir = it.next().unwrap_or_else(|| {
-                    eprintln!("--golden requires a directory");
-                    std::process::exit(2);
-                });
-                golden_dir = std::path::PathBuf::from(dir);
-            }
-            "--capacity" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                trace_capacity = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--capacity requires a positive integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--faults-trials" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_trials = Some(v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--faults-trials requires a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
-            "--jobs" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                jobs = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--jobs requires a positive integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
+            "--golden" => golden_dir = f.path("a directory")?,
+            "--capacity" => trace_capacity = f.positive()?,
+            "--faults-trials" => faults_trials = Some(f.positive()?),
+            "--jobs" => jobs = f.positive()?,
             "--no-cache" => use_cache = false,
             "--csv" => csv = true,
             "--md" => md = true,
-            "--trials" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_opts.trials = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--trials requires a positive integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--p-double" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_opts.p_double = v
-                    .parse()
-                    .ok()
-                    .filter(|p| (0.0..=1.0).contains(p))
-                    .unwrap_or_else(|| {
-                        eprintln!("--p-double requires a probability in [0,1], got '{v}'");
-                        std::process::exit(2);
-                    });
-            }
-            "--seed" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_opts.seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed requires an unsigned integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--model" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_opts.model = StrikeModel::parse(v).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fault model '{v}' \
-                         (use single|burst:K|col:K|row:K|accum:scrub[:CYCLES])"
-                    );
-                    std::process::exit(2);
-                });
-            }
-            "--interleave" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_opts.interleave = v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--interleave requires a positive integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
+            "--trials" => faults_opts.trials = f.positive()?,
+            "--p-double" => faults_opts.p_double = f.probability()?,
+            "--seed" => faults_opts.seed = f.uint()?,
+            "--model" => faults_opts.model = f.model()?,
+            "--interleave" => faults_opts.interleave = f.positive()?,
             "--challengers" => faults_opts.challengers = true,
-            "--bench" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                faults_opts.benchmark = aep_workloads::Workload::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown workload '{v}'");
-                    std::process::exit(2);
-                });
-                if let Err(e) = faults_opts.benchmark.validate() {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-            "--out" => {
-                let dir = it.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a directory");
-                    std::process::exit(2);
-                });
-                out_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--check-floor" => {
-                let file = it.next().unwrap_or_else(|| {
-                    eprintln!("--check-floor requires a committed BENCH_engine.json path");
-                    std::process::exit(2);
-                });
-                check_floor = Some(std::path::PathBuf::from(file));
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            "--bench" => faults_opts.benchmark = f.workload()?,
+            "--out" => out_dir = Some(f.path("a directory")?),
+            "--check-floor" => check_floor = Some(f.path("a committed BENCH_*.json path")?),
+            _ => return Err(f.unknown()),
+        }
+        Ok(())
+    });
+    // No `help` arm above, so the error is a usage error; the full usage
+    // is long, so it is left to `exp help`.
+    if let Err(e) = parsed {
+        eprintln!("exp: {e}");
+        return 2;
+    }
+    // `gate` compares against smoke-scale goldens unless told otherwise.
+    let scale = scale.unwrap_or(if command == "gate" {
+        Scale::Smoke
+    } else {
+        Scale::Quick
+    });
+
+    // A fault campaign rejects an interleave degree the layout cannot map
+    // before it starts: a usage error, not a panic in the layout.
+    if command == "faults" || (command == "run" && faults_trials.is_some()) {
+        if let Err(msg) = faults::check_interleave(scale, &faults_opts) {
+            eprintln!("{msg}");
+            return 2;
         }
     }
-
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        });
+            return 1;
+        }
     }
     let mut fig_index = 0u32;
     let mut emit = |out: Output| {
@@ -250,22 +157,8 @@ fn main() {
         lab = lab.with_disk_cache(RunCache::default_under("."));
     }
 
-    match command.as_str() {
+    match command {
         "faults" => {
-            // Reject interleave degrees the physical layout cannot map
-            // before any campaign starts (a usage error, not a panic).
-            let words = faults::campaign_config(scale, &faults_opts, aep_core::SchemeKind::Uniform)
-                .hierarchy
-                .l2
-                .words_per_line();
-            if !words.is_multiple_of(faults_opts.interleave) {
-                eprintln!(
-                    "--interleave {} does not divide the L2 line's {words} words at {} scale",
-                    faults_opts.interleave,
-                    scale.name()
-                );
-                std::process::exit(2);
-            }
             let disk = use_cache.then(|| RunCache::default_under("."));
             let mut reg = stats_json.then(aep_obs::Registry::new);
             let fig = faults::faults_figure(
@@ -292,36 +185,15 @@ fn main() {
                 emit(Output::Table(fig));
             }
         }
-        "faults-bench" => {
-            let floor_json = check_floor.as_deref().map(|path| {
-                std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read floor file {}: {e}", path.display());
-                    std::process::exit(2);
-                })
-            });
-            let report = aep_bench::faults_bench::run_faults_bench(scale, faults_opts.trials, jobs);
-            println!("{}", report.to_text());
-            let path = std::path::Path::new("BENCH_faults.json");
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => eprintln!("[faults-bench] wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-            // 50%, not the engine harness's 20%: trials/Mcycle divides two
-            // wall-clock measurements with different parallelism, so CPU
-            // frequency jitter does not fully cancel. The floor catches
-            // algorithmic regressions (a model going quadratic), not drift.
-            if let Some(floor) = floor_json {
-                match report.check_floor(&floor, 0.5) {
-                    Ok(msg) => eprintln!("[faults-bench] {msg}"),
-                    Err(msg) => {
-                        eprintln!("[faults-bench] FAIL: {msg}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+        "bench" | "faults-bench" => {
+            return run_harness(
+                command,
+                scale,
+                faults_opts.trials,
+                jobs,
+                out_dir,
+                check_floor.as_deref(),
+            );
         }
         "run" => {
             let kind = scheme.unwrap_or_else(experiments::proposed);
@@ -356,14 +228,7 @@ fn main() {
             let trace = run.trace.expect("trace was enabled for this run");
             print!("{}", trace.to_jsonl());
         }
-        "gate" => {
-            if !scale_set {
-                scale = Scale::Smoke;
-            }
-            let code = gate::gate_command(scale, &faults_opts.benchmark, &golden_dir, regen);
-            std::process::exit(code);
-        }
-        "bench" => run_engine_bench(scale, check_floor.as_deref()),
+        "gate" => return gate::gate_command(scale, &faults_opts.benchmark, &golden_dir, regen),
         "lanes" => run_lanes_snapshot(scale, &faults_opts.benchmark, serial_lanes),
         "all" => {
             // One up-front plan covering every figure below, so the whole
@@ -379,10 +244,11 @@ fn main() {
             Some(fig) => emit(fig.render(&mut lab)),
             None => {
                 eprintln!("exp: unknown command '{other}'\n\n{}", usage());
-                std::process::exit(2);
+                return 2;
             }
         },
     }
+    0
 }
 
 fn usage() -> String {
@@ -423,15 +289,17 @@ fn usage() -> String {
          \x20             protocol invariants, coverage-guided fuzzing\n\
          \x20             (see `exp check help`; violations exit 1)\n\
          \x20 bench       engine-throughput harness: serial scheme ladder +\n\
-         \x20             lane-parallel batch (BENCH_engine.json)\n\
+         \x20             lane-parallel batch (BENCH_engine.json, written\n\
+         \x20             under [--out DIR], default .)\n\
          \x20             [--check-floor FILE] fails (exit 1) if the lane\n\
          \x20             aggregate speedup regresses >20% vs FILE\n\
          \x20 faults-bench  campaign-throughput harness: one fault campaign\n\
          \x20             per strike model, normalised trials/Mcycle\n\
-         \x20             (BENCH_faults.json) [--trials N] [--check-floor FILE]\n\
+         \x20             (BENCH_faults.json, written under [--out DIR],\n\
+         \x20             default .) [--trials N] [--check-floor FILE]\n\
          \x20 lanes       run the standard lane set, print per-lane stats\n\
-         \x20             snapshots; [--serial] runs each lane independently\n\
-         \x20             (outputs must be byte-identical)\n\
+         \x20             snapshots [--bench B]; [--serial] runs each lane\n\
+         \x20             independently (outputs must be byte-identical)\n\
          \x20 serve       start the persistent simulation daemon (NDJSON over\n\
          \x20             TCP/Unix socket, shared run cache, admission control;\n\
          \x20             see `exp serve help`)\n\
@@ -489,31 +357,69 @@ fn run_lanes_snapshot(scale: Scale, benchmark: &aep_workloads::Workload, serial:
     }
 }
 
-fn run_engine_bench(scale: Scale, check_floor: Option<&std::path::Path>) {
-    // Read the committed floor *before* the run overwrites the file.
-    let floor_json = check_floor.map(|path| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read floor file {}: {e}", path.display());
-            std::process::exit(2);
-        })
-    });
-    let report = aep_bench::engine_bench::run_engine_bench(scale, aep_workloads::Benchmark::Gap);
-    println!("{}", report.to_text());
-    let path = std::path::Path::new("BENCH_engine.json");
-    match std::fs::write(path, report.to_json()) {
-        Ok(()) => eprintln!("[bench] wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-    if let Some(floor) = floor_json {
-        match report.check_floor(&floor, 0.2) {
-            Ok(msg) => eprintln!("[bench] {msg}"),
-            Err(msg) => {
-                eprintln!("[bench] FAIL: {msg}");
-                std::process::exit(1);
+/// `exp bench` / `exp faults-bench`: runs the throughput harness, prints
+/// its report, writes `<out>/BENCH_engine.json` (or `BENCH_faults.json`)
+/// and, with `--check-floor FILE`, fails (exit 1) on a regression
+/// against the committed floor in FILE.
+fn run_harness(
+    command: &str,
+    scale: Scale,
+    trials: u32,
+    jobs: usize,
+    out_dir: Option<PathBuf>,
+    check_floor: Option<&Path>,
+) -> i32 {
+    // Read the committed floor before the run, which may overwrite it.
+    let mut floor = None;
+    if let Some(path) = check_floor {
+        match std::fs::read_to_string(path) {
+            Ok(text) => floor = Some(text),
+            Err(e) => {
+                eprintln!("cannot read floor file {}: {e}", path.display());
+                return 2;
             }
         }
+    }
+    let (file, text, json, verdict) = if command == "bench" {
+        let report =
+            aep_bench::engine_bench::run_engine_bench(scale, aep_workloads::Benchmark::Gap);
+        let verdict = floor.map(|floor| report.check_floor(&floor, 0.2));
+        (
+            "BENCH_engine.json",
+            report.to_text(),
+            report.to_json(),
+            verdict,
+        )
+    } else {
+        let report = aep_bench::faults_bench::run_faults_bench(scale, trials, jobs);
+        // 50%, not the engine harness's 20%: trials/Mcycle divides two
+        // wall-clock measurements with different parallelism, so CPU
+        // frequency jitter does not fully cancel. The floor catches
+        // algorithmic regressions (a model going quadratic), not drift.
+        let verdict = floor.map(|floor| report.check_floor(&floor, 0.5));
+        (
+            "BENCH_faults.json",
+            report.to_text(),
+            report.to_json(),
+            verdict,
+        )
+    };
+    println!("{text}");
+    let path = out_dir.unwrap_or_default().join(file);
+    if let Err(e) = std::fs::write(&path, json) {
+        eprintln!("cannot write {}: {e}", path.display());
+        return 1;
+    }
+    eprintln!("[{command}] wrote {}", path.display());
+    match verdict {
+        Some(Err(msg)) => {
+            eprintln!("[{command}] FAIL: {msg}");
+            1
+        }
+        Some(Ok(msg)) => {
+            eprintln!("[{command}] {msg}");
+            0
+        }
+        None => 0,
     }
 }

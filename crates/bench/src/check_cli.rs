@@ -2,8 +2,8 @@
 //! whole-system lockstep runs over every registered scheme, then a
 //! coverage-guided fuzzing campaign over adversarial workloads.
 //!
-//! Like `exp explore`, this subcommand owns its flag grammar and is
-//! dispatched before the generic flag loop. Output is deterministic for
+//! Like `exp explore`, this subcommand owns its flag grammar (read
+//! through [`crate::flags`]). Output is deterministic for
 //! a given (scale, seed, fuzz-iters) at any `--jobs`: no wall-clock, no
 //! thread-order dependence.
 //!
@@ -16,6 +16,8 @@ use aep_check::fuzz::{run_fuzz, FuzzConfig};
 use aep_check::lockstep::run_lockstep;
 use aep_check::Coverage;
 use aep_workloads::Benchmark;
+
+use crate::flags::{default_jobs, FlagError, Flags};
 
 /// Scale presets for the two legs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,71 +74,30 @@ pub fn run(args: &[String]) -> i32 {
     let mut scale = CheckScale::Smoke;
     let mut fuzz_iters: Option<u64> = None;
     let mut seed = 2_006u64;
-    let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut jobs = default_jobs();
     let mut out_dir = PathBuf::from("results/check");
     let mut inject = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("smoke") => scale = CheckScale::Smoke,
-                Some("quick") => scale = CheckScale::Quick,
-                other => {
-                    eprintln!(
-                        "unknown check scale '{}' (use smoke|quick)\n\n{}",
-                        other.unwrap_or(""),
-                        usage()
-                    );
-                    return 2;
-                }
-            },
-            "--fuzz-iters" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse() {
-                    Ok(n) => fuzz_iters = Some(n),
-                    Err(_) => {
-                        eprintln!("--fuzz-iters requires a non-negative integer, got '{v}'");
-                        return 2;
-                    }
-                }
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
+            "--scale" => {
+                scale = f.named("check scale", "smoke|quick", |v| match v {
+                    "smoke" => Some(CheckScale::Smoke),
+                    "quick" => Some(CheckScale::Quick),
+                    _ => None,
+                })?;
             }
-            "--seed" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse() {
-                    Ok(s) => seed = s,
-                    Err(_) => {
-                        eprintln!("--seed requires a non-negative integer, got '{v}'");
-                        return 2;
-                    }
-                }
-            }
-            "--jobs" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>().ok().filter(|&n| n >= 1) {
-                    Some(n) => jobs = n,
-                    None => {
-                        eprintln!("--jobs requires a positive integer, got '{v}'");
-                        return 2;
-                    }
-                }
-            }
-            "--out" => match it.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out requires a directory");
-                    return 2;
-                }
-            },
+            "--fuzz-iters" => fuzz_iters = Some(f.uint()?),
+            "--seed" => seed = f.uint()?,
+            "--jobs" => jobs = f.positive()?,
+            "--out" => out_dir = f.path("a directory")?,
             "--inject-violation" => inject = true,
-            "help" | "--help" | "-h" => {
-                println!("{}", usage());
-                return 0;
-            }
-            other => {
-                eprintln!("exp check: unknown argument '{other}'\n\n{}", usage());
-                return 2;
-            }
+            "help" | "--help" | "-h" => return Err(FlagError::Help),
+            _ => return Err(f.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp check", &usage());
     }
 
     let mut failed = false;

@@ -31,6 +31,7 @@ use aep_workloads::{Benchmark, Workload};
 
 use crate::experiments::{Lab, Scale};
 use crate::faults::{self, FaultsOptions};
+use crate::flags::{default_jobs, FlagError, Flags};
 use aep_sim::runcache::RunCache;
 
 /// Parses a cycle-count axis value: plain cycles, or with a `K`/`M`
@@ -298,9 +299,16 @@ pub fn write_reports(
     Ok(())
 }
 
+/// A positive count; `explore` words its error "needs a positive count".
+fn count<T: std::str::FromStr + PartialOrd + From<u8>>(f: &mut Flags) -> Result<T, FlagError> {
+    f.positive().map_err(|e| {
+        let msg = e.to_string();
+        FlagError::Usage(msg.replacen("requires a positive integer", "needs a positive count", 1))
+    })
+}
+
 fn fail_usage(msg: &str) -> i32 {
-    eprintln!("exp explore: {msg}\n\n{}", usage());
-    2
+    FlagError::Usage(msg.to_owned()).exit_code("exp explore", &usage())
 }
 
 /// The `exp explore` usage text.
@@ -362,83 +370,33 @@ pub fn run(args: &[String]) -> i32 {
     let mut objectives = ObjectiveSpec::paper_tradeoff();
     let mut scale = Scale::Quick;
     let mut budget: Option<usize> = None;
-    let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut jobs = default_jobs();
     let mut trials: u32 = 200;
     let mut model = StrikeModel::Single;
     let mut use_cache = true;
     let mut out_dir = PathBuf::from("results/dse");
     let mut input: Option<PathBuf> = None;
-
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--axes" => match it.next() {
-                Some(v) => axes = Some(v.clone()),
-                None => return fail_usage("--axes requires a spec"),
-            },
+    let parsed = Flags::each(&args[1..], |f, flag| {
+        match flag {
+            "--axes" => axes = Some(f.value("a spec")?.to_owned()),
             "--objectives" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match ObjectiveSpec::parse(v) {
-                    Ok(spec) => objectives = spec,
-                    Err(e) => return fail_usage(&e),
-                }
+                objectives = ObjectiveSpec::parse(f.value("an objective list")?)
+                    .map_err(FlagError::Usage)?;
             }
-            "--scale" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match Scale::parse(v) {
-                    Some(s) => scale = s,
-                    None => return fail_usage(&format!("unknown scale '{v}'")),
-                }
-            }
-            "--budget" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse().ok().filter(|&n| n > 0) {
-                    Some(n) => budget = Some(n),
-                    None => {
-                        return fail_usage(&format!("--budget needs a positive count, got '{v}'"))
-                    }
-                }
-            }
-            "--jobs" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse().ok().filter(|&n| n >= 1) {
-                    Some(n) => jobs = n,
-                    None => {
-                        return fail_usage(&format!("--jobs needs a positive count, got '{v}'"))
-                    }
-                }
-            }
-            "--trials" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse().ok().filter(|&n| n >= 1) {
-                    Some(n) => trials = n,
-                    None => {
-                        return fail_usage(&format!("--trials needs a positive count, got '{v}'"))
-                    }
-                }
-            }
-            "--fault-model" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match StrikeModel::parse(v) {
-                    Some(m) => model = m,
-                    None => {
-                        return fail_usage(&format!(
-                            "unknown fault model '{v}' (use single|burst:K|col:K|row:K|accum:scrub[:CYCLES])"
-                        ))
-                    }
-                }
-            }
+            "--scale" => scale = f.scale()?,
+            "--budget" => budget = Some(count(f)?),
+            "--jobs" => jobs = count(f)?,
+            "--trials" => trials = count(f)?,
+            "--fault-model" => model = f.model()?,
             "--no-cache" => use_cache = false,
-            "--out" => match it.next() {
-                Some(v) => out_dir = PathBuf::from(v),
-                None => return fail_usage("--out requires a directory"),
-            },
-            "--in" => match it.next() {
-                Some(v) => input = Some(PathBuf::from(v)),
-                None => return fail_usage("--in requires a file"),
-            },
-            other => return fail_usage(&format!("unknown argument '{other}'")),
+            "--out" => out_dir = f.path("a directory")?,
+            "--in" => input = Some(f.path("a file")?),
+            _ => return Err(f.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp explore", &usage());
     }
 
     if mode == "frontier" {

@@ -109,6 +109,28 @@ pub fn campaign_config(scale: Scale, opts: &FaultsOptions, scheme: SchemeKind) -
     cfg
 }
 
+/// Rejects an interleave degree the physical layout cannot map, before
+/// any campaign starts: it must divide the L2 line's words at `scale`.
+///
+/// # Errors
+///
+/// The usage message, for exit code 2.
+pub fn check_interleave(scale: Scale, opts: &FaultsOptions) -> Result<(), String> {
+    let words = campaign_config(scale, opts, SchemeKind::Uniform)
+        .hierarchy
+        .l2
+        .words_per_line();
+    if words.is_multiple_of(opts.interleave) {
+        Ok(())
+    } else {
+        Err(format!(
+            "--interleave {} does not divide the L2 line's {words} words at {} scale",
+            opts.interleave,
+            scale.name()
+        ))
+    }
+}
+
 /// The raw-cache key for one scheme's campaign. The model slug and
 /// interleave degree are spelled out (colons mapped to `_` for filesystem
 /// friendliness); every other knob rides on the config's debug hash.

@@ -22,6 +22,7 @@ pub mod experiments;
 pub mod explore;
 pub mod faults;
 pub mod faults_bench;
+pub mod flags;
 pub mod gate;
 pub mod serve_cli;
 pub mod workloads_cli;

@@ -2,11 +2,9 @@
 //! simulation service (`aep-serve`).
 //!
 //! Like `exp explore` and `exp check`, these subcommands own their flag
-//! grammars and are dispatched before the generic flag loop. Exit codes
+//! grammars (read through [`crate::flags`]). Exit codes
 //! follow the repo contract: 0 = success, 1 = runtime failure (cannot
 //! connect, bit-exactness violation, broken floor), 2 = usage error.
-
-use std::path::PathBuf;
 
 use aep_serve::client::ClientError;
 use aep_serve::engine::EngineConfig;
@@ -16,24 +14,10 @@ use aep_sim::runcache::render_stats;
 use aep_sim::{RunCache, Scale};
 use aep_workloads::Benchmark;
 
+use crate::flags::{FlagError, Flags};
+
 /// The default loopback endpoint the three subcommands agree on.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7117";
-
-fn parse_u64(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, i32> {
-    let v = it.next().map(String::as_str).unwrap_or("");
-    v.parse().map_err(|_| {
-        eprintln!("{flag} requires an unsigned integer, got '{v}'");
-        2
-    })
-}
-
-fn parse_scale(it: &mut std::slice::Iter<'_, String>) -> Result<Scale, i32> {
-    let v = it.next().map(String::as_str).unwrap_or("");
-    Scale::parse(v).ok_or_else(|| {
-        eprintln!("unknown scale '{v}' (use paper|quick|smoke)");
-        2
-    })
-}
 
 fn serve_usage() -> String {
     "usage: exp serve [--tcp ADDR] [--unix PATH] [--scale paper|quick|smoke]\n\
@@ -63,87 +47,35 @@ fn serve_usage() -> String {
 /// Runs `exp serve`; returns the process exit code.
 #[must_use]
 pub fn serve(args: &[String]) -> i32 {
-    let mut tcp: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut scale = Scale::Smoke;
-    let mut jobs: Option<usize> = None;
-    let mut queue_depth = 256usize;
-    let mut client_cap = 64usize;
-    let mut use_cache = true;
-    let mut verbose = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tcp" => match it.next() {
-                Some(addr) => tcp = Some(addr.clone()),
-                None => {
-                    eprintln!("--tcp requires an address");
-                    return 2;
-                }
-            },
-            "--unix" => match it.next() {
-                Some(path) => unix = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--unix requires a path");
-                    return 2;
-                }
-            },
-            "--scale" => match parse_scale(&mut it) {
-                Ok(s) => scale = s,
-                Err(code) => return code,
-            },
-            "--jobs" => match parse_u64(&mut it, "--jobs") {
-                Ok(n) if n >= 1 => jobs = Some(n as usize),
-                Ok(_) => {
-                    eprintln!("--jobs requires a positive integer");
-                    return 2;
-                }
-                Err(code) => return code,
-            },
-            "--queue-depth" => match parse_u64(&mut it, "--queue-depth") {
-                Ok(n) if n >= 1 => queue_depth = n as usize,
-                Ok(_) => {
-                    eprintln!("--queue-depth requires a positive integer");
-                    return 2;
-                }
-                Err(code) => return code,
-            },
-            "--client-cap" => match parse_u64(&mut it, "--client-cap") {
-                Ok(n) if n >= 1 => client_cap = n as usize,
-                Ok(_) => {
-                    eprintln!("--client-cap requires a positive integer");
-                    return 2;
-                }
-                Err(code) => return code,
-            },
-            "--no-cache" => use_cache = false,
-            "--verbose" => verbose = true,
-            "help" | "--help" | "-h" => {
-                println!("{}", serve_usage());
-                return 0;
-            }
-            other => {
-                eprintln!("exp serve: unknown argument '{other}'\n\n{}", serve_usage());
-                return 2;
-            }
-        }
-    }
-    let mut engine = EngineConfig::new(scale);
-    if let Some(jobs) = jobs {
-        engine.jobs = jobs;
-    }
-    engine.queue_depth = queue_depth;
-    engine.verbose = verbose;
-    if use_cache {
-        engine.disk = Some(RunCache::default_under("."));
-    }
-    let cfg = DaemonConfig {
-        // `--unix` alone disables TCP unless `--tcp` was also given.
-        tcp: tcp.or_else(|| unix.is_none().then(|| DEFAULT_ADDR.to_string())),
-        unix,
-        engine,
-        client_cap,
+    let mut cfg = DaemonConfig {
+        tcp: None,
+        unix: None,
+        engine: EngineConfig::new(Scale::Smoke),
+        client_cap: 64,
     };
+    cfg.engine.disk = Some(RunCache::default_under("."));
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
+            "--tcp" => cfg.tcp = Some(f.value("an address")?.to_owned()),
+            "--unix" => cfg.unix = Some(f.path("a path")?),
+            "--scale" => cfg.engine.scale = f.scale()?,
+            "--jobs" => cfg.engine.jobs = f.positive()?,
+            "--queue-depth" => cfg.engine.queue_depth = f.positive()?,
+            "--client-cap" => cfg.client_cap = f.positive()?,
+            "--no-cache" => cfg.engine.disk = None,
+            "--verbose" => cfg.engine.verbose = true,
+            "help" | "--help" | "-h" => return Err(FlagError::Help),
+            _ => return Err(f.unknown()),
+        }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp serve", &serve_usage());
+    }
+    // `--unix` alone disables TCP unless `--tcp` was also given.
+    if cfg.unix.is_none() {
+        cfg.tcp.get_or_insert_with(|| DEFAULT_ADDR.to_owned());
+    }
     let handle = match aep_serve::spawn(cfg) {
         Ok(handle) => handle,
         Err(e) => {
@@ -205,92 +137,36 @@ enum SubmitMode {
 /// Runs `exp submit`; returns the process exit code.
 #[must_use]
 pub fn submit(args: &[String]) -> i32 {
-    let mut connect = format!("tcp:{DEFAULT_ADDR}");
+    let mut endpoint = Endpoint::Tcp(DEFAULT_ADDR.to_owned());
     let mut req = SubmitRequest::new(Benchmark::Gzip, crate::experiments::proposed());
     let mut mode = SubmitMode::Submit;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => match it.next() {
-                Some(spec) => connect = spec.clone(),
-                None => {
-                    eprintln!("--connect requires tcp:ADDR or unix:PATH");
-                    return 2;
-                }
-            },
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
+            "--connect" => endpoint = f.endpoint()?,
             "--bench" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match Benchmark::all().into_iter().find(|b| b.name() == v) {
-                    Some(bench) => req.bench = bench,
-                    None => {
-                        eprintln!("unknown benchmark '{v}'");
-                        return 2;
-                    }
-                }
+                let names = Benchmark::all().map(Benchmark::name).join("|");
+                req.bench = f.named("benchmark", &names, |v| {
+                    Benchmark::all().into_iter().find(|b| b.name() == v)
+                })?;
             }
-            "--scheme" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match aep_core::parse_scheme_slug(v) {
-                    Some(scheme) => req.scheme = scheme,
-                    None => {
-                        eprintln!(
-                            "unknown scheme '{v}' (use uniform|parity|uniform_clean:N|\
-                             proposed:N|proposed_multi:N:E|silent:N|reuse:N:M)"
-                        );
-                        return 2;
-                    }
-                }
-            }
-            "--seed" => match parse_u64(&mut it, "--seed") {
-                Ok(n) => req.seed = Some(n),
-                Err(code) => return code,
-            },
-            "--scrub" => match parse_u64(&mut it, "--scrub") {
-                Ok(n) => req.scrub = Some(n),
-                Err(code) => return code,
-            },
-            "--scale" => match parse_scale(&mut it) {
-                Ok(s) => req.scale = Some(s),
-                Err(code) => return code,
-            },
-            "--warmup" => match parse_u64(&mut it, "--warmup") {
-                Ok(n) => req.warmup = Some(n),
-                Err(code) => return code,
-            },
-            "--measure" => match parse_u64(&mut it, "--measure") {
-                Ok(n) => req.measure = Some(n),
-                Err(code) => return code,
-            },
-            "--id" => match it.next() {
-                Some(id) => req.id = Some(id.clone()),
-                None => {
-                    eprintln!("--id requires a string");
-                    return 2;
-                }
-            },
+            "--scheme" => req.scheme = f.scheme()?,
+            "--seed" => req.seed = Some(f.uint()?),
+            "--scrub" => req.scrub = Some(f.uint()?),
+            "--scale" => req.scale = Some(f.scale()?),
+            "--warmup" => req.warmup = Some(f.uint()?),
+            "--measure" => req.measure = Some(f.uint()?),
+            "--id" => req.id = Some(f.value("a string")?.to_owned()),
             "--ping" => mode = SubmitMode::Ping,
             "--stats" => mode = SubmitMode::Stats,
             "--shutdown" => mode = SubmitMode::Shutdown,
-            "help" | "--help" | "-h" => {
-                println!("{}", submit_usage());
-                return 0;
-            }
-            other => {
-                eprintln!(
-                    "exp submit: unknown argument '{other}'\n\n{}",
-                    submit_usage()
-                );
-                return 2;
-            }
+            "help" | "--help" | "-h" => return Err(FlagError::Help),
+            _ => return Err(f.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp submit", &submit_usage());
     }
-    let endpoint = match Endpoint::parse(&connect) {
-        Ok(endpoint) => endpoint,
-        Err(e) => {
-            eprintln!("exp submit: {e}");
-            return 2;
-        }
-    };
     let mut client = match endpoint.connect() {
         Ok(client) => client,
         Err(e) => {
@@ -384,130 +260,39 @@ fn hammer_usage() -> String {
 /// Runs `exp hammer`; returns the process exit code.
 #[must_use]
 pub fn hammer(args: &[String]) -> i32 {
-    let mut connect = format!("tcp:{DEFAULT_ADDR}");
-    let mut scale = Scale::Smoke;
-    let mut steps: Option<Vec<usize>> = None;
-    let mut step_ms = 2_000u64;
-    let mut seed = 2_006u64;
-    let mut warmup_cycles: Option<u64> = None;
-    let mut measure_cycles: Option<u64> = None;
-    let mut out = PathBuf::from("BENCH_serve.json");
-    let mut floor_rps: Option<f64> = None;
-    let mut floor_hit: Option<f64> = None;
-    let mut verbose = true;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => match it.next() {
-                Some(spec) => connect = spec.clone(),
-                None => {
-                    eprintln!("--connect requires tcp:ADDR or unix:PATH");
-                    return 2;
-                }
-            },
-            "--scale" => match parse_scale(&mut it) {
-                Ok(s) => scale = s,
-                Err(code) => return code,
-            },
+    let mut opts = HammerOptions::new(Endpoint::Tcp(DEFAULT_ADDR.to_owned()));
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
+            "--connect" => opts.endpoint = f.endpoint()?,
+            "--scale" => opts.scale = f.scale()?,
             "--steps" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                match parsed {
-                    Ok(list) if !list.is_empty() && list.iter().all(|&n| n >= 1) => {
-                        steps = Some(list);
-                    }
-                    _ => {
-                        eprintln!("--steps requires a comma list of positive integers, got '{v}'");
-                        return 2;
-                    }
-                }
+                opts.steps = f.parsed("a comma list of positive integers", |v| {
+                    let list: Vec<usize> = v
+                        .split(',')
+                        .map(|s| s.trim().parse().ok())
+                        .collect::<Option<_>>()?;
+                    (!list.is_empty() && list.iter().all(|&n| n >= 1)).then_some(list)
+                })?;
             }
-            "--step-ms" => match parse_u64(&mut it, "--step-ms") {
-                Ok(n) if n >= 1 => step_ms = n,
-                Ok(_) => {
-                    eprintln!("--step-ms requires a positive integer");
-                    return 2;
-                }
-                Err(code) => return code,
-            },
-            "--seed" => match parse_u64(&mut it, "--seed") {
-                Ok(n) => seed = n,
-                Err(code) => return code,
-            },
-            "--warmup" => match parse_u64(&mut it, "--warmup") {
-                Ok(n) => warmup_cycles = Some(n),
-                Err(code) => return code,
-            },
-            "--measure" => match parse_u64(&mut it, "--measure") {
-                Ok(n) if n >= 1 => measure_cycles = Some(n),
-                Ok(_) => {
-                    eprintln!("--measure requires a positive integer");
-                    return 2;
-                }
-                Err(code) => return code,
-            },
-            "--out" => match it.next() {
-                Some(path) => out = PathBuf::from(path),
-                None => {
-                    eprintln!("--out requires a file path");
-                    return 2;
-                }
-            },
+            "--step-ms" => opts.step_ms = f.positive()?,
+            "--seed" => opts.seed = f.uint()?,
+            "--warmup" => opts.warmup_cycles = Some(f.uint()?),
+            "--measure" => opts.measure_cycles = Some(f.positive()?),
+            "--out" => opts.out = Some(f.path("a file path")?),
             "--floor-rps" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<f64>().ok().filter(|x| *x > 0.0) {
-                    Some(x) => floor_rps = Some(x),
-                    None => {
-                        eprintln!("--floor-rps requires a positive number, got '{v}'");
-                        return 2;
-                    }
-                }
+                opts.floor_rps =
+                    Some(f.parsed("a positive number", |v| v.parse().ok().filter(|x| *x > 0.0))?);
             }
-            "--floor-hit" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<f64>().ok().filter(|x| (0.0..=1.0).contains(x)) {
-                    Some(x) => floor_hit = Some(x),
-                    None => {
-                        eprintln!("--floor-hit requires a rate in [0,1], got '{v}'");
-                        return 2;
-                    }
-                }
-            }
-            "--quiet" => verbose = false,
-            "help" | "--help" | "-h" => {
-                println!("{}", hammer_usage());
-                return 0;
-            }
-            other => {
-                eprintln!(
-                    "exp hammer: unknown argument '{other}'\n\n{}",
-                    hammer_usage()
-                );
-                return 2;
-            }
+            "--floor-hit" => opts.floor_hit = Some(f.probability()?),
+            "--quiet" => opts.verbose = false,
+            "help" | "--help" | "-h" => return Err(FlagError::Help),
+            _ => return Err(f.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp hammer", &hammer_usage());
     }
-    let endpoint = match Endpoint::parse(&connect) {
-        Ok(endpoint) => endpoint,
-        Err(e) => {
-            eprintln!("exp hammer: {e}");
-            return 2;
-        }
-    };
-    let mut opts = HammerOptions::new(endpoint);
-    opts.scale = scale;
-    if let Some(list) = steps {
-        opts.steps = list;
-    }
-    opts.step_ms = step_ms;
-    opts.seed = seed;
-    opts.warmup_cycles = warmup_cycles;
-    opts.measure_cycles = measure_cycles;
-    opts.out = Some(out);
-    opts.floor_rps = floor_rps;
-    opts.floor_hit = floor_hit;
-    opts.verbose = verbose;
     match aep_serve::hammer::run(&opts) {
         Ok(report) => {
             let top = report.top().expect("ladder is non-empty");

@@ -27,6 +27,8 @@ use aep_workloads::{
     encode, find_trace, write_trace_file, Benchmark, TraceRecord, Workload, TRACE_DIR,
 };
 
+use crate::flags::{default_jobs, FlagError, Flags};
+
 /// Base address for corpus trace footprints. Distinct from the
 /// adversarial generators' base so replayed lines never collide with
 /// live-generator lines in mixed line-ups.
@@ -215,51 +217,20 @@ fn run_report(args: &[String]) -> i32 {
     let mut check = false;
     let mut out: Option<PathBuf> = Some(PathBuf::from("results/workloads/coverage_matrix.json"));
     let mut seed = 2_006u64;
-    let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut jobs = default_jobs();
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
             "--check" => check = true,
-            "--out" => match it.next().map(String::as_str) {
-                Some("-") => out = None,
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--out requires a file path (or '-')");
-                    return 2;
-                }
-            },
-            "--seed" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse() {
-                    Ok(s) => seed = s,
-                    Err(_) => {
-                        eprintln!("--seed requires a non-negative integer, got '{v}'");
-                        return 2;
-                    }
-                }
-            }
-            "--jobs" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>().ok().filter(|&n| n >= 1) {
-                    Some(n) => jobs = n,
-                    None => {
-                        eprintln!("--jobs requires a positive integer, got '{v}'");
-                        return 2;
-                    }
-                }
-            }
-            "help" | "--help" | "-h" => {
-                println!("{}", usage());
-                return 0;
-            }
-            other => {
-                eprintln!(
-                    "exp workloads report: unknown argument '{other}'\n\n{}",
-                    usage()
-                );
-                return 2;
-            }
+            "--out" => out = Some(f.path("a file path (or '-')")?).filter(|p| p.as_os_str() != "-"),
+            "--seed" => seed = f.uint()?,
+            "--jobs" => jobs = f.positive()?,
+            "help" | "--help" | "-h" => return Err(FlagError::Help),
+            _ => return Err(f.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp workloads report", &usage());
     }
 
     let mut failures = corpus_drift_failures();
@@ -435,28 +406,16 @@ fn run_report(args: &[String]) -> i32 {
 
 fn run_gen_corpus(args: &[String]) -> i32 {
     let mut dir = PathBuf::from(TRACE_DIR);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dir" => match it.next() {
-                Some(d) => dir = PathBuf::from(d),
-                None => {
-                    eprintln!("--dir requires a directory");
-                    return 2;
-                }
-            },
-            "help" | "--help" | "-h" => {
-                println!("{}", usage());
-                return 0;
-            }
-            other => {
-                eprintln!(
-                    "exp workloads gen-corpus: unknown argument '{other}'\n\n{}",
-                    usage()
-                );
-                return 2;
-            }
+    let parsed = Flags::each(args, |f, flag| {
+        match flag {
+            "--dir" => dir = f.path("a directory")?,
+            "help" | "--help" | "-h" => return Err(FlagError::Help),
+            _ => return Err(f.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return e.exit_code("exp workloads gen-corpus", &usage());
     }
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("cannot create {}: {e}", dir.display());

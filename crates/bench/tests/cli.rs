@@ -189,6 +189,18 @@ fn malformed_flags_fail_with_a_diagnostic() {
             &["faults", "--scale", "smoke", "--interleave", "3"][..],
             "does not divide",
         ),
+        (
+            &[
+                "run",
+                "--scale",
+                "smoke",
+                "--faults-trials",
+                "10",
+                "--interleave",
+                "3",
+            ][..],
+            "does not divide",
+        ),
         (&["fig1", "--frobnicate"][..], "unknown argument"),
         (&["run", "--scheme", "nosuch"][..], "unknown scheme"),
         // Challenger slugs need their knob suffixes: a bare `silent`, a
@@ -207,6 +219,22 @@ fn malformed_flags_fail_with_a_diagnostic() {
             "--faults-trials requires",
         ),
         (&["gate", "--golden"][..], "--golden requires"),
+        (&["faults", "--seed", "x"][..], "--seed requires"),
+        (&["fig1", "--out"][..], "--out requires"),
+        (
+            &["workloads", "report", "--seed", "x"][..],
+            "--seed requires",
+        ),
+        (
+            &["workloads", "report", "--jobs", "0"][..],
+            "--jobs requires",
+        ),
+        (&["workloads", "report", "--out"][..], "--out requires"),
+        (&["workloads", "gen-corpus", "--dir"][..], "--dir requires"),
+        (
+            &["workloads", "gen-corpus", "--frobnicate"][..],
+            "unknown argument",
+        ),
     ] {
         let out = exp(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -343,6 +371,8 @@ fn explore_usage_errors_exit_2_with_a_diagnostic() {
         (&["explore", "grid", "--scale", "huge"][..], "unknown scale"),
         (&["explore", "grid", "--jobs", "0"][..], "--jobs needs"),
         (&["explore", "grid", "--budget", "0"][..], "--budget needs"),
+        (&["explore", "grid", "--trials", "0"][..], "--trials needs"),
+        (&["explore", "grid", "--in"][..], "--in requires"),
         (
             &["explore", "grid", "--objectives", "ipc,bogus"][..],
             "unknown objective 'bogus'",
@@ -664,10 +694,16 @@ fn serve_subcommand_help_and_usage_errors() {
             "--queue-depth requires",
         ),
         (&["serve", "--tcp"][..], "--tcp requires"),
+        (&["serve", "--client-cap", "0"][..], "--client-cap requires"),
+        (&["serve", "--unix"][..], "--unix requires"),
         (&["submit", "--frobnicate"][..], "unknown argument"),
         (&["submit", "--bench", "nosuch"][..], "unknown benchmark"),
         (&["submit", "--scheme", "nosuch"][..], "unknown scheme"),
         (&["submit", "--seed", "x"][..], "--seed requires"),
+        (&["submit", "--warmup", "x"][..], "--warmup requires"),
+        (&["submit", "--measure", "x"][..], "--measure requires"),
+        (&["submit", "--scrub", "x"][..], "--scrub requires"),
+        (&["submit", "--id"][..], "--id requires"),
         (
             &["submit", "--connect", "carrier-pigeon", "--ping"][..],
             "bad endpoint",
@@ -678,6 +714,9 @@ fn serve_subcommand_help_and_usage_errors() {
         (&["hammer", "--step-ms", "0"][..], "--step-ms requires"),
         (&["hammer", "--floor-rps", "-1"][..], "--floor-rps requires"),
         (&["hammer", "--floor-hit", "2"][..], "--floor-hit requires"),
+        (&["hammer", "--measure", "0"][..], "--measure requires"),
+        (&["hammer", "--seed", "x"][..], "--seed requires"),
+        (&["hammer", "--out"][..], "--out requires"),
         (
             &["hammer", "--connect", "carrier-pigeon"][..],
             "bad endpoint",
@@ -846,4 +885,32 @@ fn every_ci_floor_file_is_committed_with_its_floor_key() {
         checked >= 2,
         "expected the engine and campaign floor checks"
     );
+}
+
+/// The throughput harnesses write their reports under `--out`, so a run
+/// from the repository root with `--out` leaves the committed floor
+/// records alone.
+#[test]
+fn harness_reports_land_under_out() {
+    for (args, file) in [
+        (&["bench"][..], "BENCH_engine.json"),
+        (
+            &["faults-bench", "--trials", "100", "--jobs", "1"][..],
+            "BENCH_faults.json",
+        ),
+    ] {
+        let work = TempWorkdir::new(&format!("harness-{file}"));
+        let out = exp_in(
+            &work.0,
+            &[args, &["--scale", "smoke", "--out", "reports"]].concat(),
+        );
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let report = std::fs::read_to_string(work.0.join("reports").join(file))
+            .unwrap_or_else(|e| panic!("{args:?} writes reports/{file}: {e}"));
+        assert!(aep_obs::json::parse(&report).is_ok(), "{file} is JSON");
+        assert!(
+            !work.0.join(file).exists(),
+            "{args:?} must not write {file} into the working directory"
+        );
+    }
 }

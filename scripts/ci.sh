@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI legs: formatting, lints, the full test suite, the
 # determinism check against results/DIGESTS and the stats-regression
-# gate, with per-step elapsed time. The GitHub workflow
+# gate, with per-step elapsed time; fails if any step leaves the working
+# tree different from how it found it. The GitHub workflow
 # (.github/workflows/ci.yml) runs these same steps as parallel jobs;
 # this script is the one-shot local equivalent.
 #
@@ -15,6 +16,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 timings=()
+
+# No step may change the working tree: a step that rewrites a committed
+# file (a floor record, a golden) fails the run at the end.
+tree_before="$(git status --porcelain)"
 
 step() {
   local label="$1"
@@ -33,8 +38,19 @@ step "cargo clippy --workspace -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
 step "criterion benches compile" \
   cargo build -p aep-bench --features criterion-benches --benches
-step "perfbench builds" \
+# perfbench/ is its own workspace, and its committed Cargo.lock predates
+# aep-check depending on aep-dse, so the build adds that one line; the
+# lock may only change together with the benchmark, so the step puts the
+# file back byte for byte.
+perfbench_builds() {
+  local lock
+  lock="$(mktemp)"
+  cp perfbench/Cargo.lock "$lock"
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  cp "$lock" perfbench/Cargo.lock
+  rm -f "$lock"
+}
+step "perfbench builds" perfbench_builds
 step "cargo test -q --workspace" cargo test -q --workspace
 step "cargo test --release (mem, cpu, sim, workloads)" \
   cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim -p aep-workloads
@@ -45,6 +61,13 @@ step "workload diversity gate" \
   ./target/release/exp workloads report --check
 step "faults models gate (smoke)" scripts/faults_models.sh smoke
 step "serve smoke" scripts/serve_smoke.sh smoke
+
+tree_after="$(git status --porcelain)"
+if [ "$tree_after" != "$tree_before" ]; then
+  echo "==> ci: FAILED: the steps changed the working tree (git status --porcelain):" >&2
+  diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+  exit 1
+fi
 
 echo "==> ci: all green; per-step timing:"
 for t in "${timings[@]}"; do

@@ -90,6 +90,8 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "==> faults-models gate: all SDC orderings hold"
 
+# The report goes to the temp dir: the committed BENCH_faults.json is
+# the floor, not this run's record.
 echo "==> campaign-throughput floor check (BENCH_faults.json)"
 ./target/release/exp faults-bench --scale "$scale" --trials 20000 \
-  --jobs "$jobs" --check-floor BENCH_faults.json
+  --jobs "$jobs" --out "$tmp" --check-floor BENCH_faults.json
