@@ -1,131 +1,225 @@
 //! `exp` — regenerate every table and figure of the paper.
 //!
-//! Usage: `exp <command> [--scale paper|quick|smoke] [--jobs N]
-//! [--no-cache] [--csv|--md] [--out DIR]`
-//!
-//! The table commands (`table1`, `fig1` … `fig8`, `perf`, `area`, and the
-//! extension tables) are the declarations of
-//! `aep_bench::experiments::figures()`; `all` prints the paper's own
-//! ones in order. The other commands (`faults`, `run`, `trace`, `gate`,
-//! `explore`, `check`, `bench`, `faults-bench`, `lanes`, `serve`,
-//! `submit`, `hammer`, `workloads`) are dispatched below; `exp help`
-//! lists them all.
+//! Every command is one declaration in [`commands`]: the table commands
+//! (`table1`, `fig1` … `fig8`, `perf`, `area`, and the extension tables)
+//! come from `aep_bench::experiments::figures()`, `all` prints the
+//! paper's own ones in order, and the other commands are declared here
+//! or by the modules that run them. `exp help` lists them all and
+//! `exp <command> help` lists a command's flags.
 //!
 //! Experiments fan out across `--jobs` worker threads (default: all
 //! available cores) and results persist in `results/cache/` so repeated
 //! invocations render instantly; `--no-cache` forces fresh runs.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use aep_bench::experiments::{self, Lab, Output, Scale};
 use aep_bench::faults::{self, FaultsOptions};
-use aep_bench::flags::{default_jobs, Flags};
+use aep_bench::flags::{self, default_jobs, Command, JOBS_HELP, NO_CACHE_HELP, SCHEME_HELP};
 use aep_bench::{check_cli, explore, gate, serve_cli, workloads_cli};
+use aep_core::SchemeKind;
 use aep_sim::runcache::RunCache;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.split_first() {
-        Some((command, rest)) => (command.as_str(), rest),
-        None => ("help", &[][..]),
-    };
-    // These subcommands own their flag grammars; every other command
-    // shares the one `run` reads.
-    std::process::exit(match command {
-        "explore" => explore::run(rest),
-        "check" => check_cli::run(rest),
-        "serve" => serve_cli::serve(rest),
-        "submit" => serve_cli::submit(rest),
-        "hammer" => serve_cli::hammer(rest),
-        "workloads" => workloads_cli::run(rest),
-        _ => run(command, rest),
-    });
+    std::process::exit(flags::dispatch(&commands(), &args));
 }
 
-/// Runs a table command or one of the commands sharing its flags;
-/// returns the exit code.
-fn run(command: &str, args: &[String]) -> i32 {
-    let mut scale = None;
-    let mut csv = false;
-    let mut md = false;
-    let mut jobs = default_jobs();
-    let mut use_cache = true;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut check_floor: Option<PathBuf> = None;
-    let mut faults_opts = FaultsOptions::default();
-    let mut scheme = None;
-    let mut stats_json = false;
-    let mut serial_lanes = false;
-    let mut regen = false;
-    let mut golden_dir = gate::default_golden_dir(".");
-    let mut trace_capacity = gate::DEFAULT_TRACE_CAPACITY;
-    let mut faults_trials: Option<u32> = None;
-    let parsed = Flags::each(args, |f, flag| {
-        match flag {
-            "--scale" => scale = Some(f.scale()?),
-            "--scheme" => scheme = Some(f.scheme()?),
-            "--stats-json" => stats_json = true,
-            "--serial" => serial_lanes = true,
-            "--regen" => regen = true,
-            "--golden" => golden_dir = f.path("a directory")?,
-            "--capacity" => trace_capacity = f.positive()?,
-            "--faults-trials" => faults_trials = Some(f.positive()?),
-            "--jobs" => jobs = f.positive()?,
-            "--no-cache" => use_cache = false,
-            "--csv" => csv = true,
-            "--md" => md = true,
-            "--trials" => faults_opts.trials = f.positive()?,
-            "--p-double" => faults_opts.p_double = f.probability()?,
-            "--seed" => faults_opts.seed = f.uint()?,
-            "--model" => faults_opts.model = f.model()?,
-            "--interleave" => faults_opts.interleave = f.positive()?,
-            "--challengers" => faults_opts.challengers = true,
-            "--bench" => faults_opts.benchmark = f.workload()?,
-            "--out" => out_dir = Some(f.path("a directory")?),
-            "--check-floor" => check_floor = Some(f.path("a committed BENCH_*.json path")?),
-            _ => return Err(f.unknown()),
-        }
-        Ok(())
-    });
-    // No `help` arm above, so the error is a usage error; the full usage
-    // is long, so it is left to `exp help`.
-    if let Err(e) = parsed {
-        eprintln!("exp: {e}");
-        return 2;
-    }
-    // `gate` compares against smoke-scale goldens unless told otherwise.
-    let scale = scale.unwrap_or(if command == "gate" {
-        Scale::Smoke
-    } else {
-        Scale::Quick
-    });
+/// What the commands declared here read from their flags.
+#[derive(Default)]
+struct Opts {
+    scale: Option<Scale>,
+    jobs: Option<usize>,
+    no_cache: bool,
+    csv: bool,
+    md: bool,
+    out: Option<PathBuf>,
+    check_floor: Option<PathBuf>,
+    faults: FaultsOptions,
+    scheme: Option<SchemeKind>,
+    stats_json: bool,
+    serial: bool,
+    regen: bool,
+    golden: Option<PathBuf>,
+    capacity: Option<usize>,
+    faults_trials: Option<u32>,
+}
 
-    // A fault campaign rejects an interleave degree the layout cannot map
-    // before it starts: a usage error, not a panic in the layout.
-    if command == "faults" || (command == "run" && faults_trials.is_some()) {
-        if let Err(msg) = faults::check_interleave(scale, &faults_opts) {
-            eprintln!("{msg}");
-            return 2;
+aep_bench::flags! { Opts:
+    SCALE "--scale" "S" "experiment scale: paper|quick|smoke (default: quick; smoke for gate)",
+        |f, o| o.scale = Some(f.scale()?);
+    JOBS "--jobs" "N" JOBS_HELP, |f, o| o.jobs = Some(f.positive()?);
+    NO_CACHE "--no-cache" "" NO_CACHE_HELP, |_, o| o.no_cache = true;
+    CSV "--csv" "" "print each table as CSV", |_, o| o.csv = true;
+    MD "--md" "" "print each table as markdown", |_, o| o.md = true;
+    OUT "--out" "DIR" "also write each table to DIR/<nn>_<title>.csv",
+        |f, o| o.out = Some(f.path("a directory")?);
+    REPORT "--out" "DIR" "write the report under DIR (default: the working directory)",
+        |f, o| o.out = Some(f.path("a directory")?);
+    FLOOR "--check-floor" "FILE" "fail (exit 1) on a regression against the committed \
+        record in FILE (bench: lane speedup, 20% tolerance; faults-bench: min trials/Mcycle, \
+        50% tolerance)", |f, o| o.check_floor = Some(f.path("a committed BENCH_*.json path")?);
+    TRIALS "--trials" "N" "trials per campaign (default: 1000)",
+        |f, o| o.faults.trials = f.positive()?;
+    P_DOUBLE "--p-double" "P" "probability that a single-model strike flips two bits of one \
+        word (default: 0)", |f, o| o.faults.p_double = f.probability()?;
+    SEED "--seed" "S" "campaign seed (default: 2006)", |f, o| o.faults.seed = f.uint()?;
+    MODEL "--model" "M" "strike model: single|burst:K|col:K|row:K|accum:scrub[:CYCLES] \
+        (default: single)", |f, o| o.faults.model = f.model()?;
+    INTERLEAVE "--interleave" "D" "bit-interleaving degree of the L2 data array; must divide \
+        the line's words (default: 1)", |f, o| o.faults.interleave = f.positive()?;
+    CHALLENGER "--challengers" "" "append the related-work challenger schemes to the line-up",
+        |_, o| o.faults.challengers = true;
+    BENCH "--bench" "B" "workload: a benchmark name or a zipf:/storm:/flood:/phase:/trace: \
+        slug (default: gap)", |f, o| o.faults.benchmark = f.workload()?;
+    STATS_JSON "--stats-json" "" "print the stats snapshot as JSON", |_, o| o.stats_json = true;
+    SCHEME "--scheme" "S" SCHEME_HELP, |f, o| o.scheme = Some(f.scheme()?);
+    CAMPAIGN "--faults-trials" "N" "attach a fault campaign of N trials to the snapshot",
+        |f, o| o.faults_trials = Some(f.positive()?);
+    CAPACITY "--capacity" "N" "trace ring capacity in events (default: 4096)",
+        |f, o| o.capacity = Some(f.positive()?);
+    GOLDEN "--golden" "DIR" "golden snapshot directory (default: results/golden)",
+        |f, o| o.golden = Some(f.path("a directory")?);
+    REGEN "--regen" "" "rewrite the goldens from this build", |_, o| o.regen = true;
+    SERIAL "--serial" "" "run each lane as an independent system (the output must be \
+        byte-identical)", |_, o| o.serial = true;
+}
+
+/// The flags of every table command.
+const TABLE: &[flags::Flag<Opts>] = &[SCALE, JOBS, NO_CACHE, CSV, MD, OUT];
+
+/// Every `exp` command, in `exp help` order.
+fn commands() -> Vec<Command> {
+    let figures = experiments::figures();
+    let in_all: Vec<&str> = figures
+        .iter()
+        .filter(|f| f.in_all)
+        .map(|f| f.slug)
+        .collect();
+    let all = format!("the paper's result, in order: {}", in_all.join(", "));
+    let mut commands: Vec<Command> = figures
+        .into_iter()
+        .map(|fig| {
+            Command::new(fig.slug, fig.title(), TABLE, Opts::default, move |o| {
+                print_tables(&o, std::iter::once_with(|| fig.render(&mut o.lab())))
+            })
+        })
+        .collect();
+    commands.extend([
+        Command::new("all", all, TABLE, Opts::default, all_tables),
+        Command::new(
+            "faults",
+            "live fault-injection campaign per scheme",
+            &[
+                SCALE, JOBS, NO_CACHE, CSV, MD, OUT, TRIALS, P_DOUBLE, SEED, MODEL, INTERLEAVE,
+                CHALLENGER, BENCH, STATS_JSON,
+            ],
+            Opts::default,
+            run_faults,
+        ),
+        Command::new(
+            "run",
+            "one observed experiment: its full stats snapshot",
+            &[
+                SCALE, BENCH, SCHEME, STATS_JSON, CAMPAIGN, JOBS, P_DOUBLE, SEED, MODEL, INTERLEAVE,
+            ],
+            Opts::default,
+            run_observed,
+        ),
+        Command::new(
+            "trace",
+            "dump the cycle trace of one run as JSONL",
+            &[SCALE, BENCH, SCHEME, CAPACITY],
+            Opts::default,
+            run_trace,
+        ),
+        Command::new(
+            "gate",
+            "stats-regression gate against the golden snapshots; a regression exits 1",
+            &[SCALE, BENCH, GOLDEN, REGEN],
+            Opts::default,
+            |o| {
+                let golden = o.golden.unwrap_or_else(|| gate::default_golden_dir("."));
+                let scale = o.scale.unwrap_or(Scale::Smoke);
+                gate::gate_command(scale, &o.faults.benchmark, &golden, o.regen)
+            },
+        ),
+    ]);
+    commands.extend(explore::commands());
+    commands.push(check_cli::command());
+    commands.extend([
+        Command::new(
+            "bench",
+            "engine-throughput harness: serial scheme ladder and lane-parallel batch \
+             (BENCH_engine.json)",
+            &[SCALE, REPORT, FLOOR],
+            Opts::default,
+            |o| run_harness("bench", &o),
+        ),
+        Command::new(
+            "faults-bench",
+            "campaign-throughput harness: one fault campaign per strike model, normalised \
+             to trials/Mcycle (BENCH_faults.json)",
+            &[SCALE, TRIALS, JOBS, REPORT, FLOOR],
+            Opts::default,
+            |o| run_harness("faults-bench", &o),
+        ),
+        Command::new(
+            "lanes",
+            "run the standard lane set and print each lane's stats snapshot",
+            &[SCALE, BENCH, SERIAL],
+            Opts::default,
+            run_lanes_snapshot,
+        ),
+    ]);
+    commands.extend(serve_cli::commands());
+    commands.extend(workloads_cli::commands());
+    commands
+}
+
+impl Opts {
+    fn scale(&self) -> Scale {
+        self.scale.unwrap_or(Scale::Quick)
+    }
+
+    fn jobs(&self) -> usize {
+        self.jobs.unwrap_or_else(default_jobs)
+    }
+
+    /// The lab the table commands render through.
+    fn lab(&self) -> Lab {
+        let lab = Lab::new(self.scale()).verbose().jobs(self.jobs());
+        if self.no_cache {
+            lab
+        } else {
+            lab.with_disk_cache(RunCache::default_under("."))
         }
     }
-    if let Some(dir) = &out_dir {
+
+    /// `--out DIR`, created; exits 1 when it cannot be.
+    fn out_dir(&self) -> Option<&Path> {
+        let dir = self.out.as_deref()?;
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
-            return 1;
+            std::process::exit(1);
         }
+        Some(dir)
     }
-    let mut fig_index = 0u32;
-    let mut emit = |out: Output| {
-        let fig = match out {
-            Output::Text(text) => {
-                print!("{text}");
-                return;
-            }
-            Output::Table(fig) => fig,
-        };
-        if let Some(dir) = &out_dir {
-            fig_index += 1;
+}
+
+/// Prints each rendered table as text, CSV or markdown and, with
+/// `--out DIR`, also writes the n-th to `DIR/<nn>_<title>.csv`.
+fn print_tables(o: &Opts, outputs: impl Iterator<Item = Output>) -> i32 {
+    let dir = o.out_dir();
+    let tables = outputs.filter_map(|out| match out {
+        Output::Text(text) => {
+            print!("{text}");
+            None
+        }
+        Output::Table(fig) => Some(fig),
+    });
+    for (i, fig) in tables.enumerate() {
+        if let Some(dir) = dir {
             // Derive a filename from the figure title's first word(s).
             let slug: String = fig
                 .title
@@ -137,204 +231,133 @@ fn run(command: &str, args: &[String]) -> i32 {
                     _ => None,
                 })
                 .collect();
-            let path = dir.join(format!("{fig_index:02}_{}.csv", slug.trim_matches('_')));
+            let path = dir.join(format!("{:02}_{}.csv", i + 1, slug.trim_matches('_')));
             if let Err(e) = std::fs::write(&path, fig.to_csv()) {
                 eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
+                return 1;
             }
             eprintln!("[exp] wrote {}", path.display());
         }
-        if csv {
+        if o.csv {
             println!("{}", fig.to_csv());
-        } else if md {
+        } else if o.md {
             println!("{}\n{}", fig.title, fig.to_markdown());
         } else {
             println!("{}", fig.to_text());
         }
-    };
-    let mut lab = Lab::new(scale).verbose().jobs(jobs);
-    if use_cache {
-        lab = lab.with_disk_cache(RunCache::default_under("."));
-    }
-
-    match command {
-        "faults" => {
-            let disk = use_cache.then(|| RunCache::default_under("."));
-            let mut reg = stats_json.then(aep_obs::Registry::new);
-            let fig = faults::faults_figure(
-                scale,
-                &faults_opts,
-                jobs,
-                disk.as_ref(),
-                &mut lab,
-                true,
-                reg.as_mut(),
-            );
-            if let Some(reg) = reg {
-                let snap = aep_obs::StatsSnapshot::from_registry(
-                    reg,
-                    &[
-                        ("experiment", "faults"),
-                        ("model", &faults_opts.model.slug()),
-                        ("benchmark", &faults_opts.benchmark.name()),
-                        ("scale", scale.name()),
-                    ],
-                );
-                print!("{}", snap.to_json());
-            } else {
-                emit(Output::Table(fig));
-            }
-        }
-        "bench" | "faults-bench" => {
-            return run_harness(
-                command,
-                scale,
-                faults_opts.trials,
-                jobs,
-                out_dir,
-                check_floor.as_deref(),
-            );
-        }
-        "run" => {
-            let kind = scheme.unwrap_or_else(experiments::proposed);
-            let faults_table = faults_trials.map(|trials| {
-                let mut opts = faults_opts.clone();
-                opts.trials = trials;
-                let cfg = faults::campaign_config(scale, &opts, kind);
-                eprintln!(
-                    "[run] attaching fault campaign: {trials} trials on {}",
-                    cfg.benchmark.name()
-                );
-                aep_faultsim::run_campaign(&cfg, jobs)
-            });
-            let snap = gate::snapshot(scale, &faults_opts.benchmark, kind, faults_table.as_ref());
-            if stats_json {
-                print!("{}", snap.to_json());
-            } else {
-                for (k, v) in &snap.meta {
-                    println!("# {k} = {v}");
-                }
-                for (k, v) in &snap.stats {
-                    match v {
-                        aep_obs::StatValue::Counter(n) => println!("{k} = {n}"),
-                        aep_obs::StatValue::Rate(x) => println!("{k} = {x}"),
-                    }
-                }
-            }
-        }
-        "trace" => {
-            let kind = scheme.unwrap_or_else(experiments::proposed);
-            let run = gate::observed(scale, &faults_opts.benchmark, kind, Some(trace_capacity));
-            let trace = run.trace.expect("trace was enabled for this run");
-            print!("{}", trace.to_jsonl());
-        }
-        "gate" => return gate::gate_command(scale, &faults_opts.benchmark, &golden_dir, regen),
-        "lanes" => run_lanes_snapshot(scale, &faults_opts.benchmark, serial_lanes),
-        "all" => {
-            // One up-front plan covering every figure below, so the whole
-            // session executes as a single parallel batch.
-            lab.prefetch(&experiments::all_configs());
-            for fig in experiments::figures().iter().filter(|f| f.in_all) {
-                emit(fig.render(&mut lab));
-            }
-            eprintln!("[lab] total distinct runs: {}", lab.runs());
-        }
-        "help" | "--help" | "-h" => println!("{}", usage()),
-        other => match experiments::figure(other) {
-            Some(fig) => emit(fig.render(&mut lab)),
-            None => {
-                eprintln!("exp: unknown command '{other}'\n\n{}", usage());
-                return 2;
-            }
-        },
     }
     0
 }
 
-fn usage() -> String {
+/// `exp all`: one up-front plan covering every figure, so the whole
+/// session executes as a single parallel batch.
+fn all_tables(o: Opts) -> i32 {
+    let mut lab = o.lab();
+    lab.prefetch(&experiments::all_configs());
     let figures = experiments::figures();
-    let mut tables = String::new();
-    for fig in &figures {
-        let _ = writeln!(tables, "  {:<12}{}", fig.slug, fig.title());
-    }
-    let all: Vec<&str> = figures
+    let tables = figures
         .iter()
         .filter(|f| f.in_all)
-        .map(|f| f.slug)
-        .collect();
-    format!(
-        "exp — regenerate the paper's tables and figures\n\n\
-         usage: exp <command> [--scale paper|quick|smoke] [--jobs N]\n\
-         \x20                 [--no-cache] [--csv|--md] [--out DIR]\n\n\
-         tables:\n\
-         {tables}\
-         \x20 all         the paper's result, in order:\n\
-         \x20             {}\n\n\
-         other commands:\n\
-         \x20 faults      live fault-injection campaign per scheme\n\
-         \x20             [--trials N] [--p-double P] [--seed S] [--bench B]\n\
-         \x20             [--model single|burst:K|col:K|row:K|accum:scrub[:C]]\n\
-         \x20             [--interleave D] [--challengers] [--stats-json]\n\
-         \x20             (--challengers appends the related-work schemes)\n\
-         \x20 run         one observed experiment: full stats snapshot\n\
-         \x20             [--bench B] [--scheme S] [--stats-json]\n\
-         \x20             [--faults-trials N]\n\
-         \x20 trace       dump the cycle trace of one run as JSONL\n\
-         \x20             [--bench B] [--scheme S] [--capacity N]\n\
-         \x20 gate        stats-regression gate vs results/golden/\n\
-         \x20             (default scale: smoke) [--golden DIR] [--regen]\n\
-         \x20 explore     design-space exploration: grid | refine | frontier\n\
-         \x20             (see `exp explore help` for axes and objectives)\n\
-         \x20 check       differential checking: lockstep golden model,\n\
-         \x20             protocol invariants, coverage-guided fuzzing\n\
-         \x20             (see `exp check help`; violations exit 1)\n\
-         \x20 bench       engine-throughput harness: serial scheme ladder +\n\
-         \x20             lane-parallel batch (BENCH_engine.json, written\n\
-         \x20             under [--out DIR], default .)\n\
-         \x20             [--check-floor FILE] fails (exit 1) if the lane\n\
-         \x20             aggregate speedup regresses >20% vs FILE\n\
-         \x20 faults-bench  campaign-throughput harness: one fault campaign\n\
-         \x20             per strike model, normalised trials/Mcycle\n\
-         \x20             (BENCH_faults.json, written under [--out DIR],\n\
-         \x20             default .) [--trials N] [--check-floor FILE]\n\
-         \x20 lanes       run the standard lane set, print per-lane stats\n\
-         \x20             snapshots [--bench B]; [--serial] runs each lane\n\
-         \x20             independently (outputs must be byte-identical)\n\
-         \x20 serve       start the persistent simulation daemon (NDJSON over\n\
-         \x20             TCP/Unix socket, shared run cache, admission control;\n\
-         \x20             see `exp serve help`)\n\
-         \x20 submit      send one experiment to a running daemon and print\n\
-         \x20             its result (also --ping/--stats/--shutdown;\n\
-         \x20             see `exp submit help`)\n\
-         \x20 hammer      load-test a running daemon, validating every response\n\
-         \x20             bit-exactly (BENCH_serve.json; see `exp hammer help`)\n\
-         \x20 workloads   diversity coverage report and trace corpus tools:\n\
-         \x20             `report [--check]` gates on each generator family\n\
-         \x20             reaching features the calibrated suite never does;\n\
-         \x20             `gen-corpus` regenerates traces/ (see help)\n\n\
-         flags:\n\
-         \x20 --jobs N     worker threads for experiment fan-out\n\
-         \x20              (default: available cores; output is\n\
-         \x20              identical for every N)\n\
-         \x20 --scheme S   scheme slug: uniform | parity | uniform_clean:N |\n\
-         \x20              proposed:N | proposed_multi:N:E | silent:N |\n\
-         \x20              reuse:N:M (default: proposed at the calibrated\n\
-         \x20              interval)\n\
-         \x20 --no-cache   ignore and do not write results/cache/\n\n\
-         exit codes: 0 success, 1 stats-gate regression or check violation,\n\
-         2 usage error",
-        all.join(", ")
-    )
+        .map(|f| f.render(&mut lab));
+    let code = print_tables(&o, tables);
+    eprintln!("[lab] total distinct runs: {}", lab.runs());
+    code
+}
+
+/// `exp faults`.
+fn run_faults(o: Opts) -> i32 {
+    // A campaign rejects an interleave degree the layout cannot map before
+    // it starts: a usage error, not a panic in the layout.
+    if let Err(msg) = faults::check_interleave(o.scale(), &o.faults) {
+        eprintln!("{msg}");
+        return 2;
+    }
+    let scale = o.scale();
+    let disk = (!o.no_cache).then(|| RunCache::default_under("."));
+    let mut reg = o.stats_json.then(aep_obs::Registry::new);
+    let fig = faults::faults_figure(
+        scale,
+        &o.faults,
+        o.jobs(),
+        disk.as_ref(),
+        &mut o.lab(),
+        true,
+        reg.as_mut(),
+    );
+    if let Some(reg) = reg {
+        let snap = aep_obs::StatsSnapshot::from_registry(
+            reg,
+            &[
+                ("experiment", "faults"),
+                ("model", &o.faults.model.slug()),
+                ("benchmark", &o.faults.benchmark.name()),
+                ("scale", scale.name()),
+            ],
+        );
+        print!("{}", snap.to_json());
+        0
+    } else {
+        print_tables(&o, std::iter::once(Output::Table(fig)))
+    }
+}
+
+/// `exp run`.
+fn run_observed(o: Opts) -> i32 {
+    let checked = faults::check_interleave(o.scale(), &o.faults);
+    if let (Some(_), Err(msg)) = (o.faults_trials, checked) {
+        eprintln!("{msg}");
+        return 2;
+    }
+    let scale = o.scale();
+    let kind = o.scheme.unwrap_or_else(experiments::proposed);
+    let faults_table = o.faults_trials.map(|trials| {
+        let opts = FaultsOptions {
+            trials,
+            ..o.faults.clone()
+        };
+        let cfg = faults::campaign_config(scale, &opts, kind);
+        eprintln!(
+            "[run] attaching fault campaign: {trials} trials on {}",
+            cfg.benchmark.name()
+        );
+        aep_faultsim::run_campaign(&cfg, o.jobs())
+    });
+    let snap = gate::snapshot(scale, &o.faults.benchmark, kind, faults_table.as_ref());
+    if o.stats_json {
+        print!("{}", snap.to_json());
+    } else {
+        for (k, v) in &snap.meta {
+            println!("# {k} = {v}");
+        }
+        for (k, v) in &snap.stats {
+            match v {
+                aep_obs::StatValue::Counter(n) => println!("{k} = {n}"),
+                aep_obs::StatValue::Rate(x) => println!("{k} = {x}"),
+            }
+        }
+    }
+    0
+}
+
+/// `exp trace`.
+fn run_trace(o: Opts) -> i32 {
+    let kind = o.scheme.unwrap_or_else(experiments::proposed);
+    let capacity = o.capacity.unwrap_or(gate::DEFAULT_TRACE_CAPACITY);
+    let run = gate::observed(o.scale(), &o.faults.benchmark, kind, Some(capacity));
+    let trace = run.trace.expect("trace was enabled for this run");
+    print!("{}", trace.to_jsonl());
+    0
 }
 
 /// Runs the standard lane set and prints one stats snapshot per lane —
 /// `--serial` runs each lane as an independent system instead, and the
 /// two outputs must be byte-identical (the `lanes-vs-serial` determinism
 /// leg diffs them).
-fn run_lanes_snapshot(scale: Scale, benchmark: &aep_workloads::Workload, serial: bool) {
+fn run_lanes_snapshot(o: Opts) -> i32 {
+    let (scale, benchmark) = (o.scale(), &o.faults.benchmark);
     let lanes = aep_bench::engine_bench::bench_lanes();
     let cfg = scale.config(benchmark.clone(), lanes[0].scheme);
-    let results: Vec<aep_sim::LaneResult> = if serial {
+    let results: Vec<aep_sim::LaneResult> = if o.serial {
         lanes
             .iter()
             .map(|lane| aep_sim::run_lane_serial(&cfg, lane))
@@ -355,57 +378,38 @@ fn run_lanes_snapshot(scale: Scale, benchmark: &aep_workloads::Workload, serial:
         println!("{}", snap.to_json());
         println!("stats[{label}]: {:?}", r.stats);
     }
+    0
 }
 
 /// `exp bench` / `exp faults-bench`: runs the throughput harness, prints
 /// its report, writes `<out>/BENCH_engine.json` (or `BENCH_faults.json`)
 /// and, with `--check-floor FILE`, fails (exit 1) on a regression
 /// against the committed floor in FILE.
-fn run_harness(
-    command: &str,
-    scale: Scale,
-    trials: u32,
-    jobs: usize,
-    out_dir: Option<PathBuf>,
-    check_floor: Option<&Path>,
-) -> i32 {
+fn run_harness(command: &str, o: &Opts) -> i32 {
+    let scale = o.scale();
     // Read the committed floor before the run, which may overwrite it.
-    let mut floor = None;
-    if let Some(path) = check_floor {
-        match std::fs::read_to_string(path) {
-            Ok(text) => floor = Some(text),
-            Err(e) => {
-                eprintln!("cannot read floor file {}: {e}", path.display());
-                return 2;
-            }
-        }
-    }
+    let floor = o.check_floor.as_ref().map(|path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| eprintln!("cannot read floor file {}: {e}", path.display()))
+    });
+    let Ok(floor) = floor.transpose() else {
+        return 2;
+    };
     let (file, text, json, verdict) = if command == "bench" {
-        let report =
-            aep_bench::engine_bench::run_engine_bench(scale, aep_workloads::Benchmark::Gap);
-        let verdict = floor.map(|floor| report.check_floor(&floor, 0.2));
-        (
-            "BENCH_engine.json",
-            report.to_text(),
-            report.to_json(),
-            verdict,
-        )
+        let r = aep_bench::engine_bench::run_engine_bench(scale, aep_workloads::Benchmark::Gap);
+        let verdict = floor.map(|floor| r.check_floor(&floor, 0.2));
+        ("BENCH_engine.json", r.to_text(), r.to_json(), verdict)
     } else {
-        let report = aep_bench::faults_bench::run_faults_bench(scale, trials, jobs);
+        let r = aep_bench::faults_bench::run_faults_bench(scale, o.faults.trials, o.jobs());
         // 50%, not the engine harness's 20%: trials/Mcycle divides two
         // wall-clock measurements with different parallelism, so CPU
         // frequency jitter does not fully cancel. The floor catches
         // algorithmic regressions (a model going quadratic), not drift.
-        let verdict = floor.map(|floor| report.check_floor(&floor, 0.5));
-        (
-            "BENCH_faults.json",
-            report.to_text(),
-            report.to_json(),
-            verdict,
-        )
+        let verdict = floor.map(|floor| r.check_floor(&floor, 0.5));
+        ("BENCH_faults.json", r.to_text(), r.to_json(), verdict)
     };
     println!("{text}");
-    let path = out_dir.unwrap_or_default().join(file);
+    let path = o.out_dir().unwrap_or(Path::new("")).join(file);
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("cannot write {}: {e}", path.display());
         return 1;

@@ -2,10 +2,8 @@
 //! whole-system lockstep runs over every registered scheme, then a
 //! coverage-guided fuzzing campaign over adversarial workloads.
 //!
-//! Like `exp explore`, this subcommand owns its flag grammar (read
-//! through [`crate::flags`]). Output is deterministic for
-//! a given (scale, seed, fuzz-iters) at any `--jobs`: no wall-clock, no
-//! thread-order dependence.
+//! Output is deterministic for a given (scale, seed, fuzz-iters) at any
+//! `--jobs`: no wall-clock, no thread-order dependence.
 //!
 //! Exit codes follow the repo contract: 0 = everything clean, 1 = a
 //! divergence/violation was found (reproducer written), 2 = usage error.
@@ -17,11 +15,12 @@ use aep_check::lockstep::run_lockstep;
 use aep_check::Coverage;
 use aep_workloads::Benchmark;
 
-use crate::flags::{default_jobs, FlagError, Flags};
+use crate::flags::{default_jobs, Command, JOBS_HELP};
 
 /// Scale presets for the two legs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum CheckScale {
+    #[default]
     Smoke,
     Quick,
 }
@@ -49,61 +48,54 @@ impl CheckScale {
     }
 }
 
-fn usage() -> String {
-    "usage: exp check [--scale smoke|quick] [--fuzz-iters N] [--seed S]\n\
-     \x20                [--jobs N] [--out DIR] [--inject-violation]\n\n\
-     Differential checking: lockstep golden-model runs over every\n\
-     registered scheme, then a coverage-guided workload fuzzing campaign.\n\n\
-     flags:\n\
-     \x20 --scale smoke|quick  lockstep horizon and default fuzz budget\n\
-     \x20                      (default: smoke)\n\
-     \x20 --fuzz-iters N       fuzz iterations (default: 64 smoke, 400 quick)\n\
-     \x20 --seed S             campaign seed (default: 2006)\n\
-     \x20 --jobs N             worker threads; output is identical for any N\n\
-     \x20 --out DIR            reproducer directory (default: results/check)\n\
-     \x20 --inject-violation   swap in the deliberately-broken retiring-entry\n\
-     \x20                      double; the checker must catch it (exits 1)\n\n\
-     exit codes: 0 clean, 1 violation found, 2 usage error"
-        .to_owned()
+/// What `exp check` reads from its flags.
+#[derive(Default)]
+struct CheckOpts {
+    scale: CheckScale,
+    fuzz_iters: Option<u64>,
+    seed: Option<u64>,
+    jobs: Option<usize>,
+    out_dir: Option<PathBuf>,
+    inject: bool,
 }
 
-/// Runs `exp check` with its own argument grammar; returns the process
-/// exit code.
-#[must_use]
-pub fn run(args: &[String]) -> i32 {
-    let mut scale = CheckScale::Smoke;
-    let mut fuzz_iters: Option<u64> = None;
-    let mut seed = 2_006u64;
-    let mut jobs = default_jobs();
-    let mut out_dir = PathBuf::from("results/check");
-    let mut inject = false;
-    let parsed = Flags::each(args, |f, flag| {
-        match flag {
-            "--scale" => {
-                scale = f.named("check scale", "smoke|quick", |v| match v {
-                    "smoke" => Some(CheckScale::Smoke),
-                    "quick" => Some(CheckScale::Quick),
-                    _ => None,
-                })?;
-            }
-            "--fuzz-iters" => fuzz_iters = Some(f.uint()?),
-            "--seed" => seed = f.uint()?,
-            "--jobs" => jobs = f.positive()?,
-            "--out" => out_dir = f.path("a directory")?,
-            "--inject-violation" => inject = true,
-            "help" | "--help" | "-h" => return Err(FlagError::Help),
-            _ => return Err(f.unknown()),
-        }
-        Ok(())
-    });
-    if let Err(e) = parsed {
-        return e.exit_code("exp check", &usage());
-    }
+crate::flags! { CheckOpts:
+    SCALE "--scale" "S" "smoke|quick: the lockstep horizon and default fuzz budget (default: smoke)",
+        |f, o| o.scale = f.named("check scale", "smoke|quick", |v| match v {
+            "smoke" => Some(CheckScale::Smoke),
+            "quick" => Some(CheckScale::Quick),
+            _ => None,
+        })?;
+    FUZZ_ITERS "--fuzz-iters" "N" "fuzz iterations (default: 64 smoke, 400 quick)",
+        |f, o| o.fuzz_iters = Some(f.uint()?);
+    SEED "--seed" "S" "campaign seed (default: 2006)", |f, o| o.seed = Some(f.uint()?);
+    JOBS "--jobs" "N" JOBS_HELP, |f, o| o.jobs = Some(f.positive()?);
+    OUT "--out" "DIR" "reproducer directory (default: results/check)",
+        |f, o| o.out_dir = Some(f.path("a directory")?);
+    INJECT "--inject-violation" "" "swap in the deliberately broken retiring-entry double, \
+        which the checker must catch (exit 1)", |_, o| o.inject = true;
+}
 
+/// The `exp check` declaration.
+#[must_use]
+pub fn command() -> Command {
+    Command::new(
+        "check",
+        "differential checking: lockstep golden-model runs over every registered scheme, \
+         then a coverage-guided workload fuzzing campaign; a violation exits 1",
+        &[SCALE, FUZZ_ITERS, SEED, JOBS, OUT, INJECT],
+        CheckOpts::default,
+        run,
+    )
+}
+
+/// Runs `exp check` on its parsed flags; returns the process exit code.
+fn run(o: CheckOpts) -> i32 {
+    let jobs = o.jobs.unwrap_or_else(default_jobs);
     let mut failed = false;
 
     // Leg 1: lockstep golden-model runs, every scheme × benchmark.
-    let lockstep = run_lockstep(&scale.benchmarks(), scale.lockstep_cycles(), jobs);
+    let lockstep = run_lockstep(&o.scale.benchmarks(), o.scale.lockstep_cycles(), jobs);
     for r in &lockstep {
         if r.failed() {
             failed = true;
@@ -130,11 +122,11 @@ pub fn run(args: &[String]) -> i32 {
 
     // Leg 2: the coverage-guided fuzzing campaign.
     let cfg = FuzzConfig {
-        iters: fuzz_iters.unwrap_or_else(|| scale.default_fuzz_iters()),
-        seed,
+        iters: o.fuzz_iters.unwrap_or_else(|| o.scale.default_fuzz_iters()),
+        seed: o.seed.unwrap_or(2_006),
         jobs,
-        out_dir: Some(out_dir),
-        inject_broken: inject,
+        out_dir: Some(o.out_dir.unwrap_or_else(|| "results/check".into())),
+        inject_broken: o.inject,
     };
     let report = run_fuzz(&cfg);
     println!(

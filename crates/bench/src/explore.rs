@@ -31,7 +31,7 @@ use aep_workloads::{Benchmark, Workload};
 
 use crate::experiments::{Lab, Scale};
 use crate::faults::{self, FaultsOptions};
-use crate::flags::{default_jobs, FlagError, Flags};
+use crate::flags::{default_jobs, Command, FlagError, Flags, JOBS_HELP, NO_CACHE_HELP};
 use aep_sim::runcache::RunCache;
 
 /// Parses a cycle-count axis value: plain cycles, or with a `K`/`M`
@@ -263,16 +263,17 @@ impl Evaluator for LabEvaluator {
 pub fn write_reports(
     dir: &Path,
     prefix: &str,
-    scale_name: &str,
+    scale: Scale,
     spec: &ObjectiveSpec,
     evaluated: &[EvaluatedPoint],
     analysis: &Analysis,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
+    let scale_name = scale.name();
     let files = [
         (
             format!("{prefix}.dse"),
-            write_records(scale_name, spec, evaluated),
+            write_records(scale, spec, evaluated),
         ),
         (
             format!("{prefix}_frontier.json"),
@@ -307,141 +308,161 @@ fn count<T: std::str::FromStr + PartialOrd + From<u8>>(f: &mut Flags) -> Result<
     })
 }
 
-fn fail_usage(msg: &str) -> i32 {
-    FlagError::Usage(msg.to_owned()).exit_code("exp explore", &usage())
+/// What `exp explore` reads from its flags.
+struct ExploreOpts {
+    space: Space,
+    objectives: ObjectiveSpec,
+    scale: Scale,
+    budget: Option<usize>,
+    jobs: usize,
+    trials: u32,
+    model: StrikeModel,
+    use_cache: bool,
+    out_dir: PathBuf,
+    input: Option<PathBuf>,
 }
 
-/// The `exp explore` usage text.
-#[must_use]
-pub fn usage() -> String {
-    "exp explore — multi-objective design-space exploration\n\n\
-     usage: exp explore <grid|refine|frontier>\n\
-     \x20      [--axes SPEC] [--objectives LIST] [--scale paper|quick|smoke]\n\
-     \x20      [--budget N] [--jobs N] [--trials N] [--fault-model SLUG]\n\
-     \x20      [--no-cache] [--out DIR] [--in FILE]\n\n\
-     modes:\n\
-     \x20 grid      evaluate every point of the space at --scale\n\
-     \x20 refine    successive halving up the smoke->quick->paper ladder\n\
-     \x20           (ending at --scale), within --budget evaluations\n\
-     \x20 frontier  re-analyse a persisted .dse records file (--in)\n\n\
-     axes (semicolon-separated key=value,... groups; defaults in\n\
-     brackets):\n\
-     \x20 scheme    uniform | parity | uniform_clean | proposed |\n\
-     \x20           proposed_multi:<entries> | silent |\n\
-     \x20           reuse:<multiplier>, or the group `challengers`\n\
-     \x20           (incumbents + silent + reuse:2,4)  [uniform,parity,\n\
-     \x20           uniform_clean,proposed]\n\
-     \x20 interval  cleaning intervals, K/M suffixes  [64K,256K,1M,4M]\n\
-     \x20 bench     workload slugs (benchmark names, zipf:/storm:/\n\
-     \x20           flood:/phase:/trace: generators), or the groups\n\
-     \x20           all|fp|int|diversity              [gap]\n\
-     \x20 scrub     scrub periods in cycles, or none  [none]\n\
-     \x20 l2        geometries <KiB>K[x<ways>x<line>] [1024Kx4x64]\n\
-     \x20 interleave bit-interleaving degrees for the fault campaigns\n\
-     \x20           (must divide the line's words)    [1]\n\n\
-     objectives (comma list, first-class columns of every report):\n\
-     \x20 ipc (max), area, traffic, energy, fit, due, sdc (min)\n\
-     \x20 default: ipc,area,traffic,fit; due/sdc run fault campaigns,\n\
-     \x20 whose strike model --fault-model selects (single, burst:K,\n\
-     \x20 col:K, row:K, accum:scrub[:CYCLES]; default single)\n\n\
-     outputs under --out (default results/dse/): <mode>_<scale>.dse\n\
-     records plus frontier .json/.csv/.md and all-points .csv; the\n\
-     frontier JSON is byte-identical for every --jobs count.\n\n\
-     exit codes: 0 success, 1 I/O failure, 2 usage error"
-        .to_owned()
+crate::flags! { ExploreOpts:
+    AXES "--axes" "SPEC" "the design space: semicolon-separated key=value,... groups over the \
+        axes scheme (uniform | parity | uniform_clean | proposed | proposed_multi:<entries> | \
+        silent | reuse:<multiplier>, or the group challengers), interval (cleaning intervals, K/M \
+        suffixes), bench (workload slugs, or the groups all|fp|int|diversity), scrub (periods \
+        in cycles, or none), l2 (geometries <KiB>K[x<ways>x<line>]) and interleave (degrees \
+        that divide the line's words); an omitted axis takes its default \
+        (uniform,parity,uniform_clean,proposed; 64K,256K,1M,4M; gap; none; 1024Kx4x64; 1)",
+        |f, o| o.space = parse_axes(f.value("a spec")?).map_err(FlagError::Usage)?;
+    OBJECTIVES "--objectives" "LIST" "comma list of ipc (max), area, traffic, energy, fit, \
+        due, sdc (min); due and sdc run fault campaigns (default: ipc,area,traffic,fit)",
+        |f, o| o.objectives = ObjectiveSpec::parse(f.value("an objective list")?)
+            .map_err(FlagError::Usage)?;
+    SCALE "--scale" "S" "paper|quick|smoke: the scale evaluated, the top of refine's ladder, \
+        the scale of frontier's default records file (default: quick)",
+        |f, o| o.scale = f.scale()?;
+    BUDGET "--budget" "N" "evaluations allowed across the ladder (default: twice the space)",
+        |f, o| o.budget = Some(count(f)?);
+    JOBS "--jobs" "N" JOBS_HELP, |f, o| o.jobs = count(f)?;
+    TRIALS "--trials" "N" "campaign trials per point for due and sdc (default: 200)",
+        |f, o| o.trials = count(f)?;
+    MODEL "--fault-model" "M" "strike model of the due and sdc campaigns: \
+        single|burst:K|col:K|row:K|accum:scrub[:CYCLES] (default: single)",
+        |f, o| o.model = f.model()?;
+    NO_CACHE "--no-cache" "" NO_CACHE_HELP, |_, o| o.use_cache = false;
+    OUT "--out" "DIR" "report directory: <mode>_<scale>.dse records plus frontier \
+        .json/.csv/.md and all-points .csv; the frontier JSON is byte-identical for every \
+        --jobs (default: results/dse)", |f, o| o.out_dir = f.path("a directory")?;
+    IN "--in" "FILE" "the .dse records file to re-analyse (default: DIR/grid_<scale>.dse)",
+        |f, o| o.input = Some(f.path("a file")?);
 }
 
-/// Runs `exp explore` with the raw CLI args (everything after the
-/// `explore` command word); returns the process exit code.
-#[must_use]
-pub fn run(args: &[String]) -> i32 {
-    let Some(mode) = args.first().map(String::as_str) else {
-        return fail_usage("missing mode (grid|refine|frontier)");
-    };
-    if matches!(mode, "help" | "--help" | "-h") {
-        println!("{}", usage());
-        return 0;
-    }
-    if !matches!(mode, "grid" | "refine" | "frontier") {
-        return fail_usage(&format!("unknown mode '{mode}'"));
-    }
-
-    let mut axes: Option<String> = None;
-    let mut objectives = ObjectiveSpec::paper_tradeoff();
-    let mut scale = Scale::Quick;
-    let mut budget: Option<usize> = None;
-    let mut jobs = default_jobs();
-    let mut trials: u32 = 200;
-    let mut model = StrikeModel::Single;
-    let mut use_cache = true;
-    let mut out_dir = PathBuf::from("results/dse");
-    let mut input: Option<PathBuf> = None;
-    let parsed = Flags::each(&args[1..], |f, flag| {
-        match flag {
-            "--axes" => axes = Some(f.value("a spec")?.to_owned()),
-            "--objectives" => {
-                objectives = ObjectiveSpec::parse(f.value("an objective list")?)
-                    .map_err(FlagError::Usage)?;
-            }
-            "--scale" => scale = f.scale()?,
-            "--budget" => budget = Some(count(f)?),
-            "--jobs" => jobs = count(f)?,
-            "--trials" => trials = count(f)?,
-            "--fault-model" => model = f.model()?,
-            "--no-cache" => use_cache = false,
-            "--out" => out_dir = f.path("a directory")?,
-            "--in" => input = Some(f.path("a file")?),
-            _ => return Err(f.unknown()),
+impl ExploreOpts {
+    fn new() -> Self {
+        ExploreOpts {
+            space: registry::default_space(&[Benchmark::Gap.into()]),
+            objectives: ObjectiveSpec::paper_tradeoff(),
+            scale: Scale::Quick,
+            budget: None,
+            jobs: default_jobs(),
+            trials: 200,
+            model: StrikeModel::Single,
+            use_cache: true,
+            out_dir: PathBuf::from("results/dse"),
+            input: None,
         }
-        Ok(())
-    });
-    if let Err(e) = parsed {
-        return e.exit_code("exp explore", &usage());
     }
+}
 
-    if mode == "frontier" {
-        let path = input.unwrap_or_else(|| out_dir.join(format!("grid_{}.dse", scale.name())));
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("exp explore: cannot read {}: {e}", path.display());
-                return 1;
-            }
-        };
-        let Some((scale_name, spec, evaluated)) = parse_records(&text) else {
+/// The `exp explore` declarations, one per mode.
+#[must_use]
+pub fn commands() -> Vec<Command> {
+    vec![
+        Command::new(
+            "explore grid",
+            "multi-objective design-space exploration: evaluate every point of the space \
+             at --scale",
+            &[AXES, OBJECTIVES, SCALE, JOBS, TRIALS, MODEL, NO_CACHE, OUT],
+            ExploreOpts::new,
+            |o| search("grid", o),
+        ),
+        Command::new(
+            "explore refine",
+            "successive halving up the smoke -> quick -> paper ladder, ending at --scale, \
+             within --budget evaluations",
+            &[
+                AXES, OBJECTIVES, SCALE, BUDGET, JOBS, TRIALS, MODEL, NO_CACHE, OUT,
+            ],
+            ExploreOpts::new,
+            |o| search("refine", o),
+        ),
+        Command::new(
+            "explore frontier",
+            "re-analyse a persisted .dse records file",
+            &[IN, OUT, SCALE],
+            ExploreOpts::new,
+            frontier,
+        ),
+    ]
+}
+
+/// Analyses `evaluated`, prints its frontier and writes the reports
+/// `<dir>/<prefix>*`; returns the exit code.
+fn report(
+    dir: &Path,
+    prefix: &str,
+    scale: Scale,
+    spec: &ObjectiveSpec,
+    evaluated: &[EvaluatedPoint],
+) -> i32 {
+    let analysis = analyze(spec, evaluated);
+    print!(
+        "{}",
+        frontier_markdown(scale.name(), spec, evaluated, &analysis)
+    );
+    if let Err(e) = write_reports(dir, prefix, scale, spec, evaluated, &analysis) {
+        eprintln!("exp explore: cannot write reports: {e}");
+        return 1;
+    }
+    0
+}
+
+/// `exp explore frontier`.
+fn frontier(o: ExploreOpts) -> i32 {
+    let path = o
+        .input
+        .unwrap_or_else(|| o.out_dir.join(format!("grid_{}.dse", o.scale.name())));
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("exp explore: cannot read {}: {e}", path.display());
+            return 1;
+        }
+    };
+    match parse_records(&text) {
+        Ok((scale, spec, evaluated)) => {
+            let prefix = format!("reanalysis_{}", scale.name());
+            report(&o.out_dir, &prefix, scale, &spec, &evaluated)
+        }
+        Err(e) => {
             eprintln!(
-                "exp explore: {} is not a valid .dse records file",
+                "exp explore: {} is not a valid .dse records file: {e}",
                 path.display()
             );
-            return 1;
-        };
-        let analysis = analyze(&spec, &evaluated);
-        print!(
-            "{}",
-            frontier_markdown(&scale_name, &spec, &evaluated, &analysis)
-        );
-        let prefix = format!("reanalysis_{scale_name}");
-        if let Err(e) = write_reports(&out_dir, &prefix, &scale_name, &spec, &evaluated, &analysis)
-        {
-            eprintln!("exp explore: cannot write reports: {e}");
-            return 1;
+            1
         }
-        return 0;
     }
+}
 
-    let space = match parse_axes(axes.as_deref().unwrap_or("")) {
-        Ok(s) => s,
-        Err(e) => return fail_usage(&e),
-    };
+/// `exp explore grid` and `exp explore refine`.
+fn search(mode: &str, o: ExploreOpts) -> i32 {
+    let (space, objectives, scale) = (&o.space, &o.objectives, o.scale);
     eprintln!(
         "[explore] space: {} points, objectives {}",
         space.len(),
         objectives.to_string_spec()
     );
-    let mut evaluator = LabEvaluator::new(jobs, use_cache, trials).with_model(model);
+    let mut evaluator = LabEvaluator::new(o.jobs, o.use_cache, o.trials).with_model(o.model);
 
     let evaluated = if mode == "grid" {
-        explore_grid(&space, scale, &objectives, &mut evaluator)
+        explore_grid(space, scale, objectives, &mut evaluator)
     } else {
         let ladder: Vec<Scale> = Scale::LADDER
             .iter()
@@ -451,8 +472,8 @@ pub fn run(args: &[String]) -> i32 {
                 pos(*s) <= pos(scale)
             })
             .collect();
-        let budget = budget.unwrap_or(2 * space.len());
-        let outcome = refine(&space, &ladder, budget, &objectives, &mut evaluator);
+        let budget = o.budget.unwrap_or(2 * space.len());
+        let outcome = refine(space, &ladder, budget, objectives, &mut evaluator);
         for rung in &outcome.rungs {
             eprintln!(
                 "[explore] rung {}: {} evaluated, {} kept",
@@ -463,29 +484,12 @@ pub fn run(args: &[String]) -> i32 {
         }
         outcome.survivors
     };
-
-    let analysis = analyze(&objectives, &evaluated);
-    print!(
-        "{}",
-        frontier_markdown(scale.name(), &objectives, &evaluated, &analysis)
-    );
     eprintln!(
         "[explore] fresh simulations this invocation: {}",
         evaluator.evaluated_runs()
     );
     let prefix = format!("{mode}_{}", scale.name());
-    if let Err(e) = write_reports(
-        &out_dir,
-        &prefix,
-        scale.name(),
-        &objectives,
-        &evaluated,
-        &analysis,
-    ) {
-        eprintln!("exp explore: cannot write reports: {e}");
-        return 1;
-    }
-    0
+    report(&o.out_dir, &prefix, scale, objectives, &evaluated)
 }
 
 #[cfg(test)]

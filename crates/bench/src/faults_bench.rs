@@ -32,7 +32,8 @@ pub struct FaultsSample {
     pub wall_ms: f64,
     /// Raw campaign throughput.
     pub trials_per_sec: f64,
-    /// `trials_per_sec / baseline Mcycles-per-sec` — host-independent.
+    /// The median over the model's pairs of `trials_per_sec / baseline
+    /// Mcycles-per-sec` — host-independent.
     pub trials_per_mcycle: f64,
 }
 
@@ -47,7 +48,7 @@ pub struct FaultsBenchReport {
     pub trials: u32,
     /// Worker threads the campaigns fanned out across.
     pub jobs: usize,
-    /// Same-process serial simulator throughput the samples normalise by.
+    /// Median same-process serial simulator throughput over every pair.
     pub baseline_mcycles_per_sec: f64,
     /// Per-model samples, in ladder order.
     pub samples: Vec<FaultsSample>,
@@ -74,35 +75,26 @@ pub fn bench_models() -> Vec<StrikeModel> {
     ]
 }
 
-/// Runs the harness: one serial-baseline timing run, then one campaign
-/// per strike model on the proposed scheme, never consulting any cache.
+/// Baseline/campaign pairs timed per model; each model reads the median
+/// of its pairs' ratios.
+const PAIRS: usize = 5;
+
+/// Runs the harness: for each strike model, [`PAIRS`] pairs of a serial
+/// baseline run and a campaign on the proposed scheme, interleaved, never
+/// consulting any cache.
 #[must_use]
 pub fn run_faults_bench(scale: Scale, trials: u32, jobs: usize) -> FaultsBenchReport {
     let opts = FaultsOptions {
         trials,
         ..FaultsOptions::default()
     };
-
-    // Best-of-5 serial baseline: at smoke scale a single run is ~10 ms,
-    // so one scheduling hiccup would skew every normalised sample. The
-    // fastest repetition is the least-interfered measurement.
     let base_cfg = scale.config(opts.benchmark.clone(), proposed());
     let base_cycles = base_cfg.warmup_cycles + base_cfg.measure_cycles;
     eprintln!(
-        "[faults-bench] serial baseline: {:.1} Mcycles, best of 5...",
+        "[faults-bench] serial baseline: {:.1} Mcycles before each campaign",
         base_cycles as f64 / 1e6
     );
-    let mut base_wall = f64::INFINITY;
-    let mut ipc = 0.0;
-    for _ in 0..5 {
-        let started = Instant::now();
-        let stats = Runner::new(base_cfg.clone()).run();
-        base_wall = base_wall.min(started.elapsed().as_secs_f64());
-        ipc = stats.ipc;
-    }
-    let baseline = base_cycles as f64 / 1e6 / base_wall;
-    eprintln!("[faults-bench]   ipc {ipc:.3}, {baseline:.1} Mcycles/s");
-
+    let mut baselines = Vec::new();
     let samples: Vec<FaultsSample> = bench_models()
         .into_iter()
         .map(|model| {
@@ -115,34 +107,48 @@ pub fn run_faults_bench(scale: Scale, trials: u32, jobs: usize) -> FaultsBenchRe
                 proposed(),
             );
             eprintln!(
-                "[faults-bench] model {} ({} trials, {} jobs)...",
+                "[faults-bench] model {} ({} trials, {} jobs, {PAIRS} pairs)...",
                 model.slug(),
                 cfg.trials,
                 jobs
             );
-            let report = run_campaign_report(&cfg, jobs);
-            let tps = report.trials_per_sec();
+            // Each ratio divides a campaign by the baseline run just before
+            // it, so host speed has little time to change within a pair; the
+            // median drops the pairs a scheduling hiccup disturbed.
+            let mut pairs: Vec<(f64, f64, f64)> = (0..PAIRS)
+                .map(|_| {
+                    let started = Instant::now();
+                    let _ = Runner::new(base_cfg.clone()).run();
+                    let baseline = base_cycles as f64 / 1e6 / started.elapsed().as_secs_f64();
+                    baselines.push(baseline);
+                    let report = run_campaign_report(&cfg, jobs);
+                    let tps = report.trials_per_sec();
+                    (tps / baseline, tps, report.wall_seconds)
+                })
+                .collect();
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (ratio, tps, wall_seconds) = pairs[PAIRS / 2];
             eprintln!(
-                "[faults-bench]   {:.0} trials/s ({:.0} ms)",
-                tps,
-                report.wall_seconds * 1e3
+                "[faults-bench]   median pair: {tps:.0} trials/s ({:.0} ms), {ratio:.0} trials/Mcycle",
+                wall_seconds * 1e3
             );
             FaultsSample {
                 model: model.slug(),
                 trials: cfg.trials,
-                wall_ms: report.wall_seconds * 1e3,
+                wall_ms: wall_seconds * 1e3,
                 trials_per_sec: tps,
-                trials_per_mcycle: tps / baseline,
+                trials_per_mcycle: ratio,
             }
         })
         .collect();
+    baselines.sort_by(f64::total_cmp);
 
     FaultsBenchReport {
         scale,
         benchmark: opts.benchmark.name(),
         trials,
         jobs,
-        baseline_mcycles_per_sec: baseline,
+        baseline_mcycles_per_sec: baselines[baselines.len() / 2],
         samples,
         git_commit: git_commit(),
         host: host(),

@@ -27,7 +27,7 @@ use aep_workloads::{
     encode, find_trace, write_trace_file, Benchmark, TraceRecord, Workload, TRACE_DIR,
 };
 
-use crate::flags::{default_jobs, FlagError, Flags};
+use crate::flags::{default_jobs, Command, JOBS_HELP};
 
 /// Base address for corpus trace footprints. Distinct from the
 /// adversarial generators' base so replayed lines never collide with
@@ -38,23 +38,48 @@ const CORPUS_BASE: u64 = 0x2000_0000;
 /// up to 4096 sets (matches the adversarial generators).
 const CORPUS_SET_STRIDE: u64 = 4096 * 64;
 
-fn usage() -> String {
-    "usage: exp workloads report [--check] [--out FILE] [--seed S] [--jobs N]\n\
-     \x20      exp workloads gen-corpus [--dir DIR]\n\n\
-     report      run calibrated + diversity workloads through the\n\
-     \x20           checker probe matrix; write the coverage matrix JSON\n\
-     \x20           (default: results/workloads/coverage_matrix.json)\n\
-     \x20 --check    gate mode: fail (exit 1) unless every new generator\n\
-     \x20            family reaches >=1 feature beyond the calibrated\n\
-     \x20            suite, no run trips the checker, and the committed\n\
-     \x20            trace corpus byte-matches its generator\n\
-     \x20 --out FILE coverage matrix destination ('-' for stdout only)\n\
-     \x20 --seed S   stream seed (default: 2006)\n\
-     \x20 --jobs N   worker threads; output is identical for any N\n\n\
-     gen-corpus  regenerate the committed traces under traces/\n\
-     \x20 --dir DIR  corpus directory (default: traces)\n\n\
-     exit codes: 0 clean, 1 gate failure, 2 usage error"
-        .to_owned()
+/// What `exp workloads report` reads from its flags.
+#[derive(Default)]
+struct Report {
+    check: bool,
+    out: Option<PathBuf>,
+    seed: Option<u64>,
+    jobs: Option<usize>,
+}
+
+/// The `exp workloads report` and `exp workloads gen-corpus` declarations.
+#[must_use]
+pub fn commands() -> Vec<Command> {
+    crate::flags! { Report:
+        CHECK "--check" "" "gate mode: fail (exit 1) unless every new generator family reaches \
+            a feature beyond the calibrated suite, no run trips the checker, and the committed \
+            trace corpus byte-matches its generator", |_, o| o.check = true;
+        OUT "--out" "FILE" "coverage matrix destination, '-' for stdout only \
+            (default: results/workloads/coverage_matrix.json)",
+            |f, o| o.out = Some(f.path("a file path (or '-')")?);
+        SEED "--seed" "S" "stream seed (default: 2006)", |f, o| o.seed = Some(f.uint()?);
+        JOBS "--jobs" "N" JOBS_HELP, |f, o| o.jobs = Some(f.positive()?);
+    }
+    crate::flags! { PathBuf:
+        DIR "--dir" "DIR" "corpus directory (default: traces)", |f, o| *o = f.path("a directory")?;
+    }
+    vec![
+        Command::new(
+            "workloads report",
+            "workload-diversity coverage: run the calibrated and diversity workloads through \
+             the checker probe matrix and write the coverage matrix JSON",
+            &[CHECK, OUT, SEED, JOBS],
+            Report::default,
+            run_report,
+        ),
+        Command::new(
+            "workloads gen-corpus",
+            "regenerate the committed trace corpus",
+            &[DIR],
+            || PathBuf::from(TRACE_DIR),
+            run_gen_corpus,
+        ),
+    ]
 }
 
 /// The committed trace corpus, derived from pure arithmetic so
@@ -213,26 +238,12 @@ fn corpus_drift_failures() -> Vec<String> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_report(args: &[String]) -> i32 {
-    let mut check = false;
-    let mut out: Option<PathBuf> = Some(PathBuf::from("results/workloads/coverage_matrix.json"));
-    let mut seed = 2_006u64;
-    let mut jobs = default_jobs();
-    let parsed = Flags::each(args, |f, flag| {
-        match flag {
-            "--check" => check = true,
-            "--out" => out = Some(f.path("a file path (or '-')")?).filter(|p| p.as_os_str() != "-"),
-            "--seed" => seed = f.uint()?,
-            "--jobs" => jobs = f.positive()?,
-            "help" | "--help" | "-h" => return Err(FlagError::Help),
-            _ => return Err(f.unknown()),
-        }
-        Ok(())
-    });
-    if let Err(e) = parsed {
-        return e.exit_code("exp workloads report", &usage());
-    }
-
+fn run_report(o: Report) -> i32 {
+    let check = o.check;
+    let out = o
+        .out
+        .unwrap_or_else(|| "results/workloads/coverage_matrix.json".into());
+    let seed = o.seed.unwrap_or(2_006);
     let mut failures = corpus_drift_failures();
 
     let mut workloads: Vec<Workload> = Benchmark::all().iter().map(|&b| b.into()).collect();
@@ -252,7 +263,7 @@ fn run_report(args: &[String]) -> i32 {
     }
     workloads.extend(diversity.iter().cloned());
 
-    let cells = run_matrix(&workloads, seed, jobs);
+    let cells = run_matrix(&workloads, seed, o.jobs.unwrap_or_else(default_jobs));
 
     let mut calibrated_union = Coverage::default();
     for cell in &cells {
@@ -370,20 +381,20 @@ fn run_report(args: &[String]) -> i32 {
     ));
     json.push_str("}\n");
 
-    if let Some(path) = &out {
-        if let Some(parent) = path.parent() {
+    if out.as_os_str() == "-" {
+        print!("{json}");
+    } else {
+        if let Some(parent) = out.parent() {
             if let Err(e) = std::fs::create_dir_all(parent) {
                 eprintln!("cannot create {}: {e}", parent.display());
                 return 1;
             }
         }
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("cannot write {}: {e}", path.display());
+        if let Err(e) = std::fs::write(&out, &json) {
+            eprintln!("cannot write {}: {e}", out.display());
             return 1;
         }
-        println!("[workloads] coverage matrix written to {}", path.display());
-    } else {
-        print!("{json}");
+        println!("[workloads] coverage matrix written to {}", out.display());
     }
 
     if check {
@@ -404,19 +415,7 @@ fn run_report(args: &[String]) -> i32 {
     }
 }
 
-fn run_gen_corpus(args: &[String]) -> i32 {
-    let mut dir = PathBuf::from(TRACE_DIR);
-    let parsed = Flags::each(args, |f, flag| {
-        match flag {
-            "--dir" => dir = f.path("a directory")?,
-            "help" | "--help" | "-h" => return Err(FlagError::Help),
-            _ => return Err(f.unknown()),
-        }
-        Ok(())
-    });
-    if let Err(e) = parsed {
-        return e.exit_code("exp workloads gen-corpus", &usage());
-    }
+fn run_gen_corpus(dir: PathBuf) -> i32 {
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("cannot create {}: {e}", dir.display());
         return 1;
@@ -436,28 +435,6 @@ fn run_gen_corpus(args: &[String]) -> i32 {
         }
     }
     0
-}
-
-/// Runs `exp workloads` with its own argument grammar; returns the
-/// process exit code.
-#[must_use]
-pub fn run(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("report") => run_report(&args[1..]),
-        Some("gen-corpus") => run_gen_corpus(&args[1..]),
-        Some("help" | "--help" | "-h") => {
-            println!("{}", usage());
-            0
-        }
-        None => {
-            eprintln!("{}", usage());
-            2
-        }
-        Some(other) => {
-            eprintln!("exp workloads: unknown subcommand '{other}'\n\n{}", usage());
-            2
-        }
-    }
 }
 
 #[cfg(test)]
@@ -488,9 +465,16 @@ mod tests {
 
     #[test]
     fn usage_exits_cleanly() {
+        let run = |args: &[&str]| {
+            let args: Vec<String> = std::iter::once(&"workloads")
+                .chain(args)
+                .map(|&a| a.to_owned())
+                .collect();
+            crate::flags::dispatch(&commands(), &args)
+        };
         assert_eq!(run(&[]), 2);
-        assert_eq!(run(&["help".into()]), 0);
-        assert_eq!(run(&["nosuch".into()]), 2);
-        assert_eq!(run(&["report".into(), "--jobs".into(), "zero".into()]), 2);
+        assert_eq!(run(&["help"]), 0);
+        assert_eq!(run(&["nosuch"]), 2);
+        assert_eq!(run(&["report", "--jobs", "zero"]), 2);
     }
 }

@@ -79,6 +79,56 @@ fn help_prints_usage_on_stdout_and_succeeds() {
     }
 }
 
+/// Every command `exp` declares, as `exp help` lists them.
+const COMMANDS: [&str; 17] = [
+    "all",
+    "faults",
+    "run",
+    "trace",
+    "gate",
+    "explore grid",
+    "explore refine",
+    "explore frontier",
+    "check",
+    "bench",
+    "faults-bench",
+    "lanes",
+    "serve",
+    "submit",
+    "hammer",
+    "workloads report",
+    "workloads gen-corpus",
+];
+
+/// `exp <command> help` prints that command's usage and exits 0, for
+/// every command `exp help` lists, and `exp help` lists exactly the
+/// declared tables and commands.
+#[test]
+fn every_command_prints_its_help() {
+    let out = exp(&["help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter(|l| !l.starts_with("   "))
+        .filter_map(|l| l.trim_start().split("  ").next())
+        .collect();
+    let declared: Vec<&str> = TABLES.iter().chain(&COMMANDS).copied().collect();
+    assert_eq!(listed, declared);
+    for command in declared {
+        let words: Vec<&str> = command.split(' ').chain(["help"]).collect();
+        let out = exp(&words);
+        assert_eq!(out.status.code(), Some(0), "exp {command} help");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("usage: exp {command} ")),
+            "exp {command} help:\n{stdout}"
+        );
+    }
+}
+
 /// The extension tables no other test or CI step runs: each must exit 0
 /// and print its title and a `MEAN` row.
 #[test]
@@ -235,6 +285,24 @@ fn malformed_flags_fail_with_a_diagnostic() {
             &["workloads", "gen-corpus", "--frobnicate"][..],
             "unknown argument",
         ),
+        // A flag another command takes is still unknown to this one.
+        (
+            &["fig1", "--trials", "5"][..],
+            "unknown argument '--trials'",
+        ),
+        (
+            &["table1", "--model", "burst:2"][..],
+            "unknown argument '--model'",
+        ),
+        (&["lanes", "--jobs", "2"][..], "unknown argument '--jobs'"),
+        (
+            &["bench", "--trials", "5"][..],
+            "unknown argument '--trials'",
+        ),
+        (
+            &["run", "--challengers"][..],
+            "unknown argument '--challengers'",
+        ),
     ] {
         let out = exp(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -370,9 +438,20 @@ fn explore_usage_errors_exit_2_with_a_diagnostic() {
         (&["explore", "walk"][..], "unknown mode 'walk'"),
         (&["explore", "grid", "--scale", "huge"][..], "unknown scale"),
         (&["explore", "grid", "--jobs", "0"][..], "--jobs needs"),
-        (&["explore", "grid", "--budget", "0"][..], "--budget needs"),
+        (
+            &["explore", "refine", "--budget", "0"][..],
+            "--budget needs",
+        ),
         (&["explore", "grid", "--trials", "0"][..], "--trials needs"),
-        (&["explore", "grid", "--in"][..], "--in requires"),
+        (&["explore", "frontier", "--in"][..], "--in requires"),
+        (
+            &["explore", "grid", "--budget", "5"][..],
+            "unknown argument '--budget'",
+        ),
+        (
+            &["explore", "frontier", "--in", "x.dse", "--jobs", "2"][..],
+            "unknown argument '--jobs'",
+        ),
         (
             &["explore", "grid", "--objectives", "ipc,bogus"][..],
             "unknown objective 'bogus'",
@@ -847,6 +926,60 @@ fn ci_command_lines(root: &std::path::Path) -> Vec<(String, String)> {
     commands
 }
 
+/// Every literal `--flag` of an `exp` invocation in the CI workflows,
+/// the scripts and `results/DIGESTS` is one `exp <command> help` lists
+/// for that command, so no scripted line passes a flag its command
+/// would reject.
+#[test]
+fn every_scripted_exp_line_uses_declared_flags() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let digests = std::fs::read_to_string(root.join("results/DIGESTS")).expect("manifest");
+    let mut lines = ci_command_lines(&root);
+    for line in digests.lines().filter(|l| !l.starts_with('#')) {
+        let args = line
+            .splitn(3, "  ")
+            .nth(2)
+            .expect("<sha>  <output>  <args>");
+        lines.push(("results/DIGESTS".into(), format!("exp {args}")));
+    }
+    let mut checked = 0;
+    for (source, line) in &lines {
+        if line.trim_start().starts_with('#') {
+            continue;
+        }
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        let Some(at) = tokens.iter().position(|t| {
+            let t = t.trim_matches('"');
+            t == "exp" || t == "$exp" || t.ends_with("/exp")
+        }) else {
+            continue;
+        };
+        let rest = &tokens[at + 1..];
+        let words: Vec<&str> = rest
+            .iter()
+            .take_while(|t| !t.starts_with("--"))
+            .copied()
+            .collect();
+        let literal = |w: &&str| w.chars().all(|c| c.is_ascii_alphanumeric() || c == '-');
+        if words.is_empty() || !words.iter().all(literal) {
+            continue;
+        }
+        let help = exp(&[&words[..], &["help"]].concat());
+        assert_eq!(help.status.code(), Some(0), "{source}: exp {words:?} help");
+        let help = String::from_utf8_lossy(&help.stdout);
+        for flag in rest.iter().filter(|t| t.starts_with("--") && literal(t)) {
+            assert!(
+                help.lines()
+                    .any(|l| l.split_whitespace().next() == Some(flag)),
+                "{source}: `exp {}` does not take {flag}:\n{line}",
+                words.join(" ")
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 40, "only {checked} scripted exp lines found");
+}
+
 #[test]
 fn every_ci_floor_file_is_committed_with_its_floor_key() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -913,4 +1046,45 @@ fn harness_reports_land_under_out() {
             "{args:?} must not write {file} into the working directory"
         );
     }
+}
+
+/// The campaign floor check still bites: against a copy of the committed
+/// `BENCH_faults.json` with its record ×10, `exp faults-bench` exits 1.
+#[test]
+fn an_inflated_campaign_floor_fails_the_check() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = std::fs::read_to_string(root.join("BENCH_faults.json")).expect("committed");
+    let key = "\"min_trials_per_mcycle\": ";
+    let inflated: String = committed
+        .lines()
+        .map(|line| match line.split_once(key) {
+            Some((head, record)) => {
+                let record: f64 = record.trim().parse().expect("a numeric record");
+                format!("{head}{key}{}\n", record * 10.0)
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(inflated.trim(), committed.trim(), "the record was inflated");
+    let work = TempWorkdir::new("inflated-floor");
+    std::fs::write(work.0.join("floor.json"), inflated).expect("temp floor written");
+    let out = exp_in(
+        &work.0,
+        &[
+            "faults-bench",
+            "--scale",
+            "smoke",
+            "--trials",
+            "200",
+            "--jobs",
+            "1",
+            "--out",
+            ".",
+            "--check-floor",
+            "floor.json",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("throughput regression"), "{stderr}");
 }

@@ -53,6 +53,6 @@ pub use pareto::{
 };
 pub use report::{
     analyze, frontier_csv, frontier_json, frontier_markdown, parse_records, points_csv,
-    write_records, Analysis,
+    write_records, Analysis, RecordError,
 };
 pub use space::{expand_schemes, ExplorePoint, Geometry, SchemeTemplate, Space, SpaceError};

@@ -14,6 +14,7 @@
 
 use aep_core::{parse_scheme_slug, scheme_slug};
 use aep_obs::json::escape;
+use aep_sim::Scale;
 use aep_workloads::Workload;
 
 use crate::driver::EvaluatedPoint;
@@ -290,12 +291,13 @@ fn hex_bits(v: f64) -> String {
 /// objectives as raw `f64` bits — the format [`parse_records`] reads
 /// back bit-for-bit.
 #[must_use]
-pub fn write_records(scale: &str, spec: &ObjectiveSpec, evaluated: &[EvaluatedPoint]) -> String {
+pub fn write_records(scale: Scale, spec: &ObjectiveSpec, evaluated: &[EvaluatedPoint]) -> String {
     use core::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "dse v2 scale={scale} objectives={}",
+        "dse v2 scale={} objectives={}",
+        scale.name(),
         spec.to_string_spec()
     );
     for e in evaluated {
@@ -316,40 +318,81 @@ pub fn write_records(scale: &str, spec: &ObjectiveSpec, evaluated: &[EvaluatedPo
     out
 }
 
-/// Parses [`write_records`] output. Returns `None` on any malformed
-/// header, point, or value — a truncated file never yields a partial
-/// batch.
-#[must_use]
-pub fn parse_records(text: &str) -> Option<(String, ObjectiveSpec, Vec<EvaluatedPoint>)> {
+/// Why a `.dse` records file did not parse: the line and the field at
+/// fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordError {
+    /// 1-based line number.
+    pub line: usize,
+    /// The field that is missing or malformed (`header`, `scale`,
+    /// `scheme`, …).
+    pub field: &'static str,
+}
+
+impl core::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "line {}: bad {}", self.line, self.field)
+    }
+}
+
+impl std::error::Error for RecordError {}
+
+/// Parses [`write_records`] output. Any malformed header, point or value
+/// is an error naming its line and field, so a truncated file never
+/// yields a partial batch.
+///
+/// # Errors
+///
+/// The first malformed line and field.
+pub fn parse_records(
+    text: &str,
+) -> Result<(Scale, ObjectiveSpec, Vec<EvaluatedPoint>), RecordError> {
+    let bad = |line, field| RecordError { line, field };
     let mut lines = text.lines();
-    let header = lines.next()?;
-    let rest = header.strip_prefix("dse v2 scale=")?;
-    let (scale, objectives) = rest.split_once(" objectives=")?;
-    let spec = ObjectiveSpec::parse(objectives).ok()?;
+    let header = lines.next().unwrap_or_default();
+    let rest = header
+        .strip_prefix("dse v2 scale=")
+        .ok_or(bad(1, "header"))?;
+    let (scale, objectives) = rest.split_once(" objectives=").ok_or(bad(1, "header"))?;
+    let scale = Scale::parse(scale).ok_or(bad(1, "scale"))?;
+    let spec = ObjectiveSpec::parse(objectives).map_err(|_| bad(1, "objectives"))?;
     let mut evaluated = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let body = line.strip_prefix("point=")?;
+    for (i, line) in lines.enumerate().filter(|(_, l)| !l.is_empty()) {
+        let line_no = i + 2;
+        let field = |name| move || bad(line_no, name);
+        let body = line.strip_prefix("point=").ok_or_else(field("point"))?;
         let mut fields = body.split('|');
-        let _id = fields.next()?;
-        let bench_name = fields.next()?;
-        let benchmark = Workload::parse(bench_name)?;
-        let scheme = parse_scheme_slug(fields.next()?)?;
-        let scrub_period = match fields.next()? {
+        let _id = fields.next().ok_or_else(field("id"))?;
+        let benchmark = fields
+            .next()
+            .and_then(Workload::parse)
+            .ok_or_else(field("benchmark"))?;
+        let scheme = fields
+            .next()
+            .and_then(parse_scheme_slug)
+            .ok_or_else(field("scheme"))?;
+        let scrub_period = match fields.next().ok_or_else(field("scrub"))? {
             "none" => None,
-            s => Some(s.parse().ok()?),
+            s => Some(s.parse().map_err(|_| field("scrub")())?),
         };
-        let geometry = Geometry::parse(fields.next()?)?;
-        let interleave: usize = fields.next()?.parse().ok()?;
+        let geometry = fields
+            .next()
+            .and_then(Geometry::parse)
+            .ok_or_else(field("geometry"))?;
+        let interleave: usize = fields
+            .next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(field("interleave"))?;
         let values = fields
-            .next()?
+            .next()
+            .ok_or_else(field("objectives"))?
             .split(',')
             .map(|h| u64::from_str_radix(h, 16).ok().map(f64::from_bits))
-            .collect::<Option<Vec<f64>>>()?;
-        if fields.next().is_some() || values.len() != spec.keys().len() {
-            return None;
+            .collect::<Option<Vec<f64>>>()
+            .filter(|v| v.len() == spec.keys().len())
+            .ok_or_else(field("objectives"))?;
+        if fields.next().is_some() {
+            return Err(field("trailing field")());
         }
         evaluated.push(EvaluatedPoint {
             point: ExplorePoint {
@@ -362,7 +405,7 @@ pub fn parse_records(text: &str) -> Option<(String, ObjectiveSpec, Vec<Evaluated
             objectives: ObjectiveVector { values },
         });
     }
-    Some((scale.to_owned(), spec, evaluated))
+    Ok((scale, spec, evaluated))
 }
 
 #[cfg(test)]
@@ -439,9 +482,9 @@ mod tests {
         // Exercise the lossless path with values Display would mangle.
         evaluated[0].objectives.values[0] = 0.1 + 0.2;
         evaluated[1].objectives.values[1] = f64::NAN;
-        let text = write_records("smoke", &spec, &evaluated);
+        let text = write_records(Scale::Smoke, &spec, &evaluated);
         let (scale, spec2, parsed) = parse_records(&text).expect("roundtrip");
-        assert_eq!(scale, "smoke");
+        assert_eq!(scale, Scale::Smoke);
         assert_eq!(spec2, spec);
         assert_eq!(parsed.len(), evaluated.len());
         for (a, b) in parsed.iter().zip(&evaluated) {
@@ -452,8 +495,22 @@ mod tests {
         }
         // Corruption never yields a partial parse, and pre-interleave v1
         // files are rejected outright rather than misread.
-        assert!(parse_records(&text.replace("point=", "pt=")).is_none());
-        assert!(parse_records("dse v2 nope").is_none());
-        assert!(parse_records(&text.replace("dse v2", "dse v1")).is_none());
+        let err = |text: &str| parse_records(text).expect_err("malformed").to_string();
+        assert_eq!(err(&text.replace("point=", "pt=")), "line 2: bad point");
+        assert_eq!(err("dse v2 nope"), "line 1: bad header");
+        assert_eq!(err(""), "line 1: bad header");
+        assert_eq!(err(&text.replace("dse v2", "dse v1")), "line 1: bad header");
+        // The scale names output files, so it must be one of the scales.
+        assert_eq!(
+            err(&text.replace("scale=smoke", "scale=../x")),
+            "line 1: bad scale"
+        );
+        assert_eq!(
+            err(&text.replace("|gzip|", "|nosuch|")),
+            "line 2: bad benchmark"
+        );
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        lines[2].push_str("|x");
+        assert_eq!(err(&lines.join("\n")), "line 3: bad trailing field");
     }
 }

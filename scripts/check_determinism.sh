@@ -3,11 +3,14 @@
 # manifest results/DIGESTS, one `<sha256>  <output>  <exp args...>` line
 # each; <output> is `-` for stdout or a file written under --out.
 #
-# Each distinct command runs at --jobs 1 and at --jobs N, and both must
-# match the committed digest, so a change that moves a result the same
-# way at every job count fails too. `exp lanes ... --serial` must share
-# its batched line's digest, and the copies kept under results/ must
-# match theirs. `exp all --scale smoke` through a fresh run cache, cold
+# Each distinct command that takes --jobs runs at --jobs 1 and at
+# --jobs N, and both must match the committed digest, so a change that
+# moves a result the same way at every job count fails too; a command
+# that does not take it runs once. Whether a command takes --jobs, and
+# --out for its files, is read from `exp <command words> help`, where the
+# command words are the leading arguments that do not start with --.
+# `exp lanes ... --serial` must share its batched line's digest, and the
+# copies kept under results/ must match theirs. `exp all --scale smoke` through a fresh run cache, cold
 # then warm (evaluating nothing), must match the --no-cache line; the
 # same comparison against a manifest with that digest flipped must fail.
 #
@@ -42,13 +45,24 @@ kept() {
   esac
 }
 
-# run DIR JOBS ARGS...: stdout to DIR/-, files under DIR (or ARGS' --out).
+# takes FLAG ARGS...: whether the command ARGS name declares FLAG.
+takes() {
+  local flag="$1" words=() help
+  shift
+  while (( $# )) && [[ "$1" != --* ]]; do words+=("$1"); shift; done
+  help="$("$exp" "${words[@]}" help)"
+  grep -qE -- "^  $flag( |\$)" <<< "$help"
+}
+
+# run DIR JOBS ARGS...: stdout to DIR/-, files under DIR (or ARGS' --out);
+# JOBS is - for a command that does not take --jobs.
 run() {
-  local dir="$1" j="$2" out=(--out "$1")
+  local dir="$1" j="$2" jobs=() out=()
   shift 2
   mkdir -p "$dir"
-  [[ " $* " == *" --out "* ]] && out=()
-  "$exp" "$@" --jobs "$j" "${out[@]}" > "$dir/-" 2> "$dir/stderr" < /dev/null \
+  [[ "$j" == - ]] || jobs=(--jobs "$j")
+  [[ " $* " == *" --out "* ]] || ! takes --out "$@" || out=(--out "$dir")
+  "$exp" "$@" "${jobs[@]}" "${out[@]}" > "$dir/-" 2> "$dir/stderr" < /dev/null \
     || { cat "$dir/stderr" >&2; return 1; }
 }
 
@@ -68,8 +82,10 @@ status=0
 declare -A dir sums
 for i in "${!commands[@]}"; do
   read -ra argv <<< "${commands[$i]}"
-  for j in "${passes[@]}"; do
-    echo "==> exp ${commands[$i]} --jobs $j"
+  js=("${passes[@]}")
+  takes --jobs "${argv[@]}" || js=(-)
+  for j in "${js[@]}"; do
+    echo "==> exp ${commands[$i]}$([[ "$j" == - ]] || echo " --jobs $j")"
     dir["${commands[$i]}"]="$tmp/$i.$j"
     run "$tmp/$i.$j" "$j" "${argv[@]}"
     (( regen )) || verify "$manifest" "$tmp/$i.$j" "${commands[$i]}" || status=1
