@@ -514,33 +514,10 @@ mod tests {
         }
     }
 
-    /// FNV-1a over every field of the first `n` ops of `b`'s generator at
-    /// `seed`, in a fixed little-endian encoding.
+    /// [`crate::op_stream_digest`] of the first `n` ops of `b`'s
+    /// generator at `seed`.
     fn stream_digest(b: Benchmark, seed: u64, n: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &byte in bytes {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        let reg = |r: Option<u8>| r.map_or(0xff, |r| r);
-        let mut g = b.generator(seed);
-        for _ in 0..n {
-            let op = g.next_op();
-            eat(&op.pc.to_le_bytes());
-            eat(&[
-                op.class as u8,
-                reg(op.src1),
-                reg(op.src2),
-                reg(op.dst),
-                u8::from(op.taken),
-                u8::from(op.addr.is_some()),
-            ]);
-            eat(&op.addr.map_or(0, |a| a.0).to_le_bytes());
-            eat(&op.target.to_le_bytes());
-        }
-        h
+        crate::op_stream_digest(&mut b.generator(seed), n)
     }
 
     /// The raw op stream of every calibrated generator is pinned: any
