@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use aep_core::{scheme_slug, SchemeKind};
 use aep_cpu::isa::LoopStream;
-use aep_cpu::{CoreConfig, MicroOp};
+use aep_cpu::{CoreConfig, MicroOp, NO_REG};
 use aep_mem::{Addr, HierarchyConfig};
 use aep_obs::json::escape;
 use aep_sim::System;
@@ -84,28 +84,28 @@ impl Segment {
                 for w in 0..writes as u64 {
                     let line = set as u64 + (w % lines) * sets;
                     let addr = Addr(line * line_bytes + (w % words) * 8);
-                    push(MicroOp::store(pc, addr, Some(1)));
+                    push(MicroOp::store(pc, addr, 1));
                     pc += 4;
                 }
             }
             Segment::WriteOnce { start, count } => {
                 for i in 0..count as u64 {
                     let addr = Addr((start + i) * line_bytes);
-                    push(MicroOp::store(pc, addr, Some(1)));
+                    push(MicroOp::store(pc, addr, 1));
                     pc += 4;
                 }
             }
             Segment::WriteHot { line, writes } => {
                 for w in 0..writes as u64 {
                     let addr = Addr(line * line_bytes + (w % words) * 8);
-                    push(MicroOp::store(pc, addr, Some(1)));
+                    push(MicroOp::store(pc, addr, 1));
                     pc += 4;
                 }
             }
             Segment::ReadSweep { start, count } => {
                 for i in 0..count as u64 {
                     let addr = Addr((start + i) * line_bytes);
-                    push(MicroOp::load(pc, addr, Some(2)));
+                    push(MicroOp::load(pc, addr, 2));
                     pc += 4;
                 }
             }
@@ -149,7 +149,7 @@ impl Genome {
             seg.emit(&mut ops, sets, line_bytes);
         }
         if ops.is_empty() {
-            ops.push(MicroOp::alu(4, None, None, Some(1)));
+            ops.push(MicroOp::alu(4, NO_REG, NO_REG, 1));
         }
         ops
     }

@@ -36,7 +36,7 @@ pub mod trace;
 pub use bpred::BranchPredictor;
 pub use config::CoreConfig;
 pub use fu::FuPool;
-pub use isa::{InstrStream, MicroOp, OpClass};
+pub use isa::{InstrStream, MicroOp, OpClass, NO_REG};
 pub use pipeline::{Pipeline, PipelineStats};
 pub use tlb::Tlb;
 pub use trace::{RecordingStream, ReplayStream, TraceReader, TraceWriter};

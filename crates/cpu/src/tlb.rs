@@ -119,7 +119,8 @@ impl Tlb {
         let vpn = addr.0 / PAGE_BYTES;
         self.tick += 1;
         if vpn == self.last_vpn {
-            self.entries[self.last_entry].lru = self.tick;
+            // The entry's LRU stamp is brought up to date when the page
+            // changes (see `translate_other_page`).
             self.stats.hits += 1;
             return 0;
         }
@@ -130,6 +131,11 @@ impl Tlb {
     /// (kept out of line so the same-page path inlines into callers).
     #[inline(never)]
     fn translate_other_page(&mut self, vpn: u64) -> u64 {
+        // Every call since the last page was first translated touched it,
+        // the latest at the previous tick: stamp its entry now.
+        if self.last_vpn != NO_PAGE {
+            self.entries[self.last_entry].lru = self.tick - 1;
+        }
         let set = (vpn as usize) & (self.sets - 1);
         let base = set * self.ways;
         for w in 0..self.ways {

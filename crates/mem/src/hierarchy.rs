@@ -145,7 +145,7 @@ impl MemoryHierarchy {
     /// Returns the absolute completion cycle.
     pub fn fetch(&mut self, addr: Addr, now: Cycle) -> Cycle {
         self.ops.fetches += 1;
-        let l1_line = addr.line(self.cfg.l1i.line_bytes);
+        let l1_line = self.l1i.line_of(addr);
         if self.l1i.lookup(l1_line, AccessKind::Fetch, now).is_hit() {
             return now + self.cfg.l1i.hit_latency;
         }
@@ -162,13 +162,13 @@ impl MemoryHierarchy {
     /// A data load from `addr`. Returns the absolute completion cycle.
     pub fn load(&mut self, addr: Addr, now: Cycle) -> Cycle {
         self.ops.loads += 1;
-        let l1_line = addr.line(self.cfg.l1d.line_bytes);
+        let l1_line = self.l1d.line_of(addr);
         if self.l1d.lookup(l1_line, AccessKind::Read, now).is_hit() {
             return now + self.cfg.l1d.hit_latency;
         }
         // Store-to-load forwarding from the write buffer: the line's newest
         // data is still buffered, so the load is served without touching L2.
-        let l2_line = addr.line(self.cfg.l2.line_bytes);
+        let l2_line = self.l2.line_of(addr);
         if self.wb.contains(l2_line) {
             return now + self.cfg.l1d.hit_latency + 1;
         }
@@ -184,12 +184,12 @@ impl MemoryHierarchy {
     /// the store stalls while the oldest entry retires to L2.
     pub fn store(&mut self, addr: Addr, now: Cycle) -> Cycle {
         self.ops.stores += 1;
-        let l1_line = addr.line(self.cfg.l1d.line_bytes);
+        let l1_line = self.l1d.line_of(addr);
         // Write-through: update the L1 copy if resident (LRU refresh);
         // no-write-allocate: a miss does not install.
         let _ = self.l1d.lookup(l1_line, AccessKind::Write, now);
 
-        let l2_line = addr.line(self.cfg.l2.line_bytes);
+        let l2_line = self.l2.line_of(addr);
         let word = (addr.offset(self.cfg.l2.line_bytes) / 8) as usize;
         self.store_seq += 1;
         let value = if self.silent_elision {
@@ -261,7 +261,7 @@ impl MemoryHierarchy {
         now: Cycle,
         store: Option<(u64, &[u64])>,
     ) -> Cycle {
-        let line = addr.line(self.cfg.l2.line_bytes);
+        let line = self.l2.line_of(addr);
         // Port arbitration: one new access per cycle, FIFO.
         let start = now.max(self.l2_port_free_at);
         self.l2_port_free_at = start + 1;

@@ -232,7 +232,11 @@ impl<S: InstrStream> System<S> {
     pub fn step(&mut self, now: Cycle) {
         self.cpu.step(&mut self.hier, now);
         self.hier.tick(now);
-        self.drain_events(now);
+        // Directives arise only while draining, so with no pending event
+        // the drain would find nothing to do.
+        if self.hier.has_pending_l2_events() {
+            self.drain_events(now);
+        }
         self.cleaning_tick(now);
         if let Some(scrubber) = &mut self.scrubber {
             let (l2, memory) = self.hier.l2_and_memory_mut();
@@ -361,6 +365,10 @@ impl<S: InstrStream> System<S> {
     /// every cycle in between.
     fn next_event_after(&self, now: Cycle) -> Cycle {
         let mut t = self.cpu.next_event_after(now);
+        // Every bound is at least `now + 1`, so a busy core decides alone.
+        if t == now + 1 {
+            return t;
+        }
         t = t.min(self.hier.next_event_after(now));
         t = t.min(self.cleaning.next_due_after(now));
         if let Some(scrubber) = &self.scrubber {
@@ -450,15 +458,15 @@ impl<S: InstrStream> System<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aep_cpu::isa::{LoopStream, MicroOp};
+    use aep_cpu::isa::{LoopStream, MicroOp, NO_REG};
     use aep_mem::Addr;
 
     fn store_heavy_stream() -> LoopStream {
         // Stores sweeping several L2 sets, plus filler.
         let mut ops = Vec::new();
         for i in 0..32u64 {
-            ops.push(MicroOp::store(i * 8, Addr::new(0x10_000 + i * 64), Some(1)));
-            ops.push(MicroOp::alu(i * 8 + 4, Some(1), None, Some(2)));
+            ops.push(MicroOp::store(i * 8, Addr::new(0x10_000 + i * 64), 1));
+            ops.push(MicroOp::alu(i * 8 + 4, 1, NO_REG, 2));
         }
         LoopStream::new(ops)
     }
@@ -474,17 +482,17 @@ mod tests {
         for group in 0..8u64 {
             let pc = group * 64;
             let line = |i: u64| Addr::new(0x40_000 + (group * 8 + i) * 4096);
-            ops.push(MicroOp::load(pc, line(0), Some(1)));
+            ops.push(MicroOp::load(pc, line(0), 1));
             for i in 1..4 {
-                ops.push(MicroOp::alu(pc + 60 - i * 4, Some(1), None, Some(3)));
+                ops.push(MicroOp::alu(pc + 60 - i * 4, 1, NO_REG, 3));
             }
             for i in 1..8 {
                 ops.push(if i % 3 == 0 {
-                    MicroOp::store(pc + i * 4, line(i), Some(1))
+                    MicroOp::store(pc + i * 4, line(i), 1)
                 } else {
                     MicroOp {
-                        src1: Some(1),
-                        ..MicroOp::load(pc + i * 4, line(i), Some(2))
+                        src1: 1,
+                        ..MicroOp::load(pc + i * 4, line(i), 2)
                     }
                 });
             }
@@ -682,12 +690,8 @@ mod extension_tests {
     fn stream() -> LoopStream {
         let mut ops = Vec::new();
         for i in 0..16u64 {
-            ops.push(MicroOp::store(i * 8, Addr::new(0x20_000 + i * 64), Some(1)));
-            ops.push(MicroOp::load(
-                i * 8 + 4,
-                Addr::new(0x40_000 + i * 64),
-                Some(2),
-            ));
+            ops.push(MicroOp::store(i * 8, Addr::new(0x20_000 + i * 64), 1));
+            ops.push(MicroOp::load(i * 8 + 4, Addr::new(0x40_000 + i * 64), 2));
         }
         LoopStream::new(ops)
     }
@@ -770,7 +774,7 @@ mod extension_tests {
 mod cleaning_policy_tests {
     use super::*;
     use aep_core::cleaning::CleaningPolicy;
-    use aep_cpu::isa::{LoopStream, MicroOp};
+    use aep_cpu::isa::{LoopStream, MicroOp, NO_REG};
     use aep_mem::Addr;
 
     /// A generational stream: a burst of stores dirties 24 lines, then a
@@ -779,10 +783,10 @@ mod cleaning_policy_tests {
     fn dirtying_stream() -> LoopStream {
         let mut ops = Vec::new();
         for i in 0..24u64 {
-            ops.push(MicroOp::store(i * 8, Addr::new(0x10_000 + i * 64), Some(1)));
+            ops.push(MicroOp::store(i * 8, Addr::new(0x10_000 + i * 64), 1));
         }
         for i in 0..3_000u64 {
-            ops.push(MicroOp::alu(0x200 + (i % 64) * 8, Some(1), None, Some(2)));
+            ops.push(MicroOp::alu(0x200 + (i % 64) * 8, 1, NO_REG, 2));
         }
         LoopStream::new(ops)
     }

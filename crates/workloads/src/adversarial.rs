@@ -146,11 +146,11 @@ impl InstrStream for AdversarialStream {
                 let line = i % lines;
                 let word = (i / lines) % 8;
                 let addr = Addr(ADV_BASE + line * SET_ALIAS_STRIDE + word * 8);
-                MicroOp::store(pc, addr, Some(self.next_dst()))
+                MicroOp::store(pc, addr, self.next_dst())
             }
             AdversarialSpec::WriteOnceFlood { lines } => {
                 let addr = Addr(ADV_BASE + (i % u64::from(lines)) * 64);
-                MicroOp::store(pc, addr, Some(self.next_dst()))
+                MicroOp::store(pc, addr, self.next_dst())
             }
             AdversarialSpec::PhaseShift { lines, period } => {
                 let lines = u64::from(lines);
@@ -160,9 +160,9 @@ impl InstrStream for AdversarialStream {
                 // Mostly stores (to leave dirty data behind), with loads
                 // mixed in so the phase also reads what it wrote.
                 if i % 4 == 3 {
-                    MicroOp::load(pc, addr, Some(self.next_dst()))
+                    MicroOp::load(pc, addr, self.next_dst())
                 } else {
-                    MicroOp::store(pc, addr, Some(self.next_dst()))
+                    MicroOp::store(pc, addr, self.next_dst())
                 }
             }
         };
@@ -198,7 +198,7 @@ mod tests {
         let mut s = AdversarialSpec::SetConflictStorm { lines: 12 }.stream(0);
         for _ in 0..1000 {
             let op = s.next_op();
-            let line = op.addr.unwrap().0 / 64;
+            let line = op.addr().unwrap().0 / 64;
             // Same set index on both the full (4096-set) and tiny
             // (16-set) hierarchies.
             assert_eq!(line % 4096, (ADV_BASE / 64) % 4096);
@@ -214,7 +214,7 @@ mod tests {
         for _ in 0..lines {
             let op = s.next_op();
             assert_eq!(op.class, OpClass::Store);
-            assert!(seen.insert(op.addr.unwrap().0), "revisit within a lap");
+            assert!(seen.insert(op.addr().unwrap().0), "revisit within a lap");
         }
     }
 
@@ -234,7 +234,7 @@ mod tests {
             let i = s.i;
             let op = s.next_op();
             let phase = ((i / 256) % 2) as usize;
-            groups[phase].insert(op.addr.unwrap().0 / 64);
+            groups[phase].insert(op.addr().unwrap().0 / 64);
         }
         assert!(!groups[0].is_empty() && !groups[1].is_empty());
         assert!(groups[0].is_disjoint(&groups[1]), "phases must not overlap");

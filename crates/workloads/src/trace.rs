@@ -22,7 +22,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use aep_cpu::isa::{InstrStream, MicroOp};
+use aep_cpu::isa::{InstrStream, MicroOp, NO_REG};
 use aep_mem::Addr;
 
 /// Magic + version prefix of the compact trace format.
@@ -387,16 +387,16 @@ impl InstrStream for TraceStream {
     fn next_op(&mut self) -> MicroOp {
         let pc = self.advance_pc();
         if self.records.is_empty() {
-            return MicroOp::alu(pc, None, None, Some(1));
+            return MicroOp::alu(pc, NO_REG, NO_REG, 1);
         }
         let rec = self.records[self.pos];
         self.pos = (self.pos + 1) % self.records.len();
         let addr = Addr(rec.addr);
         if rec.write {
-            let src = Some(self.next_dst());
+            let src = self.next_dst();
             MicroOp::store(pc, addr, src)
         } else {
-            let dst = Some(self.next_dst());
+            let dst = self.next_dst();
             MicroOp::load(pc, addr, dst)
         }
     }
@@ -514,7 +514,7 @@ mod tests {
                     OpClass::Load
                 };
                 assert_eq!(op.class, expect, "lap {lap}");
-                assert_eq!(op.addr, Some(Addr(rec.addr)));
+                assert_eq!(op.addr(), Some(Addr(rec.addr)));
             }
         }
     }

@@ -16,7 +16,7 @@
 //! is O(1) for any `num_keys` and the stream is bit-deterministic from
 //! its seed.
 
-use aep_cpu::isa::{InstrStream, MicroOp};
+use aep_cpu::isa::{InstrStream, MicroOp, NO_REG};
 use aep_mem::Addr;
 use aep_rng::SmallRng;
 
@@ -247,7 +247,7 @@ impl InstrStream for ZipfStream {
         let x: f64 = self.rng.gen();
         let op = if x < STORE_PROB {
             let addr = self.key_addr();
-            let src = Some(self.contexts[ctx_idx].last_dst);
+            let src = self.contexts[ctx_idx].last_dst;
             MicroOp::store(pc, addr, src)
         } else if x < STORE_PROB + LOAD_PROB {
             let addr = self.key_addr();
@@ -255,11 +255,11 @@ impl InstrStream for ZipfStream {
             // dependence chain inside one context.
             let dst = ctx_reg_base(ctx_idx) + (self.ops % 7) as u8;
             self.contexts[ctx_idx].last_dst = dst;
-            MicroOp::load(pc, addr, Some(dst))
+            MicroOp::load(pc, addr, dst)
         } else {
-            let src = Some(self.contexts[ctx_idx].last_dst);
+            let src = self.contexts[ctx_idx].last_dst;
             let dst = self.contexts[ctx_idx].last_dst;
-            MicroOp::alu(pc, src, None, Some(dst))
+            MicroOp::alu(pc, src, NO_REG, dst)
         };
         op.debug_validate();
         op
@@ -304,7 +304,7 @@ mod tests {
         let mut s = ZipfStream::new(spec(), 2);
         for _ in 0..10_000 {
             let op = s.next_op();
-            if let Some(a) = op.addr {
+            if let Some(a) = op.addr() {
                 assert!(a.0 >= ZIPF_BASE);
                 assert!(a.0 < ZIPF_BASE + spec().num_keys * 64);
             }
@@ -372,13 +372,11 @@ mod tests {
             max_concurrency: 8,
         };
         let mut s = ZipfStream::new(sp, 4);
-        let mut prev_dst: Option<u8> = None;
+        let mut prev_dst = NO_REG;
         for _ in 0..5_000 {
             let op = s.next_op();
-            if let (Some(prev), Some(src)) = (prev_dst, op.src1) {
-                if op.class == OpClass::Store {
-                    assert_ne!(src, prev, "adjacent cross-context chaining");
-                }
+            if prev_dst != NO_REG && op.src1 != NO_REG && op.class == OpClass::Store {
+                assert_ne!(op.src1, prev_dst, "adjacent cross-context chaining");
             }
             prev_dst = op.dst;
         }

@@ -334,7 +334,7 @@ fn nonuniform_invariant_under_random_traffic() {
 // ---------------- trace codec --------------------------------------------
 
 use aep::cpu::trace::{TraceReader, TraceWriter};
-use aep::cpu::{MicroOp, OpClass};
+use aep::cpu::{MicroOp, OpClass, NO_REG};
 use aep::mem::Addr;
 
 fn arb_op(rng: &mut SmallRng) -> MicroOp {
@@ -347,18 +347,30 @@ fn arb_op(rng: &mut SmallRng) -> MicroOp {
         5 => OpClass::Store,
         _ => OpClass::Branch,
     };
-    let maybe_reg =
-        |rng: &mut SmallRng| -> Option<u8> { rng.gen::<bool>().then(|| rng.gen_range(0..64u8)) };
+    let maybe_reg = |rng: &mut SmallRng| -> u8 {
+        if rng.gen::<bool>() {
+            rng.gen_range(0..64u8)
+        } else {
+            NO_REG
+        }
+    };
     let addr: u64 = rng.gen();
+    let (pc, src1, src2, dst) = (rng.gen(), maybe_reg(rng), maybe_reg(rng), maybe_reg(rng));
+    let (taken, target) = (rng.gen(), rng.gen());
+    // The one operand: an address for memory ops, a target for branches.
+    let operand = match class {
+        OpClass::Load | OpClass::Store => Addr::new(addr).0,
+        OpClass::Branch => target,
+        _ => 0,
+    };
     MicroOp {
-        pc: rng.gen(),
+        pc,
+        operand,
         class,
-        src1: maybe_reg(rng),
-        src2: maybe_reg(rng),
-        dst: maybe_reg(rng),
-        addr: class.is_mem().then_some(Addr::new(addr)),
-        taken: rng.gen(),
-        target: rng.gen(),
+        src1,
+        src2,
+        dst,
+        taken,
     }
 }
 
