@@ -16,7 +16,10 @@
 #                 three latent flips alias a valid syndrome and the
 #                 decoder "corrects" a fourth bit. il=4 → SDC 0.
 #
-# Finishes with the campaign-throughput floor check vs BENCH_faults.json.
+# Finishes with the campaign-throughput floor check vs BENCH_faults.json,
+# then its negative leg: the same check against a temp copy of the
+# floor file with its record ×10 must exit 1 with a throughput
+# regression.
 #
 # Usage: scripts/faults_models.sh [scale] [jobs]
 #          scale  paper|quick|smoke   (default: smoke)
@@ -95,3 +98,17 @@ echo "==> faults-models gate: all SDC orderings hold"
 echo "==> campaign-throughput floor check (BENCH_faults.json)"
 ./target/release/exp faults-bench --scale "$scale" --trials 20000 \
   --jobs "$jobs" --out "$tmp" --check-floor BENCH_faults.json
+
+echo "==> negative leg: the floor record x10 must FAIL the floor check"
+awk -F': ' '/"min_trials_per_mcycle"/ { printf "%s: %.4f\n", $1, $2 * 10; next } { print }' \
+  BENCH_faults.json > "$tmp/inflated.json"
+status=0
+./target/release/exp faults-bench --scale "$scale" --trials 2000 \
+  --jobs "$jobs" --out "$tmp/negative" --check-floor "$tmp/inflated.json" \
+  > "$tmp/negative.log" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "campaign throughput regression" "$tmp/negative.log"; then
+  echo "    FAILED: an inflated floor exited $status without a throughput regression" >&2
+  cat "$tmp/negative.log" >&2
+  exit 1
+fi
+echo "==> negative leg: the inflated floor failed the check, as it must"
