@@ -12,12 +12,14 @@
 //!
 //! * **schemes** — one serial end-to-end run per scheme in the ladder
 //!   (the historical harness, unchanged).
-//! * **lanes** — one lane-parallel batch ([`aep_sim::run_lanes`]) over
+//! * **lanes** — a lane-parallel batch ([`aep_sim::run_lanes`]) over
 //!   the shareable-trajectory lane set, reporting per-lane and
 //!   *aggregate* throughput plus the speedup over the serial uniform
 //!   baseline. Raw Mcycles/s is host-dependent, so cross-commit CI
 //!   comparison ([`EngineBenchReport::check_floor`]) uses the
-//!   `aggregate_speedup` ratio, which divides the host out.
+//!   `aggregate_speedup` ratio, which divides the host out. The ratio is
+//!   the median of five interleaved baseline/batch pairs
+//!   (`median_pair`), the rule `exp faults-bench` uses too.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -25,7 +27,7 @@ use std::time::Instant;
 use aep_core::SchemeKind;
 use aep_obs::json::{self, escape};
 use aep_obs::provenance::git_commit;
-use aep_sim::{run_lanes, LaneSpec, Runner, Table};
+use aep_sim::{run_lanes, ExperimentConfig, LaneSpec, Runner, Table};
 use aep_workloads::Benchmark;
 
 use crate::experiments::{proposed, Scale};
@@ -69,7 +71,8 @@ pub struct LaneBatch {
     pub lanes: Vec<LaneSample>,
     /// Summed simulated throughput across lanes.
     pub aggregate_mcycles_per_sec: f64,
-    /// The serial single-lane baseline (the `uniform` scheme sample).
+    /// The serial single-lane `uniform` baseline timed just before the
+    /// batch.
     pub baseline_mcycles_per_sec: f64,
     /// `aggregate / baseline` — the host-independent figure of merit.
     pub aggregate_speedup: f64,
@@ -125,9 +128,39 @@ pub fn bench_lanes() -> Vec<LaneSpec> {
     lanes
 }
 
+/// Baseline/measurement pairs a harness times per figure of merit; the
+/// figure reads the median pair's ratio.
+pub(crate) const PAIRS: usize = 5;
+
+/// Times [`PAIRS`] interleaved pairs, each a serial run of `baseline`
+/// followed at once by `measure`, which receives that run's Mcycles/s
+/// and returns its pair's ratio and sample. Each ratio divides a
+/// measurement by the baseline run just before it, so host speed has
+/// little time to change within a pair; the median drops the pairs a
+/// scheduling hiccup disturbed. Returns the median pair's sample and
+/// every baseline reading.
+pub(crate) fn median_pair<T>(
+    baseline: &ExperimentConfig,
+    mut measure: impl FnMut(f64) -> (f64, T),
+) -> (T, Vec<f64>) {
+    let cycles = baseline.warmup_cycles + baseline.measure_cycles;
+    let mut baselines = Vec::with_capacity(PAIRS);
+    let mut pairs: Vec<(f64, T)> = (0..PAIRS)
+        .map(|_| {
+            let started = Instant::now();
+            let _ = Runner::new(baseline.clone()).run();
+            let mcycles_per_sec = cycles as f64 / 1e6 / started.elapsed().as_secs_f64();
+            baselines.push(mcycles_per_sec);
+            measure(mcycles_per_sec)
+        })
+        .collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    (pairs.swap_remove(PAIRS / 2).1, baselines)
+}
+
 /// Runs the harness: one timed end-to-end run per scheme on `benchmark`
-/// at `scale` plus one lane-parallel batch, never consulting any cache
-/// (throughput is the point).
+/// at `scale` plus five serial-baseline/lane-batch pairs, never
+/// consulting any cache (throughput is the point).
 #[must_use]
 pub fn run_engine_bench(scale: Scale, benchmark: Benchmark) -> EngineBenchReport {
     let samples: Vec<EngineSample> = bench_schemes()
@@ -163,45 +196,41 @@ pub fn run_engine_bench(scale: Scale, benchmark: Benchmark) -> EngineBenchReport
         .collect();
 
     let lanes = bench_lanes();
-    let cfg = scale.config(benchmark, lanes[0].scheme);
+    let cfg = scale.config(benchmark, SchemeKind::Uniform);
     let cycles_per_lane = cfg.warmup_cycles + cfg.measure_cycles;
     eprintln!(
-        "[bench] {} / {}-lane batch ({} Mcycles per lane)...",
+        "[bench] {} / {}-lane batch ({} Mcycles per lane, {PAIRS} pairs)...",
         benchmark,
         lanes.len(),
         cycles_per_lane / 1_000_000
     );
-    let started = Instant::now();
-    let results = run_lanes(&cfg, &lanes);
-    let wall = started.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let per_lane = cycles_per_lane as f64 / 1e6 / wall.as_secs_f64();
-    let aggregate = per_lane * results.len() as f64;
+    let (lane_batch, _) = median_pair(&cfg, |baseline| {
+        let started = Instant::now();
+        let results = run_lanes(&cfg, &lanes);
+        let wall = started.elapsed();
+        let per_lane = cycles_per_lane as f64 / 1e6 / wall.as_secs_f64();
+        let aggregate = per_lane * results.len() as f64;
+        let batch = LaneBatch {
+            lane_count: results.len(),
+            cycles_per_lane,
+            wall_ms: wall.as_secs_f64() * 1e3,
+            lanes: results
+                .iter()
+                .map(|r| LaneSample {
+                    label: r.spec.label(),
+                    mcycles_per_sec: per_lane,
+                })
+                .collect(),
+            aggregate_mcycles_per_sec: aggregate,
+            baseline_mcycles_per_sec: baseline,
+            aggregate_speedup: aggregate / baseline,
+        };
+        (batch.aggregate_speedup, batch)
+    });
     eprintln!(
-        "[bench]   {:.1} Mcycles/s aggregate, {wall_ms:.0} ms",
-        aggregate
+        "[bench]   median pair: {:.1} Mcycles/s aggregate, {:.0} ms, {:.2}x",
+        lane_batch.aggregate_mcycles_per_sec, lane_batch.wall_ms, lane_batch.aggregate_speedup
     );
-
-    let baseline = samples
-        .iter()
-        .find(|s| s.slug == "uniform")
-        .map(|s| s.mcycles_per_sec)
-        .expect("scheme ladder always contains uniform");
-    let lane_batch = LaneBatch {
-        lane_count: results.len(),
-        cycles_per_lane,
-        wall_ms,
-        lanes: results
-            .iter()
-            .map(|r| LaneSample {
-                label: r.spec.label(),
-                mcycles_per_sec: per_lane,
-            })
-            .collect(),
-        aggregate_mcycles_per_sec: aggregate,
-        baseline_mcycles_per_sec: baseline,
-        aggregate_speedup: aggregate / baseline,
-    };
 
     EngineBenchReport {
         scale,

@@ -26,22 +26,21 @@ use std::sync::Arc;
 
 use aep_core::area::AreaModel;
 use aep_core::cleaning::CleaningPolicy;
+use aep_core::lineup::{self, CHOSEN_INTERVAL, CLEANING_INTERVALS};
 use aep_core::{CleaningLogic, EnergyModel, SchemeKind, SoftErrorModel};
 use aep_cpu::CoreConfig;
-use aep_dse::registry;
 use aep_mem::HierarchyConfig;
 use aep_serve::{Engine, EngineConfig, Source as RunSource, Submission};
 use aep_sim::report::{mean, stddev};
 use aep_sim::runcache::RunCache;
 use aep_sim::{ExperimentConfig, RunStats, System, Table};
-use aep_workloads::calibration::CHOSEN_INTERVAL;
 use aep_workloads::{Benchmark, Workload};
 
 // `Scale` lives in `aep-sim` now (the explorer and the figure pipeline
 // share it); re-exported here so existing call sites keep compiling.
 pub use aep_sim::Scale;
 
-pub use aep_dse::registry::proposed;
+pub use aep_core::lineup::proposed;
 
 /// One planned experiment: a (workload, scheme) pair to run at the
 /// lab's scale.
@@ -501,7 +500,7 @@ fn dirty_pct(s: &RunStats) -> f64 {
 
 /// The Figures 3–6 columns: every cleaning interval, then `org`.
 fn interval_columns() -> Vec<String> {
-    let mut columns: Vec<String> = registry::interval_axis()
+    let mut columns: Vec<String> = CLEANING_INTERVALS
         .into_iter()
         .map(aep_core::scheme::human_interval)
         .collect();
@@ -537,7 +536,7 @@ pub fn figures() -> Vec<Figure> {
             "Figure 3: % dirty lines per cycle vs cleaning interval (FP)",
             interval_columns(),
             1,
-            |s| per_benchmark(s, &Benchmark::fp(), &registry::interval_sweep_schemes()),
+            |s| per_benchmark(s, &Benchmark::fp(), &lineup::interval_sweep_schemes()),
             |_, r| r.iter().map(|s| dirty_pct(s)).collect(),
         ),
         planned(
@@ -545,7 +544,7 @@ pub fn figures() -> Vec<Figure> {
             "Figure 4: % dirty lines per cycle vs cleaning interval (INT)",
             interval_columns(),
             1,
-            |s| per_benchmark(s, &Benchmark::int(), &registry::interval_sweep_schemes()),
+            |s| per_benchmark(s, &Benchmark::int(), &lineup::interval_sweep_schemes()),
             |_, r| r.iter().map(|s| dirty_pct(s)).collect(),
         ),
         planned(
@@ -553,7 +552,7 @@ pub fn figures() -> Vec<Figure> {
             "Figure 5: write-backs as % of all loads/stores vs cleaning interval (FP)",
             interval_columns(),
             2,
-            |s| per_benchmark(s, &Benchmark::fp(), &registry::interval_sweep_schemes()),
+            |s| per_benchmark(s, &Benchmark::fp(), &lineup::interval_sweep_schemes()),
             |_, r| r.iter().map(|s| s.l2.wb_percent()).collect(),
         ),
         planned(
@@ -561,7 +560,7 @@ pub fn figures() -> Vec<Figure> {
             "Figure 6: write-backs as % of all loads/stores vs cleaning interval (INT)",
             interval_columns(),
             2,
-            |s| per_benchmark(s, &Benchmark::int(), &registry::interval_sweep_schemes()),
+            |s| per_benchmark(s, &Benchmark::int(), &lineup::interval_sweep_schemes()),
             |_, r| r.iter().map(|s| s.l2.wb_percent()).collect(),
         ),
         planned(
@@ -593,7 +592,7 @@ pub fn figures() -> Vec<Figure> {
             "§5.2 performance: IPC, org vs proposed",
             ["IPC org", "IPC proposed", "loss %"],
             3,
-            |s| per_benchmark(s, &Benchmark::all(), &registry::comparison_schemes()),
+            |s| per_benchmark(s, &Benchmark::all(), &lineup::comparison_schemes()),
             |_, r| {
                 let (base, ours) = (r[0], r[1]);
                 vec![base.ipc, ours.ipc, (base.ipc - ours.ipc) / base.ipc * 100.0]
@@ -625,11 +624,11 @@ pub fn figures() -> Vec<Figure> {
         planned(
             "ablation",
             "Ablation: dirty% and WB% across protection configurations",
-            registry::ablation_lineup()
+            lineup::ablation_lineup()
                 .into_iter()
                 .flat_map(|(n, _)| [format!("{n} dirty%"), format!("{n} WB%")]),
             2,
-            |s| per_benchmark(s, &Benchmark::all(), &registry::ablation_schemes()),
+            |s| per_benchmark(s, &Benchmark::all(), &lineup::ablation_schemes()),
             |_, r| {
                 r.iter()
                     .flat_map(|s| [dirty_pct(s), s.l2.wb_percent()])
@@ -648,7 +647,7 @@ pub fn figures() -> Vec<Figure> {
                 "proposed",
             ],
             0,
-            |s| per_benchmark(s, &Benchmark::all(), &registry::comparison_schemes()),
+            |s| per_benchmark(s, &Benchmark::all(), &lineup::comparison_schemes()),
             |_, r| {
                 let (org, ours) = (&r[0].l2, &r[1].l2);
                 let l2 = aep_mem::CacheConfig::date2006_l2();
@@ -671,7 +670,7 @@ pub fn figures() -> Vec<Figure> {
             "Protection energy (pJ per 1000 loads/stores): org vs proposed",
             ["org checks", "prop checks", "prop total", "check savings%"],
             1,
-            |s| per_benchmark(s, &Benchmark::all(), &registry::comparison_schemes()),
+            |s| per_benchmark(s, &Benchmark::all(), &lineup::comparison_schemes()),
             |_, r| {
                 let (org, ours) = (r[0], r[1]);
                 let model = EnergyModel::default_2006();
@@ -720,7 +719,7 @@ pub fn figures() -> Vec<Figure> {
                         .map(|kib| {
                             let mut hierarchy = HierarchyConfig::date2006();
                             hierarchy.l2.size_bytes = kib * 1024;
-                            let configs = registry::comparison_schemes().into_iter().map(|k| {
+                            let configs = lineup::comparison_schemes().into_iter().map(|k| {
                                 ExperimentConfig {
                                     hierarchy: hierarchy.clone(),
                                     ..s.config(Benchmark::Gap, k)

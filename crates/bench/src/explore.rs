@@ -27,7 +27,7 @@ use aep_dse::{
     ObjectiveVector, SchemeTemplate, Space,
 };
 use aep_faultsim::StrikeModel;
-use aep_workloads::{Benchmark, Workload};
+use aep_workloads::{diversity_workloads, Benchmark, Workload};
 
 use crate::experiments::{Lab, Scale};
 use crate::faults::{self, FaultsOptions};
@@ -54,7 +54,7 @@ fn parse_bench_list(values: &str) -> Result<Vec<Workload>, String> {
             "all" => out.extend(Benchmark::all().into_iter().map(Workload::from)),
             "fp" => out.extend(Benchmark::fp().into_iter().map(Workload::from)),
             "int" => out.extend(Benchmark::int().into_iter().map(Workload::from)),
-            "diversity" => out.extend(registry::diversity_workloads()),
+            "diversity" => out.extend(diversity_workloads()),
             name => {
                 out.push(Workload::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?)
             }

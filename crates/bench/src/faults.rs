@@ -20,6 +20,7 @@
 //! back before any consumer sees them (tolerance documented in
 //! EXPERIMENTS.md).
 
+use aep_core::lineup::{challengers_faults_schemes, faults_schemes};
 use aep_core::{SchemeKind, SoftErrorModel};
 use aep_ecc::CodeArea;
 use aep_faultsim::{
@@ -68,11 +69,6 @@ impl Default for FaultsOptions {
         }
     }
 }
-
-// The campaign scheme set (ablation line-up plus parity-only) is a
-// registry declaration now, shared with the explorer; `--challengers`
-// swaps in the extended set with the related-work line-up appended.
-pub use aep_dse::registry::{challengers_faults_schemes, faults_schemes};
 
 /// The campaign geometry for one scheme at a given scale.
 ///

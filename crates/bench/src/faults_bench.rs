@@ -11,13 +11,13 @@
 //! gates on `min_trials_per_mcycle` across the model set.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use aep_faultsim::{run_campaign_report, StrikeModel};
 use aep_obs::json::{self, escape};
 use aep_obs::provenance::{git_commit, host};
-use aep_sim::{Runner, Table};
+use aep_sim::Table;
 
+use crate::engine_bench::{median_pair, PAIRS};
 use crate::experiments::{proposed, Scale};
 use crate::faults::{campaign_config, FaultsOptions};
 
@@ -75,11 +75,7 @@ pub fn bench_models() -> Vec<StrikeModel> {
     ]
 }
 
-/// Baseline/campaign pairs timed per model; each model reads the median
-/// of its pairs' ratios.
-const PAIRS: usize = 5;
-
-/// Runs the harness: for each strike model, [`PAIRS`] pairs of a serial
+/// Runs the harness: for each strike model, five pairs of a serial
 /// baseline run and a campaign on the proposed scheme, interleaved, never
 /// consulting any cache.
 #[must_use]
@@ -89,10 +85,9 @@ pub fn run_faults_bench(scale: Scale, trials: u32, jobs: usize) -> FaultsBenchRe
         ..FaultsOptions::default()
     };
     let base_cfg = scale.config(opts.benchmark.clone(), proposed());
-    let base_cycles = base_cfg.warmup_cycles + base_cfg.measure_cycles;
     eprintln!(
         "[faults-bench] serial baseline: {:.1} Mcycles before each campaign",
-        base_cycles as f64 / 1e6
+        (base_cfg.warmup_cycles + base_cfg.measure_cycles) as f64 / 1e6
     );
     let mut baselines = Vec::new();
     let samples: Vec<FaultsSample> = bench_models()
@@ -112,33 +107,24 @@ pub fn run_faults_bench(scale: Scale, trials: u32, jobs: usize) -> FaultsBenchRe
                 cfg.trials,
                 jobs
             );
-            // Each ratio divides a campaign by the baseline run just before
-            // it, so host speed has little time to change within a pair; the
-            // median drops the pairs a scheduling hiccup disturbed.
-            let mut pairs: Vec<(f64, f64, f64)> = (0..PAIRS)
-                .map(|_| {
-                    let started = Instant::now();
-                    let _ = Runner::new(base_cfg.clone()).run();
-                    let baseline = base_cycles as f64 / 1e6 / started.elapsed().as_secs_f64();
-                    baselines.push(baseline);
-                    let report = run_campaign_report(&cfg, jobs);
-                    let tps = report.trials_per_sec();
-                    (tps / baseline, tps, report.wall_seconds)
-                })
-                .collect();
-            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let (ratio, tps, wall_seconds) = pairs[PAIRS / 2];
+            let (sample, model_baselines) = median_pair(&base_cfg, |baseline| {
+                let report = run_campaign_report(&cfg, jobs);
+                let tps = report.trials_per_sec();
+                let sample = FaultsSample {
+                    model: model.slug(),
+                    trials: cfg.trials,
+                    wall_ms: report.wall_seconds * 1e3,
+                    trials_per_sec: tps,
+                    trials_per_mcycle: tps / baseline,
+                };
+                (sample.trials_per_mcycle, sample)
+            });
+            baselines.extend(model_baselines);
             eprintln!(
-                "[faults-bench]   median pair: {tps:.0} trials/s ({:.0} ms), {ratio:.0} trials/Mcycle",
-                wall_seconds * 1e3
+                "[faults-bench]   median pair: {:.0} trials/s ({:.0} ms), {:.0} trials/Mcycle",
+                sample.trials_per_sec, sample.wall_ms, sample.trials_per_mcycle
             );
-            FaultsSample {
-                model: model.slug(),
-                trials: cfg.trials,
-                wall_ms: wall_seconds * 1e3,
-                trials_per_sec: tps,
-                trials_per_mcycle: ratio,
-            }
+            sample
         })
         .collect();
     baselines.sort_by(f64::total_cmp);

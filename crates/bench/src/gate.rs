@@ -15,6 +15,7 @@
 
 use std::path::{Path, PathBuf};
 
+use aep_core::lineup::faults_schemes;
 use aep_core::SchemeKind;
 use aep_faultsim::OutcomeTable;
 use aep_obs::{compare_snapshots, StatsSnapshot, RATE_TOLERANCE};
@@ -22,7 +23,6 @@ use aep_sim::{ObservedRun, Runner};
 use aep_workloads::Workload;
 
 use crate::experiments::Scale;
-use crate::faults::faults_schemes;
 use aep_sim::runcache::scheme_slug;
 
 /// Default ring capacity (events retained) for `exp trace`.

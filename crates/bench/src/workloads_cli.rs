@@ -24,7 +24,8 @@ use aep_check::{probe_matrix, run_stream, Coverage};
 use aep_faultsim::fan_out;
 use aep_obs::json::escape;
 use aep_workloads::{
-    encode, find_trace, write_trace_file, Benchmark, TraceRecord, Workload, TRACE_DIR,
+    diversity_workloads, encode, find_trace, write_trace_file, Benchmark, TraceRecord, Workload,
+    TRACE_DIR,
 };
 
 use crate::flags::{default_jobs, Command, JOBS_HELP};
@@ -247,7 +248,7 @@ fn run_report(o: Report) -> i32 {
     let mut failures = corpus_drift_failures();
 
     let mut workloads: Vec<Workload> = Benchmark::all().iter().map(|&b| b.into()).collect();
-    let diversity = aep_dse::registry::diversity_workloads();
+    let diversity = diversity_workloads();
     for w in &diversity {
         if let Err(e) = w.validate() {
             failures.push(format!("diversity workload '{}' invalid: {e}", w.name()));

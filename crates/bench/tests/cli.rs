@@ -176,7 +176,7 @@ fn faults_stats_json_publishes_every_scheme() {
     let stats = json.as_object().expect("object")["stats"]
         .as_object()
         .expect("stats");
-    for scheme in aep_bench::faults::faults_schemes() {
+    for scheme in aep_core::lineup::faults_schemes() {
         let key = format!(
             "faults.model.single.{}.masked",
             aep_sim::runcache::scheme_slug(scheme)

@@ -3,8 +3,8 @@
 //! and every scheme's snapshot carries the full subsystem schema.
 
 use aep_bench::experiments::{proposed, Scale};
-use aep_bench::faults::faults_schemes;
 use aep_bench::gate::snapshot;
+use aep_core::lineup::faults_schemes;
 use aep_workloads::Benchmark;
 
 #[test]

@@ -1,6 +1,7 @@
 //! The scheme-conformance suite: one shared battery that every
-//! registered [`SchemeKind`] must pass before it counts as a DSE
-//! citizen.
+//! registered [`SchemeKind`] (the schemes of
+//! [`challengers_faults_schemes`], declared beside the enum in
+//! `aep_core::lineup`) must pass before it counts as a DSE citizen.
 //!
 //! A protection scheme plugs into five independent harnesses — the
 //! event-driven simulator, the lane-parallel batch engine, the fork-based
@@ -32,9 +33,12 @@
 //! double whose clean verification writes state
 //! ([`crate::broken::MutatingVerifyScheme`]) must fail it
 //! ([`mutating_verify_is_caught`]).
+//!
+//! The full matrix ([`run_conformance_matrix`]) runs in this crate's
+//! `scheme_conformance` integration test, CI's `conformance` job.
 
+use aep_core::lineup::challengers_faults_schemes;
 use aep_core::{parse_scheme_slug, scheme_slug, SchemeKind};
-use aep_dse::registry::challengers_faults_schemes;
 use aep_faultsim::{fan_out, run_campaign, CampaignConfig, StrikeModel};
 use aep_sim::lanes::{
     partition_lanes, run_lane_serial, run_lane_serial_with, run_lanes_with, LaneSpec, SchemeBuilder,
@@ -349,9 +353,9 @@ mod tests {
 
     #[test]
     fn every_registered_scheme_conforms_on_the_storm_genome() {
-        // The full matrix runs in `exp check --conformance` and the
-        // core integration suite; here a single cheap stage pins the
-        // plumbing: every registered scheme fuzzes clean.
+        // The full matrix runs in this crate's `scheme_conformance`
+        // integration test; here a single cheap stage pins the plumbing:
+        // every registered scheme fuzzes clean.
         for scheme in challengers_faults_schemes() {
             let mut failures = Vec::new();
             let events = check_protocol(scheme, &mut failures);
@@ -374,16 +378,5 @@ mod tests {
             mutating_verify_is_caught() > 0,
             "the lane stage no longer catches a scheme whose clean verify writes state"
         );
-    }
-
-    #[test]
-    fn registry_covers_both_challengers() {
-        let schemes = challengers_faults_schemes();
-        assert!(schemes
-            .iter()
-            .any(|s| matches!(s, SchemeKind::SilentWriteEcc { .. })));
-        assert!(schemes
-            .iter()
-            .any(|s| matches!(s, SchemeKind::ReuseCopyback { .. })));
     }
 }

@@ -6,9 +6,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use aep_core::lineup::challengers_faults_schemes;
 use aep_core::SchemeKind;
 use aep_cpu::CoreConfig;
-use aep_dse::registry::challengers_faults_schemes;
 use aep_faultsim::fan_out;
 use aep_mem::HierarchyConfig;
 use aep_sim::System;

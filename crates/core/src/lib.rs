@@ -32,6 +32,10 @@
 //! correct/refetch) is its [`ProtectionScheme::verify_line`]; the
 //! `aep-faultsim` crate exercises it with live fault-injection campaigns.
 //!
+//! The named scheme sets the figures compare — the paper's cleaning
+//! intervals, `proposed@1M`, the ablation and challenger line-ups — are
+//! declared once in [`lineup`], beside the enum they enumerate.
+//!
 //! # Quick example
 //!
 //! ```
@@ -54,6 +58,7 @@
 pub mod area;
 pub mod cleaning;
 pub mod energy;
+pub mod lineup;
 pub mod nonuniform;
 pub mod parity_only;
 pub mod reliability;

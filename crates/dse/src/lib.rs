@@ -11,9 +11,9 @@
 //!   benchmark set, with cartesian-grid and explicit-list constructors,
 //!   validation against [`aep_sim::ExperimentConfig`] invariants, and
 //!   deterministic point ordering and IDs;
-//! * [`registry`] — the shared scheme/axis registry: the paper's figure
-//!   configurations expressed as named points of the space, consumed by
-//!   both the figure pipeline (`aep-bench`) and the explorer;
+//! * [`registry`] — the explorer's axes: scheme templates, the interval
+//!   axis, and the paper's figure configurations (the
+//!   `aep_core::lineup` sets) expressed as named points of the space;
 //! * [`objective`] — per-point objective vectors (IPC, protection-storage
 //!   area, write-back traffic, protection energy, analytical FIT, and
 //!   optionally empirical DUE/SDC rates) extracted from [`aep_sim::RunStats`]

@@ -10,14 +10,14 @@
 //! typed error or as a batch that survives a write/parse round trip
 //! unchanged — never a panic.
 
-use aep_dse::registry::{challenger_templates, diversity_workloads};
+use aep_dse::registry::challenger_templates;
 use aep_dse::{
     expand_schemes, parse_records, write_records, EvaluatedPoint, Geometry, ObjectiveSpec,
     ObjectiveVector, Space,
 };
 use aep_rng::SmallRng;
 use aep_sim::Scale;
-use aep_workloads::{Benchmark, Workload};
+use aep_workloads::{diversity_workloads, Benchmark, Workload};
 
 const MUTANTS: usize = 3_000;
 

@@ -797,7 +797,7 @@ fn run_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aep_workloads::calibration::CHOSEN_INTERVAL;
+    use aep_core::lineup::{challengers_faults_schemes, CHOSEN_INTERVAL};
     use aep_workloads::Benchmark;
 
     fn cfg(scheme: SchemeKind) -> CampaignConfig {
@@ -908,7 +908,7 @@ mod tests {
 
     #[test]
     fn shared_driver_matches_the_per_chunk_oracle() {
-        for scheme in aep_dse::registry::challengers_faults_schemes() {
+        for scheme in challengers_faults_schemes() {
             let silent = matches!(scheme, SchemeKind::SilentWriteEcc { .. });
             assert_eq!(
                 shares_trajectory(&warmed_prototype(&smoke(scheme))),
@@ -942,7 +942,7 @@ mod tests {
         // Strikes steer a machine that elides silent stores (a struck word
         // changes which stores match), so the shared driver is not exact
         // for it — and the equivalence check must be able to see that.
-        let silent = aep_dse::registry::challengers_faults_schemes()
+        let silent = challengers_faults_schemes()
             .into_iter()
             .find(|k| matches!(k, SchemeKind::SilentWriteEcc { .. }))
             .expect("the challenger line-up holds the silent-store scheme");

@@ -601,8 +601,10 @@ impl Cache {
     ///
     /// Panics if `data` presence disagrees with the `store_data`
     /// configuration. A double install (line already resident) panics in
-    /// debug builds only; release builds rely on the differential checker
-    /// (`aep-check`), whose golden model reports it as a violation.
+    /// release builds too: the victim scan asserts on every valid way it
+    /// passes before the first invalid one. A resident copy behind an
+    /// invalid way is left to the differential checker (`aep-check`),
+    /// whose golden model reports it as a violation.
     pub fn install(
         &mut self,
         line: LineAddr,

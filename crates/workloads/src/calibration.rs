@@ -65,12 +65,6 @@ pub fn fig1_dirty_percent(b: Benchmark) -> f64 {
     }
 }
 
-/// The cleaning intervals the paper sweeps (processor cycles).
-pub const CLEANING_INTERVALS: [u64; 4] = [64 * 1024, 256 * 1024, 1024 * 1024, 4 * 1024 * 1024];
-
-/// The interval the paper selects for its final configuration (§5.2).
-pub const CHOSEN_INTERVAL: u64 = 1024 * 1024;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +93,5 @@ mod tests {
         for b in top4 {
             assert!(b.is_resident_dirty(), "{b} should be one of the top four");
         }
-    }
-
-    #[test]
-    fn intervals_quadruple() {
-        for w in CLEANING_INTERVALS.windows(2) {
-            assert_eq!(w[1], w[0] * 4);
-        }
-        assert!(CLEANING_INTERVALS.contains(&CHOSEN_INTERVAL));
     }
 }

@@ -49,7 +49,7 @@ pub use trace::{
     decode, encode, find_trace, read_trace_file, write_trace_file, TraceError, TraceRecord,
     TraceStream, TraceWorkload, TRACE_DIR, TRACE_MAGIC,
 };
-pub use workload::{Workload, WorkloadStream};
+pub use workload::{diversity_workloads, Workload, WorkloadStream};
 pub use zipf::{ZipfSpec, ZipfStream};
 
 /// FNV-1a over every field of the first `n` ops of `stream`, in a fixed

@@ -128,6 +128,33 @@ impl Workload {
     }
 }
 
+/// The canonical diversity-workload set: one representative per new
+/// generator family (Zipf skew, adversarial, trace replay), at knobs
+/// chosen to stress mechanisms the 14 calibrated benchmarks never reach.
+/// `exp workloads report` proves the reach claim; the slugs here are the
+/// spellings `--bench` accepts everywhere.
+#[must_use]
+pub fn diversity_workloads() -> Vec<Workload> {
+    [
+        // Zipf head so hot one line absorbs hundreds of rewrites.
+        "zipf:k1024:e1200:c4",
+        // Flat-ish Zipf over a larger key space with wide concurrency.
+        "zipf:k4096:e800:c16",
+        // More conflicting lines than ways: sustained ECC-entry churn.
+        "storm:12",
+        // Write-once streaming flood, no reuse.
+        "flood:4096",
+        // Working set flips between two phases; dirty data goes stale.
+        "phase:96:3072",
+        // Committed trace corpus recordings of the same two stressors.
+        "trace:storm_burst",
+        "trace:mixed_phases",
+    ]
+    .iter()
+    .map(|slug| Workload::parse(slug).expect("diversity slugs parse"))
+    .collect()
+}
+
 /// The unified instruction stream: one enum so `System<WorkloadStream>`
 /// stays a concrete type (forkable, lane-batchable).
 #[derive(Debug, Clone)]

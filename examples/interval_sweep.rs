@@ -6,10 +6,10 @@
 //! cargo run --release --example interval_sweep [benchmark]
 //! ```
 
+use aep::core::lineup::CLEANING_INTERVALS;
 use aep::core::scheme::human_interval;
 use aep::core::SchemeKind;
 use aep::sim::{ExperimentConfig, Runner};
-use aep::workloads::calibration::CLEANING_INTERVALS;
 use aep::workloads::Benchmark;
 
 fn main() {

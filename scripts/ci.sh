@@ -38,19 +38,11 @@ step "cargo clippy --workspace -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
 step "criterion benches compile" \
   cargo build -p aep-bench --features criterion-benches --benches
-# perfbench/ is its own workspace, and its committed Cargo.lock predates
-# aep-check depending on aep-dse, so the build adds that one line; the
-# lock may only change together with the benchmark, so the step puts the
-# file back byte for byte.
-perfbench_builds() {
-  local lock
-  lock="$(mktemp)"
-  cp perfbench/Cargo.lock "$lock"
-  cargo build --release --offline --manifest-path perfbench/Cargo.toml
-  cp "$lock" perfbench/Cargo.lock
-  rm -f "$lock"
-}
-step "perfbench builds" perfbench_builds
+# perfbench/ is its own workspace with a committed Cargo.lock that may
+# only change together with the benchmark: --locked fails the step when
+# a new dependency edge would rewrite it.
+step "perfbench builds" \
+  cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 step "cargo test -q --workspace" cargo test -q --workspace
 step "cargo test --release (mem, cpu, sim, workloads)" \
   cargo test --release -q -p aep-mem -p aep-cpu -p aep-sim -p aep-workloads
