@@ -24,7 +24,7 @@ use aep_core::lineup::{challengers_faults_schemes, faults_schemes};
 use aep_core::{SchemeKind, SoftErrorModel};
 use aep_ecc::CodeArea;
 use aep_faultsim::{
-    run_campaign_report, CampaignConfig, CampaignReport, OutcomeTable, StrikeModel,
+    fan_out, run_campaign_report, CampaignConfig, CampaignReport, OutcomeTable, StrikeModel,
 };
 use aep_workloads::{Benchmark, Workload};
 
@@ -358,11 +358,21 @@ pub fn faults_figure(
         .map(|&k| (opts.benchmark.clone(), k))
         .collect();
     lab.prefetch(&measured);
-    let rows = schemes
-        .into_iter()
-        .map(|scheme| {
-            let cfg = campaign_config(scale, opts, scheme);
-            let report = campaign_for(scale, &cfg, jobs, disk, verbose);
+    // One campaign per worker, each on a machine of its own: split into
+    // groups, one campaign would re-simulate its whole trajectory per
+    // group, so `--jobs` spreads the line-up's campaigns instead.
+    let configs: Vec<CampaignConfig> = schemes
+        .iter()
+        .map(|&scheme| campaign_config(scale, opts, scheme))
+        .collect();
+    let reports = fan_out(configs.len(), jobs, |i| {
+        campaign_for(scale, &configs[i], 1, disk, verbose)
+    });
+    let rows = configs
+        .iter()
+        .zip(reports)
+        .map(|(cfg, report)| {
+            let scheme = cfg.scheme;
             if let Some(reg) = stats.as_deref_mut() {
                 // Key segments may not contain the `.` separator.
                 let (model, slug) = (opts.model.slug(), scheme_slug(scheme));

@@ -25,6 +25,11 @@
 //!    fork-per-chunk design rests on.
 //! 5. **Campaign determinism** — single-bit, `burst:2`, and `col:4`
 //!    strike campaigns are byte-identical across worker counts.
+//! 6. **Scratch copy** — a scheme refreshed in place by
+//!    `clone_into_box` over a copy that saw other events verifies every
+//!    struck line and registers its stats exactly like a fresh
+//!    `clone_box`, the contract the fault campaign's reused scratch
+//!    scheme rests on.
 //!
 //! The suite must also *fail* on the deliberately broken scheme double
 //! ([`crate::broken::BrokenRetiringScheme`]); [`broken_scheme_is_caught`]
@@ -38,7 +43,7 @@
 //! `scheme_conformance` integration test, CI's `conformance` job.
 
 use aep_core::lineup::challengers_faults_schemes;
-use aep_core::{parse_scheme_slug, scheme_slug, SchemeKind};
+use aep_core::{parse_scheme_slug, scheme_slug, RecoveryOutcome, SchemeKind};
 use aep_faultsim::{fan_out, run_campaign, CampaignConfig, StrikeModel};
 use aep_sim::lanes::{
     partition_lanes, run_lane_serial, run_lane_serial_with, run_lanes_with, LaneSpec, SchemeBuilder,
@@ -291,6 +296,100 @@ fn check_campaigns(scheme: SchemeKind, failures: &mut Vec<String>) {
     }
 }
 
+/// Stage 6: refreshes a scratch copy that diverged on another machine
+/// (another workload, on a larger L2) from the scheme under test, twice
+/// with simulated cycles in between, and checks it against a fresh
+/// clone each time.
+fn check_scratch_copy(scheme: SchemeKind, failures: &mut Vec<String>) {
+    use aep_cpu::CoreConfig;
+    use aep_mem::HierarchyConfig;
+    use aep_sim::System;
+
+    let machine = |hier, bench: Benchmark, seed| {
+        System::new(CoreConfig::date2006(), hier, scheme, bench.generator(seed))
+    };
+    let mut other = machine(HierarchyConfig::date2006(), Benchmark::Mcf, 7);
+    other.run(0, 30_000);
+    let mut scratch = other.scheme.clone_box();
+    let mut sys = machine(HierarchyConfig::tiny(), Benchmark::Gzip, 2006);
+    let mut now = 0;
+    for round in 0..2 {
+        now = sys.run(now, 20_000);
+        sys.scheme.clone_into_box(&mut scratch);
+        let mut fresh = sys.fork();
+        let mut reused = sys.fork();
+        std::mem::swap(&mut reused.scheme, &mut scratch);
+        if let Some(diff) = verification_divergence(&mut fresh, &mut reused) {
+            failures.push(format!(
+                "round {round}: the in-place scheme copy {diff} unlike clone_box"
+            ));
+        }
+        std::mem::swap(&mut reused.scheme, &mut scratch);
+    }
+}
+
+/// Strikes one bit of every valid line of two equal machines and runs
+/// both schemes' write-back and access checks on it, then compares the
+/// schemes' stats. Names the first difference.
+fn verification_divergence<S: aep_cpu::InstrStream>(
+    a: &mut aep_sim::System<S>,
+    b: &mut aep_sim::System<S>,
+) -> Option<String> {
+    use aep_obs::Registry;
+
+    let stats = |sys: &aep_sim::System<S>| {
+        let mut reg = Registry::new();
+        sys.scheme.register_stats(&mut reg);
+        reg.into_entries()
+    };
+    if stats(a) != stats(b) {
+        return Some("registers different stats".to_owned());
+    }
+    let (sets, ways) = (a.hier.l2().sets(), a.hier.l2().ways());
+    for set in 0..sets {
+        for way in 0..ways {
+            if !a.hier.l2().line_view(set, way).valid {
+                continue;
+            }
+            let frame = set * ways + way;
+            let [va, vb] = [&mut *a, &mut *b].map(|sys| strike_and_verify(sys, frame, set, way));
+            if va != vb {
+                return Some(format!(
+                    "verifies line ({set}, {way}) as {vb:?}, not {va:?}"
+                ));
+            }
+        }
+    }
+    (stats(a) != stats(b)).then(|| "registers different stats after verifying".to_owned())
+}
+
+/// Flips one bit of line (`set`, `way`), then runs the scheme's
+/// write-back check on a copy of the line and its access check on the
+/// line itself: both outcomes and both repaired images.
+fn strike_and_verify<S: aep_cpu::InstrStream>(
+    sys: &mut aep_sim::System<S>,
+    frame: usize,
+    set: usize,
+    way: usize,
+) -> (RecoveryOutcome, Vec<u64>, RecoveryOutcome, Vec<u64>) {
+    let line = |sys: &aep_sim::System<S>| {
+        sys.hier
+            .l2()
+            .line_data(set, way)
+            .expect("the campaign L2 stores data")
+            .to_vec()
+    };
+    let words = line(sys).len();
+    sys.hier
+        .l2_mut()
+        .strike(set, way, frame % words, (frame % 64) as u8);
+    let mut image = line(sys);
+    let writeback = sys.scheme.verify_writeback(set, way, &mut image);
+    let (l2, memory) = sys.hier.l2_and_memory_mut();
+    let access = sys.scheme.verify_line(l2, set, way, memory);
+    (writeback, image, access, line(sys))
+}
+
 /// Runs the full battery for one scheme.
 #[must_use]
 pub fn run_conformance(scheme: SchemeKind) -> ConformanceReport {
@@ -300,6 +399,7 @@ pub fn run_conformance(scheme: SchemeKind) -> ConformanceReport {
     check_lanes(scheme, &mut failures);
     check_fork(scheme, &mut failures);
     check_campaigns(scheme, &mut failures);
+    check_scratch_copy(scheme, &mut failures);
     ConformanceReport {
         scheme,
         failures,
@@ -361,6 +461,15 @@ mod tests {
             let events = check_protocol(scheme, &mut failures);
             assert!(failures.is_empty(), "{}: {failures:?}", scheme.label());
             assert!(events > 0);
+        }
+    }
+
+    #[test]
+    fn every_registered_scheme_copies_in_place_like_clone_box() {
+        for scheme in challengers_faults_schemes() {
+            let mut failures = Vec::new();
+            check_scratch_copy(scheme, &mut failures);
+            assert!(failures.is_empty(), "{}: {failures:?}", scheme.label());
         }
     }
 

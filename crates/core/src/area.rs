@@ -145,7 +145,7 @@ impl AreaModel {
         report
     }
 
-    /// The protection-storage accounting for any [`SchemeKind`] — the
+    /// The protection-storage accounting for any [`SchemeKind`](crate::SchemeKind) — the
     /// explorer's area objective.
     ///
     /// Cleaning variants of the uniform baseline carry the written bits

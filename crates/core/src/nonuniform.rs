@@ -46,7 +46,10 @@ use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::scheme::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome, SchemeKind};
+use crate::scheme::{
+    clone_into_box_with, refetch_line, Directive, EnergyCounters, ProtectionScheme,
+    RecoveryOutcome, SchemeKind,
+};
 
 /// Owner value of an ECC-array slot no line holds.
 const FREE: usize = usize::MAX;
@@ -291,6 +294,38 @@ impl ProtectionScheme for NonUniformScheme {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn ProtectionScheme>) {
+        clone_into_box_with(self, target, |dst, src| {
+            let NonUniformScheme {
+                kind,
+                code,
+                parity,
+                ways,
+                entries_per_set,
+                words,
+                owner,
+                stamp,
+                checks,
+                next_stamp,
+                retiring,
+                retiring_checks,
+                area,
+                stats,
+                energy,
+            } = src;
+            dst.parity.clone_from(parity);
+            dst.owner.clone_from(owner);
+            dst.stamp.clone_from(stamp);
+            dst.checks.clone_from(checks);
+            dst.retiring.clone_from(retiring);
+            dst.retiring_checks.clone_from(retiring_checks);
+            dst.area.clone_from(area);
+            (dst.kind, dst.code, dst.ways, dst.entries_per_set, dst.words) =
+                (*kind, *code, *ways, *entries_per_set, *words);
+            (dst.next_stamp, dst.stats, dst.energy) = (*next_stamp, *stats, *energy);
+        });
+    }
+
     fn area(&self) -> AreaReport {
         self.area.for_scheme(self.kind)
     }
@@ -391,10 +426,7 @@ impl ProtectionScheme for NonUniformScheme {
             if InterleavedParity::verify(data, stored).is_ok() {
                 return RecoveryOutcome::Clean;
             }
-            let fresh = memory.read_line(view.line);
-            for (i, &w) in fresh.iter().enumerate() {
-                l2.write_word(set, way, i, w);
-            }
+            refetch_line(l2, set, way, view.line, memory);
             self.refresh_parity(l2, set, way);
             RecoveryOutcome::RecoveredByRefetch
         }

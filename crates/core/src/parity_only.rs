@@ -11,7 +11,9 @@ use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::scheme::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome};
+use crate::scheme::{
+    clone_into_box_with, refetch_line, Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome,
+};
 
 /// Parity on every line; refetch recovers clean lines only.
 #[derive(Debug, Clone)]
@@ -56,6 +58,20 @@ impl ProtectionScheme for ParityOnlyScheme {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn ProtectionScheme>) {
+        clone_into_box_with(self, target, |dst, src| {
+            let ParityOnlyScheme {
+                parity,
+                ways,
+                area,
+                energy,
+            } = src;
+            dst.parity.clone_from(parity);
+            dst.area.clone_from(area);
+            (dst.ways, dst.energy) = (*ways, *energy);
+        });
+    }
+
     fn area(&self) -> AreaReport {
         self.area.parity_only()
     }
@@ -96,10 +112,7 @@ impl ProtectionScheme for ParityOnlyScheme {
             return RecoveryOutcome::Unrecoverable;
         }
         // Clean line: the next memory level has pristine data.
-        let fresh = memory.read_line(view.line);
-        for (i, &w) in fresh.iter().enumerate() {
-            l2.write_word(set, way, i, w);
-        }
+        refetch_line(l2, set, way, view.line, memory);
         self.refresh(l2, set, way);
         RecoveryOutcome::RecoveredByRefetch
     }

@@ -7,8 +7,11 @@
 //! directives through the hierarchy so the resulting traffic is charged to
 //! the bus like any other write-back.
 
+use std::any::Any;
+
+use aep_ecc::parity::InterleavedParity;
 use aep_mem::cache::{Cache, L2Event};
-use aep_mem::MainMemory;
+use aep_mem::{LineAddr, MainMemory};
 
 use crate::area::AreaReport;
 
@@ -272,7 +275,10 @@ impl EnergyCounters {
 }
 
 /// A cache protection scheme attached to the L2.
-pub trait ProtectionScheme {
+///
+/// The `Any` supertrait lets [`ProtectionScheme::clone_into_box`]
+/// recognise a target that already holds a scheme of its own type.
+pub trait ProtectionScheme: Any {
     /// Scheme name for reports.
     fn name(&self) -> &'static str;
 
@@ -281,6 +287,17 @@ pub trait ProtectionScheme {
     /// fault campaign warms one machine per worker and clones it per
     /// chunk instead of re-simulating the warm-up window.
     fn clone_box(&self) -> Box<dyn ProtectionScheme>;
+
+    /// Makes `target` a deep copy of this scheme, as [`clone_box`] would,
+    /// reusing `target`'s buffers when it already holds a scheme of this
+    /// type. The fault campaign refreshes one scratch scheme this way
+    /// before every strike resolution instead of allocating a clone.
+    /// The default allocates through [`clone_box`].
+    ///
+    /// [`clone_box`]: ProtectionScheme::clone_box
+    fn clone_into_box(&self, target: &mut Box<dyn ProtectionScheme>) {
+        *target = self.clone_box();
+    }
 
     /// The check-storage area this scheme requires (the paper's Table-less
     /// §5.2 accounting).
@@ -371,6 +388,44 @@ pub trait ProtectionScheme {
     fn register_stats(&self, reg: &mut aep_obs::Registry) {
         reg.counter("protected_dirty_lines", self.protected_dirty_lines() as u64);
         reg.scoped("energy", |r| self.energy_counters().register_stats(r));
+    }
+}
+
+/// Overwrites line (`set`, `way`), which holds `line`, with its image in
+/// `memory`: the clean-line refetch of the parity-checked schemes, whose
+/// lines hold at most [`InterleavedParity::MAX_WORDS`] words.
+pub(crate) fn refetch_line(
+    l2: &mut Cache,
+    set: usize,
+    way: usize,
+    line: LineAddr,
+    memory: &mut MainMemory,
+) {
+    let mut fresh = [0; InterleavedParity::MAX_WORDS];
+    let words = l2
+        .line_data(set, way)
+        .expect("refetched lines hold data")
+        .len();
+    let fresh = &mut fresh[..words];
+    memory.read_line_into(line, fresh);
+    for (i, &w) in fresh.iter().enumerate() {
+        l2.write_word(set, way, i, w);
+    }
+}
+
+/// The body of a [`ProtectionScheme::clone_into_box`] override: when
+/// `target` holds a `T`, `copy(target, source)` overwrites it in place
+/// (field-wise, reusing its buffers); otherwise `target` becomes a
+/// fresh clone.
+pub(crate) fn clone_into_box_with<T: ProtectionScheme + Clone>(
+    source: &T,
+    target: &mut Box<dyn ProtectionScheme>,
+    copy: impl FnOnce(&mut T, &T),
+) {
+    let any: &mut dyn Any = target.as_mut();
+    match any.downcast_mut::<T>() {
+        Some(dst) => copy(dst, source),
+        None => *target = Box::new(source.clone()),
     }
 }
 

@@ -9,7 +9,9 @@ use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{CacheConfig, MainMemory};
 
 use crate::area::{AreaModel, AreaReport};
-use crate::scheme::{Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome};
+use crate::scheme::{
+    clone_into_box_with, Directive, EnergyCounters, ProtectionScheme, RecoveryOutcome,
+};
 
 /// Uniform SECDED over every line (the paper's conventional architecture).
 #[derive(Debug, Clone)]
@@ -65,6 +67,29 @@ impl ProtectionScheme for UniformEccScheme {
         Box::new(self.clone())
     }
 
+    fn clone_into_box(&self, target: &mut Box<dyn ProtectionScheme>) {
+        clone_into_box_with(self, target, |dst, src| {
+            let UniformEccScheme {
+                code,
+                checks,
+                words_per_line,
+                ways,
+                area,
+                lines,
+                energy,
+            } = src;
+            dst.checks.clone_from(checks);
+            dst.area.clone_from(area);
+            (
+                dst.code,
+                dst.words_per_line,
+                dst.ways,
+                dst.lines,
+                dst.energy,
+            ) = (*code, *words_per_line, *ways, *lines, *energy);
+        });
+    }
+
     fn area(&self) -> AreaReport {
         self.area.conventional()
     }
@@ -97,12 +122,11 @@ impl ProtectionScheme for UniformEccScheme {
             return RecoveryOutcome::Clean;
         }
         let base = self.slot(set, way);
-        let words: Vec<u64> = l2
-            .line_data(set, way)
-            .expect("the protected L2 stores line data")
-            .to_vec();
         let mut repaired = 0usize;
-        for (i, &w) in words.iter().enumerate() {
+        for i in 0..self.words_per_line {
+            let w = l2
+                .line_data(set, way)
+                .expect("the protected L2 stores line data")[i];
             match self.code.decode(w, self.checks[base + i]) {
                 Decoded::Clean { .. } => {}
                 Decoded::Corrected { data, .. } => {

@@ -5,7 +5,7 @@
 //! (initiation) interval while the result appears after the op's latency.
 //! Every class is fully pipelined (an issue interval of one cycle), so each
 //! cycle's issue budget is simply the pool's unit count per class
-//! ([`FuPool::units`]): the issue stage counts down a copy of it.
+//! (`FuPool::units`): the issue stage counts down a copy of it.
 
 use crate::isa::OpClass;
 

@@ -8,7 +8,7 @@
 //! approximation of wrong-path execution).
 //!
 //! Every per-entry structure is indexed by the entry's 64-slot ring index
-//! ([`slot_of`] of its sequence number): the RUU is a fixed ring, and the
+//! (`slot_of` of its sequence number): the RUU is a fixed ring, and the
 //! LSQ, the wakeup lists and the ready/issuable sets are slot masks and
 //! per-slot arrays over the same ring, so no stage translates between
 //! queue positions and slots. An RUU slot holds only what issue, wakeup
@@ -16,7 +16,7 @@
 //! an entry's sequence number is implied by its slot's age relative to
 //! the head.
 //!
-//! Ops reach the core through one ring, [`Pipeline::ops`]: the stream
+//! Ops reach the core through one ring, `Pipeline::ops`: the stream
 //! draws them into it in batches ([`InstrStream::fill`]), fetch advances a
 //! cursor over it, and the instruction fetch queue is the window of
 //! fetched, not yet dispatched ops. Ops dispatch in the order they were

@@ -75,15 +75,22 @@ impl core::fmt::Display for ParityError {
 impl std::error::Error for ParityError {}
 
 impl InterleavedParity {
+    /// Most words a protected line may hold: one parity bit each in a
+    /// 64-bit mask.
+    pub const MAX_WORDS: usize = 64;
+
     /// Encodes one parity bit per 64-bit word of `line`.
     ///
     /// # Panics
     ///
-    /// Panics if `line` has more than 64 words (4 KB); cache lines are far
-    /// smaller in practice.
+    /// Panics if `line` has more than [`Self::MAX_WORDS`] words (4 KB);
+    /// cache lines are far smaller in practice.
     #[must_use]
     pub fn encode(line: &[u64]) -> Self {
-        assert!(line.len() <= 64, "line too long for interleaved parity");
+        assert!(
+            line.len() <= Self::MAX_WORDS,
+            "line too long for interleaved parity"
+        );
         let mut mask = 0u64;
         for (i, &w) in line.iter().enumerate() {
             if ParityBit::encode(w) {

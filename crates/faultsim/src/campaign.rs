@@ -36,11 +36,30 @@
 //! pending strike's frame, the lane rebuilds its corruption (the struck
 //! words that still hold their pre-strike value, and the line's memory
 //! image when the event is its write-back), runs the monitor's
-//! classification against a scratch clone of the scheme, and restores the
+//! classification against a scratch copy of the scheme, and restores the
 //! shared state; a strike still pending at its horizon is finalised the
-//! same way at its deadline. Pending strikes are indexed by frame and lane
-//! timers (next strike, horizon deadline) sit in a min-heap, so neither
+//! same way at its deadline. Pending strikes are linked per frame and lane
+//! timers (next strike, horizon deadline) sit in a min-tree, so neither
 //! an L2 event nor a pause scans every lane.
+//!
+//! Trials do not allocate: once a group is set up, and each lane's
+//! strike storage has grown to its largest pattern, no trial step
+//! allocates. A group keeps one scratch scheme and
+//! refreshes it with [`ProtectionScheme::clone_into_box`] before every
+//! resolution that reads the scheme, which copies the shared scheme's
+//! state into the scratch's existing buffers; line images live in stack
+//! buffers, and each lane reuses one strike's snapshot and pattern
+//! storage. The scratch is only ever read after a refresh, so what one
+//! resolution leaves in it (counters, repaired check bits) never reaches
+//! the next.
+//!
+//! A group costs one full machine: its own warm-up and a trajectory as
+//! long as its slowest lane's, simulated again in every group. `jobs`
+//! therefore speeds a shared campaign up only by spreading the
+//! per-trial work over the groups; a caller with several campaigns gets
+//! more from running each on a machine of its own, as `exp faults`
+//! does. Sharing one warm-up across groups would need a `Send` system,
+//! and the observers hold `Rc`s.
 //!
 //! The one exception is silent-store elision (the silent-write-aware
 //! scheme): a store's payload is compared against the resident words, so
@@ -62,8 +81,6 @@
 //! `--jobs 1`.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::rc::Rc;
 use std::time::Instant;
@@ -82,6 +99,7 @@ use aep_workloads::{Workload, WorkloadStream};
 use crate::models::StrikeModel;
 use crate::monitor::{
     hits, resolve_event, touched_frame, PendingStrike, StrikeCell, StrikeProbe, StrikeState,
+    MAX_LINE_WORDS,
 };
 use crate::outcome::{OutcomeTable, TrialOutcome};
 use crate::pool::fan_out;
@@ -329,45 +347,44 @@ impl ChunkDraws {
 
     /// Picks the struck frame uniformly over the whole array. An invalid
     /// frame is a benign strike (`None`; counting it keeps the empirical
-    /// rates normalised over the whole array). A valid one yields the
-    /// strike — frame, line, drawn pattern and pre-strike snapshot, not
-    /// yet applied — and whether the line was dirty.
+    /// rates normalised over the whole array). A valid one fills `strike`
+    /// — frame, line, drawn pattern and pre-strike snapshot, not yet
+    /// applied — reusing its storage, and yields whether the line was
+    /// dirty.
     fn strike(
         &mut self,
         cfg: &CampaignConfig,
         layout: &ArrayLayout,
         l2: &Cache,
-    ) -> Option<(PendingStrike, bool)> {
+        strike: &mut PendingStrike,
+    ) -> Option<bool> {
         let set = self.rng.gen_range(0..l2.sets());
         let way = self.rng.gen_range(0..l2.ways());
         let view = l2.line_view(set, way);
         if !view.valid {
             return None;
         }
-        let snapshot: Box<[u64]> = l2
-            .line_data(set, way)
-            .expect("store_data caches hold line data")
-            .into();
-        let pattern = cfg.model.draw(
+        strike.snapshot.clear();
+        strike.snapshot.extend_from_slice(
+            l2.line_data(set, way)
+                .expect("store_data caches hold line data"),
+        );
+        cfg.model.draw_into(
             layout,
             &mut self.rng,
             &mut self.injector,
             cfg.p_double,
             cfg.mean_gap_cycles,
+            &mut strike.pattern,
         );
-        let strike = PendingStrike {
-            set,
-            way,
-            line: view.line,
-            pattern,
-            snapshot,
-        };
-        Some((strike, view.dirty))
+        (strike.set, strike.way, strike.line) = (set, way, view.line);
+        Some(view.dirty)
     }
 }
 
 /// Force-resolves a strike that nothing consumed within the horizon,
-/// given the struck line's dirty bit and corrupted data.
+/// given the struck line's dirty bit and corrupted data (which the
+/// scheme's outbound check may repair in place).
 ///
 /// A clean struck line counts as masked: main memory still holds the
 /// intact copy, so the latent flip can always be recovered by refetch and
@@ -376,20 +393,20 @@ impl ChunkDraws {
 /// latent upset would have been corrected, declared DUE, or silently
 /// escaped to memory — and, as everywhere else, a "corrected" image that
 /// does not match the pre-strike snapshot is a miscorrection booked as SDC.
+/// The scheme is only consulted for a dirty line.
 fn horizon_outcome(
     strike: &PendingStrike,
     dirty: bool,
-    corrupted: &[u64],
+    corrupted: &mut [u64],
     scheme: &mut dyn ProtectionScheme,
 ) -> TrialOutcome {
     if !dirty {
         return TrialOutcome::Masked;
     }
-    let mut buf = corrupted.to_vec();
-    match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
+    match scheme.verify_writeback(strike.set, strike.way, corrupted) {
         RecoveryOutcome::Clean => TrialOutcome::Sdc,
         RecoveryOutcome::CorrectedByEcc { .. } => {
-            if buf.as_slice() == &*strike.snapshot {
+            if *corrupted == *strike.snapshot {
                 TrialOutcome::Corrected
             } else {
                 TrialOutcome::Sdc
@@ -447,7 +464,8 @@ fn run_chunk_with(
     let mut table = OutcomeTable::default();
     for _ in 0..cfg.chunk_trials(chunk) {
         now = sys.run(now, draws.gap(cfg));
-        let Some((strike, dirty)) = draws.strike(cfg, &layout, sys.hier.l2()) else {
+        let mut strike = PendingStrike::default();
+        let Some(dirty) = draws.strike(cfg, &layout, sys.hier.l2(), &mut strike) else {
             table.record(TrialOutcome::Masked, false, false);
             continue;
         };
@@ -480,9 +498,12 @@ fn finalize_at_horizon<S: aep_cpu::InstrStream>(
         view.valid && view.line == strike.line,
         "a struck line can only leave its frame via a witnessed eviction"
     );
-    let data = l2
-        .line_data(strike.set, strike.way)
-        .expect("struck lines hold data");
+    let mut data = [0; MAX_LINE_WORDS];
+    let data = &mut data[..strike.snapshot.len()];
+    data.copy_from_slice(
+        l2.line_data(strike.set, strike.way)
+            .expect("struck lines hold data"),
+    );
     let outcome = horizon_outcome(&strike, view.dirty, data, sys.scheme.as_mut());
     let l2 = sys.hier.l2_mut();
     for f in strike.pattern.flips() {
@@ -508,45 +529,48 @@ fn restrike(strike: &PendingStrike, words: &mut [u64]) {
 /// Classifies `strike` at `event` as the chunk's own machine would:
 /// rebuilds the chunk's corruption in the resident line (when the frame
 /// still holds the struck line) and in the line's memory image (when the
-/// event is its write-back), runs the monitor against a scratch clone of
-/// the scheme, and restores the shared line, memory image and scheme.
+/// event is its write-back), runs the monitor against `scratch` — which
+/// the caller has just refreshed to a copy of the shared scheme — and
+/// restores the shared line and memory image.
 fn resolve_virtually(
     strike: &PendingStrike,
     event: &L2Event,
     l2: &mut Cache,
-    scheme: &dyn ProtectionScheme,
+    scratch: &mut dyn ProtectionScheme,
     memory: &mut MainMemory,
 ) -> TrialOutcome {
     let (set, way) = (strike.set, strike.way);
+    let words = strike.snapshot.len();
     let view = l2.line_view(set, way);
-    let saved_line = (view.valid && view.line == strike.line).then(|| {
-        let saved = l2
-            .line_data(set, way)
-            .expect("struck lines hold data")
-            .to_vec();
-        let mut corrupted = saved.clone();
-        restrike(strike, &mut corrupted);
-        write_line(l2, set, way, &corrupted);
-        saved
-    });
+    let resident = view.valid && view.line == strike.line;
+    let mut saved_line = [0; MAX_LINE_WORDS];
+    let saved_line = &mut saved_line[..words];
+    let mut corrupted = [0; MAX_LINE_WORDS];
+    let corrupted = &mut corrupted[..words];
+    if resident {
+        saved_line.copy_from_slice(l2.line_data(set, way).expect("struck lines hold data"));
+        corrupted.copy_from_slice(saved_line);
+        restrike(strike, corrupted);
+        write_line(l2, set, way, corrupted);
+    }
     let writes_back = matches!(
         *event,
         L2Event::Evict { dirty: true, .. } | L2Event::Cleaned { .. }
     );
-    let saved_image = writes_back.then(|| {
-        let saved = memory.read_line(strike.line);
-        let mut corrupted = saved.clone();
-        restrike(strike, &mut corrupted);
-        memory.write_line(strike.line, &corrupted);
-        saved
-    });
-    let mut scratch = scheme.clone_box();
-    let outcome = resolve_event(strike, event, l2, scratch.as_mut(), memory);
-    if let Some(saved) = saved_line {
-        write_line(l2, set, way, &saved);
+    let mut saved_image = [0; MAX_LINE_WORDS];
+    let saved_image = &mut saved_image[..words];
+    if writes_back {
+        memory.read_line_into(strike.line, saved_image);
+        corrupted.copy_from_slice(saved_image);
+        restrike(strike, corrupted);
+        memory.write_line(strike.line, corrupted);
     }
-    if let Some(saved) = saved_image {
-        memory.write_line(strike.line, &saved);
+    let outcome = resolve_event(strike, event, l2, scratch, memory);
+    if resident {
+        write_line(l2, set, way, saved_line);
+    }
+    if writes_back {
+        memory.write_line(strike.line, saved_image);
     }
     outcome
 }
@@ -558,48 +582,98 @@ fn write_line(l2: &mut Cache, set: usize, way: usize, words: &[u64]) {
     }
 }
 
+/// Marks the end of a frame's pending-strike list.
+const NO_LANE: usize = usize::MAX;
+
 /// One chunk's trials as a lane over the group's shared machine.
 struct Lane {
     draws: ChunkDraws,
     trials_left: u64,
     table: OutcomeTable,
-    /// The armed strike and the struck line's dirty bit at strike time.
-    pending: Option<(PendingStrike, bool)>,
-    /// The cycle of the lane's live timer: its next strike, or its
-    /// pending strike's horizon deadline (`Cycle::MAX` once done).
-    due: Cycle,
+    /// The lane's strike, its storage reused by every trial; armed while
+    /// `pending` holds the struck line's dirty bit at strike time.
+    strike: PendingStrike,
+    pending: Option<bool>,
+    /// The next lane with a strike pending on the same frame, or
+    /// [`NO_LANE`].
+    next_in_frame: usize,
+}
+
+/// The lanes' timers (next strike, or a pending strike's horizon
+/// deadline; `Cycle::MAX` once done) as a min-tree: leaf `n + lane` holds
+/// the lane's `(due, lane)` and every inner node the smaller of its two
+/// children, so the root is the next timer and moving one costs `log n`.
+struct Timers {
+    tree: Vec<(Cycle, usize)>,
+}
+
+impl Timers {
+    fn new(lanes: usize) -> Self {
+        Timers {
+            tree: vec![(Cycle::MAX, NO_LANE); 2 * lanes.max(1)],
+        }
+    }
+
+    fn set(&mut self, lane: usize, due: Cycle) {
+        let mut i = self.tree.len() / 2 + lane;
+        self.tree[i] = (due, lane);
+        while i > 1 {
+            i /= 2;
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+    }
+
+    /// The earliest `(due, lane)` timer.
+    fn first(&self) -> (Cycle, usize) {
+        self.tree[1]
+    }
 }
 
 /// A group's lanes and their indexes, shared between the driver loop
 /// (strikes, deadlines, bookkeeping) and the [`LaneProbe`] (resolutions).
+/// Everything a trial touches is allocated up front and reused: the
+/// lanes' strike storage, the timers, the frame lists and the scratch
+/// scheme.
 struct LaneSet {
     lanes: Vec<Lane>,
     ways: usize,
-    /// Lanes with a pending strike, by struck frame (`set * ways + way`).
-    by_frame: Vec<Vec<usize>>,
-    /// `(due, lane)` timers; an entry whose cycle no longer matches its
-    /// lane's `due` is stale and skipped.
-    timers: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// The first lane with a strike pending on each frame
+    /// (`set * ways + way`), linked on through [`Lane::next_in_frame`].
+    frame_head: Vec<usize>,
+    timers: Timers,
     /// Strikes resolved during the current step: lane, outcome, dirty.
     resolved: Vec<(usize, TrialOutcome, bool)>,
+    /// The scheme resolutions run against: refreshed from the shared
+    /// scheme before each use, reusing its buffers.
+    scratch: Box<dyn ProtectionScheme>,
 }
 
 impl LaneSet {
-    fn new(cfg: &CampaignConfig, chunks: Range<usize>, l2: &Cache) -> Self {
+    fn new(
+        cfg: &CampaignConfig,
+        chunks: Range<usize>,
+        l2: &Cache,
+        scheme: &dyn ProtectionScheme,
+    ) -> Self {
         let mut lanes = LaneSet {
             lanes: Vec::with_capacity(chunks.len()),
             ways: l2.ways(),
-            by_frame: vec![Vec::new(); l2.sets() * l2.ways()],
-            timers: BinaryHeap::new(),
-            resolved: Vec::new(),
+            frame_head: vec![NO_LANE; l2.sets() * l2.ways()],
+            timers: Timers::new(chunks.len()),
+            resolved: Vec::with_capacity(chunks.len()),
+            scratch: scheme.clone_box(),
         };
         for chunk in chunks {
             lanes.lanes.push(Lane {
                 draws: ChunkDraws::new(cfg, chunk),
                 trials_left: cfg.chunk_trials(chunk),
                 table: OutcomeTable::default(),
+                strike: PendingStrike {
+                    snapshot: Vec::with_capacity(cfg.hierarchy.l2.words_per_line()),
+                    ..PendingStrike::default()
+                },
                 pending: None,
-                due: Cycle::MAX,
+                next_in_frame: NO_LANE,
             });
             let lane = lanes.lanes.len() - 1;
             lanes.schedule_strike(cfg, lane, cfg.warmup_cycles);
@@ -607,21 +681,16 @@ impl LaneSet {
         lanes
     }
 
-    fn set_due(&mut self, lane: usize, due: Cycle) {
-        self.lanes[lane].due = due;
-        self.timers.push(Reverse((due, lane)));
-    }
-
     /// Draws `lane`'s next gap from `now`, or retires the lane when its
     /// trials are done.
     fn schedule_strike(&mut self, cfg: &CampaignConfig, lane: usize, now: Cycle) {
         let l = &mut self.lanes[lane];
-        if l.trials_left == 0 {
-            l.due = Cycle::MAX;
+        let due = if l.trials_left == 0 {
+            Cycle::MAX
         } else {
-            let due = now + l.draws.gap(cfg);
-            self.set_due(lane, due);
-        }
+            now + l.draws.gap(cfg)
+        };
+        self.timers.set(lane, due);
     }
 
     /// Books one finished trial and schedules the lane's next strike.
@@ -652,66 +721,79 @@ impl LaneSet {
         l2: &Cache,
         scheme: &dyn ProtectionScheme,
     ) {
-        for (lane, outcome, dirty) in std::mem::take(&mut self.resolved) {
+        for i in 0..self.resolved.len() {
+            let (lane, outcome, dirty) = self.resolved[i];
             self.finish(cfg, lane, outcome, true, dirty, now);
         }
-        while let Some(&Reverse((due, lane))) = self.timers.peek() {
+        self.resolved.clear();
+        loop {
+            let (due, lane) = self.timers.first();
             if due > now {
                 break;
             }
-            self.timers.pop();
-            if self.lanes[lane].due != due {
-                continue;
-            }
             match self.lanes[lane].pending.take() {
-                Some((strike, dirty)) => {
-                    self.unindex(lane, &strike);
+                Some(dirty) => {
+                    self.unindex(lane);
+                    let strike = &self.lanes[lane].strike;
                     let view = l2.line_view(strike.set, strike.way);
                     debug_assert!(
                         view.valid && view.line == strike.line,
                         "a struck line can only leave its frame via a witnessed eviction"
                     );
-                    let mut corrupted = l2
-                        .line_data(strike.set, strike.way)
-                        .expect("struck lines hold data")
-                        .to_vec();
-                    restrike(&strike, &mut corrupted);
-                    let mut scratch = scheme.clone_box();
+                    let mut corrupted = [0; MAX_LINE_WORDS];
+                    let corrupted = &mut corrupted[..strike.snapshot.len()];
+                    corrupted.copy_from_slice(
+                        l2.line_data(strike.set, strike.way)
+                            .expect("struck lines hold data"),
+                    );
+                    restrike(strike, corrupted);
+                    // Only a dirty line's outcome reads the scheme.
+                    if view.dirty {
+                        scheme.clone_into_box(&mut self.scratch);
+                    }
                     let outcome =
-                        horizon_outcome(&strike, view.dirty, &corrupted, scratch.as_mut());
+                        horizon_outcome(strike, view.dirty, corrupted, self.scratch.as_mut());
                     self.finish(cfg, lane, outcome, true, dirty, now);
                 }
-                None => match self.lanes[lane].draws.strike(cfg, layout, l2) {
-                    None => self.finish(cfg, lane, TrialOutcome::Masked, false, false, now),
-                    Some((strike, dirty)) => {
-                        self.by_frame[strike.set * self.ways + strike.way].push(lane);
-                        self.lanes[lane].pending = Some((strike, dirty));
-                        self.set_due(lane, now + cfg.horizon_cycles);
+                None => {
+                    let l = &mut self.lanes[lane];
+                    match l.draws.strike(cfg, layout, l2, &mut l.strike) {
+                        None => self.finish(cfg, lane, TrialOutcome::Masked, false, false, now),
+                        Some(dirty) => {
+                            l.pending = Some(dirty);
+                            let frame = l.strike.set * self.ways + l.strike.way;
+                            l.next_in_frame = self.frame_head[frame];
+                            self.frame_head[frame] = lane;
+                            self.timers.set(lane, now + cfg.horizon_cycles);
+                        }
                     }
-                },
+                }
             }
         }
     }
 
     /// The next cycle some lane needs the machine stopped before, or
-    /// `None` when every lane is done. Drops stale timers on the way.
-    fn next_due(&mut self) -> Option<Cycle> {
-        while let Some(&Reverse((due, lane))) = self.timers.peek() {
-            if self.lanes[lane].due == due {
-                return Some(due);
-            }
-            self.timers.pop();
-        }
-        None
+    /// `None` when every lane is done.
+    fn next_due(&self) -> Option<Cycle> {
+        let (due, _) = self.timers.first();
+        (due != Cycle::MAX).then_some(due)
     }
 
-    fn unindex(&mut self, lane: usize, strike: &PendingStrike) {
-        let frame = &mut self.by_frame[strike.set * self.ways + strike.way];
-        let at = frame
-            .iter()
-            .position(|&l| l == lane)
-            .expect("pending strikes are indexed by frame");
-        frame.swap_remove(at);
+    /// Unlinks `lane` from the pending list of its strike's frame.
+    fn unindex(&mut self, lane: usize) {
+        let strike = &self.lanes[lane].strike;
+        let frame = strike.set * self.ways + strike.way;
+        let next = self.lanes[lane].next_in_frame;
+        if self.frame_head[frame] == lane {
+            self.frame_head[frame] = next;
+            return;
+        }
+        let mut prev = self.frame_head[frame];
+        while self.lanes[prev].next_in_frame != lane {
+            prev = self.lanes[prev].next_in_frame;
+            assert_ne!(prev, NO_LANE, "pending strikes are indexed by frame");
+        }
+        self.lanes[prev].next_in_frame = next;
     }
 
     /// Resolves every pending strike that `event` on (`set`, `way`)
@@ -724,22 +806,26 @@ impl LaneSet {
         scheme: &dyn ProtectionScheme,
         memory: &mut MainMemory,
     ) {
-        let frame = set * self.ways + way;
-        let mut i = 0;
-        while i < self.by_frame[frame].len() {
-            let lane = self.by_frame[frame][i];
-            let (strike, _) = self.lanes[lane]
-                .pending
-                .as_ref()
-                .expect("indexed lanes hold a strike");
-            if !hits(strike, set, way, line) {
-                i += 1;
-                continue;
+        let mut lane = self.frame_head[set * self.ways + way];
+        while lane != NO_LANE {
+            let next = self.lanes[lane].next_in_frame;
+            if hits(&self.lanes[lane].strike, set, way, line) {
+                self.unindex(lane);
+                let dirty = self.lanes[lane]
+                    .pending
+                    .take()
+                    .expect("indexed lanes hold a strike");
+                scheme.clone_into_box(&mut self.scratch);
+                let outcome = resolve_virtually(
+                    &self.lanes[lane].strike,
+                    event,
+                    l2,
+                    self.scratch.as_mut(),
+                    memory,
+                );
+                self.resolved.push((lane, outcome, dirty));
             }
-            self.by_frame[frame].swap_remove(i);
-            let (strike, dirty) = self.lanes[lane].pending.take().expect("checked above");
-            let outcome = resolve_virtually(&strike, event, l2, scheme, memory);
-            self.resolved.push((lane, outcome, dirty));
+            lane = next;
         }
     }
 }
@@ -774,7 +860,8 @@ fn run_shared(
     chunks: Range<usize>,
 ) -> Vec<OutcomeTable> {
     let layout = cfg.layout();
-    let lanes = Rc::new(RefCell::new(LaneSet::new(cfg, chunks, sys.hier.l2())));
+    let lanes = LaneSet::new(cfg, chunks, sys.hier.l2(), sys.scheme.as_ref());
+    let lanes = Rc::new(RefCell::new(lanes));
     sys.add_observer(Box::new(LaneProbe(Rc::clone(&lanes))));
     let mut now = cfg.warmup_cycles;
     loop {
@@ -798,7 +885,7 @@ fn run_shared(
 mod tests {
     use super::*;
     use aep_core::lineup::{challengers_faults_schemes, CHOSEN_INTERVAL};
-    use aep_workloads::Benchmark;
+    use aep_workloads::{diversity_workloads, Benchmark};
 
     fn cfg(scheme: SchemeKind) -> CampaignConfig {
         CampaignConfig::fast_test(Benchmark::Swim, scheme)
@@ -932,6 +1019,34 @@ mod tests {
                             format!("{scheme:?} {} il{interleave} seed {seed}", model.slug());
                         assert_eq!(shared_chunks(&c), oracle_chunks(&c), "{label}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_driver_matches_the_per_chunk_oracle_on_a_write_heavy_workload() {
+        // A Zipf head rewritten hundreds of times: strikes resolve at
+        // write hits and at the cleanings an ECC entry's eviction forces,
+        // two resolution paths `gap` seldom reaches.
+        let zipf = diversity_workloads()
+            .into_iter()
+            .find(|w| w.name() == "zipf:k1024:e1200:c4")
+            .expect("the diversity set holds the Zipf-head workload");
+        for scheme in challengers_faults_schemes() {
+            if matches!(scheme, SchemeKind::SilentWriteEcc { .. }) {
+                continue;
+            }
+            for model in all_models() {
+                for interleave in [1, 4] {
+                    let c = CampaignConfig {
+                        trials: 30,
+                        model,
+                        interleave,
+                        ..CampaignConfig::fast_test(zipf.clone(), scheme)
+                    };
+                    let label = format!("{scheme:?} {} il{interleave}", model.slug());
+                    assert_eq!(shared_chunks(&c), oracle_chunks(&c), "{label}");
                 }
             }
         }

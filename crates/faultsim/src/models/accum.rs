@@ -45,15 +45,16 @@ pub fn latent_probability(scrub_cycles: u64, mean_gap_cycles: f64) -> f64 {
 
 /// Draws one accumulation event: a fresh 4-adjacent-column cluster plus,
 /// with [`latent_probability`], one latent flip in the first struck word
-/// (the codeword the scrub pass has not reached yet).
-#[must_use]
+/// (the codeword the scrub pass has not reached yet), drawn into the
+/// empty pattern `p`.
 pub fn draw_accum(
     layout: &ArrayLayout,
     rng: &mut SmallRng,
     scrub_cycles: u64,
     mean_gap_cycles: f64,
-) -> StrikePattern {
-    let mut p = spatial::draw_col(layout, rng, CLUSTER_COLUMNS);
+    p: &mut StrikePattern,
+) {
+    spatial::draw_col(layout, rng, CLUSTER_COLUMNS, p);
     let u: f64 = rng.gen();
     if u < latent_probability(scrub_cycles, mean_gap_cycles) {
         let first = p.flips()[0];
@@ -64,7 +65,6 @@ pub fn draw_accum(
         }
         p.add(first.word, bit);
     }
-    p
 }
 
 #[cfg(test)]
@@ -87,7 +87,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut fives = 0;
         for _ in 0..200 {
-            let p = draw_accum(&layout, &mut rng, 1_000_000, 100.0);
+            let p = StrikePattern::drawn(|p| draw_accum(&layout, &mut rng, 1_000_000, 100.0, p));
             assert_eq!(p.flips().len(), 1, "D=1 keeps the whole event in one word");
             let bits = p.total_bits();
             assert!(bits == 4 || bits == 5, "cluster (+ latent), got {bits}");
@@ -103,7 +103,7 @@ mod tests {
         let layout = ArrayLayout::new(8, 4);
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..500 {
-            let p = draw_accum(&layout, &mut rng, 1_000_000, 100.0);
+            let p = StrikePattern::drawn(|p| draw_accum(&layout, &mut rng, 1_000_000, 100.0, p));
             for f in p.flips() {
                 assert!(
                     f.mask.count_ones() <= 2,
@@ -126,7 +126,7 @@ mod tests {
         let layout = ArrayLayout::linear(8);
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..500 {
-            let p = draw_accum(&layout, &mut rng, 1_000_000, 100.0);
+            let p = StrikePattern::drawn(|p| draw_accum(&layout, &mut rng, 1_000_000, 100.0, p));
             // OR semantics: total bits equals the popcount of the union,
             // so a collision would have shown as 4 bits with latent drawn.
             assert!(p.total_bits() >= 4);

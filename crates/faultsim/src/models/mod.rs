@@ -112,6 +112,16 @@ impl StrikePattern {
     }
 }
 
+#[cfg(test)]
+impl StrikePattern {
+    /// The footprint one `draw` adds to an empty pattern.
+    pub(crate) fn drawn(draw: impl FnOnce(&mut StrikePattern)) -> Self {
+        let mut p = StrikePattern::default();
+        draw(&mut p);
+        p
+    }
+}
+
 /// Default modeled scrub interval of `accum:scrub`, in cycles.
 pub const DEFAULT_SCRUB_CYCLES: u64 = 100_000;
 
@@ -192,31 +202,37 @@ impl StrikeModel {
         }
     }
 
-    /// Draws one strike footprint.
+    /// Draws one strike footprint into `out`, replacing what it held and
+    /// reusing its storage.
     ///
     /// The [`StrikeModel::Single`] arm consumes exactly one
     /// [`FaultInjector::weighted`] draw and never touches `rng` — that is
     /// what keeps the default model's campaigns byte-identical to the
     /// pre-model driver, which interleaved the same two streams in the
     /// same order. Spatial models draw from `rng` only.
-    #[must_use]
-    pub fn draw(
+    pub fn draw_into(
         &self,
         layout: &ArrayLayout,
         rng: &mut SmallRng,
         injector: &mut FaultInjector,
         p_double: f64,
         mean_gap_cycles: f64,
-    ) -> StrikePattern {
+        out: &mut StrikePattern,
+    ) {
+        out.flips.clear();
         match *self {
             StrikeModel::Single => {
-                StrikePattern::from_spec(injector.weighted(layout.words(), p_double))
+                let spec = injector.weighted(layout.words(), p_double);
+                out.flips.push(WordFlips {
+                    word: spec.word,
+                    mask: spec.mask(),
+                });
             }
-            StrikeModel::Burst { width } => spatial::draw_burst(layout, rng, width),
-            StrikeModel::Col { span } => spatial::draw_col(layout, rng, span),
-            StrikeModel::Row { span } => spatial::draw_row(layout, rng, span),
+            StrikeModel::Burst { width } => spatial::draw_burst(layout, rng, width, out),
+            StrikeModel::Col { span } => spatial::draw_col(layout, rng, span, out),
+            StrikeModel::Row { span } => spatial::draw_row(layout, rng, span, out),
             StrikeModel::Accum { scrub_cycles } => {
-                accum::draw_accum(layout, rng, scrub_cycles, mean_gap_cycles)
+                accum::draw_accum(layout, rng, scrub_cycles, mean_gap_cycles, out);
             }
         }
     }

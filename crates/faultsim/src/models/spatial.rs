@@ -14,9 +14,8 @@ use super::StrikePattern;
 
 /// `width` adjacent bits inside one uniformly chosen word. The burst is
 /// electrical (one storage row of one word), so the layout's interleave
-/// does not spread it.
-#[must_use]
-pub fn draw_burst(layout: &ArrayLayout, rng: &mut SmallRng, width: u32) -> StrikePattern {
+/// does not spread it. The flips are added to `p`.
+pub fn draw_burst(layout: &ArrayLayout, rng: &mut SmallRng, width: u32, p: &mut StrikePattern) {
     let width = width.clamp(1, 64);
     let word = rng.gen_range(0..layout.words());
     let start = rng.gen_range(0..(64 - width as usize + 1)) as u32;
@@ -25,46 +24,40 @@ pub fn draw_burst(layout: &ArrayLayout, rng: &mut SmallRng, width: u32) -> Strik
     } else {
         ((1u64 << width) - 1) << start
     };
-    let mut p = StrikePattern::default();
     let mut m = mask;
     while m != 0 {
         p.add(word, m.trailing_zeros() as u8);
         m &= m - 1;
     }
-    p
 }
 
 /// `span` adjacent columns along one physical row: under interleaving
-/// degree `D` the columns alternate between `min(span, D)` words.
-#[must_use]
-pub fn draw_col(layout: &ArrayLayout, rng: &mut SmallRng, span: u32) -> StrikePattern {
+/// degree `D` the columns alternate between `min(span, D)` words. The
+/// flips are added to `p`.
+pub fn draw_col(layout: &ArrayLayout, rng: &mut SmallRng, span: u32, p: &mut StrikePattern) {
     let group = rng.gen_range(0..layout.groups());
     let cols = layout.columns();
     let span = (span as usize).clamp(1, cols);
     let start = rng.gen_range(0..(cols - span + 1));
-    let mut p = StrikePattern::default();
     for c in start..start + span {
         let (word, bit) = layout.cell(group, c);
         p.add(word, bit);
     }
-    p
 }
 
 /// The same column through `span` adjacent physical rows: one bit in each
 /// of `span` words spaced `D` apart — always the interleaving-friendly
-/// shape (one flip per codeword), whatever the degree.
-#[must_use]
-pub fn draw_row(layout: &ArrayLayout, rng: &mut SmallRng, span: u32) -> StrikePattern {
+/// shape (one flip per codeword), whatever the degree. The flips are
+/// added to `p`.
+pub fn draw_row(layout: &ArrayLayout, rng: &mut SmallRng, span: u32, p: &mut StrikePattern) {
     let groups = layout.groups();
     let span = (span as usize).clamp(1, groups);
     let start = rng.gen_range(0..(groups - span + 1));
     let column = rng.gen_range(0..layout.columns());
-    let mut p = StrikePattern::default();
     for g in start..start + span {
         let (word, bit) = layout.cell(g, column);
         p.add(word, bit);
     }
-    p
 }
 
 #[cfg(test)]
@@ -75,13 +68,12 @@ mod tests {
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(7)
     }
-
     #[test]
     fn burst_is_contiguous_in_one_word() {
         let layout = ArrayLayout::new(8, 4);
         let mut r = rng();
         for _ in 0..200 {
-            let p = draw_burst(&layout, &mut r, 3);
+            let p = StrikePattern::drawn(|p| draw_burst(&layout, &mut r, 3, p));
             assert_eq!(p.flips().len(), 1, "a burst stays in one word");
             let mask = p.flips()[0].mask;
             assert_eq!(mask.count_ones(), 3);
@@ -96,21 +88,21 @@ mod tests {
         let linear = ArrayLayout::linear(8);
         let mut r = rng();
         for _ in 0..100 {
-            let p = draw_col(&linear, &mut r, 4);
+            let p = StrikePattern::drawn(|p| draw_col(&linear, &mut r, 4, p));
             assert_eq!(p.flips().len(), 1);
             assert_eq!(p.flips()[0].mask.count_ones(), 4);
         }
         // D = 4: the same strike lands one bit in each of four words.
         let interleaved = ArrayLayout::new(8, 4);
         for _ in 0..100 {
-            let p = draw_col(&interleaved, &mut r, 4);
+            let p = StrikePattern::drawn(|p| draw_col(&interleaved, &mut r, 4, p));
             assert_eq!(p.flips().len(), 4, "interleaving spreads the cluster");
             assert!(p.flips().iter().all(|f| f.mask.count_ones() == 1));
         }
         // D = 2 splits it two-and-two.
         let half = ArrayLayout::new(8, 2);
         for _ in 0..100 {
-            let p = draw_col(&half, &mut r, 4);
+            let p = StrikePattern::drawn(|p| draw_col(&half, &mut r, 4, p));
             assert_eq!(p.flips().len(), 2);
             assert!(p.flips().iter().all(|f| f.mask.count_ones() == 2));
         }
@@ -122,7 +114,7 @@ mod tests {
             let layout = ArrayLayout::new(8, d);
             let mut r = rng();
             for _ in 0..100 {
-                let p = draw_row(&layout, &mut r, 8);
+                let p = StrikePattern::drawn(|p| draw_row(&layout, &mut r, 8, p));
                 let expect = (8usize / d).min(8);
                 assert_eq!(p.flips().len(), expect, "span clamps to {expect} rows");
                 assert!(p.flips().iter().all(|f| f.mask.count_ones() == 1));
@@ -139,9 +131,9 @@ mod tests {
     fn oversized_spans_clamp_to_the_array() {
         let layout = ArrayLayout::linear(8);
         let mut r = rng();
-        let p = draw_col(&layout, &mut r, 1000);
+        let p = StrikePattern::drawn(|p| draw_col(&layout, &mut r, 1000, p));
         assert_eq!(p.total_bits(), 64, "clamps to one full row");
-        let p = draw_row(&layout, &mut r, 1000);
+        let p = StrikePattern::drawn(|p| draw_row(&layout, &mut r, 1000, p));
         assert_eq!(p.flips().len(), 8, "clamps to all rows");
     }
 
@@ -151,7 +143,10 @@ mod tests {
         let mut a = rng();
         let mut b = rng();
         for _ in 0..50 {
-            assert_eq!(draw_col(&layout, &mut a, 4), draw_col(&layout, &mut b, 4));
+            assert_eq!(
+                StrikePattern::drawn(|p| draw_col(&layout, &mut a, 4, p)),
+                StrikePattern::drawn(|p| draw_col(&layout, &mut b, 4, p))
+            );
         }
     }
 }

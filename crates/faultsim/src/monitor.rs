@@ -32,6 +32,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use aep_core::{ProtectionScheme, RecoveryOutcome};
+use aep_ecc::parity::InterleavedParity;
 use aep_mem::addr::LineAddr;
 use aep_mem::cache::{Cache, L2Event};
 use aep_mem::{Cycle, MainMemory};
@@ -40,8 +41,13 @@ use aep_sim::SystemObserver;
 use crate::models::StrikePattern;
 use crate::outcome::TrialOutcome;
 
+/// Most words a line can hold: the parity arrays and memory's word masks
+/// keep one bit per word. Resolution works on line images in stack
+/// buffers of this size.
+pub(crate) const MAX_LINE_WORDS: usize = InterleavedParity::MAX_WORDS;
+
 /// One armed strike awaiting resolution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PendingStrike {
     /// Struck set.
     pub set: usize,
@@ -52,7 +58,7 @@ pub struct PendingStrike {
     /// Every bit the strike flipped, grouped per word.
     pub pattern: StrikePattern,
     /// The frame's data immediately before the strike.
-    pub snapshot: Box<[u64]>,
+    pub snapshot: Vec<u64>,
 }
 
 /// Shared state between the campaign loop (arms strikes, polls outcomes)
@@ -204,7 +210,7 @@ fn restore_struck_words(strike: &PendingStrike, l2: &mut Cache) {
 /// post-repair truth test that separates correction from miscorrection.
 fn line_is_snapshot(strike: &PendingStrike, l2: &Cache) -> bool {
     l2.line_data(strike.set, strike.way)
-        .is_some_and(|data| data == &*strike.snapshot)
+        .is_some_and(|data| data == strike.snapshot.as_slice())
 }
 
 /// A load reads the struck line: the scheme's access-time check runs
@@ -251,28 +257,32 @@ fn resolve_write(
     first_write: bool,
     silent: bool,
 ) -> TrialOutcome {
-    let current: Vec<u64> = l2
-        .line_data(strike.set, strike.way)
-        .expect("struck lines hold data")
-        .to_vec();
-    let mut corrupt = strike.snapshot.clone();
-    strike.pattern.apply_to(&mut corrupt);
+    let words = strike.snapshot.len();
+    let mut current = [0; MAX_LINE_WORDS];
+    let current = &mut current[..words];
+    current.copy_from_slice(
+        l2.line_data(strike.set, strike.way)
+            .expect("struck lines hold data"),
+    );
+    let mut corrupt = [0; MAX_LINE_WORDS];
+    let corrupt = &mut corrupt[..words];
+    corrupt.copy_from_slice(&strike.snapshot);
+    strike.pattern.apply_to(corrupt);
     // Words that differ from the corrupted pre-store image are the store's.
-    let cpu_words: Vec<usize> = (0..current.len())
-        .filter(|&i| current[i] != corrupt[i])
-        .collect();
+    let cpu_words = || (0..words).filter(|&i| current[i] != corrupt[i]);
+    let cpu_mask = cpu_words().fold(0u64, |mask, i| mask | 1 << i);
     if strike
         .pattern
         .flips()
         .iter()
-        .all(|f| cpu_words.contains(&f.word))
+        .all(|f| cpu_mask & 1 << f.word != 0)
     {
         // The store overwrote every struck word before anything consumed
         // them; the scheme re-encodes over the merged line right after.
         return TrialOutcome::Masked;
     }
     // Rebuild the pre-store image and run the access-time check on it.
-    for &i in &cpu_words {
+    for i in cpu_words() {
         l2.write_word(strike.set, strike.way, i, corrupt[i]);
     }
     // A non-silent write hit dirties the line, so `first_write` names the
@@ -303,7 +313,7 @@ fn resolve_write(
         }
     };
     // Re-merge the store's words over the recovered line.
-    for &i in &cpu_words {
+    for i in cpu_words() {
         l2.write_word(strike.set, strike.way, i, current[i]);
     }
     outcome
@@ -348,13 +358,17 @@ fn check_written_back(
     scheme: &mut dyn ProtectionScheme,
     memory: &mut MainMemory,
 ) -> TrialOutcome {
-    let mut buf = memory.read_line(strike.line);
-    let outcome = match scheme.verify_writeback(strike.set, strike.way, &mut buf) {
+    let mut buf = [0; MAX_LINE_WORDS];
+    let buf = &mut buf[..strike.snapshot.len()];
+    memory.read_line_into(strike.line, buf);
+    let outcome = match scheme.verify_writeback(strike.set, strike.way, buf) {
         RecoveryOutcome::Clean if memory.line_matches(strike.line, &strike.snapshot) => {
             return TrialOutcome::Masked;
         }
         RecoveryOutcome::Clean => TrialOutcome::Sdc,
-        RecoveryOutcome::CorrectedByEcc { .. } if buf == strike.snapshot => TrialOutcome::Corrected,
+        RecoveryOutcome::CorrectedByEcc { .. } if *buf == *strike.snapshot => {
+            TrialOutcome::Corrected
+        }
         // Miscorrected write-back: wrong data reached memory.
         RecoveryOutcome::CorrectedByEcc { .. } => TrialOutcome::Sdc,
         RecoveryOutcome::RecoveredByRefetch => return TrialOutcome::RefetchRecovered,

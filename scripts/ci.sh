@@ -36,6 +36,9 @@ step() {
 step "cargo fmt --check" cargo fmt --check
 step "cargo clippy --workspace -- -D warnings" \
   cargo clippy --workspace --all-targets -- -D warnings
+# Broken or private intra-doc links fail the build of the API docs.
+step "cargo doc -D warnings" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 step "criterion benches compile" \
   cargo build -p aep-bench --features criterion-benches --benches
 # perfbench/ is its own workspace with a committed Cargo.lock that may
