@@ -211,7 +211,9 @@ impl LabEvaluator {
             point.geometry.apply(&mut cfg.hierarchy.l2);
         }
         let disk = self.use_cache.then(|| RunCache::default_under("."));
-        faults::campaign_for(scale, &cfg, self.jobs, disk.as_ref(), true).total
+        faults::campaigns_for(scale, &[cfg], self.jobs, disk.as_ref(), true)
+            .remove(0)
+            .total
     }
 }
 

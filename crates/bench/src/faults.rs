@@ -23,9 +23,7 @@
 use aep_core::lineup::{challengers_faults_schemes, faults_schemes};
 use aep_core::{SchemeKind, SoftErrorModel};
 use aep_ecc::CodeArea;
-use aep_faultsim::{
-    fan_out, run_campaign_report, CampaignConfig, CampaignReport, OutcomeTable, StrikeModel,
-};
+use aep_faultsim::{run_campaigns, CampaignConfig, CampaignReport, OutcomeTable, StrikeModel};
 use aep_workloads::{Benchmark, Workload};
 
 use crate::experiments::{FigureData, Lab, PlannedRun, Scale};
@@ -231,53 +229,73 @@ pub fn parse_report(text: &str) -> Option<CampaignReport> {
     })
 }
 
-/// Runs (or recalls) one campaign: the one load → run → store path for
-/// `exp faults` and the explorer's empirical objectives.
-pub(crate) fn campaign_for(
+/// Runs (or recalls) a line-up of campaigns and returns their reports in
+/// line-up order: the one load → run → store path for `exp faults` and
+/// the explorer's empirical objectives. The campaigns the cache misses
+/// share the `jobs` workers through [`run_campaigns`].
+pub(crate) fn campaigns_for(
     scale: Scale,
-    cfg: &CampaignConfig,
+    cfgs: &[CampaignConfig],
     jobs: usize,
     disk: Option<&RunCache>,
     verbose: bool,
-) -> CampaignReport {
-    let key = campaign_key(scale, cfg);
-    if let Some(disk) = disk {
-        // An entry with the wrong chunk count is a damaged one: rerun.
-        if let Some(report) = disk
-            .load_raw(&key)
-            .as_deref()
-            .and_then(parse_report)
-            .filter(|r| r.chunks.len() == cfg.chunks())
-        {
+) -> Vec<CampaignReport> {
+    let cached: Vec<Option<CampaignReport>> = cfgs
+        .iter()
+        .map(|cfg| {
+            // An entry with the wrong chunk count is a damaged one: rerun.
+            let report = disk?
+                .load_raw(&campaign_key(scale, cfg))
+                .as_deref()
+                .and_then(parse_report)
+                .filter(|r| r.chunks.len() == cfg.chunks())?;
             if verbose {
                 eprintln!("[faults] disk hit {}", cfg.scheme.label());
             }
-            return report;
+            Some(report)
+        })
+        .collect();
+    let missed: Vec<CampaignConfig> = cfgs
+        .iter()
+        .zip(&cached)
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(cfg, _)| cfg.clone())
+        .collect();
+    if verbose {
+        for cfg in &missed {
+            eprintln!(
+                "[faults] campaign {} / {} ({} trials, model {})",
+                cfg.benchmark,
+                cfg.scheme.label(),
+                cfg.trials,
+                cfg.model.slug()
+            );
         }
     }
-    if verbose {
-        eprintln!(
-            "[faults] campaign {} / {} ({} trials, model {})",
-            cfg.benchmark,
-            cfg.scheme.label(),
-            cfg.trials,
-            cfg.model.slug()
-        );
-    }
-    let report = run_campaign_report(cfg, jobs);
-    if verbose {
-        eprintln!(
-            "[faults]   {:.0} trials/s ({:.2} s wall)",
-            report.trials_per_sec(),
-            report.wall_seconds
-        );
-    }
-    if let Some(disk) = disk {
-        if let Err(e) = disk.store_raw(&key, &render_report(&report)) {
-            eprintln!("[faults] warning: cannot write cache entry {key}: {e}");
-        }
-    }
-    report
+    let mut fresh = run_campaigns(&missed, jobs).into_iter();
+    cfgs.iter()
+        .zip(cached)
+        .map(|(cfg, hit)| {
+            hit.unwrap_or_else(|| {
+                let report = fresh.next().expect("one report per missed campaign");
+                if verbose {
+                    eprintln!(
+                        "[faults]   {}: {:.0} trials/s ({:.2} s wall)",
+                        cfg.scheme.label(),
+                        report.trials_per_sec(),
+                        report.wall_seconds
+                    );
+                }
+                if let Some(disk) = disk {
+                    let key = campaign_key(scale, cfg);
+                    if let Err(e) = disk.store_raw(&key, &render_report(&report)) {
+                        eprintln!("[faults] warning: cannot write cache entry {key}: {e}");
+                    }
+                }
+                report
+            })
+        })
+        .collect()
 }
 
 /// The first-order analytical user-visible FIT for `scheme`, fed with the
@@ -358,16 +376,11 @@ pub fn faults_figure(
         .map(|&k| (opts.benchmark.clone(), k))
         .collect();
     lab.prefetch(&measured);
-    // One campaign per worker, each on a machine of its own: split into
-    // groups, one campaign would re-simulate its whole trajectory per
-    // group, so `--jobs` spreads the line-up's campaigns instead.
     let configs: Vec<CampaignConfig> = schemes
         .iter()
         .map(|&scheme| campaign_config(scale, opts, scheme))
         .collect();
-    let reports = fan_out(configs.len(), jobs, |i| {
-        campaign_for(scale, &configs[i], 1, disk, verbose)
-    });
+    let reports = campaigns_for(scale, &configs, jobs, disk, verbose);
     let rows = configs
         .iter()
         .zip(reports)
@@ -485,7 +498,14 @@ mod tests {
         };
         let cfg = campaign_config(Scale::Smoke, &opts, SchemeKind::ParityOnly);
         let key = campaign_key(Scale::Smoke, &cfg);
-        let fresh = campaign_for(Scale::Smoke, &cfg, 1, Some(&disk), false);
+        let fresh = campaigns_for(
+            Scale::Smoke,
+            std::slice::from_ref(&cfg),
+            1,
+            Some(&disk),
+            false,
+        )
+        .remove(0);
         let entry = disk.load_raw(&key).expect("the campaign is cached");
         let lines: Vec<&str> = entry.lines().collect();
         assert_eq!(lines.len(), 8 + fresh.chunks.len());
@@ -501,7 +521,14 @@ mod tests {
         ));
         for text in damaged {
             disk.store_raw(&key, &text).expect("cache writable");
-            let rerun = campaign_for(Scale::Smoke, &cfg, 1, Some(&disk), false);
+            let rerun = campaigns_for(
+                Scale::Smoke,
+                std::slice::from_ref(&cfg),
+                1,
+                Some(&disk),
+                false,
+            )
+            .remove(0);
             assert!(rerun.wall_seconds > 0.0, "served as a hit:\n{text}");
             assert_eq!(rerun.chunks, fresh.chunks);
             assert_eq!(rerun.total, fresh.total);

@@ -465,15 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn every_registered_scheme_copies_in_place_like_clone_box() {
-        for scheme in challengers_faults_schemes() {
-            let mut failures = Vec::new();
-            check_scratch_copy(scheme, &mut failures);
-            assert!(failures.is_empty(), "{}: {failures:?}", scheme.label());
-        }
-    }
-
-    #[test]
     fn broken_retiring_scheme_fails_the_suite() {
         assert!(
             broken_scheme_is_caught() > 0,

@@ -86,6 +86,14 @@ impl SchemeKind {
         }
     }
 
+    /// Whether the machine elides silent stores under this configuration:
+    /// its store path then compares each store's payload against the
+    /// resident words, so line data can steer its timing.
+    #[must_use]
+    pub fn elides_silent_stores(self) -> bool {
+        matches!(self, SchemeKind::SilentWriteEcc { .. })
+    }
+
     /// Short label for reports.
     #[must_use]
     pub fn label(self) -> String {

@@ -53,13 +53,18 @@
 //! resolution leaves in it (counters, repaired check bits) never reaches
 //! the next.
 //!
-//! A group costs one full machine: its own warm-up and a trajectory as
-//! long as its slowest lane's, simulated again in every group. `jobs`
-//! therefore speeds a shared campaign up only by spreading the
-//! per-trial work over the groups; a caller with several campaigns gets
-//! more from running each on a machine of its own, as `exp faults`
-//! does. Sharing one warm-up across groups would need a `Send` system,
-//! and the observers hold `Rc`s.
+//! A shared group costs one full machine: its own warm-up and a
+//! trajectory as long as its slowest lane's, simulated again in every
+//! group. A second group of a shared campaign therefore buys only a share
+//! of the per-trial work, at the price of a whole trajectory, while a
+//! group of the per-chunk path below repeats only the warm-up (each of its
+//! chunks forks the warmed machine and runs alone). [`run_campaigns`]
+//! spreads a line-up's (campaign, group) pairs over one set of workers by
+//! that rule: up to `jobs` groups for a per-chunk campaign, and for a
+//! shared one at most its share of the workers, so a shared campaign in a
+//! line-up longer than `jobs` runs as one group. Sharing one warm-up
+//! across groups would need a `Send` system, and the observers hold
+//! `Rc`s.
 //!
 //! The one exception is silent-store elision (the silent-write-aware
 //! scheme): a store's payload is compared against the resident words, so
@@ -264,30 +269,76 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> OutcomeTable {
 /// Runs the campaign and keeps the per-chunk tables and wall-clock.
 #[must_use]
 pub fn run_campaign_report(cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
-    assert!(
-        cfg.hierarchy.l2.store_data,
-        "fault injection needs a data-holding L2 (store_data = true)"
-    );
-    let _ = cfg.layout(); // validate interleave against the geometry up front
-    let start = Instant::now();
-    let count = cfg.chunks();
-    let groups = jobs.max(1).min(count);
-    let chunks: Vec<OutcomeTable> = fan_out(groups, jobs, |g| {
-        run_group(cfg, g * count / groups..(g + 1) * count / groups)
+    run_campaigns(std::slice::from_ref(cfg), jobs)
+        .pop()
+        .expect("one report per campaign")
+}
+
+/// Runs a line-up of campaigns over up to `jobs` threads and returns
+/// their reports in line-up order, each identical to the campaign's
+/// [`run_campaign_report`] at any `jobs`.
+///
+/// Every (campaign, group of chunks) pair is one work item, so the
+/// line-up shares the workers. A per-chunk campaign is split into up to
+/// `jobs` groups; a shared-trajectory campaign, each of whose groups
+/// simulates the whole trajectory again, into at most `jobs` over the
+/// line-up's length (see the module docs). A lone campaign of either kind
+/// thus takes up to `jobs` groups. A report's wall-clock spans its first
+/// group's start to its last group's end.
+#[must_use]
+pub fn run_campaigns(cfgs: &[CampaignConfig], jobs: usize) -> Vec<CampaignReport> {
+    let jobs = jobs.max(1);
+    let groups: Vec<usize> = cfgs
+        .iter()
+        .map(|cfg| {
+            assert!(
+                cfg.hierarchy.l2.store_data,
+                "fault injection needs a data-holding L2 (store_data = true)"
+            );
+            let _ = cfg.layout(); // validate interleave against the geometry up front
+            let share = if cfg.scheme.elides_silent_stores() {
+                jobs
+            } else {
+                jobs / cfgs.len()
+            };
+            share.max(1).min(cfg.chunks())
+        })
+        .collect();
+    let items: Vec<(&CampaignConfig, Range<usize>)> = cfgs
+        .iter()
+        .zip(&groups)
+        .flat_map(|(cfg, &n)| {
+            let count = cfg.chunks();
+            (0..n).map(move |g| (cfg, g * count / n..(g + 1) * count / n))
+        })
+        .collect();
+    let mut runs = fan_out(items.len(), jobs, |i| {
+        let (cfg, chunks) = items[i].clone();
+        let start = Instant::now();
+        let tables = run_group(cfg, chunks);
+        (start, Instant::now(), tables)
     })
-    .into_iter()
-    .flatten()
-    .collect();
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let mut total = OutcomeTable::default();
-    for t in &chunks {
-        total.merge(t);
-    }
-    CampaignReport {
-        total,
-        chunks,
-        wall_seconds,
-    }
+    .into_iter();
+    // Items run in campaign order and each campaign's groups in chunk
+    // order, so a campaign's chunks come out in index order.
+    groups
+        .iter()
+        .map(|&n| {
+            let runs: Vec<_> = runs.by_ref().take(n).collect();
+            let start = runs.iter().map(|r| r.0).min();
+            let end = runs.iter().map(|r| r.1).max();
+            let chunks: Vec<OutcomeTable> = runs.into_iter().flat_map(|r| r.2).collect();
+            let mut total = OutcomeTable::default();
+            for t in &chunks {
+                total.merge(t);
+            }
+            CampaignReport {
+                total,
+                chunks,
+                wall_seconds: start.zip(end).map_or(0.0, |(s, e)| (e - s).as_secs_f64()),
+            }
+        })
+        .collect()
 }
 
 /// Runs a contiguous range of chunks on one warmed machine and returns
@@ -1075,6 +1126,38 @@ mod tests {
         let parallel = run_campaign(&c, 3);
         assert_eq!(serial, parallel);
         assert_eq!(serial.trials(), u64::from(c.trials));
+    }
+
+    #[test]
+    fn a_line_up_reports_each_campaign_as_run_alone() {
+        // A per-chunk (silent-store) campaign between two shared ones: at
+        // 3 jobs the shared ones run as one group each, at 6 as two.
+        let line_up: Vec<CampaignConfig> = [
+            SchemeKind::ParityOnly,
+            SchemeKind::SilentWriteEcc {
+                cleaning_interval: CHOSEN_INTERVAL,
+            },
+            SchemeKind::Uniform,
+        ]
+        .into_iter()
+        .map(smoke)
+        .collect();
+        let alone: Vec<CampaignReport> =
+            line_up.iter().map(|c| run_campaign_report(c, 1)).collect();
+        for jobs in [3, 6] {
+            let reports = run_campaigns(&line_up, jobs);
+            assert_eq!(reports.len(), line_up.len());
+            for ((c, report), alone) in line_up.iter().zip(&reports).zip(&alone) {
+                assert_eq!(
+                    report.chunks,
+                    alone.chunks,
+                    "{} at {jobs} jobs",
+                    c.scheme.label()
+                );
+                assert_eq!(report.total, alone.total);
+                assert!(report.wall_seconds > 0.0);
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub mod monitor;
 pub mod outcome;
 pub mod pool;
 
-pub use campaign::{run_campaign, run_campaign_report, CampaignConfig, CampaignReport};
+pub use campaign::{
+    run_campaign, run_campaign_report, run_campaigns, CampaignConfig, CampaignReport,
+};
 pub use models::{StrikeModel, StrikePattern, WordFlips};
 pub use monitor::{PendingStrike, StrikeCell, StrikeProbe, StrikeState};
 pub use outcome::{OutcomeTable, TrialOutcome};

@@ -64,15 +64,14 @@ impl StrikePattern {
         }
     }
 
-    /// The single-word pattern of a classic [`FaultSpec`] draw.
-    #[must_use]
-    pub fn from_spec(spec: FaultSpec) -> Self {
-        StrikePattern {
-            flips: vec![WordFlips {
-                word: spec.word,
-                mask: spec.mask(),
-            }],
-        }
+    /// Replaces the pattern with the single-word footprint of a classic
+    /// [`FaultSpec`] draw, reusing its storage.
+    pub fn set_spec(&mut self, spec: FaultSpec) {
+        self.flips.clear();
+        self.flips.push(WordFlips {
+            word: spec.word,
+            mask: spec.mask(),
+        });
     }
 
     /// Per-word flips, sorted by word index.
@@ -221,13 +220,7 @@ impl StrikeModel {
     ) {
         out.flips.clear();
         match *self {
-            StrikeModel::Single => {
-                let spec = injector.weighted(layout.words(), p_double);
-                out.flips.push(WordFlips {
-                    word: spec.word,
-                    mask: spec.mask(),
-                });
-            }
+            StrikeModel::Single => out.set_spec(injector.weighted(layout.words(), p_double)),
             StrikeModel::Burst { width } => spatial::draw_burst(layout, rng, width, out),
             StrikeModel::Col { span } => spatial::draw_col(layout, rng, span, out),
             StrikeModel::Row { span } => spatial::draw_row(layout, rng, span, out),
@@ -322,8 +315,11 @@ mod tests {
             bit: 10,
             second_bit: Some(44),
         };
-        let p = StrikePattern::from_spec(spec);
-        assert_eq!(p.flips().len(), 1);
+        let mut p = StrikePattern::default();
+        p.add(0, 1);
+        p.add(5, 2);
+        p.set_spec(spec);
+        assert_eq!(p.flips().len(), 1, "replaces what the pattern held");
         assert_eq!(p.flips()[0].word, 3);
         assert_eq!(p.flips()[0].mask, (1 << 10) | (1 << 44));
     }

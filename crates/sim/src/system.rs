@@ -103,10 +103,8 @@ impl<S: InstrStream> System<S> {
         };
         let mut hier = MemoryHierarchy::new(hier_cfg);
         hier.enable_l2_events();
-        if matches!(kind, SchemeKind::SilentWriteEcc { .. }) {
-            // The hierarchy classifies silent stores on the store path.
-            hier.set_silent_store_elision(true);
-        }
+        // The hierarchy classifies silent stores on the store path.
+        hier.set_silent_store_elision(kind.elides_silent_stores());
         System {
             cpu: Pipeline::new(core, stream),
             hier,
