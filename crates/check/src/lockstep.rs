@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use aep_core::lineup::challengers_faults_schemes;
 use aep_core::SchemeKind;
-use aep_cpu::CoreConfig;
+use aep_cpu::{CoreConfig, InstrStream};
 use aep_faultsim::fan_out;
 use aep_mem::HierarchyConfig;
 use aep_sim::System;
@@ -51,9 +51,24 @@ impl LockstepResult {
 }
 
 fn run_one(scheme: SchemeKind, bench: Benchmark, cycles: u64) -> LockstepResult {
-    let hier_cfg = HierarchyConfig::date2006();
+    run_system(lockstep_system(scheme, bench), bench, cycles)
+}
+
+fn lockstep_system(scheme: SchemeKind, bench: Benchmark) -> System<impl InstrStream> {
     let stream = bench.generator(LOCKSTEP_SEED);
-    let mut sys = System::new(CoreConfig::date2006(), hier_cfg.clone(), scheme, stream);
+    System::new(
+        CoreConfig::date2006(),
+        HierarchyConfig::date2006(),
+        scheme,
+        stream,
+    )
+}
+
+/// Runs `sys` (built by [`lockstep_system`]) for `cycles` cycles under
+/// the lockstep checker.
+fn run_system(mut sys: System<impl InstrStream>, bench: Benchmark, cycles: u64) -> LockstepResult {
+    let scheme = sys.kind();
+    let hier_cfg = HierarchyConfig::date2006();
     let state: Rc<RefCell<CheckState>> = Rc::new(RefCell::new(CheckState::default()));
     let checker = LockstepChecker::new(&hier_cfg, Rc::clone(&state), LOCKSTEP_CADENCE);
     sys.add_observer(Box::new(checker));
@@ -108,5 +123,21 @@ mod tests {
             );
             assert!(r.events_checked > 0, "no events checked — hook broken?");
         }
+    }
+
+    #[test]
+    fn cleaning_without_the_written_bit_filter_keeps_written_implies_dirty() {
+        // The written-bit ablation also cleans lines whose written bit is
+        // set; each such write-back must clear the bit with the dirty bit.
+        let mut sys = lockstep_system(
+            SchemeKind::UniformWithCleaning {
+                cleaning_interval: 64 * 1024,
+            },
+            Benchmark::Gap,
+        );
+        sys.set_respect_written_bit(false);
+        let r = run_system(sys, Benchmark::Gap, 80_000);
+        assert!(!r.failed(), "diverged: {:?}", r.violations);
+        assert!(r.events_checked > 0, "no events checked — hook broken?");
     }
 }

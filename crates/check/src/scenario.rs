@@ -276,18 +276,27 @@ pub fn run_stream<S: aep_cpu::isa::InstrStream + 'static>(
     if let Some(period) = probe.scrub_period {
         sys.enable_scrubbing(period);
     }
+    run_checked(sys, &hier_cfg, probe.cycles)
+}
+
+/// Steps `sys` for `cycles` cycles under the lockstep checker and
+/// reports its verdict, with the post-run coverage bits: the scheme's,
+/// a deferred cleaning probe, an active scrubber.
+fn run_checked<S: aep_cpu::isa::InstrStream>(
+    mut sys: System<S>,
+    hier_cfg: &HierarchyConfig,
+    cycles: u64,
+) -> ScenarioOutcome {
     let state: Rc<RefCell<CheckState>> = Rc::new(RefCell::new(CheckState::default()));
-    let checker = LockstepChecker::new(&hier_cfg, Rc::clone(&state), SCENARIO_CADENCE);
+    let checker = LockstepChecker::new(hier_cfg, Rc::clone(&state), SCENARIO_CADENCE);
     sys.add_observer(Box::new(checker));
-    for now in 0..probe.cycles {
+    for now in 0..cycles {
         sys.step(now);
     }
     let mut st = state.borrow_mut();
-    st.coverage.set(scheme_coverage_bit(probe.scheme));
-    if let aep_core::cleaning::CleaningPolicy::WrittenBit(logic) = &sys.cleaning {
-        if logic.stats().deferred > 0 {
-            st.coverage.set(Coverage::PROBE_DEFERRED);
-        }
+    st.coverage.set(scheme_coverage_bit(sys.kind()));
+    if sys.cleaning.stats().deferred > 0 {
+        st.coverage.set(Coverage::PROBE_DEFERRED);
     }
     if sys.scrub_stats().is_some_and(|s| s.scrubbed > 0) {
         st.coverage.set(Coverage::SCRUB_ACTIVE);
@@ -337,28 +346,7 @@ pub fn run_genome(genome: &Genome, inject_broken: bool) -> ScenarioOutcome {
     if let Some(period) = genome.scrub_period {
         sys.enable_scrubbing(period);
     }
-    let state: Rc<RefCell<CheckState>> = Rc::new(RefCell::new(CheckState::default()));
-    let checker = LockstepChecker::new(&hier_cfg, Rc::clone(&state), SCENARIO_CADENCE);
-    sys.add_observer(Box::new(checker));
-    for now in 0..genome.cycles {
-        sys.step(now);
-    }
-    let mut st = state.borrow_mut();
-    st.coverage.set(scheme_coverage_bit(genome.scheme));
-    if let aep_core::cleaning::CleaningPolicy::WrittenBit(logic) = &sys.cleaning {
-        if logic.stats().deferred > 0 {
-            st.coverage.set(Coverage::PROBE_DEFERRED);
-        }
-    }
-    if sys.scrub_stats().is_some_and(|s| s.scrubbed > 0) {
-        st.coverage.set(Coverage::SCRUB_ACTIVE);
-    }
-    ScenarioOutcome {
-        violations: std::mem::take(&mut st.violations),
-        total_violations: st.total_violations,
-        coverage: st.coverage,
-        events_checked: st.events_checked,
-    }
+    run_checked(sys, &hier_cfg, genome.cycles)
 }
 
 #[cfg(test)]

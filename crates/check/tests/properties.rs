@@ -5,7 +5,7 @@
 //! randomized trials, so failures reproduce exactly.
 
 use aep_core::{CleaningLogic, RecoveryOutcome, Scrubber};
-use aep_mem::cache::AccessKind;
+use aep_mem::cache::{AccessKind, CleanRule, EvictedLine, LineView};
 use aep_mem::{Cache, CacheConfig, LineAddr};
 use aep_rng::SmallRng;
 
@@ -67,54 +67,175 @@ fn deferred_probes_are_retried_not_skipped() {
     assert_eq!(fsm.due_set(32), Some(1));
 }
 
-/// Randomized trials: `clean_probe` writes back exactly the
-/// `dirty && !written` lines and resets every surviving written bit.
+/// The lines one [`Cache::clean_set`] probe writes back.
+fn probe(c: &mut Cache, set: usize, now: u64, rule: CleanRule) -> Vec<EvictedLine> {
+    let mut out = Vec::new();
+    c.clean_set(set, now, rule, &mut out);
+    out
+}
+
+/// One way's access history as the test drove it: the oracle for the
+/// rules that read line times or LRU order.
+#[derive(Debug, Clone, Copy, Default)]
+struct History {
+    last_access: u64,
+    last_write: u64,
+    /// Gap between the last two writes; 0 after a single write.
+    write_gap: u64,
+    /// Sequence number of the last access (lower = less recent).
+    order: u64,
+}
+
+impl History {
+    fn access(&mut self, now: u64, write: bool, order: u64) {
+        self.last_access = now;
+        self.order = order;
+        if write {
+            self.write_gap = now - self.last_write;
+            self.last_write = now;
+        }
+    }
+}
+
+/// What a probe under `rule` does to a line with metadata `v` and
+/// history `h` (`is_lru`: it is the set's least recently used valid way):
+/// whether it writes the line back, and the line's written bit afterwards
+/// — worked out from the snapshot alone, independently of the cache.
+fn expect(rule: CleanRule, v: &LineView, h: &History, is_lru: bool, now: u64) -> (bool, bool) {
+    let dirty = v.valid && v.dirty;
+    // `keep`: whether a line the rule does not write back keeps its
+    // written bit.
+    let (pick, keep) = match rule {
+        CleanRule::WrittenBit => (dirty && !v.written, false),
+        CleanRule::AllDirty => (dirty, false),
+        CleanRule::Idle { window } => (dirty && now - h.last_access >= window, true),
+        CleanRule::ReuseGap {
+            multiplier,
+            fallback_gap,
+        } => {
+            let gap = if h.write_gap == 0 {
+                fallback_gap
+            } else {
+                h.write_gap
+            };
+            let dead = dirty && now - h.last_write >= gap * u64::from(multiplier);
+            (dead && !v.written, !dead)
+        }
+        CleanRule::LruIfDirty => (dirty && is_lru, true),
+    };
+    (pick, v.written && !pick && keep)
+}
+
+/// Randomized trials under every [`CleanRule`]: a probe writes back
+/// exactly the lines an independent filter over a pre-probe snapshot
+/// picks, leaves every written bit as that filter predicts, keeps the
+/// dirty counter exact, and leaves `written ⇒ dirty` on every valid way.
 #[test]
 fn clean_probe_cleans_exactly_the_quiescent_lines() {
     let mut rng = SmallRng::seed_from_u64(0xC1EA4);
-    for trial in 0..200u64 {
+    for trial in 0..1_000u64 {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         let sets = c.sets() as u64;
-        let words = 8;
         let set = rng.gen_range(0..c.sets());
-        // Populate the set with a random mix of clean / dirty /
-        // dirty+written lines.
         let ways = c.ways();
-        for way in 0..ways {
-            let line = LineAddr(set as u64 + (way as u64) * sets);
-            let write = rng.gen_bool(0.6);
-            c.install(line, write, trial, Some(&data(words, trial)));
-            if write && rng.gen_bool(0.5) {
-                // A second write sets the written bit.
-                c.lookup(line, AccessKind::Write, trial);
+        let mut lines = vec![LineAddr(0); ways];
+        let mut history = vec![History::default(); ways];
+        let mut now = 0u64;
+        let mut order = 0u64;
+        // Fill most ways, clean or dirty, then hit them with a random
+        // mix of loads and stores (a second store sets the written bit).
+        for k in 0..ways as u64 {
+            if rng.gen_bool(0.15) {
+                continue;
             }
+            now += rng.gen_range(1..300);
+            order += 1;
+            let line = LineAddr(set as u64 + k * sets);
+            let way = c
+                .install(line, rng.gen_bool(0.6), now, Some(&data(8, trial)))
+                .way;
+            lines[way] = line;
+            history[way] = History {
+                last_access: now,
+                last_write: now,
+                write_gap: 0,
+                order,
+            };
         }
-        let before: Vec<_> = (0..ways).map(|w| c.line_view(set, w)).collect();
-        let cleaned = c.clean_probe(set, trial + 1);
-        let expect_cleaned: Vec<LineAddr> = before
-            .iter()
-            .filter(|v| v.valid && v.dirty && !v.written)
-            .map(|v| v.line)
+        for _ in 0..rng.gen_range(0..8u32) {
+            let way = rng.gen_range(0..ways);
+            if !c.line_view(set, way).valid {
+                continue;
+            }
+            let write = rng.gen_bool(0.5);
+            now += rng.gen_range(1..300);
+            order += 1;
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            assert!(c.lookup(lines[way], kind, now).is_hit());
+            history[way].access(now, write, order);
+        }
+        now += rng.gen_range(0..2_000);
+        // Half the time a threshold sits exactly on one line's idle time,
+        // so the boundary cycle is checked too.
+        let edge = &history[rng.gen_range(0..ways)];
+        let on_edge = rng.gen_bool(0.5);
+        let rule = match trial % 5 {
+            0 => CleanRule::WrittenBit,
+            1 => CleanRule::AllDirty,
+            2 if on_edge => CleanRule::Idle {
+                window: now - edge.last_access,
+            },
+            2 => CleanRule::Idle {
+                window: rng.gen_range(0..2_000),
+            },
+            3 if on_edge => CleanRule::ReuseGap {
+                multiplier: 1,
+                fallback_gap: now - edge.last_write,
+            },
+            3 => CleanRule::ReuseGap {
+                multiplier: rng.gen_range(1..5),
+                fallback_gap: rng.gen_range(0..500),
+            },
+            _ => CleanRule::LruIfDirty,
+        };
+
+        let before: Vec<LineView> = (0..ways).map(|w| c.line_view(set, w)).collect();
+        let lru = (0..ways)
+            .filter(|&w| before[w].valid)
+            .min_by_key(|&w| history[w].order);
+        let expected: Vec<(bool, bool)> = (0..ways)
+            .map(|w| expect(rule, &before[w], &history[w], lru == Some(w), now))
             .collect();
-        let mut got: Vec<LineAddr> = cleaned.iter().map(|e| e.line).collect();
-        let mut want = expect_cleaned.clone();
-        got.sort_unstable_by_key(|l| l.0);
-        want.sort_unstable_by_key(|l| l.0);
-        assert_eq!(got, want, "trial {trial}: cleaned set mismatch");
-        for (way, pre) in before.iter().enumerate() {
+        let want: Vec<usize> = (0..ways).filter(|&w| expected[w].0).collect();
+        let mut got: Vec<usize> = probe(&mut c, set, now, rule)
+            .iter()
+            .map(|e| e.way)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "trial {trial} {rule:?}: cleaned ways");
+        assert_eq!(
+            c.dirty_line_count(),
+            c.recount_dirty_lines(),
+            "trial {trial} {rule:?}: dirty counter"
+        );
+        for (way, (pre, &(cleaned, written))) in before.iter().zip(&expected).enumerate() {
             let post = c.line_view(set, way);
             if !pre.valid {
                 continue;
             }
-            assert!(!post.written, "trial {trial}: written bit must reset");
-            if pre.dirty && !pre.written {
-                assert!(!post.dirty, "trial {trial}: quiescent line must clean");
-            } else {
-                assert_eq!(
-                    post.dirty, pre.dirty,
-                    "trial {trial}: busy/clean lines keep their dirty state"
-                );
-            }
+            assert!(
+                !post.written || post.dirty,
+                "trial {trial} {rule:?}: way {way} written but not dirty"
+            );
+            assert_eq!(
+                (post.dirty, post.written),
+                (pre.dirty && !cleaned, written),
+                "trial {trial} {rule:?}: way {way} dirty and written bits"
+            );
         }
     }
 }
@@ -131,12 +252,12 @@ fn written_bit_spares_then_cleans_across_generations() {
     let v = c.line_view(5, 0);
     assert!(v.dirty && v.written);
 
-    let first = c.clean_probe(5, 10);
+    let first = probe(&mut c, 5, 10, CleanRule::WrittenBit);
     assert!(first.is_empty(), "written line is spared");
     let v = c.line_view(5, 0);
     assert!(v.dirty && !v.written, "sparing resets the written bit");
 
-    let second = c.clean_probe(5, 20);
+    let second = probe(&mut c, 5, 20, CleanRule::WrittenBit);
     assert_eq!(second.len(), 1, "quiescent generation is cleaned");
     assert_eq!(second[0].line, line);
     assert!(!c.line_view(5, 0).dirty);
@@ -147,7 +268,7 @@ fn written_bit_spares_then_cleans_across_generations() {
     for probe_at in [40, 50] {
         c.lookup(line, AccessKind::Write, probe_at - 1); // re-arm written
         assert!(
-            c.clean_probe(5, probe_at).is_empty(),
+            probe(&mut c, 5, probe_at, CleanRule::WrittenBit).is_empty(),
             "write-hot line stays resident"
         );
     }

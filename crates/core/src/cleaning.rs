@@ -15,6 +15,7 @@
 //! keeps returning the same set until the probe eventually succeeds and
 //! [`CleaningLogic::complete`] is called.
 
+use aep_mem::cache::CleanRule;
 use aep_mem::Cycle;
 
 /// Statistics of the cleaning FSM.
@@ -226,41 +227,31 @@ mod tests {
 
 /// Which early-write-back mechanism a system runs — the paper's
 /// written-bit interval FSM, or one of the related-work alternatives it
-/// discusses (§2): Kaxiras-style decay cleaning and Lee et al.'s eager
-/// writeback. Compared head-to-head by `exp cleaners`.
+/// discusses (§2) — told apart only by which set is due when and under
+/// which [`CleanRule`]. Compared head-to-head by `exp cleaners`.
 #[derive(Debug, Clone)]
 pub enum CleaningPolicy {
     /// No early write-backs (the `org` baseline).
     None,
-    /// The paper's mechanism: interval FSM + written-bit filter.
-    WrittenBit(CleaningLogic),
-    /// Decay cleaning: the same probe cadence, but a line is written back
-    /// when it has been *idle* (unaccessed) for at least `window` cycles —
-    /// requires per-line access timestamps instead of one written bit.
-    Decay {
-        /// Probe scheduler (same cadence semantics as the paper's FSM).
+    /// The interval FSM probing each set in turn under `rule`: the
+    /// paper's written-bit filter, decay cleaning (a per-line idle time
+    /// instead of one written bit) or reuse-predicted copy-back (Wang et
+    /// al., arXiv:2105.14442; its predictor state lives in the cache's
+    /// per-line last-write/write-gap columns).
+    Interval {
+        /// Probe scheduler (the paper's cycle counter + next-set latch).
         fsm: CleaningLogic,
-        /// Idle threshold in cycles.
-        window: u64,
+        /// The lines each probe writes back.
+        rule: CleanRule,
     },
-    /// Eager writeback: whenever the off-chip bus is idle, the next set's
-    /// LRU line is written back if dirty.
+    /// Eager writeback (Lee et al.): whenever the off-chip bus is idle,
+    /// the next set's LRU line is written back if dirty. Keeps no FSM, so
+    /// its `cleaning.*` counters stay zero.
     Eager {
         /// Round-robin set cursor.
         next_set: usize,
         /// Total sets (for wrap-around).
         sets: usize,
-    },
-    /// Reuse-predicted early copy-back (Wang et al., arXiv:2105.14442):
-    /// the same probe cadence, but a dirty line is copied back when it
-    /// has been write-idle for at least `multiplier` times its observed
-    /// write-reuse gap — the predictor state lives in the cache's
-    /// per-line last-write/write-gap columns.
-    ReusePredicted {
-        /// Probe scheduler (same cadence semantics as the paper's FSM).
-        fsm: CleaningLogic,
-        /// Idle threshold as a multiple of the observed reuse gap.
-        multiplier: u32,
     },
 }
 
@@ -268,17 +259,14 @@ impl CleaningPolicy {
     /// The paper's policy at the given full-sweep interval.
     #[must_use]
     pub fn written_bit(interval: u64, sets: usize) -> Self {
-        CleaningPolicy::WrittenBit(CleaningLogic::new(interval, sets))
+        Self::interval(interval, sets, CleanRule::WrittenBit)
     }
 
     /// Decay cleaning probing at `interval` cadence with an idle
     /// threshold of `window` cycles.
     #[must_use]
     pub fn decay(interval: u64, window: u64, sets: usize) -> Self {
-        CleaningPolicy::Decay {
-            fsm: CleaningLogic::new(interval, sets),
-            window,
-        }
+        Self::interval(interval, sets, CleanRule::Idle { window })
     }
 
     /// Eager writeback over `sets` sets.
@@ -288,42 +276,77 @@ impl CleaningPolicy {
     }
 
     /// Reuse-predicted copy-back probing at `interval` cadence with the
-    /// given idle-threshold `multiplier`.
+    /// given idle-threshold `multiplier`. A line with one write since
+    /// fill has no observed gap; the probe period stands in for it.
     #[must_use]
     pub fn reuse_predicted(interval: u64, multiplier: u32, sets: usize) -> Self {
-        CleaningPolicy::ReusePredicted {
-            fsm: CleaningLogic::new(interval, sets),
+        let fsm = CleaningLogic::new(interval, sets);
+        let rule = CleanRule::ReuseGap {
             multiplier,
+            fallback_gap: fsm.probe_period(),
+        };
+        CleaningPolicy::Interval { fsm, rule }
+    }
+
+    fn interval(interval: u64, sets: usize, rule: CleanRule) -> Self {
+        CleaningPolicy::Interval {
+            fsm: CleaningLogic::new(interval, sets),
+            rule,
         }
     }
 
-    /// Publishes the policy's statistics into the registry under the
-    /// current scope. Policies without an FSM (none/eager) publish zeroed
-    /// counters so snapshot keys stay identical across schemes.
-    pub fn register_stats(&self, reg: &mut aep_obs::Registry) {
-        let stats = match self {
-            CleaningPolicy::WrittenBit(fsm)
-            | CleaningPolicy::Decay { fsm, .. }
-            | CleaningPolicy::ReusePredicted { fsm, .. } => fsm.stats(),
+    /// The set to probe at `now` and the rule to probe it under, if a
+    /// probe is due. A probe stays due until [`CleaningPolicy::complete`].
+    #[must_use]
+    #[inline]
+    pub fn due(&self, now: Cycle) -> Option<(usize, CleanRule)> {
+        match self {
+            CleaningPolicy::None => None,
+            CleaningPolicy::Interval { fsm, rule } => fsm.due_set(now).map(|set| (set, *rule)),
+            CleaningPolicy::Eager { next_set, .. } => Some((*next_set, CleanRule::LruIfDirty)),
+        }
+    }
+
+    /// Records a completed probe that cleaned `lines_cleaned` lines and
+    /// moves on to the next set.
+    pub fn complete(&mut self, now: Cycle, lines_cleaned: usize) {
+        match self {
+            CleaningPolicy::None => {}
+            CleaningPolicy::Interval { fsm, .. } => fsm.complete(now, lines_cleaned),
+            CleaningPolicy::Eager { next_set, sets } => *next_set = (*next_set + 1) % *sets,
+        }
+    }
+
+    /// Records that arbitration refused the due probe this cycle; it
+    /// stays due.
+    pub fn defer(&mut self) {
+        if let CleaningPolicy::Interval { fsm, .. } = self {
+            fsm.defer();
+        }
+    }
+
+    /// The FSM's statistics; zero for policies without one (none/eager),
+    /// so snapshot keys stay identical across schemes.
+    #[must_use]
+    pub fn stats(&self) -> CleaningStats {
+        match self {
+            CleaningPolicy::Interval { fsm, .. } => fsm.stats(),
             CleaningPolicy::None | CleaningPolicy::Eager { .. } => CleaningStats::default(),
-        };
-        stats.register_stats(reg);
+        }
     }
 
     /// The earliest cycle after `now` at which the policy can act:
-    /// the FSM's pending probe for written-bit/decay cleaning, every
-    /// cycle for eager writeback (its probe gates on bus idleness, which
-    /// must be re-checked each cycle), never for `None`. Cycles before
-    /// the returned one are provably policy-idle, which is what lets the
+    /// the FSM's pending probe for interval policies, every cycle for
+    /// eager writeback (its probe gates on bus idleness, which must be
+    /// re-checked each cycle), never for `None`. Cycles before the
+    /// returned one are provably policy-idle, which is what lets the
     /// system loop fast-forward over them.
     #[must_use]
     #[inline]
     pub fn next_due_after(&self, now: Cycle) -> Cycle {
         match self {
             CleaningPolicy::None => Cycle::MAX,
-            CleaningPolicy::WrittenBit(fsm)
-            | CleaningPolicy::Decay { fsm, .. }
-            | CleaningPolicy::ReusePredicted { fsm, .. } => fsm.next_probe_at().max(now + 1),
+            CleaningPolicy::Interval { fsm, .. } => fsm.next_probe_at().max(now + 1),
             CleaningPolicy::Eager { .. } => now + 1,
         }
     }
@@ -331,25 +354,20 @@ impl CleaningPolicy {
     /// Short label for reports.
     #[must_use]
     pub fn label(&self) -> String {
+        let human = crate::scheme::human_interval;
         match self {
             CleaningPolicy::None => "none".into(),
-            CleaningPolicy::WrittenBit(fsm) => {
-                format!(
-                    "written-bit@{}",
-                    crate::scheme::human_interval(fsm.interval())
-                )
-            }
-            CleaningPolicy::Decay { window, .. } => {
-                format!("decay@{}", crate::scheme::human_interval(*window))
+            CleaningPolicy::Interval { fsm, rule } => {
+                let at = human(fsm.interval());
+                match rule {
+                    CleanRule::WrittenBit => format!("written-bit@{at}"),
+                    CleanRule::AllDirty => format!("all-dirty@{at}"),
+                    CleanRule::Idle { window } => format!("decay@{}", human(*window)),
+                    CleanRule::ReuseGap { multiplier, .. } => format!("reuse{multiplier}x@{at}"),
+                    CleanRule::LruIfDirty => format!("lru-if-dirty@{at}"),
+                }
             }
             CleaningPolicy::Eager { .. } => "eager".into(),
-            CleaningPolicy::ReusePredicted { fsm, multiplier } => {
-                format!(
-                    "reuse{}x@{}",
-                    multiplier,
-                    crate::scheme::human_interval(fsm.interval())
-                )
-            }
         }
     }
 }

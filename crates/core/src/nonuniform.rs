@@ -37,7 +37,7 @@
 //!   classification on, so no other kind ever sees such an event.
 //! * [`SchemeKind::ReuseCopyback`] (Wang et al., arXiv:2105.14442) needs
 //!   nothing here: its reuse-distance predictor lives in
-//!   [`crate::cleaning::CleaningPolicy::ReusePredicted`], and its early
+//!   [`crate::cleaning::CleaningPolicy::reuse_predicted`], and its early
 //!   copy-backs arrive as ordinary `Cleaned` events that free the entry.
 
 use aep_ecc::parity::InterleavedParity;
@@ -511,7 +511,7 @@ impl ProtectionScheme for NonUniformScheme {
 mod tests {
     use super::*;
     use aep_mem::addr::LineAddr;
-    use aep_mem::cache::{AccessKind, WbClass};
+    use aep_mem::cache::{AccessKind, CleanRule, WbClass};
 
     const PROPOSED: SchemeKind = SchemeKind::Proposed {
         cleaning_interval: 1 << 20,
@@ -725,8 +725,14 @@ mod tests {
 
         // The write sets the written bit: the first probe grants grace,
         // the second (line long idle, gap fallback 10) copies back.
+        let rule = CleanRule::ReuseGap {
+            multiplier: 4,
+            fallback_gap: 10,
+        };
         for now in [1000u64, 2000] {
-            for ev in h.l2.reuse_probe(set, now, 4, 10) {
+            let mut cleaned = Vec::new();
+            h.l2.clean_set(set, now, rule, &mut cleaned);
+            for ev in cleaned {
                 h.mem
                     .write_line(ev.line, h.l2.line_data(set, ev.way).unwrap());
             }

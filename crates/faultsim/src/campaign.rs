@@ -471,7 +471,10 @@ fn horizon_outcome(
 /// Runs one chunk of trials on a fork of the warmed machine, flipping
 /// real bits (the per-chunk path).
 fn run_chunk(cfg: &CampaignConfig, warm: &System<WorkloadStream>, chunk: usize) -> OutcomeTable {
-    run_chunk_with(cfg, warm, chunk, resolve_strike)
+    let mut sys = warm.fork();
+    let cell: StrikeCell = Rc::new(RefCell::new(StrikeState::default()));
+    sys.add_observer(Box::new(StrikeProbe::new(Rc::clone(&cell))));
+    run_chunk_with(cfg, &mut sys, &cell, chunk, resolve_strike)
 }
 
 /// Runs the machine from `now` until the armed strike resolves or
@@ -492,11 +495,13 @@ fn resolve_strike(
     (next, outcome)
 }
 
-/// [`run_chunk`] with the strike-resolution loop supplied by the caller
-/// (tests substitute a per-cycle oracle).
+/// [`run_chunk`]'s trials on `sys`, a fork of the warmed machine whose
+/// strike probe reports through `cell`, with the strike-resolution loop
+/// supplied by the caller (tests substitute a per-cycle oracle).
 fn run_chunk_with(
     cfg: &CampaignConfig,
-    warm: &System<WorkloadStream>,
+    sys: &mut System<WorkloadStream>,
+    cell: &StrikeCell,
     chunk: usize,
     mut resolve: impl FnMut(
         &mut System<WorkloadStream>,
@@ -505,9 +510,6 @@ fn run_chunk_with(
         u64,
     ) -> (u64, Option<TrialOutcome>),
 ) -> OutcomeTable {
-    let mut sys = warm.fork();
-    let cell: StrikeCell = Rc::new(RefCell::new(StrikeState::default()));
-    sys.add_observer(Box::new(StrikeProbe::new(Rc::clone(&cell))));
     let layout = cfg.layout();
     let mut draws = ChunkDraws::new(cfg, chunk);
     let mut now = cfg.warmup_cycles;
@@ -525,9 +527,9 @@ fn run_chunk_with(
             .strike_cache(sys.hier.l2_mut(), strike.set, strike.way);
         cell.borrow_mut().arm(strike);
 
-        let (next, outcome) = resolve(&mut sys, &cell, now, cfg.horizon_cycles);
+        let (next, outcome) = resolve(sys, cell, now, cfg.horizon_cycles);
         now = next;
-        let outcome = outcome.unwrap_or_else(|| finalize_at_horizon(&mut sys, &cell));
+        let outcome = outcome.unwrap_or_else(|| finalize_at_horizon(sys, cell));
         table.record(outcome, true, dirty);
     }
     table
@@ -989,14 +991,65 @@ mod tests {
         let mut table = OutcomeTable::default();
         let mut log = Vec::new();
         for chunk in 0..c.chunks() {
-            let chunk_table = run_chunk_with(c, &warm, chunk, |sys, cell, now, horizon| {
-                let (next, outcome) = resolve(sys, cell, now, horizon);
-                log.push((now, next, outcome));
-                (next, outcome)
-            });
+            let mut sys = warm.fork();
+            let cell: StrikeCell = Rc::new(RefCell::new(StrikeState::default()));
+            sys.add_observer(Box::new(StrikeProbe::new(Rc::clone(&cell))));
+            let chunk_table =
+                run_chunk_with(c, &mut sys, &cell, chunk, |sys, cell, now, horizon| {
+                    let (next, outcome) = resolve(sys, cell, now, horizon);
+                    log.push((now, next, outcome));
+                    (next, outcome)
+                });
             table.merge(&chunk_table);
         }
         (table, log)
+    }
+
+    /// A [`StrikeProbe`] the test keeps a handle on while the system
+    /// owns the observer.
+    struct SharedProbe(Rc<RefCell<StrikeProbe>>);
+
+    impl aep_sim::SystemObserver for SharedProbe {
+        fn pre_event(
+            &mut self,
+            event: &aep_mem::L2Event,
+            l2: &mut aep_mem::Cache,
+            scheme: &mut dyn ProtectionScheme,
+            memory: &mut aep_mem::MainMemory,
+            now: u64,
+        ) {
+            self.0
+                .borrow_mut()
+                .pre_event(event, l2, scheme, memory, now);
+        }
+
+        fn drain_resolutions(&mut self, out: &mut Vec<(usize, usize, &'static str)>) {
+            self.0.borrow_mut().drain_resolutions(out);
+        }
+    }
+
+    #[test]
+    fn untraced_chunks_keep_no_strike_resolutions() {
+        let c = CampaignConfig {
+            trials_per_chunk: 100,
+            trials: 100,
+            ..cfg(SchemeKind::Proposed {
+                cleaning_interval: CHOSEN_INTERVAL,
+            })
+        };
+        let mut sys = warmed_prototype(&c);
+        assert!(sys.trace().is_none());
+        let cell: StrikeCell = Rc::new(RefCell::new(StrikeState::default()));
+        let probe = Rc::new(RefCell::new(StrikeProbe::new(Rc::clone(&cell))));
+        sys.add_observer(Box::new(SharedProbe(Rc::clone(&probe))));
+        let mut resolved = 0;
+        run_chunk_with(&c, &mut sys, &cell, 0, |sys, cell, now, horizon| {
+            let (next, outcome) = resolve_strike(sys, cell, now, horizon);
+            resolved += usize::from(outcome.is_some());
+            assert_eq!(probe.borrow().undrained(), 0, "resolutions piled up");
+            (next, outcome)
+        });
+        assert!(resolved > 10, "only {resolved} strikes resolved");
     }
 
     #[test]

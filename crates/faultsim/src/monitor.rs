@@ -112,6 +112,12 @@ impl StrikeProbe {
             resolutions: Vec::new(),
         }
     }
+
+    /// Resolutions recorded but not yet drained by the system.
+    #[cfg(test)]
+    pub(crate) fn undrained(&self) -> usize {
+        self.resolutions.len()
+    }
 }
 
 impl SystemObserver for StrikeProbe {

@@ -9,6 +9,11 @@
 //! doubling, a handful of allocations here, so the budget allows fewer
 //! than one allocation per hundred extra trials.
 //!
+//! The same holds for the machine's cleaning probes, which every
+//! campaign of a cleaning scheme runs in its trajectory: a probe writes
+//! its lines back through a reused buffer, so a longer run on a short
+//! cleaning interval costs no more allocations than that growth.
+//!
 //! A counting global allocator counts the allocations of the calling
 //! thread only, so tests running in parallel do not disturb the count;
 //! campaigns run at `jobs` 1, on that thread.
@@ -16,9 +21,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use aep_core::cleaning::CleaningPolicy;
 use aep_core::lineup::CHOSEN_INTERVAL;
 use aep_core::SchemeKind;
+use aep_cpu::CoreConfig;
 use aep_faultsim::{run_campaign, CampaignConfig, StrikeModel};
+use aep_mem::HierarchyConfig;
 use aep_workloads::Benchmark;
 
 struct CountingAllocator;
@@ -111,6 +119,58 @@ fn trial_count_does_not_grow_allocations() {
         assert!(
             long.saturating_sub(short) < extra_trials / 100,
             "{label}: 10 chunks of 100 trials allocate {long} times, 10 chunks of 10 {short} times"
+        );
+    }
+}
+
+#[test]
+fn cleaning_probes_do_not_allocate() {
+    // The paper's 4096-set L2 swept every 64K cycles: one probe per 16
+    // cycles, under every cleaning rule (the last case switches the
+    // written-bit filter off).
+    let sets = HierarchyConfig::date2006().l2.sets() as usize;
+    let interval = 64 * 1024;
+    let cases = [
+        (CleaningPolicy::written_bit(interval, sets), true),
+        (CleaningPolicy::written_bit(interval, sets), false),
+        (CleaningPolicy::decay(interval, interval / 4, sets), true),
+        (CleaningPolicy::reuse_predicted(interval, 2, sets), true),
+        (CleaningPolicy::eager(sets), true),
+    ];
+    let (warmup, short, long) = (20_000, 20_000, 200_000);
+    for (policy, respect_written_bit) in cases {
+        let label = format!(
+            "{} (written-bit filter {respect_written_bit})",
+            policy.label()
+        );
+        let allocations = |cycles: u64| {
+            let mut sys = aep_sim::System::new(
+                CoreConfig::date2006(),
+                HierarchyConfig::date2006(),
+                SchemeKind::Uniform,
+                Benchmark::Gap.generator(2006),
+            );
+            sys.set_cleaning_policy(policy.clone());
+            sys.set_respect_written_bit(respect_written_bit);
+            let now = sys.run(0, warmup);
+            let before = ALLOCATIONS.with(Cell::get);
+            sys.run(now, cycles);
+            let after = ALLOCATIONS.with(Cell::get);
+            (after - before, sys.hier.l2().stats().writebacks_cleaning)
+        };
+        let (short_allocs, _) = allocations(short);
+        let (long_allocs, cleaned) = allocations(long);
+        eprintln!(
+            "{label}: {short_allocs} allocations over {short} cycles, {long_allocs} over {long}"
+        );
+        assert!(
+            cleaned > 100,
+            "{label}: only {cleaned} cleaning write-backs"
+        );
+        let extra_probes = (long - short) * sets as u64 / interval;
+        assert!(
+            long_allocs.saturating_sub(short_allocs) < extra_probes / 100,
+            "{label}: {long} cycles allocate {long_allocs} times, {short} cycles {short_allocs} times"
         );
     }
 }

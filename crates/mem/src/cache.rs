@@ -7,16 +7,16 @@
 //!
 //! * **Written bits** (`track_written`): the dirty bit is set by the *first*
 //!   write to a resident line and the written bit by any *subsequent* write;
-//!   fills reset both. [`Cache::clean_probe`] implements the cleaning FSM's
-//!   per-set action (write back `dirty && !written` lines, reset the other
-//!   lines' written bits).
+//!   fills reset both. [`Cache::clean_set`] implements the cleaning FSM's
+//!   per-set action under a [`CleanRule`]: the paper's rule writes back
+//!   `dirty && !written` lines and resets the other lines' written bits.
 //! * **Event stream** (`emit_events`): every fill/hit/eviction/cleaning is
 //!   recorded as an [`L2Event`] for the protection scheme to observe; the
 //!   scheme responds with forced clean-ups via [`Cache::force_clean`].
 //!
 //! A cache that tracks written bits (the L2) also keeps each line's access
-//! and write times, which its decay and reuse-distance cleaning probes
-//! read. The L1s track neither, so their hit path stores no timestamps.
+//! and write times, which the idle and reuse-gap cleaning rules read. The
+//! L1s track neither, so their hit path stores no timestamps.
 
 use crate::addr::{Addr, LineAddr};
 use crate::census::{LifetimeHistogram, LifetimeTracker};
@@ -65,6 +65,39 @@ impl WbClass {
             WbClass::EccEviction => "ecc_eviction",
         }
     }
+}
+
+/// Which lines one cleaning probe of a set writes back: the paper's
+/// written-bit filter, or a related-work alternative that differs from it
+/// only in the lines it picks (see [`Cache::clean_set`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CleanRule {
+    /// The paper's FSM: write back `dirty && !written` lines and reset
+    /// every other line's written bit.
+    WrittenBit,
+    /// The no-filter ablation: write back every dirty line.
+    AllDirty,
+    /// Decay cleaning (Kaxiras-style): write back every dirty line not
+    /// accessed for at least `window` cycles.
+    Idle {
+        /// Idle threshold in cycles.
+        window: u64,
+    },
+    /// Reuse-distance-predicted early copy-back (Wang et al.,
+    /// arXiv:2105.14442): a dirty line write-idle for at least
+    /// `multiplier` times its last observed write gap (`fallback_gap` for
+    /// a line written once since fill) is predicted dead. A dead line is
+    /// written back if `!written`; a dead but written line gets its
+    /// written bit reset instead, one more epoch of grace.
+    ReuseGap {
+        /// Idle threshold as a multiple of the observed gap.
+        multiplier: u32,
+        /// The gap assumed for a line with a single write on record.
+        fallback_gap: u64,
+    },
+    /// Eager writeback (Lee et al.): write back the set's LRU line if it
+    /// is dirty.
+    LruIfDirty,
 }
 
 /// A line displaced by a fill, or written back by a cleaning action.
@@ -222,11 +255,11 @@ pub enum L2Event {
 /// to it, so the lookup probe compares tags alone.
 const INVALID_TAG: u64 = u64::MAX;
 
-/// The per-slot times read by the decay and reuse-distance cleaning
-/// probes, indexed like the line metadata.
+/// The per-slot times read by the [`CleanRule::Idle`] and
+/// [`CleanRule::ReuseGap`] cleaning rules, indexed like the line metadata.
 #[derive(Debug, Clone)]
 struct LineClock {
-    /// Cycle of the slot's most recent access (the decay probe's idle
+    /// Cycle of the slot's most recent access (the idle rule's idle
     /// time).
     last_access: Vec<Cycle>,
     /// Reuse-distance bookkeeping for the predicted early-copy-back
@@ -712,58 +745,72 @@ impl Cache {
         }
     }
 
-    /// The paper's cleaning-FSM action on one set: every valid line with
-    /// `dirty && !written` is written back and marked clean; every other
-    /// valid line has its written bit reset.
+    /// One cleaning probe of `set` (the cleaning FSM's per-set action):
+    /// every valid line that `rule` picks is written back and marked
+    /// clean, and appended to `out` so the caller can put the write-backs
+    /// on the bus (a cleaned line stays resident; its words are
+    /// [`Cache::line_data`] at its way). Under the written-bit rules a
+    /// spared line's written bit is reset, as is a predicted-dead but
+    /// written line's under [`CleanRule::ReuseGap`].
     ///
-    /// Returns the cleaned lines (with data, when stored) so the caller can
-    /// put the write-backs on the bus.
-    pub fn clean_probe(&mut self, set: usize, now: Cycle) -> Vec<EvictedLine> {
-        self.clean_probe_mode(set, now, true)
-    }
-
-    /// [`Cache::clean_probe`] with the written-bit filter made explicit.
+    /// # Panics
     ///
-    /// With `respect_written = false` the probe writes back *every* dirty
-    /// line in the set — the strawman the paper's written bit improves on
-    /// (used by the `ablation_written_bit` bench).
-    pub fn clean_probe_mode(
+    /// Panics if `rule` reads line times ([`CleanRule::Idle`],
+    /// [`CleanRule::ReuseGap`]) on a cache that does not track written
+    /// bits (it keeps none then) and the set holds a dirty line.
+    pub fn clean_set(
         &mut self,
         set: usize,
         now: Cycle,
-        respect_written: bool,
-    ) -> Vec<EvictedLine> {
+        rule: CleanRule,
+        out: &mut Vec<EvictedLine>,
+    ) {
         debug_assert!(set < self.sets as usize, "set index out of range");
-        let mut cleaned = Vec::new();
+        let base = self.slot(set, 0);
+        let lru_way = match rule {
+            CleanRule::LruIfDirty => (0..self.ways)
+                .filter(|&way| self.valid[base + way])
+                .min_by_key(|&way| self.lru[base + way]),
+            _ => None,
+        };
         for way in 0..self.ways {
-            let slot = self.slot(set, way);
+            let slot = base + way;
             if !self.valid[slot] {
                 continue;
             }
-            if self.dirty[slot] && (!self.written[slot] || !respect_written) {
-                self.dirty[slot] = false;
-                let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-                let written = self.written[slot];
-                self.dirty_lines -= 1;
-                self.lifetime_clean(slot, now);
-                self.stats.writebacks_cleaning += 1;
-                self.emit(L2Event::Cleaned {
-                    set,
-                    way,
-                    line,
-                    class: WbClass::Cleaning,
-                });
-                cleaned.push(EvictedLine {
-                    line,
-                    way,
-                    dirty: true,
-                    written,
-                });
-            } else {
+            let (dirty, written) = (self.dirty[slot], self.written[slot]);
+            // Whether the rule writes the line back, and whether a line it
+            // leaves alone has its written bit reset.
+            let (pick, reset_written) = match rule {
+                CleanRule::WrittenBit => (dirty && !written, true),
+                CleanRule::AllDirty => (dirty, true),
+                CleanRule::Idle { window } => (
+                    dirty && now.saturating_sub(self.clock().last_access[slot]) >= window,
+                    false,
+                ),
+                CleanRule::ReuseGap {
+                    multiplier,
+                    fallback_gap,
+                } => {
+                    let dead = dirty && {
+                        let clock = self.clock();
+                        let gap = match clock.write_gap[slot] {
+                            0 => fallback_gap,
+                            g => g,
+                        };
+                        now.saturating_sub(clock.last_write[slot])
+                            >= gap.saturating_mul(u64::from(multiplier))
+                    };
+                    (dead && !written, dead)
+                }
+                CleanRule::LruIfDirty => (dirty && lru_way == Some(way), false),
+            };
+            if pick {
+                out.push(self.write_back(set, way, now, WbClass::Cleaning));
+            } else if reset_written {
                 self.written[slot] = false;
             }
         }
-        cleaned
     }
 
     /// Registers a store whose bytes matched the resident line exactly
@@ -801,148 +848,6 @@ impl Cache {
         self.silent_write_hits
     }
 
-    /// Reuse-distance-predicted early copy-back (Wang et al.,
-    /// arXiv:2105.14442) on one set: a valid `dirty && !written` line
-    /// whose idle time since its last write exceeds `multiplier` times
-    /// its observed write-reuse gap (or `fallback_gap`, for lines with a
-    /// single write on record) is predicted dead and written back early.
-    /// Predicted-dead lines that are still `written` get their written
-    /// bit reset instead — one more epoch of grace, mirroring the paper
-    /// FSM's filter, so the probe cleans exactly `dirty && !written`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache does not track written bits (it keeps no
-    /// write times then).
-    pub fn reuse_probe(
-        &mut self,
-        set: usize,
-        now: Cycle,
-        multiplier: u32,
-        fallback_gap: u64,
-    ) -> Vec<EvictedLine> {
-        debug_assert!(set < self.sets as usize, "set index out of range");
-        let mut cleaned = Vec::new();
-        for way in 0..self.ways {
-            let slot = self.slot(set, way);
-            if !self.valid[slot] || !self.dirty[slot] {
-                continue;
-            }
-            let clock = self.clock();
-            let gap = match clock.write_gap[slot] {
-                0 => fallback_gap,
-                g => g,
-            };
-            let idle = now.saturating_sub(clock.last_write[slot]);
-            if idle < gap.saturating_mul(u64::from(multiplier)) {
-                continue;
-            }
-            if self.written[slot] {
-                self.written[slot] = false;
-                continue;
-            }
-            self.dirty[slot] = false;
-            let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-            self.dirty_lines -= 1;
-            self.lifetime_clean(slot, now);
-            self.stats.writebacks_cleaning += 1;
-            self.emit(L2Event::Cleaned {
-                set,
-                way,
-                line,
-                class: WbClass::Cleaning,
-            });
-            cleaned.push(EvictedLine {
-                line,
-                way,
-                dirty: true,
-                written: false,
-            });
-        }
-        cleaned
-    }
-
-    /// Decay-based cleaning (Kaxiras-style): writes back every dirty line
-    /// in `set` that has not been accessed for at least `decay_window`
-    /// cycles. An alternative to the paper's written-bit probe, compared
-    /// in the `exp cleaners` ablation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache does not track written bits (it keeps no
-    /// access times then).
-    pub fn decay_probe(&mut self, set: usize, now: Cycle, decay_window: u64) -> Vec<EvictedLine> {
-        debug_assert!(set < self.sets as usize, "set index out of range");
-        let mut cleaned = Vec::new();
-        for way in 0..self.ways {
-            let slot = self.slot(set, way);
-            if !self.valid[slot] || !self.dirty[slot] {
-                continue;
-            }
-            if now.saturating_sub(self.clock().last_access[slot]) >= decay_window {
-                self.dirty[slot] = false;
-                self.written[slot] = false;
-                let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-                self.dirty_lines -= 1;
-                self.lifetime_clean(slot, now);
-                self.stats.writebacks_cleaning += 1;
-                self.emit(L2Event::Cleaned {
-                    set,
-                    way,
-                    line,
-                    class: WbClass::Cleaning,
-                });
-                cleaned.push(EvictedLine {
-                    line,
-                    way,
-                    dirty: true,
-                    written: false,
-                });
-            }
-        }
-        cleaned
-    }
-
-    /// Eager writeback (Lee et al.): if the set's LRU way is dirty, write
-    /// it back and mark it clean (called when the bus is idle). Returns
-    /// the cleaned line, if any.
-    pub fn eager_probe(&mut self, set: usize, now: Cycle) -> Option<EvictedLine> {
-        debug_assert!(set < self.sets as usize, "set index out of range");
-        // Find the LRU valid way.
-        let mut victim: Option<usize> = None;
-        let mut best = u64::MAX;
-        for way in 0..self.ways {
-            let slot = self.slot(set, way);
-            if self.valid[slot] && self.lru[slot] < best {
-                best = self.lru[slot];
-                victim = Some(way);
-            }
-        }
-        let way = victim?;
-        let slot = self.slot(set, way);
-        if !self.dirty[slot] {
-            return None;
-        }
-        self.dirty[slot] = false;
-        self.written[slot] = false;
-        let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
-        self.dirty_lines -= 1;
-        self.lifetime_clean(slot, now);
-        self.stats.writebacks_cleaning += 1;
-        self.emit(L2Event::Cleaned {
-            set,
-            way,
-            line,
-            class: WbClass::Cleaning,
-        });
-        Some(EvictedLine {
-            line,
-            way,
-            dirty: true,
-            written: false,
-        })
-    }
-
     /// Forcibly writes back and cleans one dirty line (the proposed
     /// scheme's ECC-entry eviction). Returns the line for the bus, or
     /// `None` when the way is not a valid dirty line.
@@ -954,12 +859,18 @@ impl Cache {
         class: WbClass,
     ) -> Option<EvictedLine> {
         let slot = self.slot(set, way);
-        if !self.valid[slot] || !self.dirty[slot] {
-            return None;
-        }
+        (self.valid[slot] && self.dirty[slot]).then(|| self.write_back(set, way, now, class))
+    }
+
+    /// Writes back the valid dirty line at (`set`, `way`) early: it stays
+    /// resident, clean and unwritten, and the write-back is counted as
+    /// `class` and announced as [`L2Event::Cleaned`].
+    fn write_back(&mut self, set: usize, way: usize, now: Cycle, class: WbClass) -> EvictedLine {
+        let slot = self.slot(set, way);
+        let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
+        let written = self.written[slot];
         self.dirty[slot] = false;
         self.written[slot] = false;
-        let line = LineAddr::from_tag_set(self.tags[slot], set, self.sets);
         self.dirty_lines -= 1;
         self.lifetime_clean(slot, now);
         self.stats.count_writeback(class);
@@ -969,12 +880,12 @@ impl Cache {
             line,
             class,
         });
-        Some(EvictedLine {
+        EvictedLine {
             line,
             way,
             dirty: true,
-            written: false,
-        })
+            written,
+        }
     }
 
     /// Non-mutating residence check.
@@ -1107,6 +1018,18 @@ mod tests {
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig::tiny_l2()) // 4 KB, 4-way, 64 B lines: 16 sets
+    }
+
+    /// The lines one [`Cache::clean_set`] probe writes back.
+    pub(super) fn probe(
+        c: &mut Cache,
+        set: usize,
+        now: Cycle,
+        rule: CleanRule,
+    ) -> Vec<EvictedLine> {
+        let mut out = Vec::new();
+        c.clean_set(set, now, rule, &mut out);
+        out
     }
 
     #[test]
@@ -1254,14 +1177,14 @@ mod tests {
         c.install(cc, false, 0, Some(&data(8, 3)));
 
         assert_eq!(c.dirty_line_count(), 2);
-        let cleaned = c.clean_probe(0, 100);
+        let cleaned = probe(&mut c, 0, 100, CleanRule::WrittenBit);
         assert_eq!(cleaned.len(), 1);
         assert_eq!(cleaned[0].line, a);
         assert_eq!(c.dirty_line_count(), 1);
         assert_eq!(c.stats().writebacks_cleaning, 1);
 
         // B's written bit was reset; a second probe now cleans B.
-        let cleaned = c.clean_probe(0, 200);
+        let cleaned = probe(&mut c, 0, 200, CleanRule::WrittenBit);
         assert_eq!(cleaned.len(), 1);
         assert_eq!(cleaned[0].line, b);
         assert_eq!(c.dirty_line_count(), 0);
@@ -1381,6 +1304,7 @@ mod tests {
 
 #[cfg(test)]
 mod ablation_tests {
+    use super::tests::probe;
     use super::*;
     use crate::config::CacheConfig;
 
@@ -1396,14 +1320,16 @@ mod ablation_tests {
         assert!(c.line_view(set, way).written);
 
         // The paper's probe spares it...
-        assert!(c.clean_probe_mode(set, 10, true).is_empty());
+        assert!(probe(&mut c, set, 10, CleanRule::WrittenBit).is_empty());
         // ...re-set the written bit (the probe reset it) and show the
         // aggressive probe does not.
         c.lookup(line, AccessKind::Write, 11);
         assert!(c.line_view(set, way).written);
-        let cleaned = c.clean_probe_mode(set, 12, false);
+        let cleaned = probe(&mut c, set, 12, CleanRule::AllDirty);
         assert_eq!(cleaned.len(), 1);
-        assert!(!c.line_view(set, way).dirty);
+        // The write-back clears both bits: written implies dirty.
+        let v = c.line_view(set, way);
+        assert!(!v.dirty && !v.written);
     }
 
     #[test]
@@ -1415,14 +1341,15 @@ mod ablation_tests {
         }
         let set = LineAddr(1).set_index(16);
         assert_eq!(
-            a.clean_probe_mode(set, 5, true).len(),
-            b.clean_probe_mode(set, 5, false).len()
+            probe(&mut a, set, 5, CleanRule::WrittenBit).len(),
+            probe(&mut b, set, 5, CleanRule::AllDirty).len()
         );
     }
 }
 
 #[cfg(test)]
 mod silent_and_reuse_tests {
+    use super::tests::probe;
     use super::*;
     use crate::config::CacheConfig;
 
@@ -1501,7 +1428,15 @@ mod silent_and_reuse_tests {
         c.install(cc, true, 0, Some(&data(3)));
         c.lookup(cc, AccessKind::Write, 950);
 
-        let cleaned = c.reuse_probe(0, 1_000, 4, 200);
+        let cleaned = probe(
+            &mut c,
+            0,
+            1_000,
+            CleanRule::ReuseGap {
+                multiplier: 4,
+                fallback_gap: 200,
+            },
+        );
         assert_eq!(cleaned.len(), 1);
         assert_eq!(cleaned[0].line, b);
         assert_eq!(c.stats().writebacks_cleaning, 1);
@@ -1510,7 +1445,15 @@ mod silent_and_reuse_tests {
 
         // A is now dirty && !written and long idle: the next probe cleans
         // it; C stays written (its predicted threshold spares it).
-        let cleaned = c.reuse_probe(0, 2_000, 4, 200);
+        let cleaned = probe(
+            &mut c,
+            0,
+            2_000,
+            CleanRule::ReuseGap {
+                multiplier: 4,
+                fallback_gap: 200,
+            },
+        );
         assert_eq!(cleaned.len(), 1);
         assert_eq!(cleaned[0].line, a);
         let (s, w) = c.peek(cc).unwrap();
@@ -1523,13 +1466,23 @@ mod silent_and_reuse_tests {
         let line = LineAddr(2);
         c.install(line, true, 0, Some(&data(4)));
         // Idle 100 < fallback 200 × 4: nothing happens.
-        assert!(c.reuse_probe(2, 100, 4, 200).is_empty());
+        assert!(probe(
+            &mut c,
+            2,
+            100,
+            CleanRule::ReuseGap {
+                multiplier: 4,
+                fallback_gap: 200
+            }
+        )
+        .is_empty());
         assert_eq!(c.dirty_line_count(), 1);
     }
 }
 
 #[cfg(test)]
 mod alt_cleaning_tests {
+    use super::tests::probe;
     use super::*;
     use crate::config::CacheConfig;
 
@@ -1546,7 +1499,7 @@ mod alt_cleaning_tests {
         c.install(LineAddr(16), true, 0, Some(&data()));
         c.lookup(LineAddr(0), AccessKind::Read, 900);
 
-        let cleaned = c.decay_probe(0, 1_000, 500);
+        let cleaned = probe(&mut c, 0, 1_000, CleanRule::Idle { window: 500 });
         assert_eq!(cleaned.len(), 1, "only the idle line decays");
         assert_eq!(cleaned[0].line, LineAddr(16));
         let (set, way) = c.peek(LineAddr(0)).unwrap();
@@ -1576,7 +1529,7 @@ mod alt_cleaning_tests {
         // access time.
         let mut c = Cache::new(CacheConfig::date2006_l1i());
         c.install(LineAddr(1), true, 0, None);
-        let _ = c.decay_probe(1, 10, 1);
+        let _ = probe(&mut c, 1, 10, CleanRule::Idle { window: 1 });
     }
 
     #[test]
@@ -1584,7 +1537,7 @@ mod alt_cleaning_tests {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         c.install(LineAddr(1), true, 0, Some(&data()));
         c.install(LineAddr(17), true, 0, Some(&data()));
-        let cleaned = c.decay_probe(1, 0, 0);
+        let cleaned = probe(&mut c, 1, 0, CleanRule::Idle { window: 0 });
         assert_eq!(cleaned.len(), 2);
         assert_eq!(c.dirty_line_count(), 0);
     }
@@ -1594,10 +1547,11 @@ mod alt_cleaning_tests {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         c.install(LineAddr(2), true, 0, Some(&data())); // oldest
         c.install(LineAddr(18), true, 1, Some(&data()));
-        let ev = c.eager_probe(2, 10).expect("LRU way is dirty");
-        assert_eq!(ev.line, LineAddr(2));
+        let cleaned = probe(&mut c, 2, 10, CleanRule::LruIfDirty);
+        assert_eq!(cleaned.len(), 1, "the LRU way is dirty");
+        assert_eq!(cleaned[0].line, LineAddr(2));
         // The LRU way is now clean; a second probe finds it clean.
-        assert!(c.eager_probe(2, 11).is_none());
+        assert!(probe(&mut c, 2, 11, CleanRule::LruIfDirty).is_empty());
         assert_eq!(c.dirty_line_count(), 1, "the MRU dirty line is untouched");
     }
 
@@ -1606,7 +1560,7 @@ mod alt_cleaning_tests {
         let mut c = Cache::new(CacheConfig::tiny_l2());
         c.install(LineAddr(3), false, 0, Some(&data())); // clean LRU
         c.install(LineAddr(19), true, 1, Some(&data())); // dirty MRU
-        assert!(c.eager_probe(3, 10).is_none());
+        assert!(probe(&mut c, 3, 10, CleanRule::LruIfDirty).is_empty());
         assert_eq!(c.dirty_line_count(), 1);
     }
 }

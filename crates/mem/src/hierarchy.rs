@@ -16,7 +16,7 @@
 
 use crate::addr::Addr;
 use crate::bus::{Bus, BusStats};
-use crate::cache::{AccessKind, Cache, EvictedLine, L2Event, Lookup, WbClass};
+use crate::cache::{AccessKind, Cache, CleanRule, EvictedLine, L2Event, Lookup, WbClass};
 use crate::config::HierarchyConfig;
 use crate::memory::{mix64, MainMemory};
 use crate::write_buffer::{PushOutcome, WriteBuffer, WriteBufferStats};
@@ -65,6 +65,8 @@ pub struct MemoryHierarchy {
     /// One L2 line of scratch for the payload of a retiring write-buffer
     /// entry.
     store_buf: Vec<u64>,
+    /// The lines the last cleaning probe wrote back, reused across probes.
+    clean_buf: Vec<EvictedLine>,
 }
 
 impl MemoryHierarchy {
@@ -93,6 +95,7 @@ impl MemoryHierarchy {
             silent_fills: 0,
             fill_buf: vec![0; l2_words],
             store_buf: vec![0; l2_words],
+            clean_buf: Vec::new(),
             cfg,
         }
     }
@@ -346,25 +349,6 @@ impl MemoryHierarchy {
         self.prefetches_issued
     }
 
-    /// Reuse-distance-predicted early-copy-back probe of one L2 set
-    /// (Wang et al., arXiv:2105.14442); same L1-priority arbitration as
-    /// [`MemoryHierarchy::clean_probe_l2`].
-    pub fn reuse_probe_l2(
-        &mut self,
-        set: usize,
-        now: Cycle,
-        multiplier: u32,
-        fallback_gap: u64,
-    ) -> Option<usize> {
-        if now < self.l2_port_free_at {
-            return None;
-        }
-        self.l2_port_free_at = now + 1;
-        let cleaned = self.l2.reuse_probe(set, now, multiplier, fallback_gap);
-        self.write_back_cleaned(set, &cleaned, now + self.cfg.l2.hit_latency);
-        Some(cleaned.len())
-    }
-
     fn apply_store_words(&mut self, set: usize, way: usize, mask: u64, words: &[u64]) {
         for (i, &w) in words.iter().enumerate() {
             if mask & (1 << i) != 0 {
@@ -396,60 +380,26 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The cleaning logic's probe of one L2 set (the paper's FSM action).
+    /// The cleaning logic's probe of one L2 set: writes back the lines
+    /// `rule` picks (see [`Cache::clean_set`]), each on the bus.
     ///
     /// L1 traffic has priority: when the L2 port is busy at `now` the probe
-    /// is refused and the caller retries next cycle. On success, returns
-    /// how many lines were cleaned (each one written back on the bus).
-    pub fn clean_probe_l2(&mut self, set: usize, now: Cycle) -> Option<usize> {
-        self.clean_probe_l2_mode(set, now, true)
-    }
-
-    /// [`MemoryHierarchy::clean_probe_l2`] with the written-bit filter made
-    /// explicit (ablation support).
-    pub fn clean_probe_l2_mode(
-        &mut self,
-        set: usize,
-        now: Cycle,
-        respect_written: bool,
-    ) -> Option<usize> {
-        if now < self.l2_port_free_at {
+    /// is refused and the caller retries later. Eager writeback
+    /// ([`CleanRule::LruIfDirty`]) also waits for an idle off-chip bus. On
+    /// success, returns how many lines were cleaned.
+    pub fn probe_l2(&mut self, set: usize, now: Cycle, rule: CleanRule) -> Option<usize> {
+        let bus_busy = rule == CleanRule::LruIfDirty && self.bus.free_at() > now;
+        if now < self.l2_port_free_at || bus_busy {
             return None;
         }
         self.l2_port_free_at = now + 1;
-        let cleaned = self.l2.clean_probe_mode(set, now, respect_written);
+        let mut cleaned = std::mem::take(&mut self.clean_buf);
+        cleaned.clear();
+        self.l2.clean_set(set, now, rule, &mut cleaned);
         self.write_back_cleaned(set, &cleaned, now + self.cfg.l2.hit_latency);
-        Some(cleaned.len())
-    }
-
-    /// Decay-based cleaning probe of one L2 set (ablation alternative to
-    /// [`MemoryHierarchy::clean_probe_l2`]); same L1-priority arbitration.
-    pub fn decay_probe_l2(&mut self, set: usize, now: Cycle, window: u64) -> Option<usize> {
-        if now < self.l2_port_free_at {
-            return None;
-        }
-        self.l2_port_free_at = now + 1;
-        let cleaned = self.l2.decay_probe(set, now, window);
-        self.write_back_cleaned(set, &cleaned, now + self.cfg.l2.hit_latency);
-        Some(cleaned.len())
-    }
-
-    /// Eager-writeback probe (Lee et al.): only proceeds when both the L2
-    /// port and the off-chip bus are idle; cleans at most one (LRU, dirty)
-    /// line. Returns whether a write-back was issued, or `None` when
-    /// arbitration refused the probe.
-    pub fn eager_probe_l2(&mut self, set: usize, now: Cycle) -> Option<bool> {
-        if now < self.l2_port_free_at || self.bus.free_at() > now {
-            return None;
-        }
-        self.l2_port_free_at = now + 1;
-        match self.l2.eager_probe(set, now) {
-            Some(line) => {
-                self.write_back_cleaned(set, &[line], now + self.cfg.l2.hit_latency);
-                Some(true)
-            }
-            None => Some(false),
-        }
+        let count = cleaned.len();
+        self.clean_buf = cleaned;
+        Some(count)
     }
 
     /// Forces one dirty L2 line clean (ECC-entry eviction in the proposed
@@ -693,8 +643,11 @@ mod tests {
         let mut h = tiny();
         // Occupy the L2 port with a miss at cycle 5.
         h.load(Addr::new(0x4000), 5);
-        assert!(h.clean_probe_l2(0, 5).is_none(), "port busy: probe refused");
-        assert!(h.clean_probe_l2(0, 100).is_some());
+        assert!(
+            h.probe_l2(0, 5, CleanRule::WrittenBit).is_none(),
+            "port busy: probe refused"
+        );
+        assert!(h.probe_l2(0, 100, CleanRule::WrittenBit).is_some());
     }
 
     #[test]
@@ -707,7 +660,7 @@ mod tests {
         let line = Addr::new(0x200).line(64);
         let set = line.set_index(h.l2().sets() as u64);
         assert_eq!(h.l2().dirty_line_count(), 1);
-        let cleaned = h.clean_probe_l2(set, 1000).unwrap();
+        let cleaned = h.probe_l2(set, 1000, CleanRule::WrittenBit).unwrap();
         assert_eq!(cleaned, 1);
         assert_eq!(h.l2().dirty_line_count(), 0);
         // The written-back data reached memory.
@@ -782,7 +735,7 @@ mod more_tests {
         let cached = h.l2().line_data(set, way).unwrap().to_vec();
         // Evict via cleaning, then check memory returns the same words.
         let set_idx = line.set_index(h.l2().sets() as u64);
-        h.clean_probe_l2(set_idx, 1_000).unwrap();
+        h.probe_l2(set_idx, 1_000, CleanRule::WrittenBit).unwrap();
         assert_eq!(&*h.memory_mut().read_line(line), cached.as_slice());
     }
 
@@ -831,7 +784,7 @@ mod more_tests {
             h.tick(now);
         }
         let ops_before = h.ops();
-        h.clean_probe_l2(0, 1_000);
+        h.probe_l2(0, 1_000, CleanRule::WrittenBit);
         assert_eq!(h.ops(), ops_before, "cleaning is not a CPU memory op");
     }
 }
@@ -867,7 +820,7 @@ mod silent_store_tests {
         // Clean the line so memory and the resident copy agree.
         let line = addr.line(64);
         let set = line.set_index(h.l2().sets() as u64);
-        h.clean_probe_l2(set, 1_000).unwrap();
+        h.probe_l2(set, 1_000, CleanRule::WrittenBit).unwrap();
         assert_eq!(h.l2().dirty_line_count(), 0);
 
         // Re-store the same address: address-stable values make the bytes
@@ -896,7 +849,7 @@ mod silent_store_tests {
         drain(&mut h, 1, 200);
         let line = addr.line(64);
         let set = line.set_index(h.l2().sets() as u64);
-        h.clean_probe_l2(set, 1_000).unwrap();
+        h.probe_l2(set, 1_000, CleanRule::WrittenBit).unwrap();
         h.store(addr, 2_000);
         drain(&mut h, 2_001, 2_200);
         assert_eq!(h.l2().silent_write_hit_count(), 0);
@@ -917,7 +870,7 @@ mod silent_store_tests {
         let set = line.set_index(h.l2().sets() as u64);
         // Write the value back so memory holds it, then evict the line by
         // filling its set with four read misses (4-way tiny L2).
-        h.clean_probe_l2(set, 1_000).unwrap();
+        h.probe_l2(set, 1_000, CleanRule::WrittenBit).unwrap();
         for k in 1..=4u64 {
             h.load(Addr::new(0x200 + k * 0x400), 1_000 + k * 100);
         }

@@ -43,7 +43,7 @@ pub mod write_buffer;
 
 pub use addr::{Addr, LineAddr};
 pub use bus::Bus;
-pub use cache::{AccessKind, AccessOutcome, Cache, L2Event, WbClass};
+pub use cache::{AccessKind, AccessOutcome, Cache, CleanRule, L2Event, WbClass};
 pub use config::{AllocPolicy, CacheConfig, HierarchyConfig, WritePolicy};
 pub use hierarchy::{MemoryHierarchy, OpCounts};
 pub use layout::ArrayLayout;

@@ -76,8 +76,10 @@ pub trait SystemObserver {
     }
 
     /// Appends `(set, way, outcome-label)` tuples for faults this
-    /// observer resolved since the last call — consumed by the cycle
-    /// trace. The default (never resolves anything) suits most observers.
+    /// observer resolved since the last call. The system calls it after
+    /// every pass over pending events and records the tuples in the cycle
+    /// trace, if one is attached, or drops them. The default (never
+    /// resolves anything) suits most observers.
     fn drain_resolutions(&mut self, _out: &mut Vec<(usize, usize, &'static str)>) {}
 
     /// Whether this observer needs [`L2Event::WordWritten`] events;

@@ -410,7 +410,7 @@ pub fn run_lanes_with(
             registry.scoped("cpu", |r| sys.cpu.register_stats(r));
             registry.scoped("mem", |r| sys.hier.register_stats(r));
             registry.scoped("scheme", |r| scheme.register_stats(r));
-            registry.scoped("cleaning", |r| sys.cleaning.register_stats(r));
+            registry.scoped("cleaning", |r| sys.cleaning.stats().register_stats(r));
             registry.scoped("scrub", |r| {
                 state
                     .scrubber

@@ -2,10 +2,10 @@
 
 use aep_core::cleaning::CleaningPolicy;
 use aep_core::scrub::Scrubber;
-use aep_core::{CleaningLogic, Directive, ProtectionScheme, SchemeKind};
+use aep_core::{Directive, ProtectionScheme, SchemeKind};
 use aep_core::{NonUniformScheme, ParityOnlyScheme, UniformEccScheme};
 use aep_cpu::{CoreConfig, InstrStream, Pipeline};
-use aep_mem::cache::WbClass;
+use aep_mem::cache::{CleanRule, WbClass};
 use aep_mem::{Cycle, HierarchyConfig, L2Event, MemoryHierarchy};
 use aep_obs::{CycleTrace, Registry, TraceKind};
 
@@ -78,7 +78,6 @@ pub struct System<S> {
     kind: SchemeKind,
     directive_buf: Vec<Directive>,
     event_buf: Vec<L2Event>,
-    respect_written_bit: bool,
     scrubber: Option<Scrubber>,
     observers: Vec<Box<dyn SystemObserver>>,
     trace: Option<CycleTrace>,
@@ -96,10 +95,11 @@ impl<S: InstrStream> System<S> {
                 cleaning_interval,
                 multiplier,
             } => CleaningPolicy::reuse_predicted(cleaning_interval, multiplier, sets),
-            _ => match kind.cleaning_interval() {
-                Some(interval) => CleaningPolicy::WrittenBit(CleaningLogic::new(interval, sets)),
-                None => CleaningPolicy::None,
-            },
+            _ => kind
+                .cleaning_interval()
+                .map_or(CleaningPolicy::None, |interval| {
+                    CleaningPolicy::written_bit(interval, sets)
+                }),
         };
         let mut hier = MemoryHierarchy::new(hier_cfg);
         hier.enable_l2_events();
@@ -113,7 +113,6 @@ impl<S: InstrStream> System<S> {
             kind,
             directive_buf: Vec::new(),
             event_buf: Vec::new(),
-            respect_written_bit: true,
             scrubber: None,
             observers: Vec::new(),
             trace: None,
@@ -147,7 +146,7 @@ impl<S: InstrStream> System<S> {
         reg.scoped("cpu", |r| self.cpu.register_stats(r));
         reg.scoped("mem", |r| self.hier.register_stats(r));
         reg.scoped("scheme", |r| self.scheme.register_stats(r));
-        reg.scoped("cleaning", |r| self.cleaning.register_stats(r));
+        reg.scoped("cleaning", |r| self.cleaning.stats().register_stats(r));
         reg.scoped("scrub", |r| {
             self.scrub_stats().unwrap_or_default().register_stats(r);
         });
@@ -179,11 +178,22 @@ impl<S: InstrStream> System<S> {
         self.scrubber.as_ref().map(Scrubber::stats)
     }
 
-    /// Disables the written-bit filter in the cleaning FSM: probes write
-    /// back *every* dirty line (the `ablation_written_bit` configuration;
-    /// the paper's design keeps the filter on).
+    /// Switches the written-bit filter of the paper's cleaning policy
+    /// off ([`CleanRule::AllDirty`]: probes write back *every* dirty line,
+    /// the `ablation_written_bit` configuration) or back on. Other
+    /// policies are left as they are.
     pub fn set_respect_written_bit(&mut self, respect: bool) {
-        self.respect_written_bit = respect;
+        if let CleaningPolicy::Interval {
+            rule: rule @ (CleanRule::WrittenBit | CleanRule::AllDirty),
+            ..
+        } = &mut self.cleaning
+        {
+            *rule = if respect {
+                CleanRule::WrittenBit
+            } else {
+                CleanRule::AllDirty
+            };
+        }
     }
 
     /// Replaces the cleaning policy (related-work ablations: decay
@@ -218,7 +228,6 @@ impl<S: InstrStream> System<S> {
             kind: self.kind,
             directive_buf: Vec::new(),
             event_buf: Vec::new(),
-            respect_written_bit: self.respect_written_bit,
             scrubber: self.scrubber.clone(),
             observers: Vec::new(),
             trace: None,
@@ -272,13 +281,17 @@ impl<S: InstrStream> System<S> {
                     obs.post_event(event, &self.hier, self.scheme.as_ref(), now);
                 }
             }
-            if let Some(trace) = self.trace.as_mut() {
-                for obs in &mut self.observers {
-                    obs.drain_resolutions(&mut self.resolution_buf);
+            // Drained on every pass, so an untraced run keeps none.
+            for obs in &mut self.observers {
+                obs.drain_resolutions(&mut self.resolution_buf);
+            }
+            match self.trace.as_mut() {
+                Some(trace) => {
+                    for (set, way, outcome) in self.resolution_buf.drain(..) {
+                        trace.record(now, TraceKind::FaultResolved { set, way, outcome });
+                    }
                 }
-                for (set, way, outcome) in self.resolution_buf.drain(..) {
-                    trace.record(now, TraceKind::FaultResolved { set, way, outcome });
-                }
+                None => self.resolution_buf.clear(),
             }
             for directive in self.directive_buf.drain(..) {
                 match directive {
@@ -291,64 +304,20 @@ impl<S: InstrStream> System<S> {
         }
     }
 
-    /// Runs the cleaning policy for this cycle, honouring L1 priority.
+    /// Runs the cleaning policy for this cycle: probes the due set, if
+    /// any, unless arbitration refuses the probe (L1 priority).
     fn cleaning_tick(&mut self, now: Cycle) {
-        match &mut self.cleaning {
-            CleaningPolicy::None => {}
-            CleaningPolicy::WrittenBit(logic) => {
-                if let Some(set) = logic.due_set(now) {
-                    match self
-                        .hier
-                        .clean_probe_l2_mode(set, now, self.respect_written_bit)
-                    {
-                        Some(cleaned) => {
-                            logic.complete(now, cleaned);
-                            self.drain_events(now);
-                        }
-                        None => logic.defer(),
-                    }
+        let Some((set, rule)) = self.cleaning.due(now) else {
+            return;
+        };
+        match self.hier.probe_l2(set, now, rule) {
+            Some(cleaned) => {
+                self.cleaning.complete(now, cleaned);
+                if cleaned > 0 {
+                    self.drain_events(now);
                 }
             }
-            CleaningPolicy::Decay { fsm, window } => {
-                if let Some(set) = fsm.due_set(now) {
-                    let window = *window;
-                    match self.hier.decay_probe_l2(set, now, window) {
-                        Some(cleaned) => {
-                            fsm.complete(now, cleaned);
-                            self.drain_events(now);
-                        }
-                        None => fsm.defer(),
-                    }
-                }
-            }
-            CleaningPolicy::ReusePredicted { fsm, multiplier } => {
-                if let Some(set) = fsm.due_set(now) {
-                    let multiplier = *multiplier;
-                    // A line with one write since fill has no observed
-                    // gap; the probe period stands in as the fallback.
-                    let fallback_gap = fsm.probe_period();
-                    match self.hier.reuse_probe_l2(set, now, multiplier, fallback_gap) {
-                        Some(cleaned) => {
-                            fsm.complete(now, cleaned);
-                            self.drain_events(now);
-                        }
-                        None => fsm.defer(),
-                    }
-                }
-            }
-            CleaningPolicy::Eager { next_set, sets } => {
-                let set = *next_set;
-                let wrap = *sets;
-                // Bus or port busy -> None: retry the same set next cycle.
-                if let Some(issued) = self.hier.eager_probe_l2(set, now) {
-                    if let CleaningPolicy::Eager { next_set, .. } = &mut self.cleaning {
-                        *next_set = (set + 1) % wrap;
-                    }
-                    if issued {
-                        self.drain_events(now);
-                    }
-                }
-            }
+            None => self.cleaning.defer(),
         }
     }
 

@@ -9,7 +9,7 @@
 use aep::core::{Directive, NonUniformScheme, ProtectionScheme, SchemeKind};
 use aep::ecc::parity::{InterleavedParity, ParityBit, ParityError};
 use aep::ecc::{Decoded, Secded64};
-use aep::mem::cache::{AccessKind, Cache, WbClass};
+use aep::mem::cache::{AccessKind, Cache, CleanRule, WbClass};
 use aep::mem::write_buffer::{PushOutcome, WriteBuffer};
 use aep::mem::{CacheConfig, LineAddr, MainMemory};
 use aep_rng::SmallRng;
@@ -192,7 +192,7 @@ fn dirty_counter_matches_recount() {
                 }
                 _ => {
                     let set = line.set_index(cache.sets() as u64);
-                    cache.clean_probe(set, now);
+                    cache.clean_set(set, now, CleanRule::WrittenBit, &mut Vec::new());
                 }
             }
             assert_eq!(cache.dirty_line_count(), cache.recount_dirty_lines());
@@ -283,7 +283,9 @@ fn nonuniform_invariant_under_random_traffic() {
                 }
                 _ => {
                     let set = line.set_index(l2.sets() as u64);
-                    for cleaned in l2.clean_probe(set, now) {
+                    let mut out = Vec::new();
+                    l2.clean_set(set, now, CleanRule::WrittenBit, &mut out);
+                    for cleaned in out {
                         if let Some(data) = l2.line_data(set, cleaned.way) {
                             mem.write_line(cleaned.line, data);
                         }
