@@ -10,8 +10,10 @@
 //!
 //! Two sections are measured:
 //!
-//! * **schemes** — one serial end-to-end run per scheme in the ladder
-//!   (the historical harness, unchanged).
+//! * **schemes** — a serial end-to-end run of every scheme in the
+//!   ladder, in five interleaved rounds; each scheme reports its
+//!   median round, so a drift in host speed slows every scheme alike
+//!   instead of reordering them.
 //! * **lanes** — a lane-parallel batch ([`aep_sim::run_lanes`]) over
 //!   the shareable-trajectory lane set, reporting per-lane and
 //!   *aggregate* throughput plus the speedup over the serial uniform
@@ -42,9 +44,11 @@ pub struct EngineSample {
     pub slug: String,
     /// Simulated cycles executed (warm-up + measured window).
     pub cycles: u64,
-    /// Wall-clock milliseconds for the whole run.
+    /// Wall-clock milliseconds for the whole run, in the scheme's median
+    /// round.
     pub wall_ms: f64,
-    /// Throughput in simulated megacycles per wall-clock second.
+    /// Throughput in simulated megacycles per wall-clock second, in the
+    /// scheme's median round.
     pub mcycles_per_sec: f64,
 }
 
@@ -158,42 +162,65 @@ pub(crate) fn median_pair<T>(
     (pairs.swap_remove(PAIRS / 2).1, baselines)
 }
 
-/// Runs the harness: one timed end-to-end run per scheme on `benchmark`
-/// at `scale` plus five serial-baseline/lane-batch pairs, never
-/// consulting any cache (throughput is the point).
-#[must_use]
-pub fn run_engine_bench(scale: Scale, benchmark: Benchmark) -> EngineBenchReport {
-    let samples: Vec<EngineSample> = bench_schemes()
-        .into_iter()
-        .map(|scheme| {
-            let cfg = scale.config(benchmark, scheme);
-            let cycles = cfg.warmup_cycles + cfg.measure_cycles;
-            eprintln!(
-                "[bench] {} / {} ({} Mcycles)...",
-                benchmark,
-                scheme.label(),
-                cycles / 1_000_000
-            );
+/// Times [`bench_schemes`] in [`PAIRS`] interleaved rounds, one serial
+/// run of every scheme per round, and keeps each scheme's median round.
+/// A run's wall-clock moves with the host's speed as well as with the
+/// scheme; interleaving spreads that drift over every scheme of a round,
+/// so it cannot decide which scheme reads fastest.
+fn time_schemes(scale: Scale, benchmark: Benchmark) -> Vec<EngineSample> {
+    let schemes = bench_schemes();
+    let configs: Vec<ExperimentConfig> = schemes
+        .iter()
+        .map(|&scheme| scale.config(benchmark, scheme))
+        .collect();
+    eprintln!(
+        "[bench] {} / {} schemes ({} Mcycles each, {PAIRS} rounds)...",
+        benchmark,
+        schemes.len(),
+        (configs[0].warmup_cycles + configs[0].measure_cycles) / 1_000_000
+    );
+    let mut walls = vec![Vec::with_capacity(PAIRS); schemes.len()];
+    for round in 1..=PAIRS {
+        for ((scheme, cfg), times) in schemes.iter().zip(&configs).zip(&mut walls) {
             let started = Instant::now();
-            let stats = Runner::new(cfg).run();
-            let wall = started.elapsed();
+            let stats = Runner::new(cfg.clone()).run();
+            let wall = started.elapsed().as_secs_f64();
             // Fold a result field into stderr so the run cannot be
             // optimised away and obvious breakage is visible.
             eprintln!(
-                "[bench]   ipc {:.3}, {:.0} ms",
+                "[bench]   round {round}: {} ipc {:.3}, {:.0} ms",
+                scheme.label(),
                 stats.ipc,
-                wall.as_secs_f64() * 1e3
+                wall * 1e3
             );
-            let wall_ms = wall.as_secs_f64() * 1e3;
+            times.push(wall);
+        }
+    }
+    schemes
+        .iter()
+        .zip(&configs)
+        .zip(walls)
+        .map(|((&scheme, cfg), mut walls)| {
+            walls.sort_by(f64::total_cmp);
+            let wall = walls[PAIRS / 2];
+            let cycles = cfg.warmup_cycles + cfg.measure_cycles;
             EngineSample {
                 label: scheme.label(),
                 slug: scheme_slug(scheme),
                 cycles,
-                wall_ms,
-                mcycles_per_sec: cycles as f64 / 1e6 / wall.as_secs_f64(),
+                wall_ms: wall * 1e3,
+                mcycles_per_sec: cycles as f64 / 1e6 / wall,
             }
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the harness: five interleaved rounds over the scheme ladder on
+/// `benchmark` at `scale` plus five serial-baseline/lane-batch pairs,
+/// never consulting any cache (throughput is the point).
+#[must_use]
+pub fn run_engine_bench(scale: Scale, benchmark: Benchmark) -> EngineBenchReport {
+    let samples = time_schemes(scale, benchmark);
 
     let lanes = bench_lanes();
     let cfg = scale.config(benchmark, SchemeKind::Uniform);
@@ -264,7 +291,8 @@ impl EngineBenchReport {
             lanes.numeric_row(&lane.label, &[lane.mcycles_per_sec], 1);
         }
         format!(
-            "Engine throughput: {} @ {} scale (commit {})\n{}\n\
+            "Engine throughput: {} @ {} scale (commit {}), each scheme's median of \
+             {PAIRS} interleaved rounds\n{}\n\
              Lane batch: {} lanes x {:.1} Mcycles in {:.0} ms\n{}\
              aggregate {:.1} Mcycles/s = {:.2}x the serial uniform baseline ({:.1} Mcycles/s)\n",
             self.benchmark,

@@ -226,6 +226,7 @@ pub fn parse_report(text: &str) -> Option<CampaignReport> {
         total,
         chunks,
         wall_seconds: 0.0,
+        groups: 0,
     })
 }
 
@@ -472,11 +473,13 @@ mod tests {
             total,
             chunks: vec![a, b],
             wall_seconds: 1.5,
+            groups: 2,
         };
         let parsed = parse_report(&render_report(&report)).expect("round-trips");
         assert_eq!(parsed.total, report.total);
         assert_eq!(parsed.chunks, report.chunks);
         assert_eq!(parsed.wall_seconds, 0.0, "wall-clock never survives disk");
+        assert_eq!(parsed.groups, 0, "a recalled report ran on no machine");
         assert!(parse_report("").is_none());
         assert!(parse_report("version=99\nmasked=1\n").is_none());
         assert!(parse_report("masked=zzz\n").is_none());

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use aep_faultsim::{run_campaign_report, StrikeModel};
+use aep_faultsim::{plan_groups, run_campaign_report, StrikeModel};
 use aep_obs::json::{self, escape};
 use aep_obs::provenance::{git_commit, host};
 use aep_sim::Table;
@@ -102,10 +102,11 @@ pub fn run_faults_bench(scale: Scale, trials: u32, jobs: usize) -> FaultsBenchRe
                 proposed(),
             );
             eprintln!(
-                "[faults-bench] model {} ({} trials, {} jobs, {PAIRS} pairs)...",
+                "[faults-bench] model {} ({} trials, {} jobs, {} groups, {PAIRS} pairs)...",
                 model.slug(),
                 cfg.trials,
-                jobs
+                jobs,
+                plan_groups(std::slice::from_ref(&cfg), jobs)[0]
             );
             let (sample, model_baselines) = median_pair(&base_cfg, |baseline| {
                 let report = run_campaign_report(&cfg, jobs);
@@ -301,5 +302,21 @@ mod tests {
             report.min_trials_per_mcycle() * 0.5
         );
         assert!(report.check_floor(&truncated, 0.2).is_err());
+    }
+
+    #[test]
+    fn the_floor_campaigns_split_over_every_job() {
+        // `scripts/faults_models.sh` records the floor at 20,000 smoke
+        // trials over 4 jobs: each campaign runs as 4 groups, so the
+        // record times the split path.
+        for model in bench_models() {
+            let opts = FaultsOptions {
+                model,
+                trials: 20_000,
+                ..FaultsOptions::default()
+            };
+            let cfg = campaign_config(Scale::Smoke, &opts, proposed());
+            assert_eq!(plan_groups(&[cfg], 4), [4], "{}", model.slug());
+        }
     }
 }

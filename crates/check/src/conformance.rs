@@ -44,7 +44,9 @@
 
 use aep_core::lineup::challengers_faults_schemes;
 use aep_core::{parse_scheme_slug, scheme_slug, RecoveryOutcome, SchemeKind};
-use aep_faultsim::{fan_out, run_campaign, CampaignConfig, StrikeModel};
+use aep_faultsim::{
+    fan_out, plan_groups, run_campaign_report, CampaignConfig, StrikeModel, MIN_SHARED_LANES,
+};
 use aep_sim::lanes::{
     partition_lanes, run_lane_serial, run_lane_serial_with, run_lanes_with, LaneSpec, SchemeBuilder,
 };
@@ -274,21 +276,35 @@ fn campaign_models() -> Vec<(StrikeModel, usize)> {
     ]
 }
 
+/// Runs each strike model's campaign at one job and at three, and
+/// compares the two chunk by chunk. One trial per chunk, and enough
+/// chunks that the parallel run really splits the campaign into groups
+/// (two for a shared-trajectory campaign, three for a per-chunk one).
 fn check_campaigns(scheme: SchemeKind, failures: &mut Vec<String>) {
     for (model, interleave) in campaign_models() {
         let mut cfg = CampaignConfig::fast_test(Benchmark::Gzip, scheme);
-        cfg.trials = 20;
-        cfg.trials_per_chunk = 5;
+        cfg.trials = 2 * MIN_SHARED_LANES as u32;
+        cfg.trials_per_chunk = 1;
         cfg.model = model;
         cfg.interleave = interleave;
-        let serial = run_campaign(&cfg, 1);
-        let parallel = run_campaign(&cfg, 3);
-        if serial != parallel {
+        let groups = plan_groups(std::slice::from_ref(&cfg), 3);
+        if groups[0] < 2 {
             failures.push(format!(
-                "campaign model {model:?} not jobs-deterministic: {serial:?} vs {parallel:?}"
+                "campaign model {model:?}: 3 jobs plan {groups:?} groups, so nothing is split"
             ));
         }
-        if serial.struck_valid == 0 {
+        let serial = run_campaign_report(&cfg, 1);
+        let parallel = run_campaign_report(&cfg, 3);
+        let differs = (0..serial.chunks.len().max(parallel.chunks.len()))
+            .find(|&i| serial.chunks.get(i) != parallel.chunks.get(i));
+        if let Some(chunk) = differs {
+            failures.push(format!(
+                "campaign model {model:?} not jobs-deterministic: chunk {chunk} is {:?} vs {:?}",
+                serial.chunks.get(chunk),
+                parallel.chunks.get(chunk)
+            ));
+        }
+        if serial.total.struck_valid == 0 {
             failures.push(format!(
                 "campaign model {model:?}: no strike landed on a valid frame"
             ));

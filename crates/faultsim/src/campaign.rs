@@ -58,11 +58,13 @@
 //! group. A second group of a shared campaign therefore buys only a share
 //! of the per-trial work, at the price of a whole trajectory, while a
 //! group of the per-chunk path below repeats only the warm-up (each of its
-//! chunks forks the warmed machine and runs alone). [`run_campaigns`]
-//! spreads a line-up's (campaign, group) pairs over one set of workers by
-//! that rule: up to `jobs` groups for a per-chunk campaign, and for a
-//! shared one at most its share of the workers, so a shared campaign in a
-//! line-up longer than `jobs` runs as one group. Sharing one warm-up
+//! chunks forks the warmed machine and runs alone). [`plan_groups`] turns
+//! that into a rule: a per-chunk campaign takes up to `jobs` groups, and a
+//! shared one a group per [`MIN_SHARED_LANES`] chunks, at most its share
+//! of the workers (`jobs` over the line-up's length) and at least one. A
+//! smoke campaign of a thousand trials therefore runs on one machine
+//! whatever `jobs` is. [`run_campaigns`] spreads a line-up's (campaign,
+//! group) pairs over one set of workers by that plan. Sharing one warm-up
 //! across groups would need a `Send` system, and the observers hold
 //! `Rc`s.
 //!
@@ -83,7 +85,7 @@
 //! index. Chunks are split into contiguous groups, one warmed machine per
 //! group, and the groups' tables are concatenated in chunk order before
 //! the in-order merge, which makes `--jobs N` byte-identical to
-//! `--jobs 1`.
+//! `--jobs 1`: the plan decides only which machine simulates which lanes.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -206,9 +208,10 @@ impl CampaignConfig {
 }
 
 /// A finished campaign: the merged table, the per-chunk tables it was
-/// merged from (in chunk order — the determinism witness), and the
-/// wall-clock the run took. Only `wall_seconds` is host-dependent; every
-/// table is a pure function of the config.
+/// merged from (in chunk order — the determinism witness), the wall-clock
+/// the run took and the number of groups it ran as. Only `wall_seconds`
+/// and `groups` depend on the host and `jobs`; every table is a pure
+/// function of the config.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// All chunks merged in index order.
@@ -217,6 +220,9 @@ pub struct CampaignReport {
     pub chunks: Vec<OutcomeTable>,
     /// Wall-clock duration of the fan-out, in seconds.
     pub wall_seconds: f64,
+    /// Warmed machines the campaign ran on ([`plan_groups`]); 0 for a
+    /// report that was recalled rather than run.
+    pub groups: usize,
 }
 
 impl CampaignReport {
@@ -250,9 +256,11 @@ impl CampaignReport {
     /// Publishes the host-dependent throughput figures under a `wall`
     /// sub-scope — a separate call from [`CampaignReport::register_stats`]
     /// so determinism gates can snapshot the outcome scope without
-    /// tripping over wall-clock noise.
+    /// tripping over wall-clock noise. `wall.groups` shows how `jobs` was
+    /// spent: the number of machines the campaign ran on.
     pub fn register_throughput(&self, reg: &mut aep_obs::Registry) {
         reg.scoped("wall", |r| {
+            r.counter("groups", self.groups as u64);
             r.rate("seconds", self.wall_seconds);
             r.rate("trials_per_sec", self.trials_per_sec());
         });
@@ -274,36 +282,55 @@ pub fn run_campaign_report(cfg: &CampaignConfig, jobs: usize) -> CampaignReport 
         .expect("one report per campaign")
 }
 
+/// Chunks each group of a shared-trajectory campaign must hold before the
+/// campaign pays for another group. Every group simulates the whole
+/// warm-up and trajectory again, which at smoke scale is about half of a
+/// thousand-trial campaign; a second group won once each held about 150
+/// chunks and tied at 100 (DESIGN.md §3.7).
+pub const MIN_SHARED_LANES: usize = 128;
+
+/// The number of groups, one warmed machine each, that every campaign of
+/// a line-up runs as at `jobs` workers, in line-up order.
+///
+/// A per-chunk campaign (one that elides silent stores) takes up to
+/// `jobs` groups: its groups repeat only the warm-up. A shared-trajectory
+/// campaign takes one group per [`MIN_SHARED_LANES`] chunks, at most its
+/// share of the workers (`jobs` over the line-up's length) and at least
+/// one. No campaign takes more groups than it has chunks.
+#[must_use]
+pub fn plan_groups(cfgs: &[CampaignConfig], jobs: usize) -> Vec<usize> {
+    let jobs = jobs.max(1);
+    cfgs.iter()
+        .map(|cfg| {
+            let chunks = cfg.chunks();
+            let groups = if cfg.scheme.elides_silent_stores() {
+                jobs
+            } else {
+                (chunks / MIN_SHARED_LANES).min(jobs / cfgs.len())
+            };
+            groups.max(1).min(chunks)
+        })
+        .collect()
+}
+
 /// Runs a line-up of campaigns over up to `jobs` threads and returns
 /// their reports in line-up order, each identical to the campaign's
 /// [`run_campaign_report`] at any `jobs`.
 ///
 /// Every (campaign, group of chunks) pair is one work item, so the
-/// line-up shares the workers. A per-chunk campaign is split into up to
-/// `jobs` groups; a shared-trajectory campaign, each of whose groups
-/// simulates the whole trajectory again, into at most `jobs` over the
-/// line-up's length (see the module docs). A lone campaign of either kind
-/// thus takes up to `jobs` groups. A report's wall-clock spans its first
-/// group's start to its last group's end.
+/// line-up shares the workers; [`plan_groups`] sets each campaign's
+/// group count. A report's wall-clock spans its first group's start to
+/// its last group's end.
 #[must_use]
 pub fn run_campaigns(cfgs: &[CampaignConfig], jobs: usize) -> Vec<CampaignReport> {
-    let jobs = jobs.max(1);
-    let groups: Vec<usize> = cfgs
-        .iter()
-        .map(|cfg| {
-            assert!(
-                cfg.hierarchy.l2.store_data,
-                "fault injection needs a data-holding L2 (store_data = true)"
-            );
-            let _ = cfg.layout(); // validate interleave against the geometry up front
-            let share = if cfg.scheme.elides_silent_stores() {
-                jobs
-            } else {
-                jobs / cfgs.len()
-            };
-            share.max(1).min(cfg.chunks())
-        })
-        .collect();
+    for cfg in cfgs {
+        assert!(
+            cfg.hierarchy.l2.store_data,
+            "fault injection needs a data-holding L2 (store_data = true)"
+        );
+        let _ = cfg.layout(); // validate interleave against the geometry up front
+    }
+    let groups = plan_groups(cfgs, jobs);
     let items: Vec<(&CampaignConfig, Range<usize>)> = cfgs
         .iter()
         .zip(&groups)
@@ -336,6 +363,7 @@ pub fn run_campaigns(cfgs: &[CampaignConfig], jobs: usize) -> Vec<CampaignReport
                 total,
                 chunks,
                 wall_seconds: start.zip(end).map_or(0.0, |(s, e)| (e - s).as_secs_f64()),
+                groups: n,
             }
         })
         .collect()
@@ -1181,6 +1209,60 @@ mod tests {
         assert_eq!(serial.trials(), u64::from(c.trials));
     }
 
+    /// `c` with one trial per chunk and enough chunks that a shared
+    /// campaign given two or more workers of its own splits in two.
+    fn splittable(c: CampaignConfig) -> CampaignConfig {
+        CampaignConfig {
+            trials: 2 * MIN_SHARED_LANES as u32,
+            trials_per_chunk: 1,
+            ..c
+        }
+    }
+
+    #[test]
+    fn plan_splits_a_shared_campaign_only_for_whole_groups_of_lanes() {
+        let shared = |trials| CampaignConfig {
+            trials,
+            ..smoke(SchemeKind::ParityOnly)
+        };
+        let per_chunk = |trials| CampaignConfig {
+            trials,
+            ..smoke(SchemeKind::SilentWriteEcc {
+                cleaning_interval: CHOSEN_INTERVAL,
+            })
+        };
+        // Ten trials per chunk at smoke scale.
+        let lanes = MIN_SHARED_LANES as u32 * 10;
+        // A lone shared campaign: a group per MIN_SHARED_LANES chunks,
+        // capped by the workers.
+        for (trials, jobs, groups) in [
+            (1_000, 4, 1),
+            (2 * lanes - 10, 4, 1),
+            (2 * lanes, 4, 2),
+            (3 * lanes, 2, 2),
+            (20_000, 4, 4),
+            (20_000, 1, 1),
+            (20_000, 0, 1),
+            (10, 4, 1),
+        ] {
+            assert_eq!(
+                plan_groups(&[shared(trials)], jobs),
+                [groups],
+                "{trials} trials at {jobs} jobs"
+            );
+        }
+        // A per-chunk campaign takes up to `jobs` groups, one per chunk
+        // at most.
+        assert_eq!(plan_groups(&[per_chunk(1_000)], 4), [4]);
+        assert_eq!(plan_groups(&[per_chunk(20)], 4), [2]);
+        // In a line-up a shared campaign gets at most its share of the
+        // workers; the per-chunk one may take them all.
+        let line_up = [shared(20_000), per_chunk(1_000), shared(20_000)];
+        assert_eq!(plan_groups(&line_up, 6), [2, 6, 2]);
+        assert_eq!(plan_groups(&line_up, 2), [1, 2, 1]);
+        assert_eq!(plan_groups(&line_up, 1), [1, 1, 1]);
+    }
+
     #[test]
     fn a_line_up_reports_each_campaign_as_run_alone() {
         // A per-chunk (silent-store) campaign between two shared ones: at
@@ -1193,13 +1275,15 @@ mod tests {
             SchemeKind::Uniform,
         ]
         .into_iter()
-        .map(smoke)
+        .map(|scheme| splittable(smoke(scheme)))
         .collect();
         let alone: Vec<CampaignReport> =
             line_up.iter().map(|c| run_campaign_report(c, 1)).collect();
-        for jobs in [3, 6] {
+        assert!(alone.iter().all(|r| r.groups == 1));
+        for (jobs, groups) in [(3, [1, 3, 1]), (6, [2, 6, 2])] {
             let reports = run_campaigns(&line_up, jobs);
-            assert_eq!(reports.len(), line_up.len());
+            let ran: Vec<usize> = reports.iter().map(|r| r.groups).collect();
+            assert_eq!(ran, groups, "{jobs} jobs");
             for ((c, report), alone) in line_up.iter().zip(&reports).zip(&alone) {
                 assert_eq!(
                     report.chunks,
@@ -1215,12 +1299,14 @@ mod tests {
 
     #[test]
     fn jobs_invariance_holds_for_spatial_models() {
-        let mut c = cfg(SchemeKind::Uniform);
+        let mut c = splittable(cfg(SchemeKind::Uniform));
         c.model = StrikeModel::Col { span: 4 };
         c.interleave = 2;
-        let serial = run_campaign(&c, 1);
-        let parallel = run_campaign(&c, 3);
-        assert_eq!(serial, parallel);
+        let serial = run_campaign_report(&c, 1);
+        let parallel = run_campaign_report(&c, 3);
+        assert_eq!((serial.groups, parallel.groups), (1, 2));
+        assert_eq!(serial.chunks, parallel.chunks);
+        assert!(serial.total.struck_valid > 0);
     }
 
     #[test]

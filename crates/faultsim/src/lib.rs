@@ -29,7 +29,8 @@ pub mod outcome;
 pub mod pool;
 
 pub use campaign::{
-    run_campaign, run_campaign_report, run_campaigns, CampaignConfig, CampaignReport,
+    plan_groups, run_campaign, run_campaign_report, run_campaigns, CampaignConfig, CampaignReport,
+    MIN_SHARED_LANES,
 };
 pub use models::{StrikeModel, StrikePattern, WordFlips};
 pub use monitor::{PendingStrike, StrikeCell, StrikeProbe, StrikeState};
